@@ -67,9 +67,9 @@ type Config struct {
 	// RegisterWidth 128).
 	AVX2 bool
 	// Cores > 1 executes predicate-chain scans morsel-parallel on that
-	// many simulated cores (see internal/parallel), feeding one ordered
-	// batch stream into the rest of the plan. 0 or 1 means single-core —
-	// the paper's evaluation setting.
+	// many cores — simulated ones under Simulate (see internal/parallel) —
+	// feeding one ordered batch stream into the rest of the plan. 0 or 1
+	// means single-core, the paper's evaluation setting.
 	Cores int
 	// MorselRows is the morsel size for parallel scans (0 = one pipeline
 	// batch, 65536 rows).
@@ -85,9 +85,9 @@ func DefaultConfig() Config {
 }
 
 // NativeConfig is the turbo configuration: predicate chains run on the
-// generated SWAR kernels with zone-map chunk pruning and no machine-model
-// emulation. Result.Report is nil; results are bit-identical to
-// DefaultConfig.
+// generated SWAR kernels with zone-map chunk pruning, and no query builds
+// or charges a machine model. Result.Report is nil; results are
+// bit-identical to DefaultConfig.
 func NativeConfig() Config {
 	return Config{Simulate: false, UseFused: true, RegisterWidth: 512}
 }
@@ -935,8 +935,9 @@ func (b *TableBuilder) Finish() error {
 }
 
 // Query parses, plans, optimizes, JIT-compiles and executes a SQL
-// statement on a fresh simulated CPU with cold caches (the paper's
-// measurement discipline). It is QueryContext with a background context.
+// statement. Under Config.Simulate it runs on a fresh simulated CPU with
+// cold caches (the paper's measurement discipline); on the native path no
+// machine model is built. It is QueryContext with a background context.
 func (e *Engine) Query(sql string) (*Result, error) {
 	return e.QueryContext(context.Background(), sql)
 }
@@ -1147,6 +1148,8 @@ type ParallelResult struct {
 	Count     int
 	Positions []uint32
 	Cores     int
+	// The modelled times are zero unless the engine runs with
+	// Config.Simulate.
 	RuntimeMs float64 // modelled multi-core runtime (shared socket bandwidth)
 	ComputeMs float64 // slowest core's compute time
 	MemMs     float64 // memory time at the aggregate bandwidth
@@ -1158,8 +1161,9 @@ type ParallelResult struct {
 }
 
 // RunParallel executes the chain morsel-at-a-time on the given number of
-// simulated cores (an extension beyond the paper's single-core evaluation;
-// see internal/parallel). Results are identical to Run.
+// cores, simulated ones under Config.Simulate (an extension beyond the
+// paper's single-core evaluation; see internal/parallel). Results are
+// identical to Run.
 func (s *Scan) RunParallel(cores, morselRows int) (*ParallelResult, error) {
 	return s.RunParallelContext(context.Background(), cores, morselRows)
 }
@@ -1175,33 +1179,26 @@ func (s *Scan) RunParallelContext(ctx context.Context, cores, morselRows int) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts, err := s.eng.Config().options()
+	cfg := s.eng.Config()
+	opts, err := cfg.options()
 	if err != nil {
 		return nil, err
 	}
-	deg := newDegradation()
-	build := func(ch scan.Chain) (scan.Kernel, error) {
-		if opts.Native {
-			return scan.NewNative(ch)
-		}
-		if !opts.UseFused {
-			return scan.NewSISD(ch)
-		}
-		k, _, err := s.eng.compiler.CompileChain(ch, opts.Width, opts.ISA)
-		if err != nil {
-			if sk, serr := scan.NewSISD(ch); serr == nil {
-				deg.record(err)
-				return sk, nil
-			}
-			return nil, err
-		}
-		return k, nil
-	}
-	res, err := parallel.ScanContext(ctx, s.eng.params, s.chain, build, cores, morselRows, true)
+	// No up-front build: every build, and any panic in it, stays inside the
+	// workers' per-morsel recovery.
+	fam, err := pqp.Kernels(nil, s.eng.compiler, opts)
 	if err != nil {
 		return nil, err
 	}
-	degraded, reason := deg.state()
+	var params *mach.Params
+	if cfg.Simulate {
+		params = &s.eng.params
+	}
+	res, err := parallel.ScanContext(ctx, params, s.chain, fam.Build, cores, morselRows, true)
+	if err != nil {
+		return nil, err
+	}
+	degraded, reason := fam.Degraded()
 	return &ParallelResult{
 		Count:          res.Count,
 		Positions:      res.Positions,
@@ -1212,31 +1209,6 @@ func (s *Scan) RunParallelContext(ctx context.Context, cores, morselRows int) (*
 		Degraded:       degraded,
 		DegradedReason: reason,
 	}, nil
-}
-
-// degradation records the first JIT-fallback reason across (possibly
-// concurrent) kernel builds.
-type degradation struct {
-	mu     sync.Mutex
-	reason string
-	set    bool
-}
-
-func newDegradation() *degradation { return &degradation{} }
-
-func (d *degradation) record(err error) {
-	d.mu.Lock()
-	if !d.set {
-		d.set = true
-		d.reason = fmt.Sprintf("jit unavailable, using scalar scan: %v", err)
-	}
-	d.mu.Unlock()
-}
-
-func (d *degradation) state() (bool, string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.set, d.reason
 }
 
 // Chunked makes Run execute chunk-at-a-time over horizontal partitions of
@@ -1286,56 +1258,37 @@ func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 		return nil, err
 	}
 
-	var progs []*jit.Program
-	deg := newDegradation()
-	build := func(ch scan.Chain) (scan.Kernel, error) {
-		if opts.Native {
-			return scan.NewNative(ch)
-		}
-		if !opts.UseFused {
-			return scan.NewSISD(ch)
-		}
-		k, p, err := s.eng.compiler.CompileChain(ch, opts.Width, opts.ISA)
-		if err != nil {
-			if sk, serr := scan.NewSISD(ch); serr == nil {
-				deg.record(err)
-				return sk, nil
-			}
-			return nil, err
-		}
-		if len(progs) == 0 {
-			progs = append(progs, p)
-		}
-		return k, nil
+	fam, err := pqp.Kernels(s.chain, s.eng.compiler, opts)
+	if err != nil {
+		return nil, err
 	}
-
-	simulate := cfg.Simulate
-	cpu := mach.New(s.eng.params)
-	var res scan.Result
-	var cstats scan.ChunkedStats
-	switch {
-	case s.chunkRows > 0:
-		res, cstats, err = scan.RunChunkedPruned(ctx, build, s.chain, s.chunkRows, cpu, true)
-		if err != nil {
-			return nil, err
-		}
-	case opts.Native || ctx.Done() != nil || govern.AccountantFrom(ctx) != nil:
+	var cpu *mach.CPU
+	if cfg.Simulate {
+		cpu = mach.New(s.eng.params)
+	}
+	chunkRows := s.chunkRows
+	if chunkRows == 0 && (opts.Native || ctx.Done() != nil || govern.AccountantFrom(ctx) != nil) {
 		// Cancellable, budgeted or native execution: chunk-at-a-time with a
 		// context check, memory accounting and zone-map pruning between
 		// chunks (same results as a whole-table pass). The native path is
 		// always chunked so it prunes and cancels by default.
-		res, cstats, err = scan.RunChunkedPruned(ctx, build, s.chain, cancellableChunkRows, cpu, true)
+		chunkRows = cancellableChunkRows
+	}
+	var res scan.Result
+	var cstats scan.ChunkedStats
+	if chunkRows > 0 {
+		res, cstats, err = scan.RunChunkedPruned(ctx, fam.Build, s.chain, chunkRows, cpu, true)
 		if err != nil {
 			return nil, err
 		}
-	default:
-		kern, err := build(s.chain)
+	} else {
+		kern, err := fam.Build(s.chain)
 		if err != nil {
 			return nil, err
 		}
 		res = kern.Run(cpu, true)
 	}
-	degraded, reason := deg.state()
+	degraded, reason := fam.Degraded()
 	out := &ScanResult{
 		Count:          res.Count,
 		Positions:      res.Positions,
@@ -1354,7 +1307,11 @@ func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 	if out.Encoding != "plain" {
 		s.eng.packedScans.Add(1)
 	}
-	if simulate {
+	if cpu != nil {
+		var progs []*jit.Program
+		if fam.Program != nil {
+			progs = append(progs, fam.Program)
+		}
 		hits, _, cached := s.eng.compiler.Stats()
 		pr := perfReport(cpu.Finish().Report(&s.eng.params), progs, hits, cached)
 		out.Report = &pr

@@ -1,6 +1,7 @@
 package fusedscan
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -79,6 +80,37 @@ func TestNativeConfigEndToEnd(t *testing.T) {
 	}
 	if p := scanStats(t, nat).Path; p != "native" {
 		t.Errorf("native path = %q, want native", p)
+	}
+}
+
+// TestNativeQueryBuildsNoMachineModel: a native query must not pay for the
+// paper's machine model, whose caches alone take about 5 MB to build. A
+// 2-predicate COUNT(*) over 256 Ki rows needs a few KB without it.
+func TestNativeQueryBuildsNoMachineModel(t *testing.T) {
+	eng, want := buildTestEngine(t, 1<<18, 0.2, 0.3)
+	if err := eng.SetConfig(NativeConfig()); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT COUNT(*) FROM tbl WHERE a = 5 AND b = 2"
+	// Warm-up: the first query builds the columns' zone maps.
+	if _, err := eng.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		res, err := eng.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != int64(want) {
+			t.Fatalf("count %d, want %d", res.Count, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("native query allocates %d KiB, want < 64 KiB", per>>10)
 	}
 }
 

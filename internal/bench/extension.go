@@ -98,11 +98,11 @@ func ExtensionParallel(cfg Config) ExtensionParallelResult {
 		m := medianOver(cfg.reps(), cfg.Seed, func(seed int64) []float64 {
 			space := mach.NewAddrSpace()
 			ch := workload.Uniform(space, rows, 2, 0.5, seed)
-			rs, err := parallel.Scan(cfg.Params, ch, scan.ImplSISD.Build, c, morsel, false)
+			rs, err := parallel.Scan(&cfg.Params, ch, scan.ImplSISD.Build, c, morsel, false)
 			if err != nil {
 				panic(err)
 			}
-			rf, err := parallel.Scan(cfg.Params, ch, scan.ImplAVX512Fused512.Build, c, morsel, false)
+			rf, err := parallel.Scan(&cfg.Params, ch, scan.ImplAVX512Fused512.Build, c, morsel, false)
 			if err != nil {
 				panic(err)
 			}

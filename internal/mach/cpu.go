@@ -44,6 +44,13 @@ func (c Counters) PAPI() map[string]uint64 {
 // CPU is one simulated core. A kernel executes its real algorithm on real
 // data and reports its instructions, branches and memory accesses to the
 // CPU; the CPU accumulates Counters from which Report derives a runtime.
+//
+// A nil *CPU is "no machine model": the native path runs plans with one.
+// The charging methods operators above the scan share — Scalar, Branch,
+// RandomRead and NewRandomRegion — are no-ops on a nil receiver (Branch
+// reports a correct prediction, NewRandomRegion region 0), so an operator
+// charges the model without checking whether there is one. The emulated
+// kernels need a real CPU.
 type CPU struct {
 	P  Params
 	BP *BranchPredictor
@@ -132,6 +139,9 @@ func (cpu *CPU) FlushCaches() {
 
 // Scalar charges n scalar ALU instructions.
 func (cpu *CPU) Scalar(n int) {
+	if cpu == nil {
+		return
+	}
 	cpu.c.ScalarInstrs += uint64(n)
 	cpu.c.ComputeCycles += float64(n) * cpu.scalarC
 }
@@ -155,6 +165,9 @@ func (cpu *CPU) Gather(isa vec.ISA, w vec.Width, lanes int) {
 // outcome, charging the misprediction penalty when the predictor was wrong.
 // It returns whether the branch was predicted correctly.
 func (cpu *CPU) Branch(site uint32, taken bool) bool {
+	if cpu == nil {
+		return true
+	}
 	cpu.c.Branches++
 	cpu.c.ScalarInstrs++
 	cpu.c.ComputeCycles += cpu.scalarC
@@ -184,6 +197,9 @@ func (cpu *CPU) NewStream() int {
 // NewRandomRegion registers a random-access region (one per gathered
 // column) and returns its id.
 func (cpu *CPU) NewRandomRegion() int {
+	if cpu == nil {
+		return 0
+	}
 	cpu.lastRandLine = append(cpu.lastRandLine, ^uint64(0))
 	return len(cpu.lastRandLine) - 1
 }
@@ -206,6 +222,9 @@ func (cpu *CPU) StreamRead(stream int, addr uint64, size int) {
 // line-adjacent to the previous miss in the same region (in which case the
 // stream prefetcher would have covered them).
 func (cpu *CPU) RandomRead(region int, addr uint64, size int) {
+	if cpu == nil {
+		return
+	}
 	line := addr >> cpu.lineSh
 	cpu.touch(line, true, region)
 }

@@ -264,6 +264,21 @@ func TestBranchChargesPenaltyOnlyOnMispredict(t *testing.T) {
 	}
 }
 
+// TestNilCPUChargesNothing: the four charging methods shared operators call
+// are no-ops on a nil *CPU — the native path's "no machine model".
+func TestNilCPUChargesNothing(t *testing.T) {
+	var cpu *CPU
+	region := cpu.NewRandomRegion()
+	if region != 0 {
+		t.Errorf("NewRandomRegion on nil CPU = %d, want 0", region)
+	}
+	cpu.Scalar(10)
+	cpu.RandomRead(region, 0x1000, 8)
+	if !cpu.Branch(1, true) || !cpu.Branch(1, false) {
+		t.Error("Branch on nil CPU reported a misprediction")
+	}
+}
+
 func TestReportRoofline(t *testing.T) {
 	p := Default()
 	// Compute-bound.

@@ -5,10 +5,11 @@
 // package is an explicitly-labelled extension.
 //
 // Execution model: the table is split into fixed-size morsels; worker
-// goroutines — one per simulated core, each with its own mach.CPU (own
-// caches, own branch predictor) — pull morsels from a shared queue and run
-// the scan kernel over zero-copy column views. Functional results are
-// merged in morsel order, so they are identical to a sequential scan.
+// goroutines — one per core — pull morsels from a shared queue and run the
+// scan kernel over zero-copy column views. Functional results are merged in
+// morsel order, so they are identical to a sequential scan. Given machine
+// parameters, each worker simulates its own mach.CPU (own caches, own
+// branch predictor); given nil, as on the native path, none builds one.
 //
 // Failure model: a morsel whose kernel fails to build (or panics while
 // running) poisons only that morsel, not the process — workers recover
@@ -56,8 +57,10 @@ type Result struct {
 }
 
 // Scan executes the chain with `cores` workers over morsels of morselRows
-// rows. build constructs a kernel per morsel (e.g. scan.Impl.Build).
-func Scan(params mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Result, error) {
+// rows. build constructs a kernel per morsel (e.g. scan.Impl.Build). With
+// nil params no worker simulates a CPU, and PerCore and the modelled times
+// stay zero.
+func Scan(params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Result, error) {
 	return ScanContext(context.Background(), params, ch, build, cores, morselRows, wantPositions)
 }
 
@@ -71,7 +74,7 @@ func Scan(params mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel
 // every morsel, rebases positions to absolute row ids, and applies the
 // combined performance model. The batch pipeline (internal/pqp) consumes
 // Stream directly instead, morsel by morsel.
-func ScanContext(ctx context.Context, params mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Result, error) {
+func ScanContext(ctx context.Context, params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Result, error) {
 	s, err := NewStream(ctx, params, ch, build, cores, morselRows, wantPositions)
 	if err != nil {
 		return nil, err
@@ -103,11 +106,13 @@ func ScanContext(ctx context.Context, params mach.Params, ch scan.Chain, build f
 		return nil, err
 	}
 
-	out.PerCore = s.PerCore()
-	model := Combine(params, out.PerCore)
-	out.ComputeMs = model.ComputeMs
-	out.MemMs = model.MemMs
-	out.RuntimeMs = model.RuntimeMs
-	out.AggregateGBs = model.AggregateGBs
+	if params != nil {
+		out.PerCore = s.PerCore()
+		model := Combine(*params, out.PerCore)
+		out.ComputeMs = model.ComputeMs
+		out.MemMs = model.MemMs
+		out.RuntimeMs = model.RuntimeMs
+		out.AggregateGBs = model.AggregateGBs
+	}
 	return out, nil
 }

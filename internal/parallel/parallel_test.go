@@ -35,7 +35,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 	want := scan.Reference(ch, true)
 	for _, cores := range []int{1, 2, 4, 8} {
 		for _, morsel := range []int{1000, 7777, 1_000_000} {
-			res, err := Scan(mach.Default(), ch, scan.ImplAVX512Fused512.Build, cores, morsel, true)
+			res, err := Scan(simParams(), ch, scan.ImplAVX512Fused512.Build, cores, morsel, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,11 +56,11 @@ func TestParallelComputeBoundScaling(t *testing.T) {
 	// (mispredictions), so doubling cores should roughly halve runtime.
 	ch := makeChain(t, 400_000, 0.5, 2)
 	p := mach.Default()
-	r1, err := Scan(p, ch, scan.ImplSISD.Build, 1, 50_000, false)
+	r1, err := Scan(&p, ch, scan.ImplSISD.Build, 1, 50_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := Scan(p, ch, scan.ImplSISD.Build, 4, 50_000, false)
+	r4, err := Scan(&p, ch, scan.ImplSISD.Build, 4, 50_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestParallelBandwidthSaturation(t *testing.T) {
 	// SocketBandwidth / per-core bandwidth (~6.7 cores by default).
 	ch := makeChain(t, 2_000_000, 0.0001, 3)
 	p := mach.Default()
-	r1, err := Scan(p, ch, scan.ImplAVX512Fused512.Build, 1, 100_000, false)
+	r1, err := Scan(&p, ch, scan.ImplAVX512Fused512.Build, 1, 100_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := Scan(p, ch, scan.ImplAVX512Fused512.Build, 16, 100_000, false)
+	r16, err := Scan(&p, ch, scan.ImplAVX512Fused512.Build, 16, 100_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,17 +99,17 @@ func TestParallelBandwidthSaturation(t *testing.T) {
 func TestParallelErrors(t *testing.T) {
 	ch := makeChain(t, 100, 0.5, 4)
 	p := mach.Default()
-	if _, err := Scan(p, ch, scan.ImplSISD.Build, 0, 10, false); err == nil {
+	if _, err := Scan(&p, ch, scan.ImplSISD.Build, 0, 10, false); err == nil {
 		t.Error("0 cores accepted")
 	}
-	if _, err := Scan(p, ch, scan.ImplSISD.Build, 2, 0, false); err == nil {
+	if _, err := Scan(&p, ch, scan.ImplSISD.Build, 2, 0, false); err == nil {
 		t.Error("0 morsel rows accepted")
 	}
-	if _, err := Scan(p, scan.Chain{}, scan.ImplSISD.Build, 2, 10, false); err == nil {
+	if _, err := Scan(&p, scan.Chain{}, scan.ImplSISD.Build, 2, 10, false); err == nil {
 		t.Error("empty chain accepted")
 	}
 	badBuild := func(scan.Chain) (scan.Kernel, error) { return nil, errBoom }
-	if _, err := Scan(p, ch, badBuild, 2, 10, false); err == nil {
+	if _, err := Scan(&p, ch, badBuild, 2, 10, false); err == nil {
 		t.Error("builder error swallowed")
 	}
 }
@@ -122,7 +122,7 @@ var errBoom = boomErr{}
 
 func TestParallelPerCoreCounters(t *testing.T) {
 	ch := makeChain(t, 50_000, 0.1, 5)
-	res, err := Scan(mach.Default(), ch, scan.ImplAVX512Fused512.Build, 3, 5000, false)
+	res, err := Scan(simParams(), ch, scan.ImplAVX512Fused512.Build, 3, 5000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,5 +135,30 @@ func TestParallelPerCoreCounters(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("no work recorded on any core")
+	}
+}
+
+// simParams is the default machine calibration, by pointer: a scan given
+// it simulates one CPU per worker.
+func simParams() *mach.Params {
+	p := mach.Default()
+	return &p
+}
+
+// TestParallelScanWithoutModel: nil params build no worker CPUs, report no
+// model, and return the same rows.
+func TestParallelScanWithoutModel(t *testing.T) {
+	ch := makeChain(t, 50_000, 0.1, 6)
+	native := func(sub scan.Chain) (scan.Kernel, error) { return scan.NewNative(sub) }
+	res, err := Scan(nil, ch, native, 3, 5000, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scan.Reference(ch, true)
+	if res.Count != want.Count || len(res.Positions) != len(want.Positions) {
+		t.Fatalf("count %d, want %d", res.Count, want.Count)
+	}
+	if res.PerCore != nil || res.RuntimeMs != 0 {
+		t.Errorf("PerCore=%v RuntimeMs=%v, want no model", res.PerCore, res.RuntimeMs)
 	}
 }

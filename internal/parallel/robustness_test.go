@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"fusedscan/internal/faultinject"
-	"fusedscan/internal/mach"
 	"fusedscan/internal/scan"
 )
 
@@ -17,7 +16,7 @@ func TestScanContextCancelledBeforeStart(t *testing.T) {
 	ch := makeChain(t, 10_000, 0.1, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ScanContext(ctx, mach.Default(), ch, scan.ImplSISD.Build, 2, 1000, false)
+	_, err := ScanContext(ctx, simParams(), ch, scan.ImplSISD.Build, 2, 1000, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -35,7 +34,7 @@ func TestScanCollectsAllBuildErrors(t *testing.T) {
 	}
 	// 10 morsels on 1 core: build is called sequentially, failing on every
 	// even call — 5 distinct errors, all of which must survive aggregation.
-	_, err := Scan(mach.Default(), ch, build, 1, 1000, false)
+	_, err := Scan(simParams(), ch, build, 1, 1000, false)
 	if err == nil {
 		t.Fatal("expected joined build errors")
 	}
@@ -55,7 +54,7 @@ func TestScanRecoversWorkerPanic(t *testing.T) {
 		}
 		return scan.NewSISD(sub)
 	}
-	_, err := Scan(mach.Default(), ch, build, 2, 1000, false)
+	_, err := Scan(simParams(), ch, build, 2, 1000, false)
 	if err == nil {
 		t.Fatal("expected an error from the panicking morsel")
 	}
@@ -70,7 +69,7 @@ func TestScanFaultInjectedMorselError(t *testing.T) {
 	ch := makeChain(t, 10_000, 0.1, 14)
 
 	faultinject.Arm(faultinject.SiteParallelMorsel, 4, faultinject.ModeError)
-	_, err := Scan(mach.Default(), ch, scan.ImplSISD.Build, 2, 1000, false)
+	_, err := Scan(simParams(), ch, scan.ImplSISD.Build, 2, 1000, false)
 	if err == nil {
 		t.Fatal("expected injected morsel error")
 	}
@@ -85,7 +84,7 @@ func TestScanFaultInjectedMorselError(t *testing.T) {
 	// The same scan succeeds once disarmed.
 	faultinject.Reset()
 	want := scan.Reference(ch, false)
-	res, err := Scan(mach.Default(), ch, scan.ImplSISD.Build, 2, 1000, false)
+	res, err := Scan(simParams(), ch, scan.ImplSISD.Build, 2, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestScanFaultInjectedMorselPanicIsRecovered(t *testing.T) {
 	ch := makeChain(t, 10_000, 0.1, 15)
 
 	faultinject.Arm(faultinject.SiteParallelMorsel, 1, faultinject.ModePanic)
-	_, err := Scan(mach.Default(), ch, scan.ImplSISD.Build, 4, 1000, false)
+	_, err := Scan(simParams(), ch, scan.ImplSISD.Build, 4, 1000, false)
 	if err == nil {
 		t.Fatal("expected an error from the injected panic")
 	}
@@ -120,7 +119,7 @@ func TestScanContextCancelStopsWorkers(t *testing.T) {
 		}
 		return scan.NewSISD(sub)
 	}
-	_, err := ScanContext(ctx, mach.Default(), ch, build, 1, 1000, false)
+	_, err := ScanContext(ctx, simParams(), ch, build, 1, 1000, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -37,12 +37,12 @@ type streamItem struct {
 }
 
 // Stream is a morsel-driven parallel scan producing results incrementally:
-// worker goroutines — one per simulated core, each with its own mach.CPU —
-// run the kernel over morsels round-robin, and Next hands the results to
-// the consumer one morsel at a time, merged back into table order with a
-// reorder buffer. This is how the batch pipeline consumes a parallel scan:
-// downstream operators see the exact stream a sequential scan would
-// produce, while production is parallel underneath.
+// worker goroutines — one per core, each with its own mach.CPU when the
+// stream simulates — run the kernel over morsels round-robin, and Next
+// hands the results to the consumer one morsel at a time, merged back into
+// table order with a reorder buffer. This is how the batch pipeline
+// consumes a parallel scan: downstream operators see the exact stream a
+// sequential scan would produce, while production is parallel underneath.
 //
 // A morsel whose kernel fails to build (or panics while running) poisons
 // only that morsel: Next returns its error for that position and can be
@@ -56,7 +56,7 @@ type Stream struct {
 	cancel context.CancelFunc
 	ch     chan streamItem
 	wg     *sync.WaitGroup
-	cpus   []*mach.CPU
+	cpus   []*mach.CPU // all nil when the stream does not simulate
 
 	pending map[int]streamItem
 	next    int
@@ -69,7 +69,9 @@ type Stream struct {
 // NewStream validates the scan and launches the workers. build constructs
 // a kernel per morsel (e.g. a JIT compile hitting the operator cache, or
 // scan.NewSISD); wantPositions false runs the kernels in count-only mode.
-func NewStream(ctx context.Context, params mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Stream, error) {
+// params, when non-nil, gives each worker a simulated CPU; nil runs the
+// kernels with a nil CPU.
+func NewStream(ctx context.Context, params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Stream, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err
 	}
@@ -142,7 +144,9 @@ func NewStream(ctx context.Context, params mach.Params, ch scan.Chain, build fun
 	// deterministically across cores (a wall-clock work queue would balance
 	// the emulator's time, not the modelled machine's).
 	for c := 0; c < cores; c++ {
-		s.cpus[c] = mach.New(params)
+		if params != nil {
+			s.cpus[c] = mach.New(*params)
+		}
 		s.wg.Add(1)
 		go func(worker int) {
 			defer s.wg.Done()
@@ -199,13 +203,15 @@ func (s *Stream) Close() {
 	s.wg.Wait()
 }
 
-// PerCore waits for the workers and returns each one's counters. Call
-// after EOS or Close.
+// PerCore waits for the workers and returns each one's counters (nil when
+// the stream does not simulate). Call after EOS or Close.
 func (s *Stream) PerCore() []mach.Counters {
 	s.finishOnce.Do(func() {
 		s.wg.Wait()
 		for _, cpu := range s.cpus {
-			s.perCore = append(s.perCore, cpu.Finish())
+			if cpu != nil {
+				s.perCore = append(s.perCore, cpu.Finish())
+			}
 		}
 	})
 	return s.perCore

@@ -13,7 +13,7 @@ func TestStreamOrderedMergeMatchesReference(t *testing.T) {
 	want := scan.Reference(ch, true)
 	for _, cores := range []int{1, 2, 4} {
 		for _, morsel := range []int{999, 8192} {
-			s, err := NewStream(context.Background(), mach.Default(), ch, scan.ImplAVX512Fused512.Build, cores, morsel, true)
+			s, err := NewStream(context.Background(), simParams(), ch, scan.ImplAVX512Fused512.Build, cores, morsel, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestStreamOrderedMergeMatchesReference(t *testing.T) {
 
 func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 	ch := makeChain(t, 1_000_000, 0.5, 4)
-	s, err := NewStream(context.Background(), mach.Default(), ch, scan.ImplSISD.Build, 2, 10_000, true)
+	s, err := NewStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, 10_000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 	// The workers must have stopped early: the rows they processed (visible
 	// in per-core scalar instruction counts) stay far below a full scan's.
 	var full, did uint64
-	fs, err := NewStream(context.Background(), mach.Default(), ch, scan.ImplSISD.Build, 2, 10_000, true)
+	fs, err := NewStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, 10_000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 func TestStreamContextCancellation(t *testing.T) {
 	ch := makeChain(t, 200_000, 0.5, 5)
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := NewStream(ctx, mach.Default(), ch, scan.ImplSISD.Build, 2, 5_000, true)
+	s, err := NewStream(ctx, simParams(), ch, scan.ImplSISD.Build, 2, 5_000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestStreamContextCancellation(t *testing.T) {
 
 func TestCombineMatchesScanContextModel(t *testing.T) {
 	ch := makeChain(t, 100_000, 0.1, 6)
-	res, err := Scan(mach.Default(), ch, scan.ImplSISD.Build, 4, 10_000, false)
+	res, err := Scan(simParams(), ch, scan.ImplSISD.Build, 4, 10_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"fusedscan/internal/column"
 	"fusedscan/internal/govern"
-	"fusedscan/internal/jit"
 	"fusedscan/internal/lqp"
 	"fusedscan/internal/mach"
 	"fusedscan/internal/scan"
@@ -28,11 +27,9 @@ type indexScanOp struct {
 	tbl    *column.Table
 	probes []lqp.IndexProbe
 	// residual is the refinement chain (empty when the probes cover every
-	// predicate); build constructs its kernel per window.
+	// predicate); kernels builds its kernel per window.
 	residual scan.Chain
-	build    func(scan.Chain) (scan.Kernel, error)
-	name     string
-	path     string
+	kernels  *Family
 	// estSel is the optimizer's whole-plan selectivity estimate, used to
 	// pre-size the residual kernel's position list.
 	estSel    float64
@@ -65,19 +62,19 @@ func (op *indexScanOp) Describe() string {
 	}
 	d := fmt.Sprintf("IndexScan[%s] on %s", strings.Join(cols, ","), op.tbl.Name())
 	if len(op.residual) > 0 {
-		d += fmt.Sprintf(" + residual %s", op.name)
+		d += fmt.Sprintf(" + residual %s", op.kernels.Name)
 	}
 	return d
 }
 
 func (op *indexScanOp) Stats() OperatorStats {
 	st := op.stats.snapshot(op.Describe())
-	st.Path = op.path
+	st.Path = op.kernels.Path
 	st.IndexProbes = op.probeCount
 	st.IndexRows = op.probeRows
 	st.BytesScanned = op.bytes
 	if len(op.residual) > 0 {
-		st.Encoding = chainEncoding(op.residual)
+		st.Encoding = op.residual.Encoding()
 	}
 	return st
 }
@@ -164,19 +161,10 @@ func (op *indexScanOp) Next() (Batch, error) {
 	sel := cand
 	if len(op.residual) > 0 {
 		sub := op.residual.Slice(begin, end)
-		op.bytes += chainScanBytes(sub)
-		kern, err := op.build(sub)
+		op.bytes += sub.ScanBytes()
+		kern, err := buildWindow(op.kernels.Build, sub, op.estSel)
 		if err != nil {
 			return Batch{}, fmt.Errorf("pqp: index residual chunk [%d, %d): %w", begin, end, err)
-		}
-		if op.estSel > 0 {
-			if sh, ok := kern.(scan.SizeHinter); ok {
-				hint := int(op.estSel*float64(end-begin)) + 16
-				if hint > end-begin {
-					hint = end - begin
-				}
-				sh.SetSizeHint(hint)
-			}
 		}
 		// The kernel's positions are needed even in count-only mode: the
 		// final count is the size of the intersection with the candidates.
@@ -204,43 +192,28 @@ func (op *indexScanOp) Close() error {
 }
 
 // translateIndexScan lowers the optimizer's IndexScan leaf. The residual
-// chain uses the direct kernel family (no JIT cache) so per-window slices
+// chain builds fused kernels directly (no JIT cache) so per-window slices
 // compile cheaply; an empty residual needs no kernel at all.
-func translateIndexScan(t *lqp.IndexScan, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
-	op := &indexScanOp{
-		tbl:       t.Table,
-		probes:    t.Probes,
-		estSel:    t.EstSel,
-		batchRows: opts.batchRows(),
-		stopAfter: t.StopAfter,
-	}
-	_, name, path := joinKernels(opts)
-	op.name, op.path = name, path
-	if opts.Native {
-		p.NativeScans++
-	}
+func translateIndexScan(t *lqp.IndexScan, tbl *column.Table, opts Options, p *Plan) (Operator, error) {
+	var residual scan.Chain
 	if len(t.Residual) > 0 {
 		ch, err := buildChain(tbl, t.Residual)
 		if err != nil {
 			return nil, err
 		}
-		op.residual = ch
-		build, _, _ := joinKernels(opts)
-		// Probe the family once so an unbuildable residual degrades to the
-		// scalar kernel at translation time, not per window at runtime.
-		if _, err := build(ch); err != nil {
-			skern := func(sub scan.Chain) (scan.Kernel, error) { return scan.NewSISD(sub) }
-			if _, serr := skern(ch); serr != nil {
-				return nil, err
-			}
-			p.Degraded = true
-			p.DegradedReason = fmt.Sprintf("index residual kernel unavailable, using scalar: %v", err)
-			op.build, op.path = skern, PathScalarFallback
-			op.name = "TableScan(SISD, degraded)"
-		} else {
-			op.build = build
-		}
+		residual = ch
 	}
-	_ = comp // the index path never goes through the JIT program cache
-	return op, nil
+	f, err := p.kernels(residual, nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &indexScanOp{
+		tbl:       t.Table,
+		probes:    t.Probes,
+		residual:  residual,
+		kernels:   f,
+		estSel:    t.EstSel,
+		batchRows: opts.batchRows(),
+		stopAfter: t.StopAfter,
+	}, nil
 }

@@ -126,19 +126,18 @@ func (op *fullScanOp) Close() error {
 	return nil
 }
 
-// scanOp evaluates a predicate chain with a kernel pass per chunk window
-// (fused or scalar short-circuit), emitting each chunk's chunk-relative
-// position list as one batch — the kernel's register-resident position
-// lists feed the pipeline directly, never widening into a whole-table
-// position list. With Cores > 1 the chunks become morsels produced by
-// parallel workers (each with its own simulated CPU) and merged in morsel
-// order, so downstream operators consume an identical ordered stream.
+// scanOp evaluates a predicate chain with a kernel pass per chunk window,
+// on the kernel family Kernels picked (native, fused or scalar
+// short-circuit), emitting each chunk's chunk-relative position list as one
+// batch — the kernel's position lists feed the pipeline directly, never
+// widening into a whole-table position list. With Cores > 1 the chunks
+// become morsels produced by parallel workers (each with its own simulated
+// CPU when the plan runs against one) and merged in morsel order, so
+// downstream operators consume an identical ordered stream.
 type scanOp struct {
 	tbl       *column.Table
 	chain     scan.Chain
-	kernel    scan.Kernel
-	build     func(scan.Chain) (scan.Kernel, error)
-	name      string
+	kernels   *Family
 	batchRows int
 	// stopAfter, when > 0, is the optimizer's LIMIT pushdown hint: stop
 	// producing once this many matches have been emitted (rounded up to a
@@ -149,8 +148,6 @@ type scanOp struct {
 	morselRows int
 	params     mach.Params
 	countOnly  bool
-	// path labels the execution path for operator stats (PathNative etc.).
-	path string
 	// estSel is the optimizer's selectivity estimate for the whole chain,
 	// used to pre-size per-chunk position lists (0 = no estimate).
 	estSel float64
@@ -173,25 +170,32 @@ type scanOp struct {
 	stats opStats
 }
 
-func (op *scanOp) Describe() string { return fmt.Sprintf("%s on %s", op.name, op.tbl.Name()) }
+func (op *scanOp) Describe() string { return fmt.Sprintf("%s on %s", op.kernels.Name, op.tbl.Name()) }
 
 func (op *scanOp) Stats() OperatorStats {
 	st := op.stats.snapshot(op.Describe())
 	st.ChunksPruned = op.pruned
-	st.Path = op.path
-	st.Encoding = chainEncoding(op.chain)
+	st.Path = op.kernels.Path
+	// scan.Chain.Encoding matches the EncodingPlain/EncodingPacked/
+	// EncodingMixed labels.
+	st.Encoding = op.chain.Encoding()
 	st.BytesScanned = op.bytes
 	return st
 }
 
-// chainEncoding labels the storage encoding of a chain's predicate
-// columns for operator stats (scan.Chain.Encoding matches the
-// EncodingPlain/EncodingPacked/EncodingMixed labels).
-func chainEncoding(ch scan.Chain) string { return ch.Encoding() }
-
-// chainScanBytes totals the stored value bytes a full pass over the
-// chain's predicate column views touches (packed word spans, plain lanes).
-func chainScanBytes(ch scan.Chain) int64 { return ch.ScanBytes() }
+// buildWindow builds the kernel for one window of rows and, given the
+// optimizer's selectivity estimate (0 = none), pre-sizes its position list.
+func buildWindow(build func(scan.Chain) (scan.Kernel, error), sub scan.Chain, estSel float64) (scan.Kernel, error) {
+	kern, err := build(sub)
+	if err != nil || estSel <= 0 {
+		return kern, err
+	}
+	if sh, ok := kern.(scan.SizeHinter); ok {
+		rows := sub.Rows()
+		sh.SetSizeHint(min(int(estSel*float64(rows))+16, rows))
+	}
+	return kern, nil
+}
 
 func (op *scanOp) setCountOnly(v bool) { op.countOnly = v }
 
@@ -211,7 +215,12 @@ func (op *scanOp) Open(ctx context.Context, cpu *mach.CPU) error {
 		if morselRows <= 0 {
 			morselRows = op.batchRows
 		}
-		st, err := parallel.NewStream(ctx, op.params, op.chain, op.build, op.cores, morselRows, !op.countOnly)
+		// Workers simulate exactly when the driver does.
+		var params *mach.Params
+		if cpu != nil {
+			params = &op.params
+		}
+		st, err := parallel.NewStream(ctx, params, op.chain, op.kernels.Build, op.cores, morselRows, !op.countOnly)
 		if err != nil {
 			return err
 		}
@@ -239,7 +248,7 @@ func (op *scanOp) Next() (Batch, error) {
 			return Batch{}, err
 		}
 		op.stats.noteScanned(m.Rows)
-		op.bytes += chainScanBytes(op.chain.Slice(m.Begin, m.Begin+m.Rows))
+		op.bytes += op.chain.Slice(m.Begin, m.Begin+m.Rows).ScanBytes()
 		b = Batch{Base: uint32(m.Begin), Sel: m.Res.Positions, Count: m.Res.Count}
 	} else {
 		n := op.chain.Rows()
@@ -261,19 +270,14 @@ func (op *scanOp) Next() (Batch, error) {
 			}
 			op.stats.noteScanned(end - begin)
 			sub := op.chain.Slice(begin, end)
-			op.bytes += chainScanBytes(sub)
-			kern, err := op.build(sub)
+			op.bytes += sub.ScanBytes()
+			estSel := op.estSel
+			if op.countOnly {
+				estSel = 0
+			}
+			kern, err := buildWindow(op.kernels.Build, sub, estSel)
 			if err != nil {
 				return Batch{}, fmt.Errorf("pqp: scan chunk [%d, %d): %w", begin, end, err)
-			}
-			if !op.countOnly && op.estSel > 0 {
-				if sh, ok := kern.(scan.SizeHinter); ok {
-					hint := int(op.estSel*float64(end-begin)) + 16
-					if hint > end-begin {
-						hint = end - begin
-					}
-					sh.SetSizeHint(hint)
-				}
 			}
 			res := kern.Run(op.cpu, !op.countOnly)
 			b = Batch{Base: uint32(begin), Sel: res.Positions, Count: res.Count}

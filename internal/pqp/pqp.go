@@ -2,7 +2,8 @@
 // Figure 9 turns an optimized logical plan into executable operators,
 // invoking the JIT compiler for every FusedChain tag (the paper's drop-in
 // replacement for consecutive scans), and the executor runs the operator
-// tree against the machine model.
+// tree against the machine model — or, on the native path, against a nil
+// *mach.CPU that charges nothing.
 //
 // Execution is batch-pipelined (Volcano-with-vectors): operators implement
 // Open/Next/Close and exchange Batch values — bounded, chunk-relative
@@ -11,7 +12,7 @@
 // directly, LIMIT stops pulling (cancelling remaining parallel morsels),
 // and peak memory is O(in-flight batches x chunk), extending the paper's
 // "never materialize intermediates" principle from the fused kernel to the
-// whole plan. Drive drains the root into a QueryResult, so the public
+// whole plan. DriveTo drains the root into a QueryResult, so the public
 // engine API is unchanged.
 package pqp
 
@@ -32,10 +33,11 @@ import (
 // Options configure physical plan generation.
 type Options struct {
 	// Native selects the native turbo path for predicate chains: generated
-	// SWAR kernels over the typed column bytes, no emulated instructions,
-	// no machine-model accounting. It takes precedence over UseFused and is
-	// chosen by the engine whenever the caller does not request simulated
-	// hardware counters (Config.Simulate == false).
+	// SWAR kernels over the typed column bytes, no emulated instructions.
+	// It takes precedence over UseFused and is chosen by the engine whenever
+	// the caller does not request simulated hardware counters
+	// (Config.Simulate == false); the engine then runs the plan with a nil
+	// *mach.CPU, so no operator builds or charges a machine model.
 	Native bool
 	// UseFused selects the JIT-generated Fused Table Scan for predicate
 	// chains; when false, chains run on the scalar SISD operator (the
@@ -46,9 +48,9 @@ type Options struct {
 	// ISA is the instruction-set dialect for fused operators.
 	ISA vec.ISA
 	// Cores > 1 turns predicate-chain scans into morsel-driven parallel
-	// batch producers (see internal/parallel); each worker gets its own
-	// simulated CPU built from Params. Downstream operators still consume
-	// one ordered stream.
+	// batch producers (see internal/parallel); each worker simulates its
+	// own CPU, built from Params, when the plan runs against one.
+	// Downstream operators still consume one ordered stream.
 	Cores int
 	// MorselRows is the morsel size for parallel scans; defaults to
 	// BatchRows.
@@ -135,14 +137,12 @@ type Plan struct {
 	// Programs lists the JIT programs the plan uses (for EXPLAIN and the
 	// compile-cost accounting).
 	Programs []*jit.Program
-	// Degraded is set when JIT compilation or kernel binding failed and the
-	// plan fell back to the scalar SISD scan path instead of failing the
-	// query. DegradedReason records why.
-	Degraded       bool
-	DegradedReason string
 	// NativeScans counts scan leaves using the native SWAR path. Such scans
 	// fuse the predicate chain like the JIT path but produce no Programs.
 	NativeScans int
+	// families are the plan's kernel families (see Kernels), consulted by
+	// Degraded.
+	families []*Family
 }
 
 // buildChilder is implemented by operators with a second (build-side)
@@ -178,7 +178,7 @@ func (p *Plan) Format() string {
 // Run executes the plan: it drives the batch pipeline and assembles the
 // public QueryResult.
 func (p *Plan) Run(ctx context.Context, cpu *mach.CPU) (QueryResult, error) {
-	return Drive(ctx, p.Root, cpu)
+	return DriveTo(ctx, p.Root, cpu, nil)
 }
 
 // RunTo executes the plan streaming row batches into sink (see DriveTo).
@@ -238,26 +238,21 @@ func (p *Plan) PerCore() []mach.Counters {
 	return nil
 }
 
-// Drive is the thin driver at the top of the pipeline: it opens the root,
-// drains batches until EOS, concatenates them into a QueryResult and
-// closes the tree (which cancels any upstream work still outstanding).
-func Drive(ctx context.Context, root Operator, cpu *mach.CPU) (QueryResult, error) {
-	return DriveTo(ctx, root, cpu, nil)
-}
-
 // BatchSink receives each batch as it leaves the plan root during a
 // streaming drive. A batch is only valid for the duration of the call; a
 // non-nil return aborts the drive with that error (after closing the tree,
 // which cancels outstanding upstream work).
 type BatchSink func(Batch) error
 
-// DriveTo is Drive with batch-by-batch delivery: when sink is non-nil,
-// materialized rows are handed to the sink as each batch arrives instead of
-// being accumulated in the QueryResult — the returned result then carries
-// the exact Count, columns and aggregates but no Rows, and peak memory
-// stays O(one batch) no matter how large the result set is. This is what
-// the query service's chunked HTTP streaming drives. A nil sink reduces to
-// Drive.
+// DriveTo is the thin driver at the top of the pipeline: it opens the root,
+// drains batches until EOS, concatenates them into a QueryResult and
+// closes the tree (which cancels any upstream work still outstanding).
+// When sink is non-nil, materialized rows are handed to the sink as each
+// batch arrives instead of being accumulated in the QueryResult — the
+// returned result then carries the exact Count, columns and aggregates but
+// no Rows, and peak memory stays O(one batch) no matter how large the
+// result set is. This is what the query service's chunked HTTP streaming
+// drives.
 func DriveTo(ctx context.Context, root Operator, cpu *mach.CPU, sink BatchSink) (QueryResult, error) {
 	var qr QueryResult
 	if s, ok := root.(resultShaper); ok {
@@ -316,61 +311,14 @@ func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 		return &emptyOp{reason: t.Reason}, nil
 
 	case *lqp.FusedChain:
-		if _, ok := t.Input.(*lqp.StoredTable); !ok {
-			return nil, fmt.Errorf("pqp: fused chain must sit directly on a stored table, found %T", t.Input)
-		}
-		ch, err := buildChain(tbl, t.Preds)
+		op, err := translateChainScan(t, tbl, comp, opts, p)
 		if err != nil {
 			return nil, err
 		}
-		mk := func(kern scan.Kernel, build func(scan.Chain) (scan.Kernel, error), name, path string) *scanOp {
-			return &scanOp{
-				tbl: tbl, chain: ch, kernel: kern, build: build, name: name,
-				path: path, estSel: t.EstSel,
-				batchRows: opts.batchRows(), stopAfter: t.StopAfter,
-				cores: opts.Cores, morselRows: opts.MorselRows, params: opts.Params,
-			}
-		}
-		if opts.Native {
-			kern, err := scan.NewNative(ch)
-			if err != nil {
-				return nil, err
-			}
-			nativeBuild := func(sub scan.Chain) (scan.Kernel, error) { return scan.NewNative(sub) }
-			p.NativeScans++
-			return mk(kern, nativeBuild, "NativeTableScan(SWAR)", PathNative), nil
-		}
-		sisdBuild := func(sub scan.Chain) (scan.Kernel, error) { return scan.NewSISD(sub) }
-		if !opts.UseFused {
-			kern, err := scan.NewSISD(ch)
-			if err != nil {
-				return nil, err
-			}
-			return mk(kern, sisdBuild, "TableScan(SISD)", PathScalar), nil
-		}
-		kern, prog, err := comp.CompileChain(ch, opts.Width, opts.ISA)
-		if err != nil {
-			// Graceful degradation: a failed compile (or bind) falls back to
-			// the scalar short-circuit scan — same results, slower — instead
-			// of failing the query. Only a chain the SISD kernel also rejects
-			// (i.e. an invalid chain) surfaces the original error.
-			skern, serr := scan.NewSISD(ch)
-			if serr != nil {
-				return nil, err
-			}
-			p.Degraded = true
-			p.DegradedReason = fmt.Sprintf("jit unavailable, using scalar scan: %v", err)
-			return mk(skern, sisdBuild, "TableScan(SISD, degraded)", PathScalarFallback), nil
-		}
-		p.Programs = append(p.Programs, prog)
-		fusedBuild := func(sub scan.Chain) (scan.Kernel, error) {
-			k, _, err := comp.CompileChain(sub, opts.Width, opts.ISA)
-			return k, err
-		}
-		return mk(kern, fusedBuild, fmt.Sprintf("FusedTableScan[%s]", prog.Sig.Key()), PathEmulated), nil
+		return op, nil
 
 	case *lqp.IndexScan:
-		return translateIndexScan(t, tbl, comp, opts, p)
+		return translateIndexScan(t, tbl, opts, p)
 
 	case *lqp.Join:
 		return translateJoin(t, tbl, comp, opts, p)
@@ -541,30 +489,11 @@ func hasEmptyResult(n lqp.Node) bool {
 	return false
 }
 
-// joinKernels picks the kernel family for probe scans and residual chains
-// under a join. The JIT compile cache is bypassed on purpose: the probe
-// chain is mutated at Open time (Bloom injection) and residual chains are
-// built per batch over transient pair columns, so a cached program could
-// never be reused — the direct constructors fuse the chain the same way
-// without the compile round-trip.
-func joinKernels(opts Options) (build func(scan.Chain) (scan.Kernel, error), name, path string) {
-	switch {
-	case opts.Native:
-		return func(sub scan.Chain) (scan.Kernel, error) { return scan.NewNative(sub) },
-			"NativeTableScan(SWAR)", PathNative
-	case opts.UseFused:
-		return func(sub scan.Chain) (scan.Kernel, error) { return scan.NewFused(sub, opts.Width, opts.ISA) },
-			"FusedTableScan(direct)", PathEmulated
-	default:
-		return func(sub scan.Chain) (scan.Kernel, error) { return scan.NewSISD(sub) },
-			"TableScan(SISD)", PathScalar
-	}
-}
-
-// translateJoinScan lowers a probe-side predicate chain under a join,
-// using the join kernel family so the chain stays mutable (Bloom
-// injection) while still fusing the comparisons.
-func translateJoinScan(fc *lqp.FusedChain, tbl *column.Table, opts Options, p *Plan) (*scanOp, error) {
+// translateChainScan lowers a fused predicate chain over a stored table to
+// a chunked scan leaf on the kernel family Kernels picks. A nil comp builds
+// fused kernels directly: a join's probe chain is mutated at Open (Bloom
+// injection), so a cached program could never be reused.
+func translateChainScan(fc *lqp.FusedChain, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (*scanOp, error) {
 	if _, ok := fc.Input.(*lqp.StoredTable); !ok {
 		return nil, fmt.Errorf("pqp: fused chain must sit directly on a stored table, found %T", fc.Input)
 	}
@@ -572,25 +501,21 @@ func translateJoinScan(fc *lqp.FusedChain, tbl *column.Table, opts Options, p *P
 	if err != nil {
 		return nil, err
 	}
-	build, name, path := joinKernels(opts)
-	kern, err := build(ch)
+	f, err := p.kernels(ch, comp, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Native {
-		p.NativeScans++
-	}
 	return &scanOp{
-		tbl: tbl, chain: ch, kernel: kern, build: build, name: name,
-		path: path, estSel: fc.EstSel,
+		tbl: tbl, chain: ch, kernels: f, estSel: fc.EstSel,
 		batchRows: opts.batchRows(), stopAfter: fc.StopAfter,
 		cores: opts.Cores, morselRows: opts.MorselRows, params: opts.Params,
 	}, nil
 }
 
 // translateJoin lowers a Join node: the build side translates against the
-// build table (static chains keep the JIT path), the probe side uses the
-// join kernel family, and key/residual references resolve per side.
+// build table (static chains keep the JIT path), the probe side and the
+// residual chains build fused kernels directly, and key/residual
+// references resolve per side.
 func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
 	buildOp, err := translateNode(t.Build, t.BuildTable, comp, opts, p)
 	if err != nil {
@@ -603,7 +528,7 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 	var probeOp Operator
 	var probeScan *scanOp
 	if fc, ok := t.Input.(*lqp.FusedChain); ok {
-		probeScan, err = translateJoinScan(fc, tbl, opts, p)
+		probeScan, err = translateChainScan(fc, tbl, nil, opts, p)
 		probeOp = probeScan
 	} else {
 		probeOp, err = translateNode(t.Input, tbl, comp, opts, p)
@@ -635,7 +560,8 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 		}
 		residuals = append(residuals, joinResidual{probeCol: pc, buildCol: bc, op: r.Op})
 	}
-	kb, _, _ := joinKernels(opts)
+	rf, _ := Kernels(nil, nil, opts) // without a chain to build, Kernels cannot fail
+	p.families = append(p.families, rf)
 	label := t.KeyLabel
 	for _, r := range t.Residuals {
 		label += " AND " + r.Label
@@ -644,7 +570,7 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 		probe: psrc, build: bsrc, probeScan: probeScan,
 		probeKey: probeKey, buildKey: buildKey, keyType: t.KeyType,
 		residuals: residuals, transfer: t.Transfer,
-		kernBuild: kb, space: tbl.Space(), label: label,
+		kernBuild: rf.Build, space: tbl.Space(), label: label,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"testing"
 
 	"fusedscan/internal/mach"
@@ -12,7 +13,7 @@ func TestRunChunkedMatchesWholeTable(t *testing.T) {
 			ch := makeIntChain(t, n, 2, 0.2, int64(n+chunkRows))
 			want := Reference(ch, true)
 			for _, im := range AllImpls() {
-				got, err := RunChunked(im.Build, ch, chunkRows, mach.New(mach.Default()), true)
+				got, _, err := RunChunkedPruned(context.Background(), im.Build, ch, chunkRows, mach.New(mach.Default()), true)
 				if err != nil {
 					t.Fatalf("%v: %v", im, err)
 				}
@@ -41,7 +42,7 @@ func TestRunChunkedMemoryBehaviourMatchesUnchunked(t *testing.T) {
 	whole := cpuWhole.Finish()
 
 	cpuChunk := mach.New(p)
-	if _, err := RunChunked(ImplAVX512Fused512.Build, ch, 50_000, cpuChunk, false); err != nil {
+	if _, _, err := RunChunkedPruned(context.Background(), ImplAVX512Fused512.Build, ch, 50_000, cpuChunk, false); err != nil {
 		t.Fatal(err)
 	}
 	chunked := cpuChunk.Finish()
@@ -55,10 +56,10 @@ func TestRunChunkedMemoryBehaviourMatchesUnchunked(t *testing.T) {
 
 func TestRunChunkedErrors(t *testing.T) {
 	ch := makeIntChain(t, 100, 1, 0.5, 1)
-	if _, err := RunChunked(ImplSISD.Build, ch, 0, mach.New(mach.Default()), false); err == nil {
+	if _, _, err := RunChunkedPruned(context.Background(), ImplSISD.Build, ch, 0, mach.New(mach.Default()), false); err == nil {
 		t.Error("chunkRows 0 accepted")
 	}
-	if _, err := RunChunked(ImplSISD.Build, Chain{}, 10, mach.New(mach.Default()), false); err == nil {
+	if _, _, err := RunChunkedPruned(context.Background(), ImplSISD.Build, Chain{}, 10, mach.New(mach.Default()), false); err == nil {
 		t.Error("empty chain accepted")
 	}
 }

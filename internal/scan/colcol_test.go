@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -128,7 +129,7 @@ func TestDifferentialColVsCol(t *testing.T) {
 
 		// Chunked execution slices both sides of every col-vs-col pred.
 		chunk := 1 + rng.Intn(n+10)
-		got, err := RunChunked(func(sub Chain) (Kernel, error) { return NewNative(sub) },
+		got, _, err := RunChunkedPruned(context.Background(), func(sub Chain) (Kernel, error) { return NewNative(sub) },
 			ch, chunk, nil, true)
 		if err != nil {
 			t.Fatalf("%s chunked: %v", desc(), err)

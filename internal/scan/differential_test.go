@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -129,7 +130,7 @@ func TestDifferentialAllImplementations(t *testing.T) {
 
 		// Chunked execution with a random chunk size.
 		chunk := 1 + rng.Intn(n+10)
-		got, err := RunChunked(ImplAVX512Fused512.Build, ch, chunk, mach.New(mach.Default()), true)
+		got, _, err := RunChunkedPruned(context.Background(), ImplAVX512Fused512.Build, ch, chunk, mach.New(mach.Default()), true)
 		if err != nil {
 			t.Fatalf("%s chunked: %v", desc(), err)
 		}

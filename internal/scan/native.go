@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
 	"fusedscan/internal/faultinject"
 	"fusedscan/internal/mach"
@@ -226,91 +225,6 @@ func (k *Native) Run(cpu *mach.CPU, wantPositions bool) Result {
 		if wantPositions {
 			for r := m; r != 0; r &= r - 1 {
 				res.Positions = append(res.Positions, uint32(b+bits.TrailingZeros64(r)))
-			}
-		}
-	}
-	return res
-}
-
-// NativeDict is the native counterpart of DictScan: the predicate is
-// rewritten into code space against the sorted dictionary
-// (column.CodePredicate) and evaluated as a plain uint32 compare over the
-// unpacked codes — no emulated unpack pipeline, no machine model.
-type NativeDict struct {
-	dict *column.DictColumn
-	op   expr.CmpOp
-	code uint32
-	sat  bool
-}
-
-// NewNativeDict builds the kernel for "col op value" over an encoded
-// column.
-func NewNativeDict(d *column.DictColumn, op expr.CmpOp, value expr.Value) (*NativeDict, error) {
-	cop, code, sat, err := d.CodePredicate(op, value)
-	if err != nil {
-		return nil, err
-	}
-	return &NativeDict{dict: d, op: cop, code: code, sat: sat}, nil
-}
-
-// Name implements Kernel.
-func (s *NativeDict) Name() string {
-	return fmt.Sprintf("Native Dict (SWAR, %d-bit codes)", s.dict.CodeBits())
-}
-
-// Run implements Kernel. cpu may be nil.
-func (s *NativeDict) Run(cpu *mach.CPU, wantPositions bool) Result {
-	faultinject.MaybePanic(faultinject.SiteKernelRun)
-	var res Result
-	if !s.sat {
-		return res
-	}
-	d, n := s.dict, s.dict.Len()
-	switch s.op {
-	case expr.Eq:
-		for i := 0; i < n; i++ {
-			if d.Code(i) == s.code {
-				res.Count++
-				if wantPositions {
-					res.Positions = append(res.Positions, uint32(i))
-				}
-			}
-		}
-	case expr.Ne:
-		for i := 0; i < n; i++ {
-			if d.Code(i) != s.code {
-				res.Count++
-				if wantPositions {
-					res.Positions = append(res.Positions, uint32(i))
-				}
-			}
-		}
-	case expr.Lt:
-		for i := 0; i < n; i++ {
-			if d.Code(i) < s.code {
-				res.Count++
-				if wantPositions {
-					res.Positions = append(res.Positions, uint32(i))
-				}
-			}
-		}
-	case expr.Ge:
-		for i := 0; i < n; i++ {
-			if d.Code(i) >= s.code {
-				res.Count++
-				if wantPositions {
-					res.Positions = append(res.Positions, uint32(i))
-				}
-			}
-		}
-	default:
-		// CodePredicate only emits Eq/Ne/Lt/Ge, but stay total.
-		for i := 0; i < n; i++ {
-			if expr.CompareBits(expr.Uint32, s.op, uint64(d.Code(i)), uint64(s.code)) {
-				res.Count++
-				if wantPositions {
-					res.Positions = append(res.Positions, uint32(i))
-				}
 			}
 		}
 	}

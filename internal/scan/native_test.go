@@ -138,28 +138,6 @@ func TestNativePrunesClusteredData(t *testing.T) {
 	}
 }
 
-// TestNativeDictMatchesReference runs the native dictionary kernel against
-// the scalar reference and the emulated DictScan across every comparator
-// and probes on, between, below and above the dictionary's values.
-func TestNativeDictMatchesReference(t *testing.T) {
-	col, dict := dictFixture(t, 5000, 40)
-	for _, op := range expr.AllCmpOps() {
-		for _, probe := range []int64{0, 5, 6, 57, 117, 200, -3} {
-			v := expr.NewInt(expr.Int32, probe)
-			ch := Chain{{Col: col, Op: op, Value: v}}
-			want := Reference(ch, true)
-			nd, err := NewNativeDict(dict, op, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := nd.Run(nil, true)
-			if !equalResults(got, want) {
-				t.Fatalf("op %s probe %d: count %d, want %d", op, probe, got.Count, want.Count)
-			}
-		}
-	}
-}
-
 // TestNativeCountOnlyAllocs: a count-only native run must not allocate —
 // the whole point of the turbo path is a steady state free of GC traffic.
 func TestNativeCountOnlyAllocs(t *testing.T) {

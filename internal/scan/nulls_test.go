@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestNullableChainAllImplementations(t *testing.T) {
 			t.Fatalf("block n=%d: count %d, want %d", n, got.Count, want.Count)
 		}
 		// Chunked over views shares the parent's bitmap.
-		got, err := RunChunked(ImplAVX512Fused512.Build, ch, 97, mach.New(mach.Default()), true)
+		got, _, err := RunChunkedPruned(context.Background(), ImplAVX512Fused512.Build, ch, 97, mach.New(mach.Default()), true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -206,7 +207,7 @@ func TestPackedDifferential(t *testing.T) {
 
 		// Chunked execution across packed-chunk boundaries.
 		chunk := 1 + rng.Intn(end-begin+10)
-		got, err := RunChunked(func(ch Chain) (Kernel, error) { return NewNative(ch) }, packedCh, chunk, nil, true)
+		got, _, err := RunChunkedPruned(context.Background(), func(ch Chain) (Kernel, error) { return NewNative(ch) }, packedCh, chunk, nil, true)
 		if err != nil {
 			t.Fatalf("%s chunked: %v", desc(), err)
 		}

@@ -73,12 +73,16 @@ type ChunkedStats struct {
 	BytesScanned int64
 }
 
-// RunChunkedPruned is RunChunkedContext plus zone-map data skipping: a
-// Pruner at chunkRows granularity is consulted before building each
-// chunk's kernel, and chunks proven empty are skipped without touching
-// their column bytes. Results are identical to RunChunkedContext (pruning
-// is a proof, never a heuristic); the returned ChunkedStats reports the
-// skip count for operator stats and regression tests.
+// RunChunkedPruned is the chunk driver: it scans a chain chunk-at-a-time
+// (the paper's footnote: the table "can, however, be horizontally
+// partitioned into chunks or morsels"), building a kernel per chunk of
+// chunkRows rows over zero-copy column views and rebasing its positions to
+// table row ids. Between chunks it checks ctx (a cancelled scan stops
+// within one chunk with ctx.Err()) and charges position-list growth to the
+// context's govern.Accountant (ErrMemoryBudget when exceeded). Chunks the
+// zone maps prove empty (a Pruner at chunkRows granularity) are skipped
+// unread; pruning is a proof, so results equal a whole-table scan.
+// ChunkedStats reports the skips. cpu may be nil for native kernels.
 func RunChunkedPruned(ctx context.Context, build func(Chain) (Kernel, error), ch Chain, chunkRows int, cpu *mach.CPU, wantPositions bool) (Result, ChunkedStats, error) {
 	var stats ChunkedStats
 	if err := ch.Validate(); err != nil {
@@ -104,15 +108,7 @@ func RunChunkedPruned(ctx context.Context, build func(Chain) (Kernel, error), ch
 			stats.ChunksPruned++
 			continue
 		}
-		sub := make(Chain, len(ch))
-		for i, p := range ch {
-			sp := Pred{Col: p.Col.Slice(begin, end), Kind: p.Kind, Op: p.Op, Value: p.Value,
-				Bloom: p.Bloom, Stats: p.Stats}
-			if p.Col2 != nil {
-				sp.Col2 = p.Col2.Slice(begin, end)
-			}
-			sub[i] = sp
-		}
+		sub := ch.Slice(begin, end)
 		stats.BytesScanned += sub.ScanBytes()
 		kern, err := build(sub)
 		if err != nil {

@@ -83,8 +83,9 @@ type execOpts struct {
 // literal values — the paper's measurement discipline), plus any Config
 // override and streaming.
 func (e *Engine) QueryWith(ctx context.Context, sql string, qo QueryOptions) (*Result, error) {
+	eo := execOpts{config: qo.Config, stream: qo.Stream, session: qo.Session, cheap: qo.Cheap}
 	if !qo.UsePlanCache && len(qo.Args) == 0 {
-		return e.execute(ctx, sql, nil, execOpts{config: qo.Config, stream: qo.Stream, session: qo.Session, cheap: qo.Cheap})
+		return e.execute(ctx, sql, nil, eo)
 	}
 	makePlan := func(stage *string) (*lqp.Plan, error) {
 		sel, err := sqlparse.Parse(sql)
@@ -95,26 +96,33 @@ func (e *Engine) QueryWith(ctx context.Context, sql string, qo QueryOptions) (*R
 			return nil, fmt.Errorf("fusedscan: statement wants %d argument(s), got %d", sel.NumParams, len(qo.Args))
 		}
 		shape, slots := sqlparse.Normalize(sel)
-		skel, err := e.skeleton(shape, stage)
-		if err != nil {
-			return nil, err
-		}
-		bound, err := sqlparse.BindSlots(slots, sel.NumParams, qo.Args)
-		if err != nil {
-			return nil, err
-		}
-		*stage = stagePlan
-		plan := skel.Clone()
-		if err := plan.Bind(bound); err != nil {
-			return nil, err
-		}
-		// Skeletons are costed without literal values and always stay on
-		// the scan path; with the literals bound, the index-vs-scan choice
-		// can now be made exactly.
-		e.chooseBoundAccessPath(plan)
-		return plan, nil
+		return e.boundPlan(shape, slots, sel.NumParams, qo.Args, stage)
 	}
-	return e.execute(ctx, sql, makePlan, execOpts{config: qo.Config, stream: qo.Stream, session: qo.Session, cheap: qo.Cheap})
+	return e.execute(ctx, sql, makePlan, eo)
+}
+
+// boundPlan is the plan-cache path QueryWith and Prepared share: fetch (or
+// plan) the skeleton for shape, bind args into a clone of it, and make the
+// access-path choice the skeleton could not make without literals.
+func (e *Engine) boundPlan(shape string, slots []sqlparse.Slot, numParams int, args []string, stage *string) (*lqp.Plan, error) {
+	skel, err := e.skeleton(shape, stage)
+	if err != nil {
+		return nil, err
+	}
+	bound, err := sqlparse.BindSlots(slots, numParams, args)
+	if err != nil {
+		return nil, err
+	}
+	*stage = stagePlan
+	plan := skel.Clone()
+	if err := plan.Bind(bound); err != nil {
+		return nil, err
+	}
+	// Skeletons are costed without literal values and always stay on the
+	// scan path; with the literals bound, the index-vs-scan choice can now
+	// be made exactly.
+	e.chooseBoundAccessPath(plan)
+	return plan, nil
 }
 
 // SetPlanCacheCapacity resizes the prepared-plan cache (entries beyond the
@@ -204,46 +212,22 @@ func (p *Prepared) Execute(args ...string) (*Result, error) {
 // ExecuteContext is Execute honouring ctx, with the same cancellation,
 // panic-isolation and governance behaviour as Engine.QueryContext.
 func (p *Prepared) ExecuteContext(ctx context.Context, args ...string) (*Result, error) {
-	return p.run(ctx, nil, nil, args)
+	return p.ExecuteWith(ctx, QueryOptions{Args: args})
 }
 
 // ExecuteWith is ExecuteContext with QueryOptions (UsePlanCache is implied
 // — prepared statements always execute through the cache).
 func (p *Prepared) ExecuteWith(ctx context.Context, qo QueryOptions) (*Result, error) {
-	return p.runWith(ctx, qo.Config, qo.Stream, qo.Args, qo.Session)
-}
-
-func (p *Prepared) run(ctx context.Context, cfg *Config, stream func([]string, [][]string) error, args []string) (*Result, error) {
-	return p.runWith(ctx, cfg, stream, args, "")
-}
-
-func (p *Prepared) runWith(ctx context.Context, cfg *Config, stream func([]string, [][]string) error, args []string, session string) (*Result, error) {
-	if len(args) != p.numParams {
-		return nil, fmt.Errorf("fusedscan: prepared statement wants %d argument(s), got %d", p.numParams, len(args))
+	if len(qo.Args) != p.numParams {
+		return nil, fmt.Errorf("fusedscan: prepared statement wants %d argument(s), got %d", p.numParams, len(qo.Args))
 	}
 	makePlan := func(stage *string) (*lqp.Plan, error) {
-		skel, err := p.eng.skeleton(p.shape, stage)
-		if err != nil {
-			return nil, err
-		}
-		bound, err := sqlparse.BindSlots(p.slots, p.numParams, args)
-		if err != nil {
-			return nil, err
-		}
-		*stage = stagePlan
-		plan := skel.Clone()
-		if err := plan.Bind(bound); err != nil {
-			return nil, err
-		}
-		// Same as QueryWith: the access-path choice needs the bound
-		// literals the skeleton never sees.
-		p.eng.chooseBoundAccessPath(plan)
-		return plan, nil
+		return p.eng.boundPlan(p.shape, p.slots, p.numParams, qo.Args, stage)
 	}
 	// Prepared executions ride the admission cheap lane: their plan is
 	// already optimized and cached, so they are exactly the short
 	// pre-planned work the lane reserves headroom for.
-	return p.eng.execute(ctx, p.sqlText, makePlan, execOpts{config: cfg, stream: stream, session: session, cheap: true})
+	return p.eng.execute(ctx, p.sqlText, makePlan, execOpts{config: qo.Config, stream: qo.Stream, session: qo.Session, cheap: true})
 }
 
 // renderRows converts pipeline value rows into their rendered string form,
@@ -348,7 +332,12 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 	}
 
 	stage = stageExecute
-	cpu := mach.New(e.params)
+	// The machine model exists only to be reported: the native path runs
+	// with none (a nil CPU charges nothing).
+	var cpu *mach.CPU
+	if cfg.Simulate {
+		cpu = mach.New(e.params)
+	}
 	var sink pqp.BatchSink
 	if eo.stream != nil {
 		shape := phys.Shape()
@@ -367,13 +356,12 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 		return nil, err
 	}
 	res = &Result{
-		Count:          qres.Count,
-		Columns:        qres.Columns,
-		Fused:          len(phys.Programs) > 0 || phys.NativeScans > 0,
-		Degraded:       phys.Degraded,
-		DegradedReason: phys.DegradedReason,
+		Count:   qres.Count,
+		Columns: qres.Columns,
+		Fused:   len(phys.Programs) > 0 || phys.NativeScans > 0,
 	}
-	if cfg.Simulate {
+	res.Degraded, res.DegradedReason = phys.Degraded()
+	if cpu != nil {
 		hits, _, cached := e.compiler.Stats()
 		driver := cpu.Finish()
 		report := driver.Report(&e.params)
@@ -397,15 +385,8 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 		res.Report = &pr
 	}
 	for _, os := range phys.OperatorStats() {
-		res.Operators = append(res.Operators, OperatorStats{
-			Name: os.Name, RowsIn: os.RowsIn, RowsOut: os.RowsOut,
-			Batches: os.Batches, WallNs: os.WallNs,
-			ChunksPruned: os.ChunksPruned, Path: os.Path,
-			Depth: os.Depth, BuildRows: os.BuildRows, ProbeRows: os.ProbeRows,
-			BloomChecks: os.BloomChecks, BloomPass: os.BloomPass, Groups: os.Groups,
-			Encoding: os.Encoding, BytesScanned: os.BytesScanned,
-			IndexProbes: os.IndexProbes, IndexRows: os.IndexRows,
-		})
+		// The public OperatorStats mirrors pqp's field for field.
+		res.Operators = append(res.Operators, OperatorStats(os))
 		e.bytesScanned.Add(os.BytesScanned)
 		e.idxProbes.Add(os.IndexProbes)
 		e.idxRows.Add(os.IndexRows)
