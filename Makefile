@@ -3,9 +3,14 @@
 
 GO ?= go
 
-.PHONY: check build vet test race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-native bench-native-check bench-packed-check bench-index-check serve-check bench-serve bench-serve-check crash-check generate vuln clean
+.PHONY: check fmt build vet test race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-native bench-native-check bench-packed-check bench-index-check serve-check bench-serve bench-serve-check crash-check generate vuln clean
 
-check: build vet race soak fuzz-join fuzz-packed fuzz-index bench-smoke bench-native-check bench-packed-check bench-index-check serve-check bench-serve-check crash-check vuln
+check: fmt build vet race soak fuzz-join fuzz-packed fuzz-index bench-smoke bench-native-check bench-packed-check bench-index-check serve-check bench-serve-check crash-check vuln
+
+# Fails when any tracked Go file is not gofmt-formatted (lists them).
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -w these files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

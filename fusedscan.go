@@ -202,8 +202,12 @@ type OperatorStats struct {
 
 // Result is the outcome of Engine.Query.
 type Result struct {
-	Count   int64      // COUNT(*) value, or number of qualifying rows (capped at LIMIT n)
-	Sum     string     // rendered SUM(col) value; empty unless the query aggregates with SUM
+	Count int64 // COUNT(*) value, or number of qualifying rows (capped at LIMIT n)
+	// Sum is the rendered value of the first SUM(col) item; empty unless
+	// the query aggregates with SUM without GROUP BY. It is "NULL" when no
+	// qualifying row has a non-NULL col (including no qualifying row at
+	// all), as SQL defines SUM over an empty input.
+	Sum     string
 	Columns []string   // projected column names (nil for aggregates)
 	Rows    [][]string // rendered output rows (nil for aggregates)
 	// Report carries the simulated hardware counters when the query ran
@@ -951,10 +955,13 @@ const (
 )
 
 // recoverStage converts a panic in a query-processing stage into a
-// *QueryError, so internal panics fail one query instead of the process.
-func recoverStage(stage *string, sql string, res **Result, err *error) {
+// *QueryError, so internal panics fail one call instead of the process.
+// Every entry point that plans or runs a statement defers it; out is the
+// entry point's result, zeroed on a panic.
+func recoverStage[T any](stage *string, sql string, out *T, err *error) {
 	if r := recover(); r != nil {
-		*res = nil
+		var zero T
+		*out = zero
 		*err = &QueryError{
 			Stage:    *stage,
 			Query:    sql,
@@ -1014,18 +1021,7 @@ type Explain struct {
 // it recovers panics in any planning stage into a *QueryError.
 func (e *Engine) ExplainQuery(sql string) (ex *Explain, err error) {
 	stage := stageParse
-	defer func() {
-		if r := recover(); r != nil {
-			ex = nil
-			err = &QueryError{
-				Stage:    stage,
-				Query:    sql,
-				Err:      fmt.Errorf("panic: %v", r),
-				Panicked: true,
-				Stack:    string(debug.Stack()),
-			}
-		}
-	}()
+	defer recoverStage(&stage, sql, &ex, &err)
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err

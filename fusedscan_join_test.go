@@ -388,7 +388,7 @@ func (ft *fuzzJoinTables) register(t *testing.T, eng *Engine) {
 
 // fuzzJoinQuery is a randomly drawn query shape over the fuzz tables.
 type fuzzJoinQuery struct {
-	grouped    bool   // GROUP BY f.x with SUM(d.y), else zero-key COUNT(*)
+	grouped    bool   // GROUP BY f.x with SUM(d.y), else zero-key COUNT(*), SUM(d.y)
 	residualOp string // "", "<", "<=", ">", ">=": f.u OP d.v in the ON clause
 	probeMin   int32  // f.u >= probeMin in WHERE (-1: absent)
 	buildMax   int32  // d.v <= buildMax in WHERE (-1: absent)
@@ -407,7 +407,7 @@ func genFuzzJoinQuery(rng *rand.Rand) fuzzJoinQuery {
 }
 
 func (q fuzzJoinQuery) sql() string {
-	sel, group := "SELECT COUNT(*) FROM f JOIN d ON f.k = d.k", ""
+	sel, group := "SELECT COUNT(*), SUM(d.y) FROM f JOIN d ON f.k = d.k", ""
 	if q.grouped {
 		sel = "SELECT f.x, SUM(d.y) FROM f JOIN d ON f.k = d.k"
 		group = " GROUP BY f.x"
@@ -432,7 +432,8 @@ func (q fuzzJoinQuery) sql() string {
 }
 
 // oracle evaluates the query with a plain nested loop over the raw
-// arrays — no engine code involved.
+// arrays — no engine code involved. The ungrouped shape's one row is the
+// pair count and the SUM over all pairs, NULL when no pair matches.
 func (q fuzzJoinQuery) oracle(ft *fuzzJoinTables) (count int64, rows [][]string) {
 	residualOK := func(u, v int32) bool {
 		switch q.residualOp {
@@ -448,6 +449,7 @@ func (q fuzzJoinQuery) oracle(ft *fuzzJoinTables) (count int64, rows [][]string)
 		return true
 	}
 	sums := map[int32]int64{}
+	var total int64
 	for i := range ft.fKey {
 		if ft.fNull[i] || (q.probeMin >= 0 && ft.fu[i] < q.probeMin) {
 			continue
@@ -460,11 +462,16 @@ func (q fuzzJoinQuery) oracle(ft *fuzzJoinTables) (count int64, rows [][]string)
 			if ft.fKey[i] == ft.dKey[j] && residualOK(ft.fu[i], ft.dv[j]) {
 				count++
 				sums[ft.fx[i]] += ft.dy[j]
+				total += ft.dy[j]
 			}
 		}
 	}
 	if !q.grouped {
-		return count, nil
+		sum := "NULL"
+		if count > 0 {
+			sum = strconv.FormatInt(total, 10)
+		}
+		return count, [][]string{{strconv.FormatInt(count, 10), sum}}
 	}
 	keys := make([]int32, 0, len(sums))
 	for k := range sums {
@@ -522,12 +529,11 @@ func TestFuzzJoinGroupByDifferential(t *testing.T) {
 				t.Fatalf("round %d [%s] %q (fact=%d dim=%d kind=%d): %v",
 					round, tc.name, sql, factRows, dimRows, ft.keyKind, err)
 			}
-			if q.grouped {
-				if !reflect.DeepEqual(res.Rows, wantRows) {
-					t.Fatalf("round %d [%s] %q (fact=%d dim=%d kind=%d):\n got %v\nwant %v",
-						round, tc.name, sql, factRows, dimRows, ft.keyKind, res.Rows, wantRows)
-				}
-			} else if res.Count != wantCount {
+			if !reflect.DeepEqual(res.Rows, wantRows) {
+				t.Fatalf("round %d [%s] %q (fact=%d dim=%d kind=%d):\n got %v\nwant %v",
+					round, tc.name, sql, factRows, dimRows, ft.keyKind, res.Rows, wantRows)
+			}
+			if !q.grouped && res.Count != wantCount {
 				t.Fatalf("round %d [%s] %q (fact=%d dim=%d kind=%d): count = %d, want %d",
 					round, tc.name, sql, factRows, dimRows, ft.keyKind, res.Count, wantCount)
 			}

@@ -2,6 +2,8 @@ package fusedscan
 
 import (
 	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -443,13 +445,40 @@ func TestQuerySum(t *testing.T) {
 	if res.Sum != "4" {
 		t.Fatalf("float sum = %q", res.Sum)
 	}
-	// SUM over an empty (pruned) result is zero.
-	res, err = eng.Query("SELECT SUM(v) FROM t WHERE a = 999")
+	// SUM, MIN, MAX and AVG over no non-NULL input are NULL, as in SQL —
+	// over an empty (pruned) result and over a column whose qualifying rows
+	// are all NULL — while COUNT(*) stays an exact number.
+	nulls := eng.CreateTable("n")
+	nulls.Int32("a", []int32{5, 5, 1})
+	nulls.Int64("v", []int64{0, 0, 7})
+	nulls.NullsAt("v", []int{0, 1})
+	if err := nulls.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT SUM(v), MIN(v), MAX(v), AVG(v), COUNT(*) FROM t WHERE a = 999",
+		"SELECT SUM(f), MIN(f), MAX(f), AVG(f), COUNT(*) FROM t WHERE a = 999",
+		"SELECT SUM(v), MIN(v), MAX(v), AVG(v), COUNT(*) FROM n WHERE a = 5",
+	} {
+		res, err = eng.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"NULL", "NULL", "NULL", "NULL", strconv.FormatInt(res.Count, 10)}
+		if res.Sum != "NULL" || !reflect.DeepEqual(res.Rows, [][]string{want}) {
+			t.Fatalf("%s: sum = %q rows = %v, want %v", q, res.Sum, res.Rows, want)
+		}
+	}
+	if res.Count != 2 {
+		t.Fatalf("all-NULL column: count = %d, want 2", res.Count)
+	}
+	// A grouped row's cell is NULL the same way.
+	res, err = eng.Query("SELECT a, SUM(v), MIN(v), COUNT(*) FROM n GROUP BY a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sum != "0" || res.Count != 0 {
-		t.Fatalf("empty sum = %q count = %d", res.Sum, res.Count)
+	if want := [][]string{{"1", "7", "7", "1"}, {"5", "NULL", "NULL", "2"}}; !reflect.DeepEqual(res.Rows, want) {
+		t.Fatalf("grouped rows = %v, want %v", res.Rows, want)
 	}
 	// Plain COUNT queries carry no Sum.
 	res, err = eng.Query("SELECT COUNT(*) FROM t WHERE a = 5")

@@ -52,11 +52,6 @@ func cloneNode(n Node) Node {
 		c.Columns = append([]string(nil), t.Columns...)
 		c.Input = cloneNode(t.Input)
 		return &c
-	case *Aggregate:
-		c := *t
-		c.Items = append([]AggItem(nil), t.Items...)
-		c.Input = cloneNode(t.Input)
-		return &c
 	case *Sort:
 		c := *t
 		c.Input = cloneNode(t.Input)

@@ -77,49 +77,6 @@ func (n *Join) String() string {
 	return sb.String()
 }
 
-// GroupItem is one grouped aggregate term.
-type GroupItem struct {
-	Kind AggKind
-	Col  ColRef // ignored for COUNT(*)
-}
-
-// Label renders the item as it appears in result headers.
-func (it GroupItem) Label() string {
-	if it.Kind == AggCount {
-		return "count(*)"
-	}
-	return fmt.Sprintf("%s(%s)", strings.ToLower(it.Kind.String()), it.Col.Name)
-}
-
-// GroupBy is the grouped-aggregation sink: it hashes each input row's key
-// columns and accumulates the aggregates per group. With zero keys it is
-// a plain (single-group) aggregate — the shape used for un-grouped
-// aggregates over a join. Output rows are emitted in ascending key order
-// so results are deterministic.
-type GroupBy struct {
-	Input Node
-	Keys  []ColRef
-	Items []GroupItem
-}
-
-// Child implements Node.
-func (n *GroupBy) Child() Node { return n.Input }
-
-func (n *GroupBy) String() string {
-	labels := make([]string, len(n.Items))
-	for i, it := range n.Items {
-		labels[i] = it.Label()
-	}
-	if len(n.Keys) == 0 {
-		return fmt.Sprintf("GroupBy[%s]", strings.Join(labels, ", "))
-	}
-	keys := make([]string, len(n.Keys))
-	for i, k := range n.Keys {
-		keys[i] = k.Name
-	}
-	return fmt.Sprintf("GroupBy[%s | %s]", strings.Join(keys, ", "), strings.Join(labels, ", "))
-}
-
 // resolver resolves (possibly qualified) column references against the
 // plan's one or two tables.
 type resolver struct {

@@ -222,36 +222,54 @@ func (k AggKind) String() string {
 	}
 }
 
-// AggItem is one aggregate term.
-type AggItem struct {
+// GroupItem is one aggregate term.
+type GroupItem struct {
 	Kind AggKind
-	Col  string // empty for COUNT(*)
+	Col  ColRef // ignored for COUNT(*)
 }
 
 // Label renders the item as it appears in result headers.
-func (a AggItem) Label() string {
-	if a.Kind == AggCount {
+func (it GroupItem) Label() string {
+	if it.Kind == AggCount {
 		return "count(*)"
 	}
-	return fmt.Sprintf("%s(%s)", strings.ToLower(a.Kind.String()), a.Col)
+	return fmt.Sprintf("%s(%s)", strings.ToLower(it.Kind.String()), it.Col.Name)
 }
 
-// Aggregate computes one or more aggregates over its input's qualifying
-// rows (COUNT(*), SUM, MIN, MAX, AVG).
-type Aggregate struct {
+// GroupBy is the one aggregation sink: it hashes each input row's key
+// columns and accumulates the aggregates (COUNT(*), SUM, MIN, MAX, AVG)
+// per group. With zero keys it is the plain aggregate — one group over
+// every qualifying row, which is what a statement with aggregates and no
+// GROUP BY builds, with or without a join. Output rows are emitted in
+// ascending key order so results are deterministic.
+type GroupBy struct {
 	Input Node
-	Items []AggItem
+	Keys  []ColRef
+	Items []GroupItem
 }
 
 // Child implements Node.
-func (n *Aggregate) Child() Node { return n.Input }
+func (n *GroupBy) Child() Node { return n.Input }
 
-func (n *Aggregate) String() string {
+func (n *GroupBy) String() string {
+	keys := make([]string, len(n.Keys))
+	for i, k := range n.Keys {
+		keys[i] = k.Name
+	}
 	labels := make([]string, len(n.Items))
 	for i, it := range n.Items {
 		labels[i] = it.Label()
 	}
-	return fmt.Sprintf("Aggregate[%s]", strings.Join(labels, ", "))
+	return FormatGroupBy(keys, labels)
+}
+
+// FormatGroupBy renders an aggregation sink in both plans: zero keys as
+// "Aggregate[labels]", keyed sinks as "GroupBy[keys | labels]".
+func FormatGroupBy(keys, labels []string) string {
+	if len(keys) == 0 {
+		return fmt.Sprintf("Aggregate[%s]", strings.Join(labels, ", "))
+	}
+	return fmt.Sprintf("GroupBy[%s | %s]", strings.Join(keys, ", "), strings.Join(labels, ", "))
 }
 
 // Sort orders the output by one column (ORDER BY col [DESC]).
@@ -475,22 +493,21 @@ func Build(sel *sqlparse.Select, cat Catalog) (*Plan, error) {
 	}
 
 	switch {
-	case len(sel.GroupBy) > 0 || (len(sel.Aggs) > 0 && join != nil):
+	case len(sel.Aggs) > 0:
 		g := &GroupBy{Input: node}
 		// The parser guarantees the projected plain columns and the GROUP
-		// BY list are the same set, so the keys are taken in projection
-		// order (that is the output column order).
-		seen := make(map[ColRef]bool)
+		// BY list are the same set (empty without GROUP BY), so the keys are
+		// taken in projection order (that is the output column order).
 		for _, k := range sel.Columns {
 			ref, _, err := res.resolve(k)
 			if err != nil {
 				return nil, err
 			}
-			key := ColRef{Build: ref.Build, Col: ref.Col}
-			if seen[key] {
-				return nil, fmt.Errorf("lqp: duplicate GROUP BY column %q", k)
+			for _, prev := range g.Keys {
+				if prev.Build == ref.Build && prev.Col == ref.Col {
+					return nil, fmt.Errorf("lqp: duplicate GROUP BY column %q", k)
+				}
 			}
-			seen[key] = true
 			g.Keys = append(g.Keys, ref)
 		}
 		for _, term := range sel.Aggs {
@@ -509,24 +526,6 @@ func Build(sel *sqlparse.Select, cat Catalog) (*Plan, error) {
 			g.Items = append(g.Items, item)
 		}
 		node = g
-	case len(sel.Aggs) > 0:
-		agg := &Aggregate{Input: node}
-		for _, term := range sel.Aggs {
-			kind, err := aggKindOf(term.Func)
-			if err != nil {
-				return nil, err
-			}
-			item := AggItem{Kind: kind}
-			if kind != AggCount {
-				ref, _, err := res.resolve(term.Col)
-				if err != nil {
-					return nil, err
-				}
-				item.Col = ref.Col
-			}
-			agg.Items = append(agg.Items, item)
-		}
-		node = agg
 	case sel.Star:
 		node = &Projection{Input: node, Star: true}
 	default:

@@ -72,10 +72,13 @@ func TestBuildPlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Expect Aggregate -> Predicate(b) -> Predicate(a) -> StoredTable.
-	agg, ok := plan.Root.(*Aggregate)
-	if !ok {
-		t.Fatalf("root = %T", plan.Root)
+	// Expect a zero-key GroupBy -> Predicate(b) -> Predicate(a) -> StoredTable.
+	agg, ok := plan.Root.(*GroupBy)
+	if !ok || len(agg.Keys) != 0 {
+		t.Fatalf("root = %s", plan.Root)
+	}
+	if got := agg.String(); got != "Aggregate[count(*)]" {
+		t.Errorf("zero-key sink renders %q", got)
 	}
 	p1, ok := agg.Input.(*Predicate)
 	if !ok || p1.Pred.Column != "b" {
@@ -338,7 +341,7 @@ func TestAggregateNotLimitHinted(t *testing.T) {
 	}
 	NewOptimizer().Optimize(plan)
 	lim := plan.Root.(*Limit)
-	agg := lim.Input.(*Aggregate)
+	agg := lim.Input.(*GroupBy)
 	fc, ok := agg.Input.(*FusedChain)
 	if !ok {
 		t.Fatalf("aggregate input = %T", agg.Input)

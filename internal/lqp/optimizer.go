@@ -604,8 +604,6 @@ func setChild(p *Plan, parent, child Node) {
 		t.Input = child
 	case *Projection:
 		t.Input = child
-	case *Aggregate:
-		t.Input = child
 	case *Limit:
 		t.Input = child
 	case *Sort:

@@ -50,8 +50,11 @@ type Batch struct {
 	// onward). RowNulls, when non-nil, has the same shape as Rows.
 	Rows     []Row
 	RowNulls [][]bool
-	// Aggregates is set on the single final batch an aggregate sink emits.
+	// Aggregates is set on the single final batch a zero-key aggregation
+	// sink emits. AggNulls, when non-nil, marks the items that are NULL (an
+	// aggregate over no non-NULL input).
 	Aggregates []expr.Value
+	AggNulls   []bool
 }
 
 // OperatorStats is a point-in-time snapshot of one operator's runtime

@@ -259,32 +259,46 @@ func TestLimitShortCircuitCounters(t *testing.T) {
 	}
 }
 
-// TestCountOnlyStreamsNoPositions checks that an all-COUNT aggregate runs
-// the scan in count-only mode (no selection vectors materialized).
+// TestCountOnlyStreamsNoPositions checks that a zero-key all-COUNT
+// aggregate runs the scan in count-only mode (no selection vectors
+// materialized), and that any keyed or non-COUNT sink keeps positions.
 func TestCountOnlyStreamsNoPositions(t *testing.T) {
 	cat, _, want := fixture(t, 5000)
-	lp := plan2(t, cat, "SELECT COUNT(*) FROM t WHERE a = 5 AND b = 2", true)
-	pp, err := Translate(lp, jit.NewCompiler(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, ok := pp.Root.(*aggOp)
-	if !ok {
-		t.Fatalf("root = %T", pp.Root)
-	}
-	sc, ok := agg.input.(*scanOp)
-	if !ok {
-		t.Fatalf("aggregate input = %T", agg.input)
-	}
-	if !sc.countOnly {
-		t.Error("all-COUNT aggregate did not put the scan in count-only mode")
-	}
-	res, err := pp.Run(context.Background(), mach.New(mach.Default()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != int64(want) {
-		t.Fatalf("count = %d, want %d", res.Count, want)
+	for _, tc := range []struct {
+		sql       string
+		countOnly bool
+		count     int // result Count: qualifying rows, or groups
+	}{
+		{"SELECT COUNT(*) FROM t WHERE a = 5 AND b = 2", true, want},
+		{"SELECT COUNT(*), SUM(a) FROM t WHERE a = 5 AND b = 2", false, want},
+		{"SELECT a, COUNT(*) FROM t WHERE a = 5 AND b = 2 GROUP BY a", false, 1},
+	} {
+		lp := plan2(t, cat, tc.sql, true)
+		pp, err := Translate(lp, jit.NewCompiler(), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, ok := pp.Root.(*groupOp)
+		if !ok {
+			t.Fatalf("%s: root = %T", tc.sql, pp.Root)
+		}
+		sc, ok := agg.input.(*scanOp)
+		if !ok {
+			t.Fatalf("%s: aggregate input = %T", tc.sql, agg.input)
+		}
+		if sc.countOnly != tc.countOnly {
+			t.Errorf("%s: scan countOnly = %v, want %v", tc.sql, sc.countOnly, tc.countOnly)
+		}
+		res, err := pp.Run(context.Background(), mach.New(mach.Default()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != int64(tc.count) {
+			t.Fatalf("%s: count = %d, want %d", tc.sql, res.Count, tc.count)
+		}
+		if st := pp.OperatorStats()[0]; (len(agg.keys) == 0) != strings.HasPrefix(st.Name, "Aggregate[") || (len(agg.keys) == 0 && st.Groups != 0) {
+			t.Errorf("%s: sink stats %s", tc.sql, st)
+		}
 	}
 }
 

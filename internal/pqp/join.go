@@ -1,8 +1,9 @@
 package pqp
 
-// The multi-table pipeline: a build/probe vectorized hash join and a
-// grouped-aggregation sink, both speaking the same Volcano-with-vectors
-// Open/Next/Close contract as the single-table operators.
+// The multi-table pipeline: a build/probe vectorized hash join speaking the
+// same Volcano-with-vectors Open/Next/Close contract as the single-table
+// operators. The aggregation sink and the projection above it read its
+// pair batches through side-resolved columns (sideCol).
 //
 // The join drains its build side inside Open into a hash table keyed by
 // normalized raw key bits (scan.NormKeyBits) mapping to build-table row
@@ -21,27 +22,19 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
 	"fusedscan/internal/faultinject"
 	"fusedscan/internal/govern"
-	"fusedscan/internal/lqp"
 	"fusedscan/internal/mach"
 	"fusedscan/internal/scan"
 )
 
-// Hash-join memory-accounting estimates: one hash-table entry holds a
-// 4-byte position inside a bucket slice plus amortized map overhead (key,
-// bucket header, padding); one group holds its key values, aggregate
-// states and map overhead.
-const (
-	bytesPerHashEntry = 48
-	bytesPerGroupBase = 96
-	bytesPerGroupCell = 48
-)
+// bytesPerHashEntry is the hash-join memory-accounting estimate: one
+// hash-table entry holds a 4-byte position inside a bucket slice plus
+// amortized map overhead (key, bucket header, padding).
+const bytesPerHashEntry = 48
 
 // joinResidual is one bound residual ON comparison (probe OP build).
 type joinResidual struct {
@@ -352,399 +345,3 @@ func (op *joinOp) Close() error {
 	}
 	return err
 }
-
-// groupCol is one side-resolved column a group operator reads.
-type groupCol struct {
-	col   *column.Column
-	build bool
-}
-
-// groupAgg is one grouped aggregate bound to its column.
-type groupAgg struct {
-	kind lqp.AggKind
-	col  *column.Column // nil for COUNT(*)
-	bld  bool
-}
-
-// groupState is one group's accumulated fold.
-type groupState struct {
-	keyVals []expr.Value
-	keyNull []bool
-	states  []aggState
-	count   int64
-}
-
-// groupOp is the grouped-aggregation sink: it hashes each input row's key
-// columns (probe- or build-side, so it consumes join pair batches as well
-// as plain position streams) and accumulates the aggregates per group.
-// With zero keys it degenerates to a single-group aggregate — the shape
-// un-grouped aggregates over a join take. Output rows are emitted in
-// ascending key order (NULL keys last), so results are deterministic
-// regardless of hash iteration order.
-type groupOp struct {
-	input     positionStream
-	keys      []groupCol
-	keyNames  []string
-	items     []groupAgg
-	labels    []string
-	batchRows int
-
-	ctx     context.Context
-	cpu     *mach.CPU
-	regionK int
-	regionA int
-	groups  map[string]*groupState
-	ordered []*groupState
-	total   int
-	drained bool
-	cursor  int
-	rowIdx  int
-	stats   opStats
-}
-
-func (op *groupOp) Describe() string {
-	if len(op.keys) == 0 {
-		return fmt.Sprintf("GroupBy[%s]", strings.Join(op.labels, ", "))
-	}
-	return fmt.Sprintf("GroupBy[%s | %s]", strings.Join(op.keyNames, ", "), strings.Join(op.labels, ", "))
-}
-
-func (op *groupOp) Stats() OperatorStats {
-	st := op.stats.snapshot(op.Describe())
-	st.Groups = int64(len(op.ordered))
-	if !op.drained {
-		st.Groups = int64(len(op.groups))
-	}
-	return st
-}
-
-func (op *groupOp) child() Operator { return op.input }
-
-// shape pre-sets the result frame: grouped output is a row result under
-// key-then-aggregate headers; the zero-key form is a labelled aggregate
-// row, exactly like the plain aggregate sink.
-func (op *groupOp) shape(qr *QueryResult) {
-	if len(op.keys) == 0 {
-		qr.IsAggregate = true
-		qr.AggLabels = op.labels
-		return
-	}
-	qr.Columns = append(append([]string{}, op.keyNames...), op.labels...)
-}
-
-func (op *groupOp) Open(ctx context.Context, cpu *mach.CPU) error {
-	if err := op.input.Open(ctx, cpu); err != nil {
-		return err
-	}
-	op.ctx, op.cpu = ctx, cpu
-	op.regionK = cpu.NewRandomRegion()
-	op.regionA = cpu.NewRandomRegion()
-	op.groups = make(map[string]*groupState)
-	op.ordered = nil
-	op.total, op.cursor, op.rowIdx = 0, 0, 0
-	op.drained = false
-	return nil
-}
-
-func (op *groupOp) Next() (Batch, error) {
-	defer op.stats.timed()()
-	if !op.drained {
-		if err := op.drain(); err != nil {
-			return Batch{}, err
-		}
-		op.drained = true
-		if len(op.keys) == 0 {
-			// Single-group aggregate: one final batch, aggOp-compatible.
-			g, err := op.group(nil, nil, "")
-			if err != nil {
-				return Batch{}, err
-			}
-			out := Batch{Count: op.total, Aggregates: op.finishGroup(g)}
-			op.stats.noteOut(out)
-			op.cursor = len(op.ordered)
-			return out, nil
-		}
-		op.sortGroups()
-	}
-	if op.cursor >= len(op.ordered) {
-		return Batch{}, EOS
-	}
-	begin := op.cursor
-	end := begin + op.batchRows
-	if end > len(op.ordered) {
-		end = len(op.ordered)
-	}
-	op.cursor = end
-	out := Batch{Count: end - begin}
-	for _, g := range op.ordered[begin:end] {
-		row := make(Row, 0, len(op.keys)+len(op.items))
-		nulls := make([]bool, 0, len(op.keys)+len(op.items))
-		anyNull := false
-		for i, v := range g.keyVals {
-			row = append(row, v)
-			nulls = append(nulls, g.keyNull[i])
-			anyNull = anyNull || g.keyNull[i]
-		}
-		for _, v := range op.finishGroup(g) {
-			row = append(row, v)
-			nulls = append(nulls, false)
-		}
-		out.Rows = append(out.Rows, row)
-		if anyNull {
-			out.RowNulls = append(out.RowNulls, nulls)
-		} else {
-			out.RowNulls = append(out.RowNulls, make([]bool, len(row)))
-		}
-	}
-	op.stats.noteOut(out)
-	return out, nil
-}
-
-// drain consumes the whole input, folding every row into its group.
-func (op *groupOp) drain() error {
-	var keyBuf []byte
-	for {
-		in, err := op.input.Next()
-		if err == EOS {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		op.stats.noteIn(in)
-		op.total += in.Count
-		for i, rel := range in.Sel {
-			if err := pollCtx(op.ctx, op.rowIdx); err != nil {
-				return err
-			}
-			op.rowIdx++
-			ppos := int(in.Base) + int(rel)
-			bpos := -1
-			if in.BuildSel != nil {
-				bpos = int(in.BuildSel[i])
-			}
-			keyBuf = keyBuf[:0]
-			var keyVals []expr.Value
-			var keyNull []bool
-			if len(op.keys) > 0 {
-				keyVals = make([]expr.Value, len(op.keys))
-				keyNull = make([]bool, len(op.keys))
-				for ki, kc := range op.keys {
-					pos := ppos
-					if kc.build {
-						pos = bpos
-					}
-					op.cpu.Scalar(2)
-					op.cpu.RandomRead(op.regionK, kc.col.Addr(pos), kc.col.Type().Size())
-					if kc.col.Null(pos) {
-						// SQL groups all NULL keys together.
-						keyNull[ki] = true
-						keyBuf = append(keyBuf, 1, 0, 0, 0, 0, 0, 0, 0, 0)
-						continue
-					}
-					keyVals[ki] = kc.col.Value(pos)
-					k := scan.NormKeyBits(kc.col.Type(), kc.col.Raw(pos))
-					keyBuf = append(keyBuf, 0,
-						byte(k), byte(k>>8), byte(k>>16), byte(k>>24),
-						byte(k>>32), byte(k>>40), byte(k>>48), byte(k>>56))
-				}
-			}
-			g, err := op.group(keyVals, keyNull, string(keyBuf))
-			if err != nil {
-				return err
-			}
-			g.count++
-			for ai, it := range op.items {
-				if it.col == nil {
-					continue
-				}
-				pos := ppos
-				if it.bld {
-					pos = bpos
-				}
-				op.cpu.Scalar(2)
-				op.cpu.RandomRead(op.regionA, it.col.Addr(pos), it.col.Type().Size())
-				if it.col.Null(pos) {
-					continue
-				}
-				g.states[ai].fold(it.kind, it.col.Type(), it.col.Value(pos))
-			}
-		}
-	}
-}
-
-// group returns (creating and charging on first sight) the state for a key.
-func (op *groupOp) group(keyVals []expr.Value, keyNull []bool, key string) (*groupState, error) {
-	if g, ok := op.groups[key]; ok {
-		return g, nil
-	}
-	// Group state is retained until the sink drains: charge as it accrues.
-	cost := int64(bytesPerGroupBase + (len(op.keys)+len(op.items))*bytesPerGroupCell)
-	if err := govern.Charge(op.ctx, cost); err != nil {
-		return nil, err
-	}
-	g := &groupState{keyVals: keyVals, keyNull: keyNull, states: make([]aggState, len(op.items))}
-	op.groups[key] = g
-	return g, nil
-}
-
-func (op *groupOp) finishGroup(g *groupState) []expr.Value {
-	out := make([]expr.Value, 0, len(op.items))
-	for i, it := range op.items {
-		var t expr.Type
-		kind := it.kind
-		if it.col != nil {
-			t = it.col.Type()
-		} else {
-			kind = lqp.AggCount
-		}
-		out = append(out, g.states[i].finish(kind, t, g.count))
-	}
-	return out
-}
-
-// sortGroups orders the groups ascending by key values, NULL keys last —
-// the deterministic output order the regression suite relies on.
-func (op *groupOp) sortGroups() {
-	op.ordered = make([]*groupState, 0, len(op.groups))
-	for _, g := range op.groups {
-		op.ordered = append(op.ordered, g)
-	}
-	sort.SliceStable(op.ordered, func(a, b int) bool {
-		ga, gb := op.ordered[a], op.ordered[b]
-		for i := range op.keys {
-			switch {
-			case ga.keyNull[i] && gb.keyNull[i]:
-				continue
-			case ga.keyNull[i]:
-				return false
-			case gb.keyNull[i]:
-				return true
-			}
-			if ga.keyVals[i].Compare(expr.Lt, gb.keyVals[i]) {
-				return true
-			}
-			if ga.keyVals[i].Compare(expr.Gt, gb.keyVals[i]) {
-				return false
-			}
-		}
-		return false
-	})
-	if n := len(op.ordered); n > 1 {
-		logN := 0
-		for v := n; v > 1; v >>= 1 {
-			logN++
-		}
-		op.cpu.Scalar(2 * n * logN)
-	}
-}
-
-func (op *groupOp) Close() error {
-	op.groups = nil
-	return op.input.Close()
-}
-
-// projCol is one side-resolved output column of a join-aware projection.
-type projCol struct {
-	col   *column.Column
-	build bool
-}
-
-// joinProjectOp materializes output columns from both sides of a join's
-// pair batches (and degenerates to a plain projection over single-table
-// position streams). Mirrors projectOp's cap and memory behaviour.
-type joinProjectOp struct {
-	input     positionStream
-	cols      []projCol
-	names     []string
-	capRows   int
-	unbounded bool
-
-	ctx       context.Context
-	cpu       *mach.CPU
-	regions   []int
-	remaining int
-	rowIdx    int
-	stats     opStats
-}
-
-func (op *joinProjectOp) Describe() string {
-	return fmt.Sprintf("Projection[%s]", strings.Join(op.names, ", "))
-}
-
-func (op *joinProjectOp) Stats() OperatorStats { return op.stats.snapshot(op.Describe()) }
-
-func (op *joinProjectOp) child() Operator { return op.input }
-
-func (op *joinProjectOp) shape(qr *QueryResult) { qr.Columns = op.names }
-
-// capAt tightens the materialization cap (LIMIT pushdown).
-func (op *joinProjectOp) capAt(n int) {
-	if op.capRows == 0 || n < op.capRows {
-		op.capRows = n
-	}
-}
-
-func (op *joinProjectOp) Open(ctx context.Context, cpu *mach.CPU) error {
-	if err := op.input.Open(ctx, cpu); err != nil {
-		return err
-	}
-	op.ctx, op.cpu = ctx, cpu
-	op.regions = make([]int, len(op.cols))
-	for i := range op.cols {
-		op.regions[i] = cpu.NewRandomRegion()
-	}
-	op.remaining = op.capRows
-	if op.remaining <= 0 || (!op.unbounded && op.remaining > maxMaterializedRows) {
-		op.remaining = maxMaterializedRows
-		if op.unbounded {
-			op.remaining = math.MaxInt
-		}
-	}
-	op.rowIdx = 0
-	return nil
-}
-
-func (op *joinProjectOp) Next() (Batch, error) {
-	defer op.stats.timed()()
-	in, err := op.input.Next()
-	if err != nil {
-		return Batch{}, err
-	}
-	op.stats.noteIn(in)
-	out := Batch{Base: in.Base, Count: in.Count}
-	rowBytes := int64(bytesPerRowBase + len(op.cols)*bytesPerRowCell)
-	for i, rel := range in.Sel {
-		if op.remaining <= 0 {
-			break
-		}
-		if err := pollCtx(op.ctx, op.rowIdx); err != nil {
-			return Batch{}, err
-		}
-		op.rowIdx++
-		if err := govern.Charge(op.ctx, rowBytes); err != nil {
-			return Batch{}, err
-		}
-		row := make(Row, len(op.cols))
-		nullRow := make([]bool, len(op.cols))
-		for ci, pc := range op.cols {
-			pos := int(in.Base) + int(rel)
-			if pc.build {
-				pos = int(in.BuildSel[i])
-			}
-			op.cpu.Scalar(2)
-			op.cpu.RandomRead(op.regions[ci], pc.col.Addr(pos), pc.col.Type().Size())
-			row[ci] = pc.col.Value(pos)
-			if pc.col.Null(pos) {
-				nullRow[ci] = true
-			}
-		}
-		out.Rows = append(out.Rows, row)
-		out.RowNulls = append(out.RowNulls, nullRow)
-		op.remaining--
-	}
-	op.stats.noteOut(out)
-	return out, nil
-}
-
-func (op *joinProjectOp) Close() error { return op.input.Close() }

@@ -134,7 +134,13 @@ func TestJoinGroupByAgainstOracle(t *testing.T) {
 		"native":      {Native: true, Width: DefaultOptions().Width, ISA: DefaultOptions().ISA},
 		"sisd":        {Width: DefaultOptions().Width, ISA: DefaultOptions().ISA},
 		"small-batch": func() Options { o := DefaultOptions(); o.BatchRows = 129; return o }(), // non-power-of-two batch boundaries
-		"parallel":    func() Options { o := DefaultOptions(); o.Cores = 3; o.MorselRows = 517; o.Params = mach.Default(); return o }(),
+		"parallel": func() Options {
+			o := DefaultOptions()
+			o.Cores = 3
+			o.MorselRows = 517
+			o.Params = mach.Default()
+			return o
+		}(),
 	}
 	for name, opts := range configs {
 		t.Run(name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -396,23 +397,53 @@ func (op *filterOp) Close() error {
 	return op.input.Close()
 }
 
-// aggItem is one aggregate computation bound to its column.
-type aggItem struct {
-	kind lqp.AggKind
-	col  *column.Column // nil for COUNT(*)
+// Group memory-accounting estimates: one group holds its key values,
+// aggregate states and map overhead.
+const (
+	bytesPerGroupBase = 96
+	bytesPerGroupCell = 48
+)
+
+// sideCol is one side-resolved column an operator reads per input row:
+// probe-side (or single-table) columns at Base+Sel[i], a hash join's build
+// columns at BuildSel[i]. region is the column's random-access region in
+// the machine model, registered when the operator opens.
+type sideCol struct {
+	col    *column.Column
+	build  bool
+	region int
 }
 
-// aggState folds one item.
+// pos returns the table position this column is read at for entry i of in.
+func (c *sideCol) pos(in *Batch, i int) int {
+	if c.build {
+		return int(in.BuildSel[i])
+	}
+	return int(in.Base) + int(in.Sel[i])
+}
+
+// gather charges the model for one gathered read of the value at pos:
+// address computation plus a real random read.
+func (c *sideCol) gather(cpu *mach.CPU, pos int) {
+	cpu.Scalar(2)
+	cpu.RandomRead(c.region, c.col.Addr(pos), c.col.Type().Size())
+}
+
+// groupAgg is one aggregate bound to its column (nil for COUNT(*)).
+type groupAgg struct {
+	kind lqp.AggKind
+	sideCol
+}
+
+// aggState folds one aggregate over one group.
 type aggState struct {
 	sumI   int64
 	sumF   float64
 	minMax expr.Value
-	seen   bool
 	valid  int64
 }
 
-// fold accumulates one non-NULL value of type t into the state. Shared by
-// the plain aggregate sink and the grouped-aggregation sink.
+// fold accumulates one non-NULL value of type t into the state.
 func (st *aggState) fold(kind lqp.AggKind, t expr.Type, v expr.Value) {
 	st.valid++
 	switch kind {
@@ -426,186 +457,311 @@ func (st *aggState) fold(kind lqp.AggKind, t expr.Type, v expr.Value) {
 			st.sumI += int64(v.Uint())
 		}
 	case lqp.AggMin:
-		if !st.seen || v.Compare(expr.Lt, st.minMax) {
+		if st.valid == 1 || v.Compare(expr.Lt, st.minMax) {
 			st.minMax = v
-			st.seen = true
 		}
 	case lqp.AggMax:
-		if !st.seen || v.Compare(expr.Gt, st.minMax) {
+		if st.valid == 1 || v.Compare(expr.Gt, st.minMax) {
 			st.minMax = v
-			st.seen = true
 		}
 	}
 }
 
 // finish renders the folded state into a result value. count is the
 // group's row count (the COUNT(*) value); t is the folded column's type
-// (ignored for COUNT(*)).
-func (st aggState) finish(kind lqp.AggKind, t expr.Type, count int64) expr.Value {
+// (ignored for COUNT(*)). null reports SUM, MIN, MAX or AVG over no
+// non-NULL input, which SQL defines as NULL; v is then the result type's
+// zero.
+func (st aggState) finish(kind lqp.AggKind, t expr.Type, count int64) (v expr.Value, null bool) {
+	empty := st.valid == 0
 	switch {
 	case kind == lqp.AggCount:
-		return expr.NewInt(expr.Int64, count)
-	case kind == lqp.AggSum:
-		if t.Float() {
-			return expr.NewFloat(expr.Float64, st.sumF)
-		}
-		return expr.NewInt(expr.Int64, st.sumI)
+		return expr.NewInt(expr.Int64, count), false
 	case kind == lqp.AggAvg:
 		total := st.sumF
 		if !t.Float() {
 			total = float64(st.sumI)
 		}
-		if st.valid > 0 {
+		if !empty {
 			total /= float64(st.valid)
 		}
-		return expr.NewFloat(expr.Float64, total)
-	default: // MIN / MAX
-		if !st.seen {
-			if t.Float() {
-				return expr.NewFloat(expr.Float64, 0) // empty input
-			}
-			return expr.NewInt(expr.Int64, 0)
+		return expr.NewFloat(expr.Float64, total), empty
+	case kind == lqp.AggSum || empty:
+		if t.Float() {
+			return expr.NewFloat(expr.Float64, st.sumF), empty
 		}
-		return st.minMax
+		return expr.NewInt(expr.Int64, st.sumI), empty
+	default: // MIN / MAX
+		return st.minMax, false
 	}
 }
 
-// aggOp is a consuming sink: it folds its input batch-at-a-time — non-count
-// items gather their column's values (real random reads) into running
-// states — and emits the result as a single final batch. NULL values are
-// ignored, per SQL (an all-NULL input yields 0 / no value rather than NULL
-// — a documented simplification).
-type aggOp struct {
-	input  positionStream
-	items  []aggItem
-	labels []string
+// groupState is one group's accumulated fold.
+type groupState struct {
+	keyVals []expr.Value
+	keyNull []bool
+	states  []aggState
+	count   int64
+}
+
+// groupOp is the aggregation sink. It folds its whole input
+// batch-at-a-time, gathering each key and aggregate column with real
+// random reads, probe- or build-side, so it consumes join pair batches as
+// well as plain position streams. With keys it hashes every row's key
+// columns into a group and emits the groups as rows in ascending key order
+// (NULL keys last), so results are deterministic regardless of hash
+// iteration order. With zero keys it is the plain aggregate: one state
+// folded directly — no key encoding, map lookup or group charge — emitted
+// as a single final batch of aggregate values. NULL values are ignored,
+// per SQL; an aggregate over no non-NULL input is NULL.
+type groupOp struct {
+	input     positionStream
+	keys      []sideCol
+	keyNames  []string
+	items     []groupAgg
+	labels    []string
+	batchRows int
 
 	ctx     context.Context
 	cpu     *mach.CPU
-	regions []int
-	states  []aggState
+	single  groupState // the zero-key form's one group
+	groups  map[string]*groupState
+	ordered []*groupState
 	total   int
+	drained bool
+	cursor  int
 	rowIdx  int
-	done    bool
 	stats   opStats
 }
 
-func (op *aggOp) Describe() string {
-	labels := make([]string, len(op.items))
-	for i, it := range op.items {
-		if it.col == nil {
-			labels[i] = "COUNT(*)"
-		} else {
-			labels[i] = fmt.Sprintf("%s(%s)", it.kind, it.col.Name())
-		}
+func (op *groupOp) Describe() string { return lqp.FormatGroupBy(op.keyNames, op.labels) }
+
+func (op *groupOp) Stats() OperatorStats {
+	st := op.stats.snapshot(op.Describe())
+	st.Groups = int64(len(op.ordered))
+	if !op.drained {
+		st.Groups = int64(len(op.groups))
 	}
-	return fmt.Sprintf("Aggregate[%s]", strings.Join(labels, ", "))
+	return st
 }
 
-func (op *aggOp) Stats() OperatorStats { return op.stats.snapshot(op.Describe()) }
+func (op *groupOp) child() Operator { return op.input }
 
-func (op *aggOp) child() Operator { return op.input }
-
-// shape pre-sets the aggregate result frame so even an empty input yields
-// a labelled aggregate row.
-func (op *aggOp) shape(qr *QueryResult) {
-	qr.IsAggregate = true
-	qr.AggLabels = op.labels
-}
-
-// countOnly reports whether every item is COUNT(*), in which case the
-// position stream below may run without materializing positions.
-func (op *aggOp) countOnly() bool {
-	for _, it := range op.items {
-		if it.col != nil {
-			return false
-		}
+// shape pre-sets the result frame so even an empty input is labelled:
+// grouped output is a row result under key-then-aggregate headers, the
+// zero-key form one aggregate row.
+func (op *groupOp) shape(qr *QueryResult) {
+	if len(op.keys) == 0 {
+		qr.IsAggregate = true
+		qr.AggLabels = op.labels
+		return
 	}
-	return true
+	qr.Columns = append(append([]string{}, op.keyNames...), op.labels...)
 }
 
-func (op *aggOp) Open(ctx context.Context, cpu *mach.CPU) error {
+func (op *groupOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	if err := op.input.Open(ctx, cpu); err != nil {
 		return err
 	}
 	op.ctx, op.cpu = ctx, cpu
-	op.states = make([]aggState, len(op.items))
-	op.regions = make([]int, len(op.items))
-	for i, it := range op.items {
-		if it.col != nil {
-			op.regions[i] = cpu.NewRandomRegion()
+	// One random region per gathered column: each key, then each
+	// non-COUNT item.
+	for i := range op.keys {
+		op.keys[i].region = cpu.NewRandomRegion()
+	}
+	for i := range op.items {
+		if op.items[i].col != nil {
+			op.items[i].region = cpu.NewRandomRegion()
 		}
 	}
-	op.total, op.rowIdx, op.done = 0, 0, false
+	op.single, op.groups, op.ordered = groupState{}, nil, nil
+	if len(op.keys) == 0 {
+		op.single.states = make([]aggState, len(op.items))
+	} else {
+		op.groups = make(map[string]*groupState)
+	}
+	op.total, op.cursor, op.rowIdx = 0, 0, 0
+	op.drained = false
 	return nil
 }
 
-func (op *aggOp) Next() (Batch, error) {
+func (op *groupOp) Next() (Batch, error) {
 	defer op.stats.timed()()
-	if op.done {
+	if !op.drained {
+		if err := op.drain(); err != nil {
+			return Batch{}, err
+		}
+		op.drained = true
+		if len(op.keys) == 0 {
+			op.single.count = int64(op.total)
+			vals, nulls := op.finish(&op.single, make(Row, 0, len(op.items)), nil)
+			out := Batch{Count: op.total, Aggregates: vals, AggNulls: nulls}
+			op.stats.noteOut(out)
+			return out, nil
+		}
+		op.sortGroups()
+	}
+	if op.cursor >= len(op.ordered) {
 		return Batch{}, EOS
 	}
-	for {
-		in, err := op.input.Next()
-		if err == EOS {
-			break
-		}
-		if err != nil {
-			return Batch{}, err
-		}
-		op.stats.noteIn(in)
-		op.total += in.Count
-		if err := op.fold(in); err != nil {
-			return Batch{}, err
-		}
+	begin := op.cursor
+	end := min(begin+op.batchRows, len(op.ordered))
+	op.cursor = end
+	out := Batch{Count: end - begin}
+	width := len(op.keys) + len(op.items)
+	for _, g := range op.ordered[begin:end] {
+		row := append(make(Row, 0, width), g.keyVals...)
+		nulls := append(make([]bool, 0, width), g.keyNull...)
+		row, nulls = op.finish(g, row, nulls)
+		out.Rows = append(out.Rows, row)
+		out.RowNulls = append(out.RowNulls, nulls)
 	}
-	op.done = true
-	out := Batch{Count: op.total, Aggregates: op.finish()}
 	op.stats.noteOut(out)
 	return out, nil
 }
 
-// fold applies one batch's positions to the aggregate states.
-func (op *aggOp) fold(in Batch) error {
-	for _, rel := range in.Sel {
-		if err := pollCtx(op.ctx, op.rowIdx); err != nil {
+// drain consumes the whole input, folding every row into its group. In
+// count-only mode (zero keys, every item COUNT(*)) batches carry no
+// positions and only the total moves.
+func (op *groupOp) drain() error {
+	var keyBuf []byte
+	keyVals := make([]expr.Value, len(op.keys))
+	keyNull := make([]bool, len(op.keys))
+	for {
+		in, err := op.input.Next()
+		if err == EOS {
+			return nil
+		}
+		if err != nil {
 			return err
 		}
-		op.rowIdx++
-		pos := int(in.Base) + int(rel)
-		for i, it := range op.items {
-			if it.col == nil {
-				continue
+		op.stats.noteIn(in)
+		op.total += in.Count
+		for i := range in.Sel {
+			if err := pollCtx(op.ctx, op.rowIdx); err != nil {
+				return err
 			}
-			op.cpu.Scalar(2) // address computation + fold
-			op.cpu.RandomRead(op.regions[i], it.col.Addr(pos), it.col.Type().Size())
-			if it.col.Null(pos) {
-				continue
+			op.rowIdx++
+			g := &op.single
+			if len(op.keys) > 0 {
+				keyBuf = keyBuf[:0]
+				for ki := range op.keys {
+					kc := &op.keys[ki]
+					pos := kc.pos(&in, i)
+					kc.gather(op.cpu, pos)
+					if kc.col.Null(pos) {
+						// SQL groups all NULL keys together.
+						keyVals[ki], keyNull[ki] = expr.Value{}, true
+						keyBuf = append(keyBuf, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+						continue
+					}
+					keyVals[ki], keyNull[ki] = kc.col.Value(pos), false
+					k := scan.NormKeyBits(kc.col.Type(), kc.col.Raw(pos))
+					keyBuf = append(keyBuf, 0,
+						byte(k), byte(k>>8), byte(k>>16), byte(k>>24),
+						byte(k>>32), byte(k>>40), byte(k>>48), byte(k>>56))
+				}
+				if g, err = op.group(keyBuf, keyVals, keyNull); err != nil {
+					return err
+				}
+				g.count++
 			}
-			op.states[i].fold(it.kind, it.col.Type(), it.col.Value(pos))
+			for ai := range op.items {
+				it := &op.items[ai]
+				if it.col == nil {
+					continue
+				}
+				pos := it.pos(&in, i)
+				it.gather(op.cpu, pos)
+				if it.col.Null(pos) {
+					continue
+				}
+				g.states[ai].fold(it.kind, it.col.Type(), it.col.Value(pos))
+			}
 		}
 	}
-	return nil
 }
 
-// finish renders the folded states into result values.
-func (op *aggOp) finish() []expr.Value {
-	out := make([]expr.Value, 0, len(op.items))
+// group returns the state for an encoded key, creating and charging it on
+// first sight with copies of the row's key values.
+func (op *groupOp) group(key []byte, keyVals []expr.Value, keyNull []bool) (*groupState, error) {
+	if g, ok := op.groups[string(key)]; ok {
+		return g, nil
+	}
+	// Group state is retained until the sink drains: charge as it accrues.
+	cost := int64(bytesPerGroupBase + (len(op.keys)+len(op.items))*bytesPerGroupCell)
+	if err := govern.Charge(op.ctx, cost); err != nil {
+		return nil, err
+	}
+	g := &groupState{
+		keyVals: slices.Clone(keyVals),
+		keyNull: slices.Clone(keyNull),
+		states:  make([]aggState, len(op.items)),
+	}
+	op.groups[string(key)] = g
+	return g, nil
+}
+
+// finish appends g's aggregate values to row and their NULL flags to
+// nulls. A nil nulls stays nil until the first NULL value.
+func (op *groupOp) finish(g *groupState, row Row, nulls []bool) (Row, []bool) {
 	for i, it := range op.items {
 		var t expr.Type
 		if it.col != nil {
 			t = it.col.Type()
 		}
-		kind := it.kind
-		if it.col == nil {
-			kind = lqp.AggCount
+		v, null := g.states[i].finish(it.kind, t, g.count)
+		if null && nulls == nil {
+			nulls = make([]bool, len(row), cap(row))
 		}
-		out = append(out, op.states[i].finish(kind, t, int64(op.total)))
+		row = append(row, v)
+		if nulls != nil {
+			nulls = append(nulls, null)
+		}
 	}
-	return out
+	return row, nulls
 }
 
-func (op *aggOp) Close() error { return op.input.Close() }
+// sortGroups orders the groups ascending by key values, NULL keys last —
+// the deterministic output order the regression suite relies on.
+func (op *groupOp) sortGroups() {
+	op.ordered = make([]*groupState, 0, len(op.groups))
+	for _, g := range op.groups {
+		op.ordered = append(op.ordered, g)
+	}
+	sort.SliceStable(op.ordered, func(a, b int) bool {
+		ga, gb := op.ordered[a], op.ordered[b]
+		for i := range op.keys {
+			switch {
+			case ga.keyNull[i] && gb.keyNull[i]:
+				continue
+			case ga.keyNull[i]:
+				return false
+			case gb.keyNull[i]:
+				return true
+			}
+			if ga.keyVals[i].Compare(expr.Lt, gb.keyVals[i]) {
+				return true
+			}
+			if ga.keyVals[i].Compare(expr.Gt, gb.keyVals[i]) {
+				return false
+			}
+		}
+		return false
+	})
+	if n := len(op.ordered); n > 1 {
+		logN := 0
+		for v := n; v > 1; v >>= 1 {
+			logN++
+		}
+		op.cpu.Scalar(2 * n * logN)
+	}
+}
+
+func (op *groupOp) Close() error {
+	op.groups = nil
+	return op.input.Close()
+}
 
 // sortOp orders the qualifying positions by one column's values (ORDER
 // BY). Sorting is a pipeline barrier: the sink folds its input
@@ -782,32 +938,34 @@ func (op *emptyOp) Next() (Batch, error) { return Batch{}, EOS }
 
 func (op *emptyOp) Close() error { return nil }
 
-// projectOp materializes the selected columns for qualifying positions,
+// projectOp materializes the output columns for qualifying positions,
 // batch-at-a-time, up to its materialization cap (the LIMIT pushdown hint
-// or maxMaterializedRows). Count passes through uncapped so the qualifying
-// total stays exact for the batches it consumes.
+// or maxMaterializedRows). Its columns are side-resolved, so it reads a
+// join's pair batches as well as single-table position streams. Count
+// passes through uncapped so the qualifying total stays exact for the
+// batches it consumes.
 type projectOp struct {
 	input   positionStream
-	tbl     *column.Table
-	columns []string
-	cap     int // max rows to materialize (0 = maxMaterializedRows)
+	cols    []sideCol
+	names   []string
+	capRows int // max rows to materialize (0 = maxMaterializedRows)
 	// unbounded lifts the default cap (Options.UnboundedRows): a streaming
 	// driver is consuming batches as they are produced, so the full result
 	// never accumulates in memory. An explicit LIMIT cap still applies.
 	unbounded bool
-
-	ctx         context.Context
-	cpu         *mach.CPU
-	cols        []*column.Column
-	regions     []int
+	// anyNullable is set when some output column holds NULLs; only then
+	// do rows carry RowNulls.
 	anyNullable bool
-	remaining   int
-	rowIdx      int
-	stats       opStats
+
+	ctx       context.Context
+	cpu       *mach.CPU
+	remaining int
+	rowIdx    int
+	stats     opStats
 }
 
 func (op *projectOp) Describe() string {
-	return fmt.Sprintf("Projection[%s]", strings.Join(op.columns, ", "))
+	return fmt.Sprintf("Projection[%s]", strings.Join(op.names, ", "))
 }
 
 func (op *projectOp) Stats() OperatorStats { return op.stats.snapshot(op.Describe()) }
@@ -816,28 +974,24 @@ func (op *projectOp) child() Operator { return op.input }
 
 // shape pre-sets the projected column names so empty results keep their
 // header.
-func (op *projectOp) shape(qr *QueryResult) { qr.Columns = op.columns }
+func (op *projectOp) shape(qr *QueryResult) { qr.Columns = op.names }
+
+// capAt tightens the materialization cap (LIMIT pushdown).
+func (op *projectOp) capAt(n int) {
+	if op.capRows == 0 || n < op.capRows {
+		op.capRows = n
+	}
+}
 
 func (op *projectOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	if err := op.input.Open(ctx, cpu); err != nil {
 		return err
 	}
 	op.ctx, op.cpu = ctx, cpu
-	op.cols = make([]*column.Column, len(op.columns))
-	op.regions = make([]int, len(op.columns))
-	op.anyNullable = false
-	for i, name := range op.columns {
-		c, err := op.tbl.Column(name)
-		if err != nil {
-			return err
-		}
-		op.cols[i] = c
-		op.regions[i] = cpu.NewRandomRegion()
-		if c.HasNulls() {
-			op.anyNullable = true
-		}
+	for i := range op.cols {
+		op.cols[i].region = cpu.NewRandomRegion()
 	}
-	op.remaining = op.cap
+	op.remaining = op.capRows
 	if op.remaining <= 0 || (!op.unbounded && op.remaining > maxMaterializedRows) {
 		op.remaining = maxMaterializedRows
 		if op.unbounded {
@@ -857,7 +1011,7 @@ func (op *projectOp) Next() (Batch, error) {
 	op.stats.noteIn(in)
 	out := Batch{Base: in.Base, Count: in.Count}
 	rowBytes := int64(bytesPerRowBase + len(op.cols)*bytesPerRowCell)
-	for _, rel := range in.Sel {
+	for i := range in.Sel {
 		if op.remaining <= 0 {
 			break
 		}
@@ -865,7 +1019,6 @@ func (op *projectOp) Next() (Batch, error) {
 			return Batch{}, err
 		}
 		op.rowIdx++
-		pos := int(in.Base) + int(rel)
 		// Projected rows are retained in the final result: charge without
 		// release.
 		if err := govern.Charge(op.ctx, rowBytes); err != nil {
@@ -876,12 +1029,13 @@ func (op *projectOp) Next() (Batch, error) {
 		if op.anyNullable {
 			nullRow = make([]bool, len(op.cols))
 		}
-		for i, c := range op.cols {
-			op.cpu.Scalar(2)
-			op.cpu.RandomRead(op.regions[i], c.Addr(pos), c.Type().Size())
-			row[i] = c.Value(pos)
-			if op.anyNullable && c.Null(pos) {
-				nullRow[i] = true
+		for ci := range op.cols {
+			c := &op.cols[ci]
+			pos := c.pos(&in, i)
+			c.gather(op.cpu, pos)
+			row[ci] = c.col.Value(pos)
+			if op.anyNullable && c.col.Null(pos) {
+				nullRow[ci] = true
 			}
 		}
 		out.Rows = append(out.Rows, row)

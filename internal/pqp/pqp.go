@@ -92,8 +92,11 @@ type QueryResult struct {
 	// Aggregates holds one value per aggregate item when IsAggregate is
 	// set (Int64 for integer SUM/COUNT — wrapping on overflow like the
 	// C++ operator would — Float64 for float SUM and every AVG, the
-	// column's own type for MIN/MAX). AggLabels names them.
+	// column's own type for MIN/MAX). AggLabels names them. AggNulls, when
+	// non-nil, marks the items that are NULL: SUM, MIN, MAX or AVG over no
+	// non-NULL input, whose Aggregates entry is then the type's zero.
 	Aggregates  []expr.Value
+	AggNulls    []bool
 	AggLabels   []string
 	IsAggregate bool
 	// Columns names the projected columns (empty for aggregate queries).
@@ -273,7 +276,7 @@ func DriveTo(ctx context.Context, root Operator, cpu *mach.CPU, sink BatchSink) 
 		}
 		qr.Count += int64(b.Count)
 		if b.Aggregates != nil {
-			qr.Aggregates = b.Aggregates
+			qr.Aggregates, qr.AggNulls = b.Aggregates, b.AggNulls
 		}
 		if sink != nil {
 			if err := sink(b); err != nil {
@@ -336,13 +339,9 @@ func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 			// build subtree; the engine always optimizes before translating.
 			return nil, fmt.Errorf("pqp: build-side predicate %s above the join; optimize the plan before translating", t.Pred)
 		}
-		child, err := translateNode(t.Input, tbl, comp, opts, p)
+		src, err := positionalInput(t.Input, "predicate", tbl, comp, opts, p)
 		if err != nil {
 			return nil, err
-		}
-		src, ok := child.(positionStream)
-		if !ok {
-			return nil, fmt.Errorf("pqp: predicate over non-positional input %T", child)
 		}
 		if !t.Pred.Bound() {
 			return nil, fmt.Errorf("pqp: predicate %s has an unbound parameter; bind the plan before translating", t.Pred)
@@ -357,55 +356,8 @@ func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 		}
 		return &filterOp{input: src, pred: pred}, nil
 
-	case *lqp.Aggregate:
-		child, err := translateNode(t.Input, tbl, comp, opts, p)
-		if err != nil {
-			return nil, err
-		}
-		src, ok := child.(positionStream)
-		if !ok {
-			return nil, fmt.Errorf("pqp: aggregate over non-positional input %T", child)
-		}
-		op := &aggOp{input: src}
-		for _, item := range t.Items {
-			op.labels = append(op.labels, item.Label())
-			ai := aggItem{kind: item.Kind}
-			if item.Kind != lqp.AggCount {
-				col, err := tbl.Column(item.Col)
-				if err != nil {
-					return nil, err
-				}
-				ai.col = col
-			}
-			op.items = append(op.items, ai)
-		}
-		if op.countOnly() {
-			// All items are COUNT(*): the stream below never needs position
-			// vectors, only exact per-batch counts.
-			src.setCountOnly(true)
-		}
-		return op, nil
-
 	case *lqp.Projection:
-		child, err := translateNode(t.Input, tbl, comp, opts, p)
-		if err != nil {
-			return nil, err
-		}
-		src, ok := child.(positionStream)
-		if !ok {
-			return nil, fmt.Errorf("pqp: projection over non-positional input %T", child)
-		}
-		if jn := findJoin(t.Input); jn != nil {
-			// Two-table output: each column is side-resolved, and the
-			// operator reads probe columns at Base+Sel[i] and build columns
-			// at BuildSel[i] from the join's pair batches.
-			return translateJoinProjection(t, src, tbl, jn, opts)
-		}
-		cols := t.Columns
-		if t.Star {
-			cols = tbl.ColumnNames()
-		}
-		return &projectOp{input: src, tbl: tbl, columns: cols, cap: t.MaxRows, unbounded: opts.UnboundedRows}, nil
+		return translateProjection(t, tbl, comp, opts, p)
 
 	case *lqp.Sort:
 		if findJoin(t.Input) != nil {
@@ -413,13 +365,9 @@ func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 			// join's pair structure (BuildSel).
 			return nil, fmt.Errorf("pqp: ORDER BY over a join is not supported")
 		}
-		child, err := translateNode(t.Input, tbl, comp, opts, p)
+		src, err := positionalInput(t.Input, "sort", tbl, comp, opts, p)
 		if err != nil {
 			return nil, err
-		}
-		src, ok := child.(positionStream)
-		if !ok {
-			return nil, fmt.Errorf("pqp: sort over non-positional input %T", child)
 		}
 		col, err := tbl.Column(t.Col)
 		if err != nil {
@@ -438,18 +386,11 @@ func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 			lim.overRows = true
 			// Unoptimized plans carry no MaxRows hint; cap the projection
 			// here so it stops materializing at the limit either way.
-			if c.cap == 0 || t.N < c.cap {
-				c.cap = t.N
-			}
-		case *joinProjectOp:
-			lim.overRows = true
 			c.capAt(t.N)
 		case *groupOp:
 			// Grouped output streams materialized rows; the zero-key form
 			// emits a single aggregate batch and needs no row counting.
-			if len(c.keys) > 0 {
-				lim.overRows = true
-			}
+			lim.overRows = len(c.keys) > 0
 		}
 		return lim, nil
 
@@ -473,20 +414,6 @@ func findJoin(n lqp.Node) *lqp.Join {
 		}
 	}
 	return nil
-}
-
-// hasEmptyResult reports whether the spine below n was collapsed to an
-// EmptyResult (collapseEmptyJoin, contradiction pruning). It stops at the
-// same boundaries findJoin walks, so `findJoin(n) == nil &&
-// hasEmptyResult(n)` identifies a subtree whose join — and build table —
-// were optimized away.
-func hasEmptyResult(n lqp.Node) bool {
-	for ; n != nil; n = n.Child() {
-		if _, ok := n.(*lqp.EmptyResult); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // translateChainScan lowers a fused predicate chain over a stored table to
@@ -517,28 +444,20 @@ func translateChainScan(fc *lqp.FusedChain, tbl *column.Table, comp *jit.Compile
 // residual chains build fused kernels directly, and key/residual
 // references resolve per side.
 func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
-	buildOp, err := translateNode(t.Build, t.BuildTable, comp, opts, p)
+	bsrc, err := positionalInput(t.Build, "join build side", t.BuildTable, comp, opts, p)
 	if err != nil {
 		return nil, err
 	}
-	bsrc, ok := buildOp.(positionStream)
-	if !ok {
-		return nil, fmt.Errorf("pqp: join build side is non-positional (%T)", buildOp)
-	}
-	var probeOp Operator
+	var psrc positionStream
 	var probeScan *scanOp
 	if fc, ok := t.Input.(*lqp.FusedChain); ok {
 		probeScan, err = translateChainScan(fc, tbl, nil, opts, p)
-		probeOp = probeScan
+		psrc = probeScan
 	} else {
-		probeOp, err = translateNode(t.Input, tbl, comp, opts, p)
+		psrc, err = positionalInput(t.Input, "join probe side", tbl, comp, opts, p)
 	}
 	if err != nil {
 		return nil, err
-	}
-	psrc, ok := probeOp.(positionStream)
-	if !ok {
-		return nil, fmt.Errorf("pqp: join probe side is non-positional (%T)", probeOp)
 	}
 	probeKey, err := tbl.Column(t.ProbeKey)
 	if err != nil {
@@ -574,94 +493,135 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 	}, nil
 }
 
-// translateGroupBy lowers a grouped-aggregation sink, resolving key and
-// aggregate columns per side (the build table comes from the Join below,
-// when there is one).
-func translateGroupBy(t *lqp.GroupBy, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
-	child, err := translateNode(t.Input, tbl, comp, opts, p)
+// sides resolves the side-resolved column references of an operator above
+// a plan spine: probe references against the driving table, build
+// references against the join below.
+type sides struct {
+	tbl  *column.Table
+	join *lqp.Join
+	// emptied is set when collapseEmptyJoin proved a side empty: the Join
+	// node — and with it the build table — is gone from the plan. No rows
+	// will ever reach the operator, so build references resolve to nil
+	// columns that are never read.
+	emptied bool
+}
+
+// sidesOf returns the resolver for an operator whose input is the spine n.
+func sidesOf(n lqp.Node, tbl *column.Table) sides {
+	s := sides{tbl: tbl, join: findJoin(n)}
+	for ; s.join == nil && n != nil; n = n.Child() {
+		if _, ok := n.(*lqp.EmptyResult); ok {
+			s.emptied = true
+		}
+	}
+	return s
+}
+
+func (s sides) col(ref lqp.ColRef) (sideCol, error) {
+	switch {
+	case !ref.Build:
+		c, err := s.tbl.Column(ref.Col)
+		return sideCol{col: c}, err
+	case s.join != nil:
+		c, err := s.join.BuildTable.Column(ref.Col)
+		return sideCol{col: c, build: true}, err
+	case s.emptied:
+		return sideCol{build: true}, nil
+	}
+	return sideCol{}, fmt.Errorf("pqp: build-side column %q with no join below", ref.Name)
+}
+
+// positionalInput translates n and checks that it emits position batches.
+func positionalInput(n lqp.Node, what string, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (positionStream, error) {
+	child, err := translateNode(n, tbl, comp, opts, p)
 	if err != nil {
 		return nil, err
 	}
 	src, ok := child.(positionStream)
 	if !ok {
-		return nil, fmt.Errorf("pqp: group by over non-positional input %T", child)
+		return nil, fmt.Errorf("pqp: %s over non-positional input %T", what, child)
 	}
-	jn := findJoin(t.Input)
-	// When collapseEmptyJoin proved a side empty the Join node — and with
-	// it the build table — is gone from the plan. No rows will ever reach
-	// the sink, so unresolvable columns stay nil and are never read.
-	emptied := jn == nil && hasEmptyResult(t.Input)
-	side := func(ref lqp.ColRef) (*column.Column, error) {
-		if ref.Build {
-			if jn == nil {
-				if emptied {
-					return nil, nil
-				}
-				return nil, fmt.Errorf("pqp: build-side column %q with no join below", ref.Name)
-			}
-			return jn.BuildTable.Column(ref.Col)
-		}
-		return tbl.Column(ref.Col)
+	return src, nil
+}
+
+// translateGroupBy lowers the aggregation sink, resolving key and
+// aggregate columns per side. With zero keys and only COUNT(*) items the
+// stream below runs count-only.
+func translateGroupBy(t *lqp.GroupBy, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
+	src, err := positionalInput(t.Input, "aggregate", tbl, comp, opts, p)
+	if err != nil {
+		return nil, err
 	}
-	op := &groupOp{input: src, batchRows: opts.batchRows()}
-	for _, k := range t.Keys {
-		col, err := side(k)
-		if err != nil {
+	s := sidesOf(t.Input, tbl)
+	op := &groupOp{
+		input: src, batchRows: opts.batchRows(),
+		keys: make([]sideCol, len(t.Keys)), keyNames: make([]string, len(t.Keys)),
+		items: make([]groupAgg, len(t.Items)), labels: make([]string, len(t.Items)),
+	}
+	for i, k := range t.Keys {
+		if op.keys[i], err = s.col(k); err != nil {
 			return nil, err
 		}
-		op.keys = append(op.keys, groupCol{col: col, build: k.Build})
-		op.keyNames = append(op.keyNames, k.Name)
+		op.keyNames[i] = k.Name
 	}
-	for _, it := range t.Items {
-		op.labels = append(op.labels, it.Label())
-		ga := groupAgg{kind: it.Kind}
-		if it.Kind != lqp.AggCount {
-			col, err := side(it.Col)
-			if err != nil {
-				return nil, err
-			}
-			ga.col = col
-			ga.bld = it.Col.Build
+	countOnly := len(t.Keys) == 0
+	for i, it := range t.Items {
+		op.labels[i] = it.Label()
+		op.items[i].kind = it.Kind
+		if it.Kind == lqp.AggCount {
+			continue
 		}
-		op.items = append(op.items, ga)
+		if op.items[i].sideCol, err = s.col(it.Col); err != nil {
+			return nil, err
+		}
+		countOnly = false
+	}
+	if countOnly {
+		// The stream below never needs position vectors, only exact
+		// per-batch counts.
+		src.setCountOnly(true)
 	}
 	return op, nil
 }
 
-// translateJoinProjection lowers a projection whose input carries join
-// pair batches: every output column is side-resolved.
-func translateJoinProjection(t *lqp.Projection, src positionStream, tbl *column.Table, jn *lqp.Join, opts Options) (Operator, error) {
-	op := &joinProjectOp{input: src, capRows: t.MaxRows, unbounded: opts.UnboundedRows}
-	add := func(c *column.Column, build bool, name string) {
-		op.cols = append(op.cols, projCol{col: c, build: build})
-		op.names = append(op.names, name)
+// translateProjection lowers a projection. Every output column is
+// side-resolved; SELECT * over a join takes all probe columns then all
+// build columns, qualified so same-named columns stay distinguishable.
+func translateProjection(t *lqp.Projection, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
+	src, err := positionalInput(t.Input, "projection", tbl, comp, opts, p)
+	if err != nil {
+		return nil, err
 	}
-	if t.Star {
-		// SELECT * over a join: all probe columns then all build columns,
-		// qualified so same-named columns stay distinguishable.
-		for _, c := range tbl.Columns() {
-			add(c, false, tbl.Name()+"."+c.Name())
+	s := sidesOf(t.Input, tbl)
+	op := &projectOp{input: src, names: t.Columns, capRows: t.MaxRows, unbounded: opts.UnboundedRows}
+	switch {
+	case t.Star && s.join == nil:
+		op.names = tbl.ColumnNames()
+		op.cols = make([]sideCol, len(op.names))
+		for i, c := range tbl.Columns() {
+			op.cols[i].col = c
 		}
-		for _, c := range jn.BuildTable.Columns() {
-			add(c, true, jn.BuildTable.Name()+"."+c.Name())
+	case t.Star:
+		qualified := func(side *column.Table, build bool) {
+			for _, c := range side.Columns() {
+				op.cols = append(op.cols, sideCol{col: c, build: build})
+				op.names = append(op.names, side.Name()+"."+c.Name())
+			}
 		}
-		return op, nil
+		qualified(tbl, false)
+		qualified(s.join.BuildTable, true)
+	case len(t.Refs) != len(t.Columns):
+		return nil, fmt.Errorf("pqp: projection lacks side-resolved column refs")
+	default:
+		op.cols = make([]sideCol, len(t.Refs))
+		for i, ref := range t.Refs {
+			if op.cols[i], err = s.col(ref); err != nil {
+				return nil, err
+			}
+		}
 	}
-	if len(t.Refs) != len(t.Columns) {
-		return nil, fmt.Errorf("pqp: projection over a join lacks side-resolved column refs")
-	}
-	for i, ref := range t.Refs {
-		var c *column.Column
-		var err error
-		if ref.Build {
-			c, err = jn.BuildTable.Column(ref.Col)
-		} else {
-			c, err = tbl.Column(ref.Col)
-		}
-		if err != nil {
-			return nil, err
-		}
-		add(c, ref.Build, t.Columns[i])
+	for _, c := range op.cols {
+		op.anyNullable = op.anyNullable || (c.col != nil && c.col.HasNulls())
 	}
 	return op, nil
 }

@@ -208,8 +208,8 @@ type VarzResponse struct {
 type ServerStats struct {
 	Requests        int64 `json:"requests"`
 	Errors          int64 `json:"errors"`
-	Overloaded      int64 `json:"overloaded"`       // 429s served
-	DeadlineRejects int64 `json:"deadline_rejects"` // 504 deadline_exhausted served
+	Overloaded      int64 `json:"overloaded"`        // 429s served
+	DeadlineRejects int64 `json:"deadline_rejects"`  // 504 deadline_exhausted served
 	SlowClientDrops int64 `json:"slow_client_drops"` // streams killed by write-deadline expiry
 	StreamedRows    int64 `json:"streamed_rows"`
 	ActiveRequests  int64 `json:"active_requests"`

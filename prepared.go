@@ -21,7 +21,6 @@ package fusedscan
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"strings"
 
 	"fusedscan/internal/govern"
@@ -171,18 +170,7 @@ type Prepared struct {
 // literals; literals are captured and re-bound on every execution.
 func (e *Engine) Prepare(sql string) (prep *Prepared, err error) {
 	stage := stageParse
-	defer func() {
-		if r := recover(); r != nil {
-			prep = nil
-			err = &QueryError{
-				Stage:    stage,
-				Query:    sql,
-				Err:      fmt.Errorf("panic: %v", r),
-				Panicked: true,
-				Stack:    string(debug.Stack()),
-			}
-		}
-	}()
+	defer recoverStage(&stage, sql, &prep, &err)
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -414,8 +402,11 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 		row := make([]string, len(qres.Aggregates))
 		for i, v := range qres.Aggregates {
 			row[i] = v.String()
+			if qres.AggNulls != nil && qres.AggNulls[i] {
+				row[i] = "NULL"
+			}
 			if strings.HasPrefix(qres.AggLabels[i], "sum(") && res.Sum == "" {
-				res.Sum = v.String()
+				res.Sum = row[i]
 			}
 		}
 		res.Rows = [][]string{row}
