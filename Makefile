@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-native bench-native-check bench-packed-check bench-index-check serve-check bench-serve bench-serve-check crash-check generate vuln clean
+.PHONY: check fmt build vet test race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-quick bench-native bench-native-check bench-packed-check bench-index-check serve-check bench-serve bench-serve-check crash-check generate vuln clean
 
-check: fmt build vet race soak fuzz-join fuzz-packed fuzz-index bench-smoke bench-native-check bench-packed-check bench-index-check serve-check bench-serve-check crash-check vuln
+check: fmt build vet race soak fuzz-join fuzz-packed fuzz-index bench-smoke bench-quick bench-native-check bench-packed-check bench-index-check serve-check bench-serve-check crash-check vuln
 
 # Fails when any tracked Go file is not gofmt-formatted (lists them).
 fmt:
@@ -83,6 +83,21 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/fusedscan-smoke | diff -u BENCH_SMOKE.json - \
 		|| (echo "bench-smoke: simulated metrics drifted from BENCH_SMOKE.json (see diff above)"; exit 1)
+
+# The repo benchmark (BENCHMARK.json) at 1 % size for one second per
+# workload, untraced and then traced, over all four workloads. Fails when a
+# run exits non-zero or any result line reports failed ops — a change that
+# breaks the benchmark's staged walker or its oracle shows here before a
+# full run. Output goes to the git-ignored benchmark/out.
+bench-quick:
+	@mkdir -p benchmark/out
+	@for mode in untraced traced; do \
+		flag=; [ $$mode = traced ] && flag=-trace; \
+		out=benchmark/out/quick-$$mode.txt; \
+		sh benchmark/run.sh -scale 0.01 -seconds 1 $$flag > $$out \
+			|| { cat $$out; echo "bench-quick: $$mode run exited non-zero"; exit 1; }; \
+		if grep '"failed":[1-9]' $$out; then echo "bench-quick: $$mode run reports failed ops (see $$out)"; exit 1; fi; \
+	done; echo "bench-quick: ok"
 
 # Wall-clock benchmarks of the native turbo path: Go micro-benchmarks for
 # the SWAR kernels plus the end-to-end native-vs-emulated comparison.

@@ -100,7 +100,10 @@ func crashCheckSite(exe, site string, cycles int, seed int64) error {
 			child.stop()
 			return fmt.Errorf("cycle %d: armed fault never fired", cycle)
 		}
-		code := child.waitExit()
+		code, err := child.waitExit()
+		if err != nil {
+			return fmt.Errorf("cycle %d: %w", cycle, err)
+		}
 		if code != faultinject.CrashExitCode {
 			return fmt.Errorf("cycle %d: child exited %d, want crash code %d", cycle, code, faultinject.CrashExitCode)
 		}
@@ -423,6 +426,7 @@ func spawnServer(exe, dir, fault string) (*childServer, error) {
 	}
 	cmd := exec.Command(exe, args...)
 	cmd.Stderr = os.Stderr
+	cmd.SysProcAttr = childProcAttr()
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
@@ -438,30 +442,45 @@ func spawnServer(exe, dir, fault string) (*childServer, error) {
 	return nil, fmt.Errorf("child server never published its port")
 }
 
-// waitExit reaps the child and returns its exit code.
-func (c *childServer) waitExit() int {
-	err := c.cmd.Wait()
+// childExitTimeout bounds every wait for a child to exit on its own.
+const childExitTimeout = 10 * time.Second
+
+// wait reaps the child, killing it first if it has not exited within
+// childExitTimeout; exited reports whether it exited on its own.
+func (c *childServer) wait() (exited bool, err error) {
+	done := make(chan error, 1)
+	go func() { done <- c.cmd.Wait() }()
+	select {
+	case err := <-done:
+		return true, err
+	case <-time.After(childExitTimeout):
+		c.cmd.Process.Kill()
+		return false, <-done
+	}
+}
+
+// waitExit reaps a child whose armed crash has fired and returns its exit
+// code. A child still running after childExitTimeout is killed and
+// reported as an error.
+func (c *childServer) waitExit() (int, error) {
+	exited, err := c.wait()
+	if !exited {
+		return -1, fmt.Errorf("child did not exit within %s of its armed crash; killed it", childExitTimeout)
+	}
 	if err == nil {
-		return 0
+		return 0, nil
 	}
 	if ee, ok := err.(*exec.ExitError); ok {
-		return ee.ExitCode()
+		return ee.ExitCode(), nil
 	}
-	return -1
+	return -1, nil
 }
 
 // stop shuts the child down gracefully (SIGTERM), escalating to SIGKILL
 // if it does not exit in time.
 func (c *childServer) stop() {
 	c.cmd.Process.Signal(syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() { c.cmd.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		c.cmd.Process.Kill()
-		<-done
-	}
+	c.wait()
 }
 
 // ---------------------------------------------------------------------------

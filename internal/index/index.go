@@ -20,6 +20,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fusedscan/internal/column"
@@ -258,8 +259,8 @@ func (ix *Index) Probe(op expr.CmpOp, v expr.Value) ([]uint32, error) {
 	copy(out, ix.pos[lo:hi])
 	// An equality probe lands inside one duplicate-key run, which is
 	// already position-ordered; range probes span runs and must re-sort.
-	if !sort.SliceIsSorted(out, func(i, j int) bool { return out[i] < out[j] }) {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if !slices.IsSorted(out) {
+		slices.Sort(out)
 	}
 	return out, nil
 }

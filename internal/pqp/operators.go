@@ -2,10 +2,10 @@ package pqp
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"fusedscan/internal/column"
@@ -32,6 +32,17 @@ const pollEvery = 1 << 13
 // query aborts mid-loop instead of running to completion.
 func pollCtx(ctx context.Context, i int) error {
 	if i&(pollEvery-1) != 0 {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// pollSpan is pollCtx over the n iterations starting at from: it returns
+// ctx.Err() if any of them is a multiple of pollEvery, so a loop that
+// handles rows a block at a time checks at the same rows a per-row loop
+// would.
+func pollSpan(ctx context.Context, from, n int) error {
+	if -from&(pollEvery-1) >= n {
 		return nil
 	}
 	return ctx.Err()
@@ -397,12 +408,18 @@ func (op *filterOp) Close() error {
 	return op.input.Close()
 }
 
-// Group memory-accounting estimates: one group holds its key values,
-// aggregate states and map overhead.
+// Group memory-accounting estimates: one group holds its key words, first
+// row, count and aggregate cells, plus its share of the slot array and of
+// slice growth slack.
 const (
 	bytesPerGroupBase = 96
 	bytesPerGroupCell = 48
 )
+
+// aggBlock is how many entries of a batch the aggregation sink resolves
+// and folds at a time. Its scratch (group ids, key and value words) stays
+// cache-resident, and its size, not the batch's, bounds that scratch.
+const aggBlock = 256
 
 // sideCol is one side-resolved column an operator reads per input row:
 // probe-side (or single-table) columns at Base+Sel[i], a hash join's build
@@ -429,91 +446,231 @@ func (c *sideCol) gather(cpu *mach.CPU, pos int) {
 	cpu.RandomRead(c.region, c.col.Addr(pos), c.col.Type().Size())
 }
 
+// load fills dst with the stored bits, zero-extended as Column.Raw returns
+// them, of this column at entries [lo, lo+len(dst)) of in. Plain columns
+// are read straight from their lanes, one loop per lane width.
+func (c *sideCol) load(in *Batch, lo int, dst []uint64) {
+	base, sel := int(in.Base), in.Sel[lo:lo+len(dst)]
+	if c.build {
+		base, sel = 0, in.BuildSel[lo:lo+len(dst)]
+	}
+	col := c.col
+	if col.IsPacked() {
+		for i, p := range sel {
+			dst[i] = col.Raw(base + int(p))
+		}
+		return
+	}
+	d := col.Data()
+	switch col.Type().Size() {
+	case 1:
+		for i, p := range sel {
+			dst[i] = uint64(d[base+int(p)])
+		}
+	case 2:
+		for i, p := range sel {
+			dst[i] = uint64(binary.LittleEndian.Uint16(d[2*(base+int(p)):]))
+		}
+	case 4:
+		for i, p := range sel {
+			dst[i] = uint64(binary.LittleEndian.Uint32(d[4*(base+int(p)):]))
+		}
+	default:
+		for i, p := range sel {
+			dst[i] = binary.LittleEndian.Uint64(d[8*(base+int(p)):])
+		}
+	}
+}
+
+// valueBits converts stored bits of type t, in place, to the expr.Value
+// Bits encoding: signed integers sign-extended to 64 bits, float32 widened
+// to float64. Other types already match it.
+func valueBits(t expr.Type, w []uint64) {
+	switch {
+	case t == expr.Float32:
+		for i, r := range w {
+			w[i] = math.Float64bits(float64(math.Float32frombits(uint32(r))))
+		}
+	case t.Signed() && t.Size() < 8:
+		sh := uint(64 - 8*t.Size())
+		for i, r := range w {
+			w[i] = uint64(int64(r<<sh) >> sh)
+		}
+	}
+}
+
 // groupAgg is one aggregate bound to its column (nil for COUNT(*)).
 type groupAgg struct {
 	kind lqp.AggKind
 	sideCol
 }
 
-// aggState folds one aggregate over one group.
-type aggState struct {
-	sumI   int64
-	sumF   float64
-	minMax expr.Value
-	valid  int64
+// aggCell is one aggregate's running state in one group. acc holds the
+// integer sum (two's complement, wrapping), the float sum's bits, or the
+// MIN/MAX value in expr.Value.Bits encoding; n counts the non-NULL values
+// folded.
+type aggCell struct {
+	acc uint64
+	n   int64
 }
 
-// fold accumulates one non-NULL value of type t into the state.
-func (st *aggState) fold(kind lqp.AggKind, t expr.Type, v expr.Value) {
-	st.valid++
-	switch kind {
-	case lqp.AggSum, lqp.AggAvg:
-		switch {
-		case t.Float():
-			st.sumF += v.Float()
-		case t.Signed():
-			st.sumI += v.Int()
-		default:
-			st.sumI += int64(v.Uint())
+// foldIntSum adds integer values (signed or unsigned: the same wrapping
+// addition on value bits) into each entry's group.
+func foldIntSum(cells []aggCell, gids []int32, vals []uint64) {
+	for i, v := range vals {
+		c := &cells[gids[i]]
+		c.acc += v
+		c.n++
+	}
+}
+
+// foldFloatSum adds float values into each entry's group, in entry order.
+func foldFloatSum(cells []aggCell, gids []int32, vals []uint64) {
+	for i, v := range vals {
+		c := &cells[gids[i]]
+		c.acc = math.Float64bits(math.Float64frombits(c.acc) + math.Float64frombits(v))
+		c.n++
+	}
+}
+
+// extremeMask is the XOR mask that turns MIN or MAX over integers of type
+// t into an unsigned "less than": flipping the sign bit orders signed
+// values as unsigned ones, and flipping every bit reverses the order.
+func extremeMask(t expr.Type, max bool) uint64 {
+	var m uint64
+	if t.Signed() {
+		m = 1 << 63
+	}
+	if max {
+		m = ^m
+	}
+	return m
+}
+
+// foldIntExtreme keeps each group's first value and replaces it by every
+// later value that orders strictly before it under mask (see extremeMask).
+func foldIntExtreme(cells []aggCell, gids []int32, vals []uint64, mask uint64) {
+	for i, v := range vals {
+		c := &cells[gids[i]]
+		if c.n == 0 || v^mask < c.acc^mask {
+			c.acc = v
 		}
-	case lqp.AggMin:
-		if st.valid == 1 || v.Compare(expr.Lt, st.minMax) {
-			st.minMax = v
+		c.n++
+	}
+}
+
+// foldFloatExtreme is foldIntExtreme for floats under expr.Value.Compare
+// semantics: a NaN never replaces and is never replaced, and -0 and +0
+// keep whichever came first.
+func foldFloatExtreme(cells []aggCell, gids []int32, vals []uint64, max bool) {
+	for i, v := range vals {
+		c := &cells[gids[i]]
+		x, cur := math.Float64frombits(v), math.Float64frombits(c.acc)
+		if c.n == 0 || (!max && x < cur) || (max && x > cur) {
+			c.acc = v
 		}
-	case lqp.AggMax:
-		if st.valid == 1 || v.Compare(expr.Gt, st.minMax) {
-			st.minMax = v
+		c.n++
+	}
+}
+
+// groupTable maps rows of key words — a fixed stride of uint64 per row —
+// to dense group ids with linear probing. Group g's words sit at
+// words[g*stride:(g+1)*stride]; a slot holds g+1, 0 marking it empty. The
+// slot array starts at groupTableMinSlots and doubles whenever it is half
+// full, so a new group costs no allocation of its own.
+type groupTable struct {
+	stride int
+	words  []uint64
+	slots  []int32
+	shift  uint // 64 - log2(len(slots))
+}
+
+const (
+	groupTableMinSlots = 16
+	// hashMul is 2^64/φ: multiply-shift (Fibonacci) hashing keeps the
+	// product's top bits.
+	hashMul = 0x9e3779b97f4a7c15
+)
+
+func newGroupTable(stride int) groupTable {
+	return groupTable{stride: stride, slots: make([]int32, groupTableMinSlots), shift: 64 - 4}
+}
+
+// groups returns how many groups the table holds.
+func (t *groupTable) groups() int { return len(t.words) / t.stride }
+
+func (t *groupTable) home(key []uint64) int {
+	var h uint64
+	for _, w := range key {
+		h = (h ^ w) * hashMul
+	}
+	return int(h >> t.shift)
+}
+
+// find returns key's group id, or -1 and the empty slot where insert must
+// place it.
+func (t *groupTable) find(key []uint64) (gid int32, slot int) {
+	mask := len(t.slots) - 1
+	if t.stride == 1 {
+		// The common single non-nullable key: compare words directly.
+		w := key[0]
+		for s := int(w * hashMul >> t.shift); ; s = (s + 1) & mask {
+			g := t.slots[s] - 1
+			if g < 0 || t.words[g] == w {
+				return g, s
+			}
+		}
+	}
+	for s := t.home(key); ; s = (s + 1) & mask {
+		g := t.slots[s] - 1
+		if g < 0 || slices.Equal(t.words[int(g)*t.stride:][:t.stride], key) {
+			return g, s
 		}
 	}
 }
 
-// finish renders the folded state into a result value. count is the
-// group's row count (the COUNT(*) value); t is the folded column's type
-// (ignored for COUNT(*)). null reports SUM, MIN, MAX or AVG over no
-// non-NULL input, which SQL defines as NULL; v is then the result type's
-// zero.
-func (st aggState) finish(kind lqp.AggKind, t expr.Type, count int64) (v expr.Value, null bool) {
-	empty := st.valid == 0
-	switch {
-	case kind == lqp.AggCount:
-		return expr.NewInt(expr.Int64, count), false
-	case kind == lqp.AggAvg:
-		total := st.sumF
-		if !t.Float() {
-			total = float64(st.sumI)
+// insert adds key as a new group at the slot find returned.
+func (t *groupTable) insert(key []uint64, slot int) int32 {
+	g := int32(t.groups())
+	t.words = append(t.words, key...)
+	t.slots[slot] = g + 1
+	if 2*(int(g)+1) >= len(t.slots) {
+		t.grow()
+	}
+	return g
+}
+
+func (t *groupTable) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	t.shift--
+	mask := len(t.slots) - 1
+	for g := range t.groups() {
+		s := t.home(t.words[g*t.stride:][:t.stride])
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
 		}
-		if !empty {
-			total /= float64(st.valid)
-		}
-		return expr.NewFloat(expr.Float64, total), empty
-	case kind == lqp.AggSum || empty:
-		if t.Float() {
-			return expr.NewFloat(expr.Float64, st.sumF), empty
-		}
-		return expr.NewInt(expr.Int64, st.sumI), empty
-	default: // MIN / MAX
-		return st.minMax, false
+		t.slots[s] = int32(g) + 1
 	}
 }
 
-// groupState is one group's accumulated fold.
-type groupState struct {
-	keyVals []expr.Value
-	keyNull []bool
-	states  []aggState
-	count   int64
-}
+// groupRow is a group's first input row: its probe-side position and, over
+// a join, its build-side one. The group's key values are rendered from it.
+type groupRow struct{ probe, build uint32 }
 
 // groupOp is the aggregation sink. It folds its whole input
-// batch-at-a-time, gathering each key and aggregate column with real
-// random reads, probe- or build-side, so it consumes join pair batches as
-// well as plain position streams. With keys it hashes every row's key
-// columns into a group and emits the groups as rows in ascending key order
-// (NULL keys last), so results are deterministic regardless of hash
-// iteration order. With zero keys it is the plain aggregate: one state
-// folded directly — no key encoding, map lookup or group charge — emitted
-// as a single final batch of aggregate values. NULL values are ignored,
-// per SQL; an aggregate over no non-NULL input is NULL.
+// batch-at-a-time, reading each key and aggregate column probe- or
+// build-side, so it consumes join pair batches as well as plain position
+// streams. Each block of aggBlock entries is first resolved to group ids —
+// every row's keys become a stride of uint64 words (scan.NormKeyBits per
+// key, plus NULL-flag words when a key column holds NULLs) looked up in the
+// groupTable — then each aggregate folds its column into flat per-group
+// cells with a loop specialised by the column's type class. With zero keys
+// every entry belongs to the one group: the plain aggregate, emitted as a
+// single final batch of aggregate values. With keys the groups are emitted
+// as rows in ascending key order (NULL keys last, ties in first-seen
+// order). NULL values are ignored, per SQL; an aggregate over no non-NULL
+// input is NULL. Under the machine model the sink charges one gathered
+// read per row for each key and each non-COUNT item, in row order.
 type groupOp struct {
 	input     positionStream
 	keys      []sideCol
@@ -524,23 +681,29 @@ type groupOp struct {
 
 	ctx     context.Context
 	cpu     *mach.CPU
-	single  groupState // the zero-key form's one group
-	groups  map[string]*groupState
-	ordered []*groupState
-	total   int
-	drained bool
-	cursor  int
-	rowIdx  int
-	stats   opStats
+	acct    *govern.Accountant
+	table   groupTable
+	first   []groupRow  // per group
+	counts  []int64     // rows per group
+	cells   [][]aggCell // per item, then per group; nil for COUNT(*) items
+	ordered []int32     // group ids in output order, once drained
+	// Per-block scratch: group ids, their NULL-dropped copy, key words
+	// (stride per entry) and one column's values.
+	gids, liveGids []int32
+	keyWords, vals []uint64
+	total          int
+	drained        bool
+	cursor         int
+	rowIdx         int
+	stats          opStats
 }
 
 func (op *groupOp) Describe() string { return lqp.FormatGroupBy(op.keyNames, op.labels) }
 
 func (op *groupOp) Stats() OperatorStats {
 	st := op.stats.snapshot(op.Describe())
-	st.Groups = int64(len(op.ordered))
-	if !op.drained {
-		st.Groups = int64(len(op.groups))
+	if len(op.keys) > 0 {
+		st.Groups = int64(len(op.counts))
 	}
 	return st
 }
@@ -563,7 +726,7 @@ func (op *groupOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	if err := op.input.Open(ctx, cpu); err != nil {
 		return err
 	}
-	op.ctx, op.cpu = ctx, cpu
+	op.ctx, op.cpu, op.acct = ctx, cpu, govern.AccountantFrom(ctx)
 	// One random region per gathered column: each key, then each
 	// non-COUNT item.
 	for i := range op.keys {
@@ -574,15 +737,33 @@ func (op *groupOp) Open(ctx context.Context, cpu *mach.CPU) error {
 			op.items[i].region = cpu.NewRandomRegion()
 		}
 	}
-	op.single, op.groups, op.ordered = groupState{}, nil, nil
+	op.first, op.counts, op.ordered = nil, nil, nil
+	op.cells = make([][]aggCell, len(op.items))
 	if len(op.keys) == 0 {
-		op.single.states = make([]aggState, len(op.items))
+		op.addGroup()
 	} else {
-		op.groups = make(map[string]*groupState)
+		stride := len(op.keys)
+		for _, kc := range op.keys {
+			if kc.col != nil && kc.col.HasNulls() {
+				stride += (len(op.keys) + 63) / 64
+				break
+			}
+		}
+		op.table = newGroupTable(stride)
 	}
 	op.total, op.cursor, op.rowIdx = 0, 0, 0
 	op.drained = false
 	return nil
+}
+
+// addGroup appends a zeroed count and aggregate cells for a new group.
+func (op *groupOp) addGroup() {
+	op.counts = append(op.counts, 0)
+	for i := range op.items {
+		if op.items[i].kind != lqp.AggCount {
+			op.cells[i] = append(op.cells[i], aggCell{})
+		}
+	}
 }
 
 func (op *groupOp) Next() (Batch, error) {
@@ -593,8 +774,7 @@ func (op *groupOp) Next() (Batch, error) {
 		}
 		op.drained = true
 		if len(op.keys) == 0 {
-			op.single.count = int64(op.total)
-			vals, nulls := op.finish(&op.single, make(Row, 0, len(op.items)), nil)
+			vals, nulls := op.finish(0, int64(op.total), make(Row, 0, len(op.items)), nil)
 			out := Batch{Count: op.total, Aggregates: vals, AggNulls: nulls}
 			op.stats.noteOut(out)
 			return out, nil
@@ -607,12 +787,29 @@ func (op *groupOp) Next() (Batch, error) {
 	begin := op.cursor
 	end := min(begin+op.batchRows, len(op.ordered))
 	op.cursor = end
-	out := Batch{Count: end - begin}
+	out := Batch{Count: end - begin, Rows: make([]Row, 0, end-begin), RowNulls: make([][]bool, 0, end-begin)}
+	// One backing array per batch for its cells and NULL flags; each row is
+	// capped to its own width.
 	width := len(op.keys) + len(op.items)
-	for _, g := range op.ordered[begin:end] {
-		row := append(make(Row, 0, width), g.keyVals...)
-		nulls := append(make([]bool, 0, width), g.keyNull...)
-		row, nulls = op.finish(g, row, nulls)
+	cells := make(Row, (end-begin)*width)
+	flags := make([]bool, (end-begin)*width)
+	for i, g := range op.ordered[begin:end] {
+		at := i * width
+		row, nulls := cells[at:at:at+width], flags[at:at:at+width]
+		for k := range op.keys {
+			kc := &op.keys[k]
+			pos := int(op.first[g].probe)
+			if kc.build {
+				pos = int(op.first[g].build)
+			}
+			if kc.col.Null(pos) {
+				// SQL groups all NULL keys together.
+				row, nulls = append(row, expr.Value{}), append(nulls, true)
+				continue
+			}
+			row, nulls = append(row, kc.col.Value(pos)), append(nulls, false)
+		}
+		row, nulls = op.finish(g, op.counts[g], row, nulls)
 		out.Rows = append(out.Rows, row)
 		out.RowNulls = append(out.RowNulls, nulls)
 	}
@@ -620,13 +817,10 @@ func (op *groupOp) Next() (Batch, error) {
 	return out, nil
 }
 
-// drain consumes the whole input, folding every row into its group. In
-// count-only mode (zero keys, every item COUNT(*)) batches carry no
-// positions and only the total moves.
+// drain consumes the whole input, folding every entry into its group,
+// block by block. In count-only mode (zero keys, every item COUNT(*))
+// batches carry no positions and only the total moves.
 func (op *groupOp) drain() error {
-	var keyBuf []byte
-	keyVals := make([]expr.Value, len(op.keys))
-	keyNull := make([]bool, len(op.keys))
 	for {
 		in, err := op.input.Next()
 		if err == EOS {
@@ -637,80 +831,156 @@ func (op *groupOp) drain() error {
 		}
 		op.stats.noteIn(in)
 		op.total += in.Count
-		for i := range in.Sel {
-			if err := pollCtx(op.ctx, op.rowIdx); err != nil {
-				return err
-			}
-			op.rowIdx++
-			g := &op.single
+		n := len(in.Sel)
+		if err := pollSpan(op.ctx, op.rowIdx, n); err != nil {
+			return err
+		}
+		op.rowIdx += n
+		if op.cpu != nil {
+			op.replayGathers(&in)
+		}
+		if n == 0 {
+			continue
+		}
+		if block := min(n, aggBlock); cap(op.gids) < block {
+			op.gids, op.liveGids = make([]int32, block), make([]int32, block)
+			op.keyWords, op.vals = make([]uint64, block*op.table.stride), make([]uint64, block)
+		}
+		for lo := 0; lo < n; lo += aggBlock {
+			gids := op.gids[:min(aggBlock, n-lo)]
 			if len(op.keys) > 0 {
-				keyBuf = keyBuf[:0]
-				for ki := range op.keys {
-					kc := &op.keys[ki]
-					pos := kc.pos(&in, i)
-					kc.gather(op.cpu, pos)
-					if kc.col.Null(pos) {
-						// SQL groups all NULL keys together.
-						keyVals[ki], keyNull[ki] = expr.Value{}, true
-						keyBuf = append(keyBuf, 1, 0, 0, 0, 0, 0, 0, 0, 0)
-						continue
-					}
-					keyVals[ki], keyNull[ki] = kc.col.Value(pos), false
-					k := scan.NormKeyBits(kc.col.Type(), kc.col.Raw(pos))
-					keyBuf = append(keyBuf, 0,
-						byte(k), byte(k>>8), byte(k>>16), byte(k>>24),
-						byte(k>>32), byte(k>>40), byte(k>>48), byte(k>>56))
-				}
-				if g, err = op.group(keyBuf, keyVals, keyNull); err != nil {
+				if err := op.resolve(&in, lo, gids); err != nil {
 					return err
 				}
-				g.count++
 			}
-			for ai := range op.items {
-				it := &op.items[ai]
-				if it.col == nil {
-					continue
-				}
-				pos := it.pos(&in, i)
-				it.gather(op.cpu, pos)
-				if it.col.Null(pos) {
-					continue
-				}
-				g.states[ai].fold(it.kind, it.col.Type(), it.col.Value(pos))
+			op.fold(&in, lo, gids)
+		}
+	}
+}
+
+// replayGathers charges the machine model for the sink's reads of in: per
+// entry, one gathered read for each key, then for each non-COUNT item.
+func (op *groupOp) replayGathers(in *Batch) {
+	for i := range in.Sel {
+		for k := range op.keys {
+			kc := &op.keys[k]
+			kc.gather(op.cpu, kc.pos(in, i))
+		}
+		for j := range op.items {
+			if it := &op.items[j]; it.col != nil {
+				it.gather(op.cpu, it.pos(in, i))
 			}
 		}
 	}
 }
 
-// group returns the state for an encoded key, creating and charging it on
-// first sight with copies of the row's key values.
-func (op *groupOp) group(key []byte, keyVals []expr.Value, keyNull []bool) (*groupState, error) {
-	if g, ok := op.groups[string(key)]; ok {
-		return g, nil
+// resolve sets gids to the group ids of entries [lo, lo+len(gids)) of in,
+// creating groups on first sight — each charged to the memory accountant
+// as it is created — and counting rows per group.
+func (op *groupOp) resolve(in *Batch, lo int, gids []int32) error {
+	n, stride, nk := len(gids), op.table.stride, len(op.keys)
+	words := op.keyWords[:n*stride]
+	if stride > nk {
+		for i := range n {
+			clear(words[i*stride+nk : (i+1)*stride])
+		}
 	}
-	// Group state is retained until the sink drains: charge as it accrues.
-	cost := int64(bytesPerGroupBase + (len(op.keys)+len(op.items))*bytesPerGroupCell)
-	if err := govern.Charge(op.ctx, cost); err != nil {
-		return nil, err
+	raw := op.vals[:n]
+	for k := range op.keys {
+		kc := &op.keys[k]
+		kc.load(in, lo, raw)
+		if t := kc.col.Type(); t.Float() {
+			for i, r := range raw {
+				raw[i] = scan.NormKeyBits(t, r)
+			}
+		}
+		if kc.col.HasNulls() {
+			flag, bit := nk+k/64, uint64(1)<<(k%64)
+			for i := range raw {
+				if kc.col.Null(kc.pos(in, lo+i)) {
+					raw[i] = 0
+					words[i*stride+flag] |= bit
+				}
+			}
+		}
+		for i, r := range raw {
+			words[i*stride+k] = r
+		}
 	}
-	g := &groupState{
-		keyVals: slices.Clone(keyVals),
-		keyNull: slices.Clone(keyNull),
-		states:  make([]aggState, len(op.items)),
+	cost := int64(bytesPerGroupBase + (nk+len(op.items))*bytesPerGroupCell)
+	for i := range gids {
+		key := words[i*stride : (i+1)*stride]
+		g, slot := op.table.find(key)
+		if g < 0 {
+			if err := op.acct.Charge(cost); err != nil {
+				return err
+			}
+			g = op.table.insert(key, slot)
+			first := groupRow{probe: in.Base + in.Sel[lo+i]}
+			if in.BuildSel != nil {
+				first.build = in.BuildSel[lo+i]
+			}
+			op.first = append(op.first, first)
+			op.addGroup()
+		}
+		gids[i] = g
+		op.counts[g]++
 	}
-	op.groups[string(key)] = g
-	return g, nil
+	return nil
 }
 
-// finish appends g's aggregate values to row and their NULL flags to
-// nulls. A nil nulls stays nil until the first NULL value.
-func (op *groupOp) finish(g *groupState, row Row, nulls []bool) (Row, []bool) {
-	for i, it := range op.items {
-		var t expr.Type
-		if it.col != nil {
-			t = it.col.Type()
+// fold folds entries [lo, lo+len(gids)) of in into their groups' cells,
+// one aggregate column at a time.
+func (op *groupOp) fold(in *Batch, lo int, gids []int32) {
+	for j := range op.items {
+		it := &op.items[j]
+		if it.col == nil {
+			continue
 		}
-		v, null := g.states[i].finish(it.kind, t, g.count)
+		vals, live := op.vals[:len(gids)], gids
+		it.load(in, lo, vals)
+		if it.col.HasNulls() {
+			live = op.liveGids[:0]
+			for i, v := range vals {
+				if !it.col.Null(it.pos(in, lo+i)) {
+					vals[len(live)] = v
+					live = append(live, gids[i])
+				}
+			}
+			vals = vals[:len(live)]
+		}
+		t := it.col.Type()
+		valueBits(t, vals)
+		cells := op.cells[j]
+		switch sum := it.kind == lqp.AggSum || it.kind == lqp.AggAvg; {
+		case sum && t.Float():
+			foldFloatSum(cells, live, vals)
+		case sum:
+			foldIntSum(cells, live, vals)
+		case t.Float():
+			foldFloatExtreme(cells, live, vals, it.kind == lqp.AggMax)
+		default:
+			foldIntExtreme(cells, live, vals, extremeMask(t, it.kind == lqp.AggMax))
+		}
+	}
+}
+
+// finish appends group g's aggregate values to row and their NULL flags to
+// nulls; count is the group's row count (the COUNT(*) value). A SUM, MIN,
+// MAX or AVG over no non-NULL input is NULL, which SQL defines, and its
+// value the result type's zero. A nil nulls stays nil until the first NULL.
+func (op *groupOp) finish(g int32, count int64, row Row, nulls []bool) (Row, []bool) {
+	for j, it := range op.items {
+		var v expr.Value
+		var null bool
+		switch {
+		case it.kind == lqp.AggCount:
+			v = expr.NewInt(expr.Int64, count)
+		case it.col == nil: // a join proved empty: nothing was folded
+			v, null = finishCell(it.kind, 0, op.cells[j][g])
+		default:
+			v, null = finishCell(it.kind, it.col.Type(), op.cells[j][g])
+		}
 		if null && nulls == nil {
 			nulls = make([]bool, len(row), cap(row))
 		}
@@ -722,44 +992,135 @@ func (op *groupOp) finish(g *groupState, row Row, nulls []bool) (Row, []bool) {
 	return row, nulls
 }
 
-// sortGroups orders the groups ascending by key values, NULL keys last —
-// the deterministic output order the regression suite relies on.
-func (op *groupOp) sortGroups() {
-	op.ordered = make([]*groupState, 0, len(op.groups))
-	for _, g := range op.groups {
-		op.ordered = append(op.ordered, g)
-	}
-	sort.SliceStable(op.ordered, func(a, b int) bool {
-		ga, gb := op.ordered[a], op.ordered[b]
-		for i := range op.keys {
-			switch {
-			case ga.keyNull[i] && gb.keyNull[i]:
-				continue
-			case ga.keyNull[i]:
-				return false
-			case gb.keyNull[i]:
-				return true
-			}
-			if ga.keyVals[i].Compare(expr.Lt, gb.keyVals[i]) {
-				return true
-			}
-			if ga.keyVals[i].Compare(expr.Gt, gb.keyVals[i]) {
-				return false
-			}
+// finishCell renders a SUM, MIN, MAX or AVG cell over values of type t.
+func finishCell(kind lqp.AggKind, t expr.Type, c aggCell) (v expr.Value, null bool) {
+	empty := c.n == 0
+	switch {
+	case kind == lqp.AggAvg:
+		total := float64(int64(c.acc))
+		if t.Float() {
+			total = math.Float64frombits(c.acc)
 		}
-		return false
-	})
-	if n := len(op.ordered); n > 1 {
+		if !empty {
+			total /= float64(c.n)
+		}
+		return expr.NewFloat(expr.Float64, total), empty
+	case kind == lqp.AggSum || empty:
+		if t.Float() {
+			return expr.NewFloat(expr.Float64, math.Float64frombits(c.acc)), empty
+		}
+		return expr.NewInt(expr.Int64, int64(c.acc)), empty
+	default: // MIN / MAX
+		return expr.Value{Type: t, Bits: c.acc}, false
+	}
+}
+
+// sortGroups orders the groups ascending by key, key by key: numbers by
+// value (-0 equal to +0), then NaN (above every number, as PostgreSQL
+// orders it), then NULL. Ties keep first-seen order, so the output is one
+// deterministic total order — the one the regression suite relies on.
+func (op *groupOp) sortGroups() {
+	n, nk, stride := len(op.counts), len(op.keys), op.table.stride
+	// Sort words per group, most significant first: per key, a NULL flag
+	// (when the keys hold NULLs) then its order word.
+	per := nk
+	if stride > nk {
+		per = 2 * nk
+	}
+	sw := make([]uint64, 0, n*per)
+	for g := range n {
+		key := op.table.words[g*stride:][:stride]
+		for k := range op.keys {
+			if stride > nk {
+				sw = append(sw, key[nk+k/64]>>(k%64)&1)
+			}
+			sw = append(sw, orderWord(op.keys[k].col.Type(), key[k]))
+		}
+	}
+	op.ordered = radixOrder(sw, per, n)
+	chargeSort(op.cpu, n)
+}
+
+// chargeSort charges the model for sorting n entries: ~n log2 n
+// comparisons at two instructions each.
+func chargeSort(cpu *mach.CPU, n int) {
+	if n > 1 {
 		logN := 0
 		for v := n; v > 1; v >>= 1 {
 			logN++
 		}
-		op.cpu.Scalar(2 * n * logN)
+		cpu.Scalar(2 * n * logN)
 	}
 }
 
+// radixOrder returns the ids 0..n-1 ordered by their rows of stride words
+// (most significant first), ties in id order. It is an LSD radix sort —
+// stable byte pass by byte pass — that skips the bytes every row shares.
+func radixOrder(words []uint64, stride, n int) []int32 {
+	ids, tmp := make([]int32, n), make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	for w := stride - 1; w >= 0 && n > 1; w-- {
+		for shift := 0; shift < 64; shift += 8 {
+			var at [256]int
+			for _, id := range ids {
+				at[byte(words[int(id)*stride+w]>>shift)]++
+			}
+			if at[byte(words[w]>>shift)] == n {
+				continue
+			}
+			sum := 0
+			for b, c := range at {
+				at[b] = sum
+				sum += c
+			}
+			for _, id := range ids {
+				b := byte(words[int(id)*stride+w] >> shift)
+				tmp[at[b]] = id
+				at[b]++
+			}
+			ids, tmp = tmp, ids
+		}
+	}
+	return ids
+}
+
+// orderWord maps a key word of type t (normalized stored bits) to a
+// uint64 whose unsigned order is the sink's key order: signed integers
+// with the sign bit flipped, floats by the IEEE total-order trick with -0
+// folded onto +0 and every NaN above +Inf.
+func orderWord(t expr.Type, w uint64) uint64 {
+	switch {
+	case t.Float():
+		f := math.Float64frombits(w)
+		if t == expr.Float32 {
+			f = float64(math.Float32frombits(uint32(w)))
+		}
+		switch {
+		case f != f:
+			return math.MaxUint64
+		case f == 0:
+			return 1 << 63
+		}
+		b := math.Float64bits(f)
+		if b>>63 != 0 {
+			return ^b
+		}
+		return b | 1<<63
+	case t.Signed():
+		sh := uint(64 - 8*t.Size())
+		return uint64(int64(w<<sh)>>sh) ^ 1<<63
+	default:
+		return w
+	}
+}
+
+// Close releases the group table, cells and scratch; counts and ordered
+// stay for Stats.
 func (op *groupOp) Close() error {
-	op.groups = nil
+	op.table, op.first, op.cells = groupTable{}, nil, nil
+	op.gids, op.liveGids, op.keyWords, op.vals = nil, nil, nil, nil
 	return op.input.Close()
 }
 
@@ -886,30 +1247,29 @@ func (op *sortOp) drain() error {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
+	slices.SortStableFunc(idx, func(i, j int) int {
 		// NULLs sort last, as in most engines' default.
 		switch {
 		case nulls[i] && nulls[j]:
-			return false
+			return 0
 		case nulls[i]:
-			return false
+			return 1
 		case nulls[j]:
-			return true
+			return -1
+		}
+		c := 0
+		switch {
+		case keys[i].Compare(expr.Lt, keys[j]):
+			c = -1
+		case keys[i].Compare(expr.Gt, keys[j]):
+			c = 1
 		}
 		if op.desc {
-			return keys[i].Compare(expr.Gt, keys[j])
+			return -c
 		}
-		return keys[i].Compare(expr.Lt, keys[j])
+		return c
 	})
-	// Charge ~n log2 n comparisons at two instructions each.
-	if n := len(idx); n > 1 {
-		logN := 0
-		for v := n; v > 1; v >>= 1 {
-			logN++
-		}
-		op.cpu.Scalar(2 * n * logN)
-	}
+	chargeSort(op.cpu, len(idx))
 	op.sorted = make([]uint32, len(idx))
 	for o, i := range idx {
 		op.sorted[o] = positions[i]
