@@ -10,8 +10,10 @@
 //
 // -selfcheck starts the server on an ephemeral port, runs the scripted
 // smoke client against it (ad-hoc queries, prepared hit/miss, overload
-// shedding, a streamed 1M-row result, plan-cache hit rate) and exits
-// non-zero on any failure; `make serve-check` wires this into `make check`.
+// shedding, a streamed 1M-row result digest-compared with the engine's own
+// stream, plan-cache hit rate) and exits non-zero on any failure, or when
+// it is not done within 3 minutes; `make serve-check` wires this into
+// `make check`.
 // -smoke URL runs the same client against an already-running server.
 //
 // -data DIR makes the engine durable: DDL (table create/drop, config
@@ -121,6 +123,13 @@ func main() {
 	crashCycles := flag.Int("crash-cycles", 3, "crash/recover cycles per fault site in -crashcheck")
 	flag.Parse()
 
+	if *selfcheck {
+		// A streaming bug that leaves a reader waiting for its trailer
+		// fails the check instead of leaving it running.
+		time.AfterFunc(selfcheckDeadline, func() {
+			fatal(fmt.Errorf("selfcheck: not done after %v", selfcheckDeadline))
+		})
+	}
 	if *smokeURL != "" {
 		if err := smoke(strings.TrimRight(*smokeURL, "/"), smokeOpts{}); err != nil {
 			fatal(err)
@@ -264,6 +273,10 @@ func hasTable(eng *fusedscan.Engine, name string) bool {
 // runSelfcheck serves on an ephemeral loopback port and drives the full
 // smoke script against it, including the overload-shedding leg (the
 // governance limit is tightened for that step and restored afterwards).
+// selfcheckDeadline bounds the whole -selfcheck run, demo-table
+// generation included.
+const selfcheckDeadline = 3 * time.Minute
+
 func runSelfcheck(eng *fusedscan.Engine, srv *server.Server) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -3,13 +3,18 @@ package main
 // The scripted smoke client behind -selfcheck and -smoke: a plain HTTP
 // client (no shared state with the server) that exercises every serving
 // feature end to end — health, ad-hoc queries, prepared hit/miss against
-// the plan cache, overload shedding, and a streamed 1M-row result.
+// the plan cache, overload shedding, and a streamed 1M-row result whose
+// rows must digest like the rows the engine streams for the same SQL.
 
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 	"net/http"
 	"reflect"
@@ -123,13 +128,15 @@ func smoke(base string, opts smokeOpts) error {
 
 	// 5. A streamed large result: every demo row leaves as ndjson batches
 	// on the native path; the trailer count must match the rows received.
-	// Selfcheck knows the demo table holds 1M rows; against a remote server
-	// only the framing and count agreement are checked.
+	// Selfcheck knows the demo table holds 1M rows and compares a digest of
+	// every streamed row against the rows the engine hands its own Stream
+	// callback; against a remote server only the framing and count
+	// agreement are checked.
 	var minRows int64 = 1
 	if opts.eng != nil {
 		minRows = 1_000_000
 	}
-	if err := smokeStream(client, base, minRows); err != nil {
+	if err := smokeStream(client, base, minRows, opts.eng); err != nil {
 		return err
 	}
 	return nil
@@ -185,12 +192,39 @@ func smoke429(client *http.Client, base string, eng *fusedscan.Engine) error {
 	return fmt.Errorf("overload: no 429 observed across %d rounds of %d concurrent queries", rounds, workers)
 }
 
+// rowDigest folds rows, in order, into one SHA-256; every cell is
+// length-prefixed so row and cell boundaries count.
+type rowDigest struct {
+	h    hash.Hash
+	rows int64
+}
+
+func newRowDigest() *rowDigest { return &rowDigest{h: sha256.New()} }
+
+func (d *rowDigest) add(rows [][]string) {
+	var n [8]byte
+	for _, row := range rows {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(row)))
+		d.h.Write(n[:])
+		for _, cell := range row {
+			binary.LittleEndian.PutUint64(n[:], uint64(len(cell)))
+			d.h.Write(n[:])
+			io.WriteString(d.h, cell)
+		}
+	}
+	d.rows += int64(len(rows))
+}
+
+func (d *rowDigest) sum() string { return fmt.Sprintf("%x", d.h.Sum(nil)) }
+
 // smokeStream requests every demo row as an ndjson stream and checks the
 // header/batches/trailer framing and the row count against the trailer.
-func smokeStream(client *http.Client, base string, minRows int64) error {
-	body, _ := json.Marshal(server.QueryRequest{
-		SQL: "SELECT d FROM demo WHERE d >= 0", Stream: true, Config: "native",
-	})
+// It decodes with plain encoding/json, independent of internal/client.
+// With eng set it also checks that the streamed rows digest exactly like
+// the rows eng hands its own Stream callback for the same SQL.
+func smokeStream(client *http.Client, base string, minRows int64, eng *fusedscan.Engine) error {
+	const sql = "SELECT d FROM demo WHERE d >= 0"
+	body, _ := json.Marshal(server.QueryRequest{SQL: sql, Stream: true, Config: "native"})
 	resp, err := client.Post(base+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("stream: %w", err)
@@ -202,7 +236,7 @@ func smokeStream(client *http.Client, base string, minRows int64) error {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 16<<20)
-	var rows int64
+	got := newRowDigest()
 	var sawHeader, sawTrailer bool
 	var trailer server.StreamTrailer
 	for sc.Scan() {
@@ -217,7 +251,7 @@ func smokeStream(client *http.Client, base string, minRows int64) error {
 		}
 		var batch server.StreamBatch
 		if err := json.Unmarshal(line, &batch); err == nil && batch.Rows != nil {
-			rows += int64(len(batch.Rows))
+			got.add(batch.Rows)
 			continue
 		}
 		if err := json.Unmarshal(line, &trailer); err != nil {
@@ -234,11 +268,28 @@ func smokeStream(client *http.Client, base string, minRows int64) error {
 	if !trailer.Done || trailer.Error != "" {
 		return fmt.Errorf("stream: trailer reports failure: %+v", trailer)
 	}
-	if trailer.Count != rows {
-		return fmt.Errorf("stream: received %d rows but trailer says %d", rows, trailer.Count)
+	if trailer.Count != got.rows {
+		return fmt.Errorf("stream: received %d rows but trailer says %d", got.rows, trailer.Count)
 	}
-	if rows < minRows {
-		return fmt.Errorf("stream: expected at least %d rows from the demo table, got %d", minRows, rows)
+	if got.rows < minRows {
+		return fmt.Errorf("stream: expected at least %d rows from the demo table, got %d", minRows, got.rows)
+	}
+	if eng == nil {
+		return nil
+	}
+	native := fusedscan.NativeConfig()
+	want := newRowDigest()
+	_, err = eng.QueryWith(context.Background(), sql, fusedscan.QueryOptions{Config: &native,
+		Stream: func(_ []string, rows [][]string) error {
+			want.add(rows)
+			return nil
+		}})
+	if err != nil {
+		return fmt.Errorf("stream: direct engine stream: %w", err)
+	}
+	if got.rows != want.rows || got.sum() != want.sum() {
+		return fmt.Errorf("stream: %d streamed rows digest to %s, the engine's own stream of %d rows to %s",
+			got.rows, got.sum(), want.rows, want.sum())
 	}
 	return nil
 }

@@ -174,6 +174,45 @@ func TestQueryJoinGroupByEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFloat32NegativeZeroKeys: float32 -0 and +0 are one join key — in the
+// hash table, in the Bloom prefilter inside the probe scan (probe WHERE)
+// and at the join (no probe WHERE) — and one group in the GROUP BY sink,
+// which renders the group's first-seen key.
+func TestFloat32NegativeZeroKeys(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	eng := NewEngine()
+	fb := eng.CreateTable("f")
+	fb.Float32("k", []float32{negZero, 0, 1, negZero, 2})
+	fb.Int32("u", []int32{1, 1, 1, 1, 1})
+	if err := fb.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	db := eng.CreateTable("d")
+	db.Float32("k", []float32{0, 3, negZero})
+	db.Int64("y", []int64{10, 20, 30})
+	if err := db.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	native := NativeConfig()
+	for _, tc := range []struct{ sql, want string }{
+		// Each of f's three zeros matches both of d's zeros.
+		{"SELECT COUNT(*), SUM(d.y) FROM f JOIN d ON f.k = d.k", "[[6 120]]"},
+		{"SELECT COUNT(*), SUM(d.y) FROM f JOIN d ON f.k = d.k WHERE f.u >= 1", "[[6 120]]"},
+		{"SELECT f.k, COUNT(*) FROM f JOIN d ON f.k = d.k GROUP BY f.k", "[[-0 6]]"},
+		{"SELECT k, COUNT(*) FROM f GROUP BY k", "[[-0 3] [1 1] [2 1]]"},
+	} {
+		for _, cfg := range []*Config{nil, &native} {
+			res, err := eng.QueryWith(context.Background(), tc.sql, QueryOptions{Config: cfg})
+			if err != nil {
+				t.Fatalf("%q: %v", tc.sql, err)
+			}
+			if got := fmt.Sprint(res.Rows); got != tc.want {
+				t.Errorf("%q (native=%v): rows = %s, want %s", tc.sql, cfg != nil, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestPrepareJoinStalePlanPurge drops and re-registers one side of a
 // prepared join and asserts the epoch purge: the cached join plan is
 // invalidated and the same Prepared handle replans against the new
@@ -303,7 +342,7 @@ func TestQueryJoinBuildMemoryBudget(t *testing.T) {
 // so the oracle's == comparison is type-agnostic; NaN keys compare
 // unequal to everything, matching SQL NULL/NaN join semantics.
 type fuzzJoinTables struct {
-	keyKind int // 0=int32 1=int64 2=float64 (NaN keys possible)
+	keyKind int // 0=int32 1=int64 2=float64 3=float32 (NaN and -0 keys possible)
 	fKey    []float64
 	fNull   []bool
 	fu      []int32
@@ -315,16 +354,20 @@ type fuzzJoinTables struct {
 }
 
 func genFuzzJoinTables(rng *rand.Rand, factRows, dimRows int) *fuzzJoinTables {
-	ft := &fuzzJoinTables{keyKind: rng.Intn(3)}
+	ft := &fuzzJoinTables{keyKind: rng.Intn(4)}
 	domain := rng.Intn(60) + 2 // small domain: duplicates and misses
 	genKey := func() (float64, bool) {
 		if rng.Intn(13) == 0 {
 			return 0, true // NULL key
 		}
-		if ft.keyKind == 2 && rng.Intn(11) == 0 {
+		if ft.keyKind >= 2 && rng.Intn(11) == 0 {
 			return math.NaN(), false // NaN key: never matches
 		}
-		return float64(rng.Intn(domain)), false
+		k := float64(rng.Intn(domain))
+		if ft.keyKind >= 2 && k == 0 && rng.Intn(2) == 0 {
+			k = math.Copysign(0, -1) // -0 equals +0
+		}
+		return k, false
 	}
 	for i := 0; i < factRows; i++ {
 		k, null := genKey()
@@ -359,8 +402,14 @@ func (ft *fuzzJoinTables) register(t *testing.T, eng *Engine) {
 				vals[i] = int64(k)
 			}
 			b.Int64("k", vals)
-		default:
+		case 2:
 			b.Float64("k", append([]float64(nil), keys...))
+		default:
+			vals := make([]float32, len(keys))
+			for i, k := range keys {
+				vals[i] = float32(k)
+			}
+			b.Float32("k", vals)
 		}
 		var nullRows []int
 		for i, n := range nulls {
@@ -488,7 +537,7 @@ func (q fuzzJoinQuery) oracle(ft *fuzzJoinTables) (count int64, rows [][]string)
 }
 
 // TestFuzzJoinGroupByDifferential is the join differential fuzzer: random
-// schemas (int32/int64/float64 keys incl. NaN), NULL join keys (never
+// schemas (int32/int64/float64/float32 keys incl. NaN and -0), NULL join keys (never
 // match), duplicate keys, random query shapes (residual ops, per-side
 // filters, grouped vs zero-key aggregates) and row counts spanning batch
 // boundaries, each run on BOTH the default and native configs and

@@ -12,6 +12,7 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -289,32 +290,45 @@ func (c *Client) streamOnce(ctx context.Context, req server.QueryRequest, delive
 		return res, decodeAPIError(resp)
 	}
 	c.breaker.Success()
-	dec := json.NewDecoder(resp.Body)
+	// Header and trailer decode with encoding/json; each row-batch line is
+	// scanned once by parseBatchLine.
+	lines := lineReader{r: bufio.NewReaderSize(resp.Body, 64<<10)}
+	line, err := lines.next()
+	if err != nil {
+		return res, fmt.Errorf("client: stream header: %w", err)
+	}
 	var hdr server.StreamHeader
-	if err := dec.Decode(&hdr); err != nil {
+	if err := json.Unmarshal(line, &hdr); err != nil {
 		return res, fmt.Errorf("client: stream header: %w", err)
 	}
 	res.Columns = hdr.Columns
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
+		line, err := lines.next()
+		if err != nil {
 			// The stream ended without a trailer: the server dropped the
 			// connection mid-flight (its write deadline, a crash). The rows
 			// delivered so far may be partial.
 			return res, fmt.Errorf("client: stream truncated without trailer: %w", err)
 		}
-		var batch server.StreamBatch
-		if json.Unmarshal(raw, &batch) == nil && batch.Rows != nil {
-			*delivered = true
-			if onBatch != nil {
-				if err := onBatch(batch.Rows); err != nil {
-					return res, err
-				}
+		if bytes.HasPrefix(line, batchPrefix) {
+			rows, err := parseBatchLine(line)
+			if err != nil {
+				return res, err
 			}
-			continue
+			if rows != nil {
+				*delivered = true
+				if onBatch != nil {
+					if err := onBatch(rows); err != nil {
+						return res, err
+					}
+				}
+				continue
+			}
+			// {"rows":null} is no batch; like any other line it must be the
+			// trailer.
 		}
 		var trailer server.StreamTrailer
-		if err := json.Unmarshal(raw, &trailer); err != nil {
+		if err := json.Unmarshal(line, &trailer); err != nil {
 			return res, fmt.Errorf("client: stream line: %w", err)
 		}
 		if trailer.Error != "" || !trailer.Done {
@@ -329,6 +343,157 @@ func (c *Client) streamOnce(ctx context.Context, req server.QueryRequest, delive
 		res.ElapsedMicros = trailer.ElapsedMicros
 		return res, nil
 	}
+}
+
+// lineReader yields an ndjson stream's lines, reusing one buffer.
+type lineReader struct {
+	r   *bufio.Reader
+	buf []byte
+}
+
+// next returns the next line without its newline, valid until the
+// following call. The server ends every line with a newline, so the
+// stream ending mid-line is io.ErrUnexpectedEOF; ending between lines is
+// io.EOF.
+func (l *lineReader) next() ([]byte, error) {
+	l.buf = l.buf[:0]
+	for {
+		chunk, err := l.r.ReadSlice('\n')
+		l.buf = append(l.buf, chunk...)
+		switch {
+		case err == nil:
+			return l.buf[:len(l.buf)-1], nil
+		case err == bufio.ErrBufferFull:
+			continue
+		case err == io.EOF && len(l.buf) > 0:
+			return nil, io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+}
+
+// batchPrefix starts every row-batch line (server.AppendBatchLine).
+var batchPrefix = []byte(`{"rows":`)
+
+// parseBatchLine decodes a row-batch line in the compact form the server
+// writes — {"rows":[[cell,...],...]}, with null for a nil row or rows — in
+// one pass, returning exactly what encoding/json decodes from it. Every
+// cell is a substring of one string copied from the line; a cell holding
+// an escape or a byte outside printable ASCII is decoded by encoding/json
+// on its own. The caller has checked that line starts with batchPrefix.
+func parseBatchLine(line []byte) ([][]string, error) {
+	text := string(line)
+	p := batchScanner{s: text, i: len(batchPrefix)}
+	if p.literal("null") {
+		if !p.byte('}') {
+			return nil, p.fail()
+		}
+		return nil, p.end()
+	}
+	if !p.byte('[') {
+		return nil, p.fail()
+	}
+	var cells []string
+	var ends []int // cells[ends[r-1]:ends[r]] is row r; -1 marks a nil row
+	for !p.byte(']') {
+		if len(ends) > 0 && !p.byte(',') {
+			return nil, p.fail()
+		}
+		if p.literal("null") {
+			ends = append(ends, -1)
+			continue
+		}
+		if !p.byte('[') {
+			return nil, p.fail()
+		}
+		for first := true; !p.byte(']'); first = false {
+			if !first && !p.byte(',') {
+				return nil, p.fail()
+			}
+			cell, err := p.str()
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, cell)
+		}
+		ends = append(ends, len(cells))
+	}
+	if !p.byte('}') {
+		return nil, p.fail()
+	}
+	if err := p.end(); err != nil {
+		return nil, err
+	}
+	rows, start := make([][]string, len(ends)), 0
+	for r, end := range ends {
+		if end >= 0 {
+			rows[r], start = cells[start:end:end], end
+		}
+	}
+	return rows, nil
+}
+
+// batchScanner walks one batch line.
+type batchScanner struct {
+	s string
+	i int
+}
+
+func (p *batchScanner) byte(c byte) bool {
+	if p.i < len(p.s) && p.s[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+func (p *batchScanner) literal(lit string) bool {
+	if strings.HasPrefix(p.s[p.i:], lit) {
+		p.i += len(lit)
+		return true
+	}
+	return false
+}
+
+// str scans one JSON string. A plain one is returned as a substring;
+// any other goes through json.Unmarshal.
+func (p *batchScanner) str() (string, error) {
+	if !p.byte('"') {
+		return "", p.fail()
+	}
+	start, plain := p.i, true
+	for ; p.i < len(p.s); p.i++ {
+		switch c := p.s[p.i]; {
+		case c == '"':
+			p.i++
+			if plain {
+				return p.s[start : p.i-1], nil
+			}
+			var out string
+			if err := json.Unmarshal([]byte(p.s[start-1:p.i]), &out); err != nil {
+				return "", fmt.Errorf("client: stream batch line: %w", err)
+			}
+			return out, nil
+		case c == '\\':
+			plain = false
+			p.i++ // the escaped byte cannot end the string
+		case c < 0x20 || c >= 0x80:
+			plain = false
+		}
+	}
+	return "", p.fail()
+}
+
+// end checks that the line is fully consumed.
+func (p *batchScanner) end() error {
+	if p.i != len(p.s) {
+		return p.fail()
+	}
+	return nil
+}
+
+func (p *batchScanner) fail() error {
+	return fmt.Errorf("client: stream batch line: malformed at byte %d", p.i)
 }
 
 // call runs one retried request/response exchange.

@@ -58,6 +58,12 @@ func (c *Column) Null(i int) bool {
 	return c.nulls[bit/64]&(1<<uint(bit%64)) == 0
 }
 
+// Validity returns the validity bitmap words and the bit index of row 0 in
+// them: row i is valid when words[(off+i)/64] has bit (off+i)%64 set. Nil
+// words means the column has no bitmap. Batch loops read the words
+// directly instead of calling Null per row.
+func (c *Column) Validity() (words []uint64, off int) { return c.nulls, c.nullOff }
+
 // NullCount returns the number of NULL rows.
 func (c *Column) NullCount() int {
 	if c.nulls == nil {

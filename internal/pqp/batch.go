@@ -24,9 +24,9 @@ const defaultBatchRows = 1 << 16
 // Batch is the unit of dataflow between pipelined operators: a window of a
 // table's rows plus the selection vector of qualifying positions inside
 // it. It doubles as the streaming form of QueryResult — operators above
-// the projection carry materialized rows, and the aggregate sink delivers
-// its fold in a final batch — so the driver can assemble the public result
-// by concatenation alone.
+// the projection carry materialized output as typed column vectors, and the
+// aggregate sink delivers its fold in a final batch — so the driver can
+// assemble the public result by concatenation alone.
 type Batch struct {
 	// Base is the table row id of the source chunk window's first row;
 	// the absolute position of Sel[i] is Base + Sel[i].
@@ -43,18 +43,50 @@ type Batch struct {
 	// columns at Base+Sel[i] and build columns at BuildSel[i].
 	BuildSel []uint32
 	// Count is the number of qualifying rows this batch represents. It can
-	// exceed len(Rows) when the projection's materialization cap clips
-	// output.
+	// exceed Rows() when the projection's materialization cap clips output.
 	Count int
-	// Rows and RowNulls carry materialized output rows (projection
-	// onward). RowNulls, when non-nil, has the same shape as Rows.
-	Rows     []Row
-	RowNulls [][]bool
+	// Cols carries materialized output (projection and grouped aggregation
+	// onward) column-major: one typed vector per output column, all of the
+	// same length. The producer may reuse the vectors' memory once its Next
+	// is called again, so a consumer that keeps rows copies them first.
+	Cols []Vec
 	// Aggregates is set on the single final batch a zero-key aggregation
 	// sink emits. AggNulls, when non-nil, marks the items that are NULL (an
 	// aggregate over no non-NULL input).
 	Aggregates []expr.Value
 	AggNulls   []bool
+}
+
+// Rows returns how many materialized rows the batch carries.
+func (b *Batch) Rows() int {
+	if len(b.Cols) == 0 {
+		return 0
+	}
+	return len(b.Cols[0].Bits)
+}
+
+// Vec is one typed output column of a batch. Bits[i] is row i's value in
+// expr.Value.Bits encoding; Nulls, set only when the column can hold NULLs,
+// marks the NULL rows (whose Bits are meaningless).
+type Vec struct {
+	Type  expr.Type
+	Bits  []uint64
+	Nulls []bool
+}
+
+// Value returns row i's value.
+func (v *Vec) Value(i int) expr.Value { return expr.Value{Type: v.Type, Bits: v.Bits[i]} }
+
+// Null reports whether row i is NULL.
+func (v *Vec) Null(i int) bool { return v.Nulls != nil && v.Nulls[i] }
+
+// truncate cuts the vector to its first n rows.
+func (v Vec) truncate(n int) Vec {
+	v.Bits = v.Bits[:n]
+	if v.Nulls != nil {
+		v.Nulls = v.Nulls[:n]
+	}
+	return v
 }
 
 // OperatorStats is a point-in-time snapshot of one operator's runtime

@@ -446,14 +446,20 @@ func (c *sideCol) gather(cpu *mach.CPU, pos int) {
 	cpu.RandomRead(c.region, c.col.Addr(pos), c.col.Type().Size())
 }
 
+// span returns the positions this column is read at for entries
+// [lo, lo+n) of in: base + sel[i].
+func (c *sideCol) span(in *Batch, lo, n int) (base int, sel []uint32) {
+	if c.build {
+		return 0, in.BuildSel[lo : lo+n]
+	}
+	return int(in.Base), in.Sel[lo : lo+n]
+}
+
 // load fills dst with the stored bits, zero-extended as Column.Raw returns
 // them, of this column at entries [lo, lo+len(dst)) of in. Plain columns
 // are read straight from their lanes, one loop per lane width.
 func (c *sideCol) load(in *Batch, lo int, dst []uint64) {
-	base, sel := int(in.Base), in.Sel[lo:lo+len(dst)]
-	if c.build {
-		base, sel = 0, in.BuildSel[lo:lo+len(dst)]
-	}
+	base, sel := c.span(in, lo, len(dst))
 	col := c.col
 	if col.IsPacked() {
 		for i, p := range sel {
@@ -479,6 +485,19 @@ func (c *sideCol) load(in *Batch, lo int, dst []uint64) {
 		for i, p := range sel {
 			dst[i] = binary.LittleEndian.Uint64(d[8*(base+int(p)):])
 		}
+	}
+}
+
+// loadNulls sets dst[i] when the column is NULL at entry lo+i of in,
+// reading the validity bitmap words directly. The column must have a
+// bitmap.
+func (c *sideCol) loadNulls(in *Batch, lo int, dst []bool) {
+	base, sel := c.span(in, lo, len(dst))
+	words, off := c.col.Validity()
+	off += base
+	for i, p := range sel {
+		bit := off + int(p)
+		dst[i] = words[bit>>6]&(1<<(bit&63)) == 0
 	}
 }
 
@@ -774,7 +793,18 @@ func (op *groupOp) Next() (Batch, error) {
 		}
 		op.drained = true
 		if len(op.keys) == 0 {
-			vals, nulls := op.finish(0, int64(op.total), make(Row, 0, len(op.items)), nil)
+			op.counts[0] = int64(op.total)
+			vals := make([]expr.Value, len(op.items))
+			var nulls []bool
+			for j := range op.items {
+				var null bool
+				if vals[j], null = op.finishItem(j, 0); null {
+					if nulls == nil {
+						nulls = make([]bool, len(op.items))
+					}
+					nulls[j] = true
+				}
+			}
 			out := Batch{Count: op.total, Aggregates: vals, AggNulls: nulls}
 			op.stats.noteOut(out)
 			return out, nil
@@ -787,31 +817,41 @@ func (op *groupOp) Next() (Batch, error) {
 	begin := op.cursor
 	end := min(begin+op.batchRows, len(op.ordered))
 	op.cursor = end
-	out := Batch{Count: end - begin, Rows: make([]Row, 0, end-begin), RowNulls: make([][]bool, 0, end-begin)}
-	// One backing array per batch for its cells and NULL flags; each row is
-	// capped to its own width.
-	width := len(op.keys) + len(op.items)
-	cells := make(Row, (end-begin)*width)
-	flags := make([]bool, (end-begin)*width)
-	for i, g := range op.ordered[begin:end] {
-		at := i * width
-		row, nulls := cells[at:at:at+width], flags[at:at:at+width]
-		for k := range op.keys {
-			kc := &op.keys[k]
-			pos := int(op.first[g].probe)
-			if kc.build {
-				pos = int(op.first[g].build)
-			}
-			if kc.col.Null(pos) {
-				// SQL groups all NULL keys together.
-				row, nulls = append(row, expr.Value{}), append(nulls, true)
-				continue
-			}
-			row, nulls = append(row, kc.col.Value(pos)), append(nulls, false)
+	ids := op.ordered[begin:end]
+	n, nk := len(ids), len(op.keys)
+	out := Batch{Count: n, Cols: make([]Vec, nk+len(op.items))}
+	bits := make([]uint64, n*len(out.Cols))
+	// Keys render from each group's first row, read like an input batch.
+	first := Batch{Sel: make([]uint32, n), BuildSel: make([]uint32, n)}
+	for i, g := range ids {
+		first.Sel[i], first.BuildSel[i] = op.first[g].probe, op.first[g].build
+	}
+	for k := range op.keys {
+		kc := &op.keys[k]
+		v := Vec{Type: kc.col.Type(), Bits: bits[k*n : (k+1)*n : (k+1)*n]}
+		kc.load(&first, 0, v.Bits)
+		valueBits(v.Type, v.Bits)
+		if kc.col.HasNulls() {
+			// SQL groups all NULL keys together.
+			v.Nulls = make([]bool, n)
+			kc.loadNulls(&first, 0, v.Nulls)
 		}
-		row, nulls = op.finish(g, op.counts[g], row, nulls)
-		out.Rows = append(out.Rows, row)
-		out.RowNulls = append(out.RowNulls, nulls)
+		out.Cols[k] = v
+	}
+	for j := range op.items {
+		c := nk + j
+		v := Vec{Type: op.itemType(j), Bits: bits[c*n : (c+1)*n : (c+1)*n]}
+		for i, g := range ids {
+			val, null := op.finishItem(j, g)
+			v.Bits[i] = val.Bits
+			if null {
+				if v.Nulls == nil {
+					v.Nulls = make([]bool, n)
+				}
+				v.Nulls[i] = true
+			}
+		}
+		out.Cols[c] = v
 	}
 	op.stats.noteOut(out)
 	return out, nil
@@ -965,31 +1005,37 @@ func (op *groupOp) fold(in *Batch, lo int, gids []int32) {
 	}
 }
 
-// finish appends group g's aggregate values to row and their NULL flags to
-// nulls; count is the group's row count (the COUNT(*) value). A SUM, MIN,
-// MAX or AVG over no non-NULL input is NULL, which SQL defines, and its
-// value the result type's zero. A nil nulls stays nil until the first NULL.
-func (op *groupOp) finish(g int32, count int64, row Row, nulls []bool) (Row, []bool) {
-	for j, it := range op.items {
-		var v expr.Value
-		var null bool
-		switch {
-		case it.kind == lqp.AggCount:
-			v = expr.NewInt(expr.Int64, count)
-		case it.col == nil: // a join proved empty: nothing was folded
-			v, null = finishCell(it.kind, 0, op.cells[j][g])
-		default:
-			v, null = finishCell(it.kind, it.col.Type(), op.cells[j][g])
-		}
-		if null && nulls == nil {
-			nulls = make([]bool, len(row), cap(row))
-		}
-		row = append(row, v)
-		if nulls != nil {
-			nulls = append(nulls, null)
-		}
+// finishItem returns aggregate j's value in group g and whether it is
+// NULL. COUNT(*) is the group's row count. A SUM, MIN, MAX or AVG over no
+// non-NULL input is NULL, which SQL defines, and its value the result
+// type's zero.
+func (op *groupOp) finishItem(j int, g int32) (expr.Value, bool) {
+	it := &op.items[j]
+	switch {
+	case it.kind == lqp.AggCount:
+		return expr.NewInt(expr.Int64, op.counts[g]), false
+	case it.col == nil: // a join proved empty: nothing was folded
+		return finishCell(it.kind, 0, op.cells[j][g])
 	}
-	return row, nulls
+	return finishCell(it.kind, it.col.Type(), op.cells[j][g])
+}
+
+// itemType is aggregate j's result type, the one finishItem gives its
+// non-NULL values: Float64 for every AVG and float SUM, Int64 for COUNT and
+// integer SUM, the column's own type for MIN/MAX.
+func (op *groupOp) itemType(j int) expr.Type {
+	it := &op.items[j]
+	switch {
+	case it.kind == lqp.AggAvg:
+		return expr.Float64
+	case it.kind == lqp.AggCount || it.col == nil:
+		return expr.Int64
+	case it.kind == lqp.AggSum && it.col.Type().Float():
+		return expr.Float64
+	case it.kind == lqp.AggSum:
+		return expr.Int64
+	}
+	return it.col.Type()
 }
 
 // finishCell renders a SUM, MIN, MAX or AVG cell over values of type t.
@@ -1319,9 +1365,15 @@ type projectOp struct {
 
 	ctx       context.Context
 	cpu       *mach.CPU
+	acct      *govern.Accountant
 	remaining int
 	rowIdx    int
-	stats     opStats
+	// Per-batch output, reused from batch to batch: the vectors, their bits
+	// and their NULL flags.
+	vecs  []Vec
+	bits  []uint64
+	nulls []bool
+	stats opStats
 }
 
 func (op *projectOp) Describe() string {
@@ -1347,10 +1399,11 @@ func (op *projectOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	if err := op.input.Open(ctx, cpu); err != nil {
 		return err
 	}
-	op.ctx, op.cpu = ctx, cpu
+	op.ctx, op.cpu, op.acct = ctx, cpu, govern.AccountantFrom(ctx)
 	for i := range op.cols {
 		op.cols[i].region = cpu.NewRandomRegion()
 	}
+	op.vecs = make([]Vec, len(op.cols))
 	op.remaining = op.capRows
 	if op.remaining <= 0 || (!op.unbounded && op.remaining > maxMaterializedRows) {
 		op.remaining = maxMaterializedRows
@@ -1370,42 +1423,56 @@ func (op *projectOp) Next() (Batch, error) {
 	}
 	op.stats.noteIn(in)
 	out := Batch{Base: in.Base, Count: in.Count}
+	n := min(len(in.Sel), max(op.remaining, 0))
 	rowBytes := int64(bytesPerRowBase + len(op.cols)*bytesPerRowCell)
-	for i := range in.Sel {
-		if op.remaining <= 0 {
-			break
-		}
+	for i := range n {
 		if err := pollCtx(op.ctx, op.rowIdx); err != nil {
 			return Batch{}, err
 		}
 		op.rowIdx++
 		// Projected rows are retained in the final result: charge without
 		// release.
-		if err := govern.Charge(op.ctx, rowBytes); err != nil {
+		if err := op.acct.Charge(rowBytes); err != nil {
 			return Batch{}, err
 		}
-		row := make(Row, len(op.cols))
-		var nullRow []bool
-		if op.anyNullable {
-			nullRow = make([]bool, len(op.cols))
-		}
-		for ci := range op.cols {
-			c := &op.cols[ci]
-			pos := c.pos(&in, i)
-			c.gather(op.cpu, pos)
-			row[ci] = c.col.Value(pos)
-			if op.anyNullable && c.col.Null(pos) {
-				nullRow[ci] = true
+		if op.cpu != nil {
+			for ci := range op.cols {
+				c := &op.cols[ci]
+				c.gather(op.cpu, c.pos(&in, i))
 			}
 		}
-		out.Rows = append(out.Rows, row)
-		if op.anyNullable {
-			out.RowNulls = append(out.RowNulls, nullRow)
-		}
-		op.remaining--
+	}
+	op.remaining -= n
+	if n > 0 {
+		out.Cols = op.fill(&in, n)
 	}
 	op.stats.noteOut(out)
 	return out, nil
+}
+
+// fill materializes the first n entries of in, one column at a time: the
+// values through the block loaders, the NULL flags from the validity
+// bitmap of the columns that have one.
+func (op *projectOp) fill(in *Batch, n int) []Vec {
+	w := len(op.cols)
+	if cap(op.bits) < n*w {
+		op.bits = make([]uint64, n*w)
+	}
+	if op.anyNullable && cap(op.nulls) < n*w {
+		op.nulls = make([]bool, n*w)
+	}
+	for ci := range op.cols {
+		c := &op.cols[ci]
+		v := Vec{Type: c.col.Type(), Bits: op.bits[ci*n : (ci+1)*n : (ci+1)*n]}
+		c.load(in, 0, v.Bits)
+		valueBits(v.Type, v.Bits)
+		if c.col.HasNulls() {
+			v.Nulls = op.nulls[ci*n : (ci+1)*n : (ci+1)*n]
+			c.loadNulls(in, 0, v.Nulls)
+		}
+		op.vecs[ci] = v
+	}
+	return op.vecs
 }
 
 func (op *projectOp) Close() error { return op.input.Close() }
@@ -1457,19 +1524,16 @@ func (op *limitOp) Next() (Batch, error) {
 	}
 	op.stats.noteIn(b)
 	if op.overRows {
-		take := op.n - op.emitted
-		if take < 0 {
-			take = 0
-		}
-		if len(b.Rows) > take {
-			b.Rows = b.Rows[:take]
-			if len(b.RowNulls) > take {
-				b.RowNulls = b.RowNulls[:take]
+		if take := max(op.n-op.emitted, 0); b.Rows() > take {
+			cols := make([]Vec, len(b.Cols))
+			for i, v := range b.Cols {
+				cols[i] = v.truncate(take)
 			}
+			b.Cols = cols
 		}
-		op.emitted += len(b.Rows)
+		op.emitted += b.Rows()
 		// Under a LIMIT the delivered count is the rows handed out.
-		b.Count = len(b.Rows)
+		b.Count = b.Rows()
 	}
 	op.stats.noteOut(b)
 	return b, nil

@@ -250,12 +250,12 @@ type BatchSink func(Batch) error
 // DriveTo is the thin driver at the top of the pipeline: it opens the root,
 // drains batches until EOS, concatenates them into a QueryResult and
 // closes the tree (which cancels any upstream work still outstanding).
-// When sink is non-nil, materialized rows are handed to the sink as each
-// batch arrives instead of being accumulated in the QueryResult — the
-// returned result then carries the exact Count, columns and aggregates but
-// no Rows, and peak memory stays O(one batch) no matter how large the
-// result set is. This is what the query service's chunked HTTP streaming
-// drives.
+// When sink is non-nil, every batch is handed to the sink as it arrives
+// instead of being accumulated in the QueryResult — the returned result
+// then carries the exact Count, columns and aggregates but no Rows, and
+// peak memory stays O(one batch) no matter how large the result set is.
+// The engine always drives with a sink; only a sink-less drive converts the
+// batches' column vectors into Rows.
 func DriveTo(ctx context.Context, root Operator, cpu *mach.CPU, sink BatchSink) (QueryResult, error) {
 	var qr QueryResult
 	if s, ok := root.(resultShaper); ok {
@@ -284,10 +284,48 @@ func DriveTo(ctx context.Context, root Operator, cpu *mach.CPU, sink BatchSink) 
 			}
 			continue
 		}
-		qr.Rows = append(qr.Rows, b.Rows...)
-		qr.RowNulls = append(qr.RowNulls, b.RowNulls...)
+		qr.appendRows(&b)
 	}
 	return qr, nil
+}
+
+// appendRows copies b's column vectors into Rows, one backing array per
+// batch. Once any column can hold NULLs, RowNulls covers every row.
+func (qr *QueryResult) appendRows(b *Batch) {
+	n, w := b.Rows(), len(b.Cols)
+	if n == 0 {
+		return
+	}
+	nullable := qr.RowNulls != nil
+	for i := range b.Cols {
+		nullable = nullable || b.Cols[i].Nulls != nil
+	}
+	if nullable && qr.RowNulls == nil {
+		// The first batch that can hold NULLs: earlier rows had none.
+		for range qr.Rows {
+			qr.RowNulls = append(qr.RowNulls, make([]bool, w))
+		}
+	}
+	cells := make(Row, n*w)
+	var flags []bool
+	if nullable {
+		flags = make([]bool, n*w)
+	}
+	for c := range b.Cols {
+		v := &b.Cols[c]
+		for i := range n {
+			cells[i*w+c] = v.Value(i)
+			if flags != nil {
+				flags[i*w+c] = v.Null(i)
+			}
+		}
+	}
+	for i := range n {
+		qr.Rows = append(qr.Rows, cells[i*w:(i+1)*w:(i+1)*w])
+		if flags != nil {
+			qr.RowNulls = append(qr.RowNulls, flags[i*w:(i+1)*w:(i+1)*w])
+		}
+	}
 }
 
 // Translate lowers an optimized logical plan into a physical plan,

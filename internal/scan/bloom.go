@@ -28,9 +28,9 @@ import (
 // stay byte-stable.
 type Bloom struct {
 	words []uint64
-	mask  uint64 // bit-index mask: len(words)*64 - 1
-	float bool   // normalize -0.0 before hashing
-	n     int    // keys added
+	mask  uint64    // bit-index mask: len(words)*64 - 1
+	typ   expr.Type // key type: float -0.0 is normalized before hashing
+	n     int       // keys added
 }
 
 // bloomBitsPerKey sizes the filter at ~10 bits per expected key (~1% false
@@ -47,7 +47,7 @@ func NewBloom(t expr.Type, n int) *Bloom {
 	return &Bloom{
 		words: make([]uint64, (w+63)/64),
 		mask:  uint64(w - 1),
-		float: t.Float(),
+		typ:   t,
 	}
 }
 
@@ -63,14 +63,7 @@ func (bl *Bloom) Keys() int { return bl.n }
 // equality matches SQL value equality. Integer bits pass through (they are
 // already sign-extended consistently by column.Raw).
 func (bl *Bloom) NormKey(raw uint64) uint64 {
-	return normKeyBits(raw, bl.float)
-}
-
-func normKeyBits(raw uint64, isFloat bool) uint64 {
-	if isFloat && math.Float64frombits(raw) == 0 {
-		return 0
-	}
-	return raw
+	return NormKeyBits(bl.typ, raw)
 }
 
 // NormKeyBits canonicalizes raw stored key bits for hash-join and grouping
@@ -78,8 +71,15 @@ func normKeyBits(raw uint64, isFloat bool) uint64 {
 // for float types (SQL '=' treats them as equal) and everything else passes
 // through. The hash join's build table, its Bloom filter and the probe
 // lookup must all use the same normalization or equal keys miss each other.
+// A float32 key's stored bits are its 32-bit pattern, so its zero test
+// widens them first.
 func NormKeyBits(t expr.Type, raw uint64) uint64 {
-	return normKeyBits(raw, t.Float())
+	switch {
+	case t == expr.Float32 && math.Float32frombits(uint32(raw)) == 0,
+		t == expr.Float64 && math.Float64frombits(raw) == 0:
+		return 0
+	}
+	return raw
 }
 
 // splitmix64 is the canonical 64-bit finalizer — deterministic and well

@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -210,6 +211,34 @@ func TestDifferentialBloomPrefilter(t *testing.T) {
 // original, so col-vs-col chains over the decoded copy produce identical
 // results on every kernel — the engine's dictionary path feeds the same
 // kernels after its unpack step.
+// TestBloomNegativeZero: -0 and +0 are one key for both float widths, in
+// NormKeyBits and in the filter; a float32 key's stored bits are its
+// 32-bit pattern.
+func TestBloomNegativeZero(t *testing.T) {
+	for _, tc := range []struct {
+		typ       expr.Type
+		pos, neg  uint64
+		nonZeroes []uint64
+	}{
+		{expr.Float32, 0, uint64(math.Float32bits(float32(math.Copysign(0, -1)))), []uint64{1, 0x80000001}},
+		{expr.Float64, 0, math.Float64bits(math.Copysign(0, -1)), []uint64{1, 0x80000000}},
+	} {
+		if got := NormKeyBits(tc.typ, tc.neg); got != tc.pos {
+			t.Errorf("%s: NormKeyBits(-0) = %#x, want %#x", tc.typ, got, tc.pos)
+		}
+		for _, raw := range tc.nonZeroes {
+			if got := NormKeyBits(tc.typ, raw); got != raw {
+				t.Errorf("%s: NormKeyBits(%#x) = %#x, want it unchanged", tc.typ, raw, got)
+			}
+		}
+		bl := NewBloom(tc.typ, 4)
+		bl.Add(tc.pos)
+		if !bl.Test(tc.neg) {
+			t.Errorf("%s: filter holding +0 rejects -0", tc.typ)
+		}
+	}
+}
+
 func TestColVsColOverDictionaryDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	types := expr.AllTypes()

@@ -571,13 +571,18 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, sess *Session,
 	// query through the engine, and its admission slot and memory budget
 	// come back — instead of being pinned for as long as the reader feels
 	// like sleeping. Batches are flushed as they are written, so per-
-	// connection buffering stays bounded at one batch.
+	// connection buffering stays bounded at one batch. Header and trailer
+	// go through json.Encoder; batch lines are built by hand into one
+	// buffer reused for the whole stream (AppendBatchLine).
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)
 	swt := s.opts.streamWriteTimeout()
 	enc := json.NewEncoder(w)
 	headerOut := false
 	var sinkErr error
+	var line []byte
+	// write sends one line under the write deadline and flushes it: a
+	// hand-built line as given, any other value through the encoder.
 	write := func(v any) error {
 		if swt > 0 {
 			dl := time.Now().Add(swt)
@@ -593,7 +598,13 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, sess *Session,
 				return derr
 			}
 		}
-		if err := enc.Encode(v); err != nil {
+		var err error
+		if b, ok := v.([]byte); ok {
+			_, err = w.Write(b)
+		} else {
+			err = enc.Encode(v)
+		}
+		if err != nil {
 			return err
 		}
 		if ferr := rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
@@ -609,7 +620,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, sess *Session,
 			}
 			headerOut = true
 		}
-		if err := write(StreamBatch{Rows: rows}); err != nil {
+		line = AppendBatchLine(line[:0], rows)
+		if err := write(line); err != nil {
 			sinkErr = err
 			return err
 		}

@@ -4,7 +4,11 @@
 // governance surfaced as structured HTTP errors (see DESIGN.md §11).
 package server
 
-import "fusedscan"
+import (
+	"encoding/json"
+
+	"fusedscan"
+)
 
 // Wire types for the HTTP/JSON protocol. Every request is a POST with a
 // JSON body (or a bare GET for /healthz, /varz and session inspection);
@@ -120,6 +124,50 @@ type StreamHeader struct {
 
 type StreamBatch struct {
 	Rows [][]string `json:"rows"`
+}
+
+// AppendBatchLine appends the ndjson line json.Encoder writes for
+// StreamBatch{Rows: rows}, byte for byte and newline included, without
+// reflection. A cell of printable ASCII that JSON's HTML-safe string form
+// leaves as is goes between quotes verbatim; any other cell (control bytes,
+// '"', '\', '<', '>', '&', any byte >= 0x80) is encoded by json.Marshal
+// on its own.
+func AppendBatchLine(dst []byte, rows [][]string) []byte {
+	if rows == nil {
+		return append(dst, `{"rows":null}`+"\n"...)
+	}
+	dst = append(dst, `{"rows":[`...)
+	for i, row := range rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if row == nil {
+			dst = append(dst, "null"...)
+			continue
+		}
+		dst = append(dst, '[')
+		for j, cell := range row {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, cell)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "]}\n"...)
+}
+
+// appendJSONString appends s as json.Marshal encodes a string.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 type StreamTrailer struct {
