@@ -177,7 +177,7 @@ func TestDifferentialBloomPrefilter(t *testing.T) {
 		}
 		ch := Chain{{Col: key, Bloom: bl}}
 		// Half the trials sandwich the prefilter behind a needle compare,
-		// exercising the refine (non-leading) kernel paths.
+		// exercising the non-leading (mask-AND) kernel paths.
 		if rng.Intn(2) == 0 {
 			other := randomColumn(rng, space, "w", typ, n)
 			ch = append(Chain{{Col: other, Op: ops[rng.Intn(len(ops))], Value: randomNeedle(rng, typ)}}, ch...)

@@ -3,46 +3,28 @@
 //
 // Run from internal/scan via `go generate ./internal/scan` (or directly:
 // `go run ./gen`). The output is checked in so builds never depend on the
-// generator running.
+// generator running; gen_test.go fails when it drifts from render().
 //
-// Two function families are generated, one pair per (type, comparator):
+// Three block-mask families are generated, each returning the match
+// bitmap of up to 64 rows (bit i = row base+i):
 //
-//   - nativeMask<T><Op>(data, base, cnt, needle): evaluate the predicate
-//     over rows [base, base+cnt) of a typed column slice and return the
-//     match bitmap (bit i = row base+i matches). cnt <= 64. The loop body
-//     sets bits branch-free (the compiler lowers the conditional to SETcc),
-//     and the 1-byte Eq/Ne kernels take a full-word SWAR fast path when
-//     cnt == 64, comparing eight lanes per 64-bit word via vec.EqByteMask.
+//   - nativeMask<T><Op>(data, base, cnt, needle): "column op literal" over
+//     a typed column slice, one function per (type, comparator);
+//   - nativeMaskCol<T><Op>(a, b, base, cnt): "a[i] op b[i]" over two
+//     row-aligned column slices;
+//   - packedEqW<w>/packedLtW<w>(words, cnt, pat): delta == pat and
+//     unsigned delta < pat over bit-packed frame-of-reference words
+//     (internal/column/packed.go) at lane width w, without decoding; pat
+//     is the delta broadcast into every lane, and Ne/Le/Gt/Ge derive from
+//     these at the call site (complement, pat+1).
 //
-//   - nativeRefine<T><Op>(data, base, m, needle): AND the predicate into an
-//     existing candidate bitmap, visiting only set bits via
-//     bits.TrailingZeros64 — the fused-chain "work only on survivors"
-//     structure from the paper, in scalar form.
-//
-// A third family evaluates bit-packed/frame-of-reference columns (storage
-// format v3, internal/column/packed.go) WITHOUT decoding: one pair of
-// primitives per lane width w in {1, 2, 4, 8, 16, 32, 64} —
-//
-//   - packedEqW<w>(words, cnt, pat): per-lane delta == pat over the first
-//     cnt lanes of packed words (64/w lanes per word), returning the dense
-//     match bitmap (bit i = lane i). pat is the needle's delta broadcast
-//     into every lane (multiply by packedLaneMul).
-//
-//   - packedLtW<w>(words, cnt, pat): per-lane unsigned delta < pat, the
-//     frame-of-reference order comparison (keys are order-space mapped, so
-//     unsigned delta comparison decides the typed comparison exactly).
-//
-// Eq uses the exact per-lane zero detection that vec.EqByteMask uses for
-// bytes, generalized to width w: for y = x^pat per lane,
-// ((y&M)+M)|y|M has its high bit clear iff y == 0 (M = low w-1 bits per
-// lane; the adds cannot carry across lanes). Lt is the Hacker's Delight
-// unsigned compare: with d = ((x&M)|H) - (pat&M) (self-contained per lane
-// because the minuend's high bit is set and the subtrahend's is clear),
-// lane x < pat iff (¬x_h ∧ p_h) ∨ ((x_h ≡ p_h) ∧ ¬d_h). The high-bit-per-
-// lane result is then compressed to a dense bitmap by a per-width
-// movemask (multiply gather for w=8, masked log-folds for w=2/4, direct
-// bit picks for w=16/32/64). Ne/Le/Gt/Ge derive from Eq/Lt at the call
-// site (complement under FirstN, pat+1).
+// All are branch-free. A full block (cnt == 64) reslices its input once
+// and then runs at constant offsets and bit positions: eight rows per step
+// turned into bits by b2u (eight 1-byte lanes per word via vec.EqByteMask
+// for 1-byte Eq/Ne), or whole packed words (see the packedMiss helpers in
+// the output for the per-lane SWAR compare). A tail block (cnt < 64) runs
+// a plain loop. The native kernel ANDs every predicate's full mask into
+// its chain mask (native.go); there is no per-survivor refine kernel.
 //
 // Comparison semantics are bit-identical to expr.CompareBits: needles
 // arrive as stored bits (column.StoredBits), loads reinterpret the column
@@ -60,46 +42,44 @@ import (
 	"strings"
 )
 
-// replaceD redirects a Load template (which reads from `d`) to another
-// slice variable, for the two-column kernels.
-func replaceD(tmpl, slice string) string {
-	return strings.ReplaceAll(tmpl, "d[", slice+"[")
-}
-
 type typeInfo struct {
-	Enum  string // expr.<Enum>
-	Name  string // function-name fragment
-	Size  int
-	Go    string // static Go type compared
-	Load  string // expression loading row %d (index expression inside)
-	Conv  string // expression converting the raw needle to Go
-	IsB   bool   // 1-byte type (SWAR fast path for Eq/Ne)
-	Float bool
+	Enum string // expr.<Enum>
+	Name string // function-name fragment
+	Size int
+	Load string // expression loading one row from %s: a byte (Size 1) or the slice starting at the row
+	Conv string // expression converting the raw needle to Go
+	IsB  bool   // 1-byte type (SWAR fast path for Eq/Ne)
 }
 
 var types = []typeInfo{
-	{Enum: "expr.Int8", Name: "Int8", Size: 1, Go: "int8",
-		Load: "int8(d[%s])", Conv: "int8(uint8(needle))", IsB: true},
-	{Enum: "expr.Int16", Name: "Int16", Size: 2, Go: "int16",
-		Load: "int16(binary.LittleEndian.Uint16(d[%s*2:]))", Conv: "int16(uint16(needle))"},
-	{Enum: "expr.Int32", Name: "Int32", Size: 4, Go: "int32",
-		Load: "int32(binary.LittleEndian.Uint32(d[%s*4:]))", Conv: "int32(uint32(needle))"},
-	{Enum: "expr.Int64", Name: "Int64", Size: 8, Go: "int64",
-		Load: "int64(binary.LittleEndian.Uint64(d[%s*8:]))", Conv: "int64(needle)"},
-	{Enum: "expr.Uint8", Name: "Uint8", Size: 1, Go: "uint8",
-		Load: "d[%s]", Conv: "uint8(needle)", IsB: true},
-	{Enum: "expr.Uint16", Name: "Uint16", Size: 2, Go: "uint16",
-		Load: "binary.LittleEndian.Uint16(d[%s*2:])", Conv: "uint16(needle)"},
-	{Enum: "expr.Uint32", Name: "Uint32", Size: 4, Go: "uint32",
-		Load: "binary.LittleEndian.Uint32(d[%s*4:])", Conv: "uint32(needle)"},
-	{Enum: "expr.Uint64", Name: "Uint64", Size: 8, Go: "uint64",
-		Load: "binary.LittleEndian.Uint64(d[%s*8:])", Conv: "needle"},
-	{Enum: "expr.Float32", Name: "Float32", Size: 4, Go: "float32",
-		Load: "math.Float32frombits(binary.LittleEndian.Uint32(d[%s*4:]))",
-		Conv: "math.Float32frombits(uint32(needle))", Float: true},
-	{Enum: "expr.Float64", Name: "Float64", Size: 8, Go: "float64",
-		Load: "math.Float64frombits(binary.LittleEndian.Uint64(d[%s*8:]))",
-		Conv: "math.Float64frombits(needle)", Float: true},
+	{Enum: "expr.Int8", Name: "Int8", Size: 1, Load: "int8(%s)", Conv: "int8(uint8(needle))", IsB: true},
+	{Enum: "expr.Int16", Name: "Int16", Size: 2, Load: "int16(binary.LittleEndian.Uint16(%s))", Conv: "int16(uint16(needle))"},
+	{Enum: "expr.Int32", Name: "Int32", Size: 4, Load: "int32(binary.LittleEndian.Uint32(%s))", Conv: "int32(uint32(needle))"},
+	{Enum: "expr.Int64", Name: "Int64", Size: 8, Load: "int64(binary.LittleEndian.Uint64(%s))", Conv: "int64(needle)"},
+	{Enum: "expr.Uint8", Name: "Uint8", Size: 1, Load: "%s", Conv: "uint8(needle)", IsB: true},
+	{Enum: "expr.Uint16", Name: "Uint16", Size: 2, Load: "binary.LittleEndian.Uint16(%s)", Conv: "uint16(needle)"},
+	{Enum: "expr.Uint32", Name: "Uint32", Size: 4, Load: "binary.LittleEndian.Uint32(%s)", Conv: "uint32(needle)"},
+	{Enum: "expr.Uint64", Name: "Uint64", Size: 8, Load: "binary.LittleEndian.Uint64(%s)", Conv: "needle"},
+	{Enum: "expr.Float32", Name: "Float32", Size: 4,
+		Load: "math.Float32frombits(binary.LittleEndian.Uint32(%s))", Conv: "math.Float32frombits(uint32(needle))"},
+	{Enum: "expr.Float64", Name: "Float64", Size: 8,
+		Load: "math.Float64frombits(binary.LittleEndian.Uint64(%s))", Conv: "math.Float64frombits(needle)"},
+}
+
+// load renders the load of the row at byte offset off of slice s.
+func (t typeInfo) load(s, off string) string {
+	if t.Size == 1 {
+		return fmt.Sprintf(t.Load, s+"["+off+"]")
+	}
+	return fmt.Sprintf(t.Load, s+"["+off+":]")
+}
+
+// scaled renders "x*Size", or x itself for 1-byte types.
+func (t typeInfo) scaled(x string) string {
+	if t.Size == 1 {
+		return x
+	}
+	return fmt.Sprintf("%s*%d", x, t.Size)
 }
 
 type opInfo struct {
@@ -138,7 +118,9 @@ func packedConsts(w int) (B, M, H uint64) {
 
 // packedExtract emits the lines compressing the high-bit-per-lane mask z
 // into a dense per-lane bitmap e for width w. Each fold halves the
-// stride, masking garbage copies between steps.
+// stride, masking garbage copies between steps; w=8 and w=16 gather with
+// one multiply (the partial products land on distinct bits, so nothing
+// carries into the gathered ones).
 func packedExtract(w int) []string {
 	switch w {
 	case 1:
@@ -163,7 +145,7 @@ func packedExtract(w int) []string {
 	case 8:
 		return []string{"e := ((z >> 7) * 0x0102040810204080) >> 56"}
 	case 16:
-		return []string{"e := ((z >> 15) & 1) | ((z >> 30) & 2) | ((z >> 45) & 4) | ((z >> 60) & 8)"}
+		return []string{"e := ((z >> 15) * 0x0001000200040008) >> 48"}
 	case 32:
 		return []string{"e := ((z >> 31) & 1) | ((z >> 62) & 2)"}
 	case 64:
@@ -172,16 +154,155 @@ func packedExtract(w int) []string {
 	panic("unreachable")
 }
 
-func main() {
-	var b bytes.Buffer
-	p := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
+// gen accumulates the generated source.
+type gen struct{ bytes.Buffer }
+
+func (g *gen) p(format string, args ...any) { fmt.Fprintf(&g.Buffer, format, args...) }
+
+// mask emits one block-mask kernel: nativeMask<T><Op> over a column and a
+// needle, or nativeMaskCol<T><Op> over two row-aligned columns.
+func (g *gen) mask(t typeInfo, o opInfo, col bool) {
+	name, params, slices := "nativeMask", "data []byte, base, cnt int, needle uint64", [][2]string{{"d", "data"}}
+	if col {
+		name, params, slices = "nativeMaskCol", "a, b []byte, base, cnt int", [][2]string{{"da", "a"}, {"db", "b"}}
+	}
+	// cmp renders the compare of the row at byte offset off of the slices
+	// named d (or da and db) with the prefix d replaced by pre.
+	cmp := func(pre, off string) string {
+		if col {
+			return fmt.Sprintf("%s %s %s", t.load(pre+"a", off), o.Sym, t.load(pre+"b", off))
+		}
+		return fmt.Sprintf("%s %s n", t.load(pre, off), o.Sym)
+	}
+
+	g.p("\nfunc %s%s%s(%s) uint64 {\n", name, t.Name, o.Name, params)
+	if !col {
+		g.p("\tn := %s\n", t.Conv)
+	}
+	g.p("\tvar m uint64\n")
+	g.p("\tif cnt == 64 {\n")
+	for _, s := range slices {
+		g.p("\t\t%s := %s[%s : %s+%d]\n", s[0], s[1], t.scaled("base"), t.scaled("base"), 64*t.Size)
+	}
+	if t.IsB && (o.Name == "Eq" || o.Name == "Ne") {
+		neg, pat := "", "pat"
+		if o.Name == "Ne" {
+			neg = "^"
+		}
+		if col {
+			pat = "binary.LittleEndian.Uint64(db[w:])"
+		} else {
+			g.p("\t\tpat := vec.BroadcastByte(byte(needle))\n")
+		}
+		g.p("\t\tfor w := 0; w < 64; w += 8 {\n")
+		g.p("\t\t\tm |= uint64(%svec.EqByteMask(binary.LittleEndian.Uint64(%s[w:]), %s)) << uint(w)\n", neg, slices[0][0], pat)
+	} else {
+		g.p("\t\tfor s := 0; s < 64; s += 8 {\n")
+		for _, s := range slices {
+			g.p("\t\t\tq%s := %s[%s : %s+%d : %s+%d]\n", s[0][1:], s[0], t.scaled("s"), t.scaled("s"), 8*t.Size, t.scaled("s"), 8*t.Size)
+		}
+		var terms []string
+		for j := 0; j < 8; j++ {
+			term := fmt.Sprintf("b2u(%s)", cmp("q", fmt.Sprint(j*t.Size)))
+			if j > 0 {
+				term += fmt.Sprintf("<<%d", j)
+			}
+			terms = append(terms, term)
+		}
+		g.p("\t\t\tm |= (%s |\n%s) << uint(s)\n", strings.Join(terms[:4], " | "), strings.Join(terms[4:], " | "))
+	}
+	g.p("\t\t}\n")
+	g.p("\t\treturn m\n")
+	g.p("\t}\n")
+	for _, s := range slices {
+		g.p("\t%s := %s[%s:]\n", s[0], s[1], t.scaled("base"))
+	}
+	g.p("\tfor i := 0; i < cnt; i++ {\n")
+	g.p("\t\tm |= b2u(%s) << uint(i)\n", cmp("d", t.scaled("i")))
+	g.p("\t}\n")
+	g.p("\treturn m\n")
+	g.p("}\n")
+}
+
+// packed emits the Eq/Lt block kernels for lane width w (lg = log2 w).
+// They load the lane masks from packedLaneMasks rather than using
+// constants, so the compiler keeps them in registers instead of
+// rematerialising a 64-bit immediate per use.
+func (g *gen) packed(lg, w int) {
+	L := 64 / w
+	// full emits the full-block loop with per-word miss helper zf.
+	full := func(zf, args string) {
+		if w == 16 {
+			// Unrolled: four words per packedGather16.
+			for k := 0; k < 16; k += 4 {
+				var zs []string
+				for i := k; i < k+4; i++ {
+					zs = append(zs, fmt.Sprintf("%s(ws[%d], %s)", zf, i, args))
+				}
+				shift := ""
+				if k > 0 {
+					shift = fmt.Sprintf(" << %d", 4*k)
+				}
+				g.p("\t\tm |= packedGather16(%s)%s\n", strings.Join(zs, ", "), shift)
+			}
+			return
+		}
+		g.p("\t\tfor k := 0; k < %d; k++ {\n", w)
+		g.p("\t\t\tz := %s(ws[k], %s)\n", zf, args)
+		for _, line := range packedExtract(w) {
+			g.p("\t\t\t%s\n", line)
+		}
+		g.p("\t\t\tm |= e << uint(k*%d)\n", L)
+		g.p("\t\t}\n")
+	}
+	for _, name := range []string{"Eq", "Lt"} {
+		zf, args := "packedMissEq", "pat, mm, hh"
+		g.p("\nfunc packed%sW%d(words []uint64, cnt int, pat uint64) uint64 {\n", name, w)
+		g.p("\tmm, hh := packedLaneMasks[%d][0], packedLaneMasks[%d][1]\n", lg, lg)
+		if name == "Lt" {
+			zf, args = "packedMissLt", "pm, np, hh"
+			g.p("\tpm, np := pat&mm, ^pat\n")
+		}
+		g.p("\tvar m uint64\n")
+		if w > 1 {
+			g.p("\tif cnt == 64 {\n")
+			g.p("\t\tws := words[:%d:%d]\n", w, w)
+			if name == "Eq" {
+				full(zf, args)
+			} else {
+				// pat's lanes share one high bit, which settles the
+				// majority: one loop per value.
+				g.p("\t\tif pat&hh == 0 {\n")
+				full("packedMissLtLow", "pm, hh")
+				g.p("\t\t} else {\n")
+				full("packedMissLtHigh", "pm, hh")
+				g.p("\t\t}\n")
+			}
+			g.p("\t\treturn ^m\n")
+			g.p("\t}\n")
+		}
+		g.p("\tfor k := 0; cnt > 0; k, cnt = k+1, cnt-%d {\n", L)
+		g.p("\t\tz := %s(words[k], %s)\n", zf, args)
+		for _, line := range packedExtract(w) {
+			g.p("\t\t%s\n", line)
+		}
+		g.p("\t\tm |= e << uint(k*%d)\n", L)
+		g.p("\t}\n")
+		g.p("\treturn ^m\n")
+		g.p("}\n")
+	}
+}
+
+// render returns the formatted source of native_kernels_gen.go.
+func render() ([]byte, error) {
+	var g gen
+	p := g.p
 
 	p("// Code generated by go run ./gen. DO NOT EDIT.\n\n")
 	p("package scan\n\n")
 	p("import (\n")
 	p("\t\"encoding/binary\"\n")
-	p("\t\"math\"\n")
-	p("\t\"math/bits\"\n\n")
+	p("\t\"math\"\n\n")
 	p("\t\"fusedscan/internal/expr\"\n")
 	p("\t\"fusedscan/internal/vec\"\n")
 	p(")\n\n")
@@ -189,26 +310,16 @@ func main() {
 	p("// [base, base+cnt) (cnt <= 64) of a column's raw bytes and returns the\n")
 	p("// match bitmap; needle holds the search value's stored bits.\n")
 	p("type nativeMaskFunc func(data []byte, base, cnt int, needle uint64) uint64\n\n")
-	p("// nativeRefineFunc ANDs one compare predicate into candidate bitmap m\n")
-	p("// over rows [base, base+64), touching only rows whose bit is set.\n")
-	p("type nativeRefineFunc func(data []byte, base int, m, needle uint64) uint64\n\n")
 	p("// nativeMaskColFunc is the column-vs-column counterpart of\n")
 	p("// nativeMaskFunc: it evaluates \"a[i] op b[i]\" over rows\n")
 	p("// [base, base+cnt) (cnt <= 64) of two row-aligned typed column byte\n")
 	p("// slices and returns the match bitmap — the residual-join-predicate\n")
 	p("// comparator family.\n")
 	p("type nativeMaskColFunc func(a, b []byte, base, cnt int) uint64\n\n")
-	p("// nativeRefineColFunc ANDs one column-vs-column compare into candidate\n")
-	p("// bitmap m over rows [base, base+64), touching only rows whose bit is\n")
-	p("// set.\n")
-	p("type nativeRefineColFunc func(a, b []byte, base int, m uint64) uint64\n\n")
 	p("var (\n")
-	p("\tnativeMaskFuncs      [expr.NumTypes][expr.NumCmpOps]nativeMaskFunc\n")
-	p("\tnativeRefineFuncs    [expr.NumTypes][expr.NumCmpOps]nativeRefineFunc\n")
-	p("\tnativeMaskColFuncs   [expr.NumTypes][expr.NumCmpOps]nativeMaskColFunc\n")
-	p("\tnativeRefineColFuncs [expr.NumTypes][expr.NumCmpOps]nativeRefineColFunc\n")
+	p("\tnativeMaskFuncs    [expr.NumTypes][expr.NumCmpOps]nativeMaskFunc\n")
+	p("\tnativeMaskColFuncs [expr.NumTypes][expr.NumCmpOps]nativeMaskColFunc\n")
 	p(")\n\n")
-
 	p("func init() {\n")
 	for _, t := range types {
 		for _, o := range ops {
@@ -217,137 +328,24 @@ func main() {
 	}
 	for _, t := range types {
 		for _, o := range ops {
-			p("\tnativeRefineFuncs[%s][%s] = nativeRefine%s%s\n", t.Enum, o.Enum, t.Name, o.Name)
-		}
-	}
-	for _, t := range types {
-		for _, o := range ops {
 			p("\tnativeMaskColFuncs[%s][%s] = nativeMaskCol%s%s\n", t.Enum, o.Enum, t.Name, o.Name)
 		}
 	}
-	for _, t := range types {
-		for _, o := range ops {
-			p("\tnativeRefineColFuncs[%s][%s] = nativeRefineCol%s%s\n", t.Enum, o.Enum, t.Name, o.Name)
-		}
-	}
+	p("}\n\n")
+	p("// b2u turns a comparison result into a 0/1 word; the compiler lowers it\n")
+	p("// to SETcc, so the block kernels carry no data-dependent branch.\n")
+	p("func b2u(b bool) uint64 {\n")
+	p("\tif b {\n")
+	p("\t\treturn 1\n")
+	p("\t}\n")
+	p("\treturn 0\n")
 	p("}\n")
 
-	for _, t := range types {
-		for _, o := range ops {
-			load := func(idx string) string { return fmt.Sprintf(t.Load, idx) }
-
-			// Mask kernel.
-			p("\nfunc nativeMask%s%s(data []byte, base, cnt int, needle uint64) uint64 {\n", t.Name, o.Name)
-			if t.Size == 1 {
-				p("\td := data[base:]\n")
-			} else {
-				p("\td := data[base*%d:]\n", t.Size)
+	for _, col := range []bool{false, true} {
+		for _, t := range types {
+			for _, o := range ops {
+				g.mask(t, o, col)
 			}
-			if t.IsB && (o.Name == "Eq" || o.Name == "Ne") {
-				p("\tif cnt == 64 {\n")
-				p("\t\tpat := vec.BroadcastByte(byte(needle))\n")
-				p("\t\tvar m uint64\n")
-				p("\t\tfor w := 0; w < 8; w++ {\n")
-				if o.Name == "Eq" {
-					p("\t\t\tm |= uint64(vec.EqByteMask(binary.LittleEndian.Uint64(d[w*8:]), pat)) << uint(w*8)\n")
-				} else {
-					p("\t\t\tm |= uint64(^vec.EqByteMask(binary.LittleEndian.Uint64(d[w*8:]), pat)) << uint(w*8)\n")
-				}
-				p("\t\t}\n")
-				p("\t\treturn m\n")
-				p("\t}\n")
-			}
-			p("\tn := %s\n", t.Conv)
-			p("\tvar m uint64\n")
-			p("\tfor i := 0; i < cnt; i++ {\n")
-			p("\t\tvar bit uint64\n")
-			p("\t\tif %s %s n {\n", load("i"), o.Sym)
-			p("\t\t\tbit = 1\n")
-			p("\t\t}\n")
-			p("\t\tm |= bit << uint(i)\n")
-			p("\t}\n")
-			p("\treturn m\n")
-			p("}\n")
-
-			// Refine kernel.
-			p("\nfunc nativeRefine%s%s(data []byte, base int, m, needle uint64) uint64 {\n", t.Name, o.Name)
-			if t.Size == 1 {
-				p("\td := data[base:]\n")
-			} else {
-				p("\td := data[base*%d:]\n", t.Size)
-			}
-			p("\tn := %s\n", t.Conv)
-			p("\tfor r := m; r != 0; r &= r - 1 {\n")
-			p("\t\ti := bits.TrailingZeros64(r)\n")
-			p("\t\tif !(%s %s n) {\n", load("i"), o.Sym)
-			p("\t\t\tm &^= 1 << uint(i)\n")
-			p("\t\t}\n")
-			p("\t}\n")
-			p("\treturn m\n")
-			p("}\n")
-		}
-	}
-
-	// Column-vs-column kernels: the same shapes with the needle replaced
-	// by a second row-aligned column slice.
-	for _, t := range types {
-		for _, o := range ops {
-			loadFrom := func(slice, idx string) string {
-				tmpl := t.Load
-				// The Load template reads from `d`; redirect it.
-				return fmt.Sprintf(replaceD(tmpl, slice), idx)
-			}
-
-			// Mask kernel.
-			p("\nfunc nativeMaskCol%s%s(a, b []byte, base, cnt int) uint64 {\n", t.Name, o.Name)
-			if t.Size == 1 {
-				p("\tda := a[base:]\n")
-				p("\tdb := b[base:]\n")
-			} else {
-				p("\tda := a[base*%d:]\n", t.Size)
-				p("\tdb := b[base*%d:]\n", t.Size)
-			}
-			if t.IsB && (o.Name == "Eq" || o.Name == "Ne") {
-				p("\tif cnt == 64 {\n")
-				p("\t\tvar m uint64\n")
-				p("\t\tfor w := 0; w < 8; w++ {\n")
-				if o.Name == "Eq" {
-					p("\t\t\tm |= uint64(vec.EqByteMask(binary.LittleEndian.Uint64(da[w*8:]), binary.LittleEndian.Uint64(db[w*8:]))) << uint(w*8)\n")
-				} else {
-					p("\t\t\tm |= uint64(^vec.EqByteMask(binary.LittleEndian.Uint64(da[w*8:]), binary.LittleEndian.Uint64(db[w*8:]))) << uint(w*8)\n")
-				}
-				p("\t\t}\n")
-				p("\t\treturn m\n")
-				p("\t}\n")
-			}
-			p("\tvar m uint64\n")
-			p("\tfor i := 0; i < cnt; i++ {\n")
-			p("\t\tvar bit uint64\n")
-			p("\t\tif %s %s %s {\n", loadFrom("da", "i"), o.Sym, loadFrom("db", "i"))
-			p("\t\t\tbit = 1\n")
-			p("\t\t}\n")
-			p("\t\tm |= bit << uint(i)\n")
-			p("\t}\n")
-			p("\treturn m\n")
-			p("}\n")
-
-			// Refine kernel.
-			p("\nfunc nativeRefineCol%s%s(a, b []byte, base int, m uint64) uint64 {\n", t.Name, o.Name)
-			if t.Size == 1 {
-				p("\tda := a[base:]\n")
-				p("\tdb := b[base:]\n")
-			} else {
-				p("\tda := a[base*%d:]\n", t.Size)
-				p("\tdb := b[base*%d:]\n", t.Size)
-			}
-			p("\tfor r := m; r != 0; r &= r - 1 {\n")
-			p("\t\ti := bits.TrailingZeros64(r)\n")
-			p("\t\tif !(%s %s %s) {\n", loadFrom("da", "i"), o.Sym, loadFrom("db", "i"))
-			p("\t\t\tm &^= 1 << uint(i)\n")
-			p("\t\t}\n")
-			p("\t}\n")
-			p("\treturn m\n")
-			p("}\n")
 		}
 	}
 
@@ -355,8 +353,9 @@ func main() {
 	// bit-packed delta words without decoding (see the package comment).
 	p("\n// packedMaskFunc evaluates one delta-space comparison over the first\n")
 	p("// cnt lanes (cnt <= 64) of packed words and returns the dense match\n")
-	p("// bitmap (bit i = lane i). pat is the comparison delta broadcast into\n")
-	p("// every lane (delta * packedLaneMul[log2 w]).\n")
+	p("// bitmap (bit i = lane i); bits past cnt are unspecified. pat is the\n")
+	p("// comparison delta broadcast into every lane (delta *\n")
+	p("// packedLaneMul[log2 w]).\n")
 	p("type packedMaskFunc func(words []uint64, cnt int, pat uint64) uint64\n\n")
 	p("// Dispatch tables indexed by log2 of the lane width (0..6).\n")
 	p("var (\n")
@@ -366,42 +365,66 @@ func main() {
 	p("// packedLaneMul broadcasts a delta into every lane of a word, indexed\n")
 	p("// by log2 of the lane width.\n")
 	p("var packedLaneMul = [7]uint64{\n")
-	for lg, w := 0, 1; w <= 64; lg, w = lg+1, w*2 {
+	for lg, w := range packedWidths {
 		B, _, _ := packedConsts(w)
 		p("\t%d: 0x%016x, // w=%d\n", lg, B, w)
 	}
 	p("}\n\n")
+	p("// packedLaneMasks holds, per log2 lane width, the low w-1 bits (M)\n")
+	p("// and the high bit (H) of every lane.\n")
+	p("var packedLaneMasks = [7][2]uint64{\n")
+	for lg, w := range packedWidths {
+		_, M, H := packedConsts(w)
+		p("\t%d: {0x%016x, 0x%016x}, // w=%d\n", lg, M, H, w)
+	}
+	p("}\n\n")
 	p("func init() {\n")
-	for lg, w := 0, 1; w <= 64; lg, w = lg+1, w*2 {
+	for lg, w := range packedWidths {
 		p("\tpackedEqFuncs[%d] = packedEqW%d\n", lg, w)
 		p("\tpackedLtFuncs[%d] = packedLtW%d\n", lg, w)
 	}
-	p("}\n")
-	for _, w := range packedWidths {
-		_, M, H := packedConsts(w)
-		L := 64 / w
-		emit := func(name, body string) {
-			p("\nfunc packed%sW%d(words []uint64, cnt int, pat uint64) uint64 {\n", name, w)
-			p("\tvar m uint64\n")
-			p("\tfor k := 0; cnt > 0; k, cnt = k+1, cnt-%d {\n", L)
-			p("%s", body)
-			for _, line := range packedExtract(w) {
-				p("\t\t%s\n", line)
-			}
-			p("\t\tm |= e << uint(k*%d)\n", L)
-			p("\t}\n")
-			p("\treturn m\n")
-			p("}\n")
-		}
-		eq := fmt.Sprintf("\t\ty := words[k] ^ pat\n\t\tz := ^(((y&0x%016x)+0x%016x)|y|0x%016x) & 0x%016x\n", M, M, M, H)
-		lt := fmt.Sprintf("\t\tx := words[k]\n\t\td := ((x & 0x%016x) | 0x%016x) - (pat & 0x%016x)\n\t\tz := ((^x & pat) | (^(x ^ pat) & ^d)) & 0x%016x\n", M, H, M, H)
-		emit("Eq", eq)
-		emit("Lt", lt)
+	p("}\n\n")
+	p("// The per-word miss helpers return the high bit of every lane of x set\n")
+	p("// iff the lane does NOT match (mm, hh: the lane masks); the kernels\n")
+	p("// gather the misses and complement once. Eq: y = x^pat is nonzero in a\n")
+	p("// lane iff ((y&M)+M)|y has its high bit set. Lt: for d = (x|H) -\n")
+	p("// (pat&M), d_h says the lane's low bits are >= pat's, and x >= pat iff\n")
+	p("// maj(x_h, ¬p_h, d_h): differing high bits decide alone, equal ones\n")
+	p("// defer to d_h. packedMissLt takes np = ¬pat; the Low/High forms fix\n")
+	p("// p_h, which all lanes of a broadcast pat share.\n")
+	p("func packedMissEq(x, pat, mm, hh uint64) uint64 {\n")
+	p("\ty := x ^ pat\n")
+	p("\treturn ((y&mm)+mm | y) & hh\n")
+	p("}\n\n")
+	p("func packedMissLt(x, pm, np, hh uint64) uint64 {\n")
+	p("\td := (x | hh) - pm\n")
+	p("\treturn (x&np | d&(x|np)) & hh\n")
+	p("}\n\n")
+	p("// packedGather16 packs the high lane bits of four 16-bit-lane words into 16\n")
+	p("// dense bits with one multiply: word i's lane j sits on bit 16j+4i of t,\n")
+	p("// and the partial products land on distinct bits, so nothing carries\n")
+	p("// into bit 48+4i+j.\n")
+	p("func packedGather16(z0, z1, z2, z3 uint64) uint64 {\n")
+	p("\tt := z0>>15 | z1>>11 | z2>>7 | z3>>3\n")
+	p("\treturn (t * 0x0001000200040008) >> 48\n")
+	p("}\n\n")
+	p("func packedMissLtLow(x, pm, hh uint64) uint64 { return (x | ((x | hh) - pm)) & hh }\n\n")
+	p("func packedMissLtHigh(x, pm, hh uint64) uint64 { return x & ((x | hh) - pm) & hh }\n")
+	for lg, w := range packedWidths {
+		g.packed(lg, w)
 	}
 
-	src, err := format.Source(b.Bytes())
+	src, err := format.Source(g.Bytes())
 	if err != nil {
-		log.Fatalf("gen: formatting generated source: %v", err)
+		return nil, fmt.Errorf("formatting generated source: %w", err)
+	}
+	return src, nil
+}
+
+func main() {
+	src, err := render()
+	if err != nil {
+		log.Fatalf("gen: %v", err)
 	}
 	if err := os.WriteFile("native_kernels_gen.go", src, 0o644); err != nil {
 		log.Fatalf("gen: %v", err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
 	"fusedscan/internal/faultinject"
 	"fusedscan/internal/mach"
@@ -16,27 +17,29 @@ import (
 // (native_kernels_gen.go) instead of the emulated AVX-512 interpreter.
 //
 // The structure mirrors the paper's fused kernel at 64-row block
-// granularity: the first compare predicate produces a match bitmap for the
-// whole block (branch-free, eight 1-byte lanes per word on the SWAR fast
-// path), later predicates refine only the surviving bits via
-// bits.TrailingZeros64, and positions are emitted from the final bitmap.
-// Counts and position lists are bit-identical to Fused/SISD/Reference —
-// enforced by the differential fuzzer in native_test.go.
+// granularity. NewNative specialises the chain once into a slice of block
+// steps, one per predicate, each with its column, needle, kernel and
+// validity AND bound in (for a packed column, the delta-space comparison is
+// resolved once per window). Run seeds each block's mask with the block's
+// rows and lets every step AND its whole branch-free 64-row mask in; the
+// chain stops at the first step that leaves the mask empty, so later
+// columns are read only for blocks where something survived. Positions are
+// emitted from the final mask. Counts and position lists are bit-identical
+// to Fused/SISD/Reference — enforced by the differential fuzzer in
+// native_test.go.
 //
 // Native does not touch the machine model: the cpu argument is accepted to
 // satisfy Kernel and ignored, so results carry no simulated PerfReport
 // (the Config.Simulate contract in the public API).
 type Native struct {
-	ch         Chain
-	needles    []uint64
-	masks      []nativeMaskFunc      // nil for NULL-test, Bloom and col-vs-col predicates
-	refines    []nativeRefineFunc    // nil for NULL-test, Bloom and col-vs-col predicates
-	colMasks   []nativeMaskColFunc   // set only for column-vs-column predicates
-	colRefines []nativeRefineColFunc // set only for column-vs-column predicates
-	packs      []*packedPred         // set only for compares over packed columns
-	scalars    []bool                // scalar fallback (col-vs-col touching a packed column)
-	sizeHint   int
+	ch       Chain
+	steps    []blockStep
+	sizeHint int
 }
+
+// blockStep ANDs one predicate into the chain mask m of the block of cnt
+// rows (cnt <= 64) starting at row b; m has no bits past cnt.
+type blockStep func(b, cnt int, m uint64) uint64
 
 // NewNative builds the native kernel for a validated chain. All ten types
 // and six comparators have generated kernels (in both the needle and the
@@ -45,52 +48,89 @@ func NewNative(ch Chain) (*Native, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err
 	}
-	k := &Native{
-		ch:         ch,
-		needles:    make([]uint64, len(ch)),
-		masks:      make([]nativeMaskFunc, len(ch)),
-		refines:    make([]nativeRefineFunc, len(ch)),
-		colMasks:   make([]nativeMaskColFunc, len(ch)),
-		colRefines: make([]nativeRefineColFunc, len(ch)),
-		packs:      make([]*packedPred, len(ch)),
-		scalars:    make([]bool, len(ch)),
-	}
-	for i, p := range ch {
-		if p.Kind != expr.PredCompare || p.IsBloom() {
-			continue
+	k := &Native{ch: ch, steps: make([]blockStep, 0, len(ch))}
+	for i := range ch {
+		s, err := nativeStep(&ch[i], ch.Rows())
+		if err != nil {
+			return nil, err
 		}
-		if p.IsColCol() {
-			if p.Col.IsPacked() || p.Col2.IsPacked() {
-				// Col-vs-col over packed storage: the SWAR col-col kernels
-				// read full-width lanes; decode-on-the-fly row-at-a-time.
-				k.scalars[i] = true
-				continue
-			}
-			cmf := nativeMaskColFuncs[p.Col.Type()][p.Op]
-			crf := nativeRefineColFuncs[p.Col.Type()][p.Op]
-			if cmf == nil || crf == nil {
-				return nil, fmt.Errorf("scan: no native col-vs-col kernel for %s %s", p.Col.Type(), p.Op)
-			}
-			k.colMasks[i] = cmf
-			k.colRefines[i] = crf
-			continue
+		if s != nil {
+			k.steps = append(k.steps, s)
 		}
-		if p.Col.IsPacked() {
-			// Compare over a packed column: delta-space SWAR over the
-			// packed words, no decode (packed.go).
-			k.packs[i] = newPackedPred(p)
-			continue
-		}
-		mf := nativeMaskFuncs[p.Col.Type()][p.Op]
-		rf := nativeRefineFuncs[p.Col.Type()][p.Op]
-		if mf == nil || rf == nil {
-			return nil, fmt.Errorf("scan: no native kernel for %s %s", p.Col.Type(), p.Op)
-		}
-		k.needles[i] = p.StoredBits()
-		k.masks[i] = mf
-		k.refines[i] = rf
 	}
 	return k, nil
+}
+
+// nativeStep lowers one predicate over a window of n rows to its block
+// step; nil means the predicate holds for every row of the window.
+func nativeStep(p *Pred, n int) (blockStep, error) {
+	switch {
+	case p.Kind != expr.PredCompare:
+		// NULL test: the block mask is the validity polarity.
+		return func(b, cnt int, m uint64) uint64 { return m & p.BlockMask(b, cnt) }, nil
+	case p.IsBloom():
+		// Bloom prefilter: probe the filter for the surviving rows, then
+		// mask out NULL keys.
+		return func(b, cnt int, m uint64) uint64 {
+			checks := int64(bits.OnesCount64(m))
+			for r := m; r != 0; r &= r - 1 {
+				i := bits.TrailingZeros64(r)
+				if !p.Bloom.Test(p.Col.Raw(b + i)) {
+					m &^= 1 << uint(i)
+				}
+			}
+			if p.Col.HasNulls() {
+				m &= p.Col.ValidMask(b, cnt)
+			}
+			if p.Stats != nil {
+				p.Stats.Checks.Add(checks)
+				p.Stats.Pass.Add(int64(bits.OnesCount64(m)))
+			}
+			return m
+		}, nil
+	case p.IsColCol() && (p.Col.IsPacked() || p.Col2.IsPacked()):
+		// Col-vs-col over packed storage: the SWAR col-col kernels read
+		// full-width lanes, so decode the surviving rows one at a time.
+		// Matches covers validity.
+		return func(b, cnt int, m uint64) uint64 {
+			for r := m; r != 0; r &= r - 1 {
+				if i := bits.TrailingZeros64(r); !p.Matches(b+i, 0) {
+					m &^= 1 << uint(i)
+				}
+			}
+			return m
+		}, nil
+	case p.IsColCol():
+		f := nativeMaskColFuncs[p.Col.Type()][p.Op]
+		if f == nil {
+			return nil, fmt.Errorf("scan: no native col-vs-col kernel for %s %s", p.Col.Type(), p.Op)
+		}
+		x, y := p.Col.Data(), p.Col2.Data()
+		s := func(b, cnt int, m uint64) uint64 { return m & f(x, y, b, cnt) }
+		return withValidity(withValidity(s, p.Col), p.Col2), nil
+	case p.Col.IsPacked():
+		// Compare over a packed column: delta-space SWAR over the packed
+		// words, no decode (packed.go).
+		return withValidity(newPackedPred(*p).step(n), p.Col), nil
+	}
+	f := nativeMaskFuncs[p.Col.Type()][p.Op]
+	if f == nil {
+		return nil, fmt.Errorf("scan: no native kernel for %s %s", p.Col.Type(), p.Op)
+	}
+	data, needle := p.Col.Data(), p.StoredBits()
+	return withValidity(func(b, cnt int, m uint64) uint64 { return m & f(data, b, cnt, needle) }, p.Col), nil
+}
+
+// withValidity ANDs col's validity into step s when col has NULLs; a nil
+// s (always true) becomes the validity AND alone.
+func withValidity(s blockStep, col *column.Column) blockStep {
+	switch {
+	case !col.HasNulls():
+		return s
+	case s == nil:
+		return func(b, cnt int, m uint64) uint64 { return m & col.ValidMask(b, cnt) }
+	}
+	return func(b, cnt int, m uint64) uint64 { return s(b, cnt, m) & col.ValidMask(b, cnt) }
 }
 
 // Name implements Kernel.
@@ -110,111 +150,10 @@ func (k *Native) Run(cpu *mach.CPU, wantPositions bool) Result {
 		res.Positions = make([]uint32, 0, k.sizeHint)
 	}
 	for b := 0; b < n; b += 64 {
-		cnt := n - b
-		if cnt > 64 {
-			cnt = 64
-		}
-		var m uint64
-		first := true
-		for j := range k.ch {
-			p := &k.ch[j]
-			switch {
-			case p.IsBloom():
-				// Bloom prefilter: probe the filter for candidate rows
-				// (all rows of the block when it leads the chain), then
-				// mask out NULL keys.
-				var checks int64
-				if first {
-					for i := 0; i < cnt; i++ {
-						if p.Bloom.Test(p.Col.Raw(b + i)) {
-							m |= 1 << uint(i)
-						}
-					}
-					checks = int64(cnt)
-					first = false
-				} else {
-					checks = int64(bits.OnesCount64(m))
-					for r := m; r != 0; r &= r - 1 {
-						i := bits.TrailingZeros64(r)
-						if !p.Bloom.Test(p.Col.Raw(b + i)) {
-							m &^= 1 << uint(i)
-						}
-					}
-				}
-				if p.Col.HasNulls() {
-					m &= p.Col.ValidMask(b, cnt)
-				}
-				if p.Stats != nil {
-					p.Stats.Checks.Add(checks)
-					p.Stats.Pass.Add(int64(bits.OnesCount64(m)))
-				}
-			case k.packs[j] != nil:
-				// Compare over a packed column, evaluated in delta space
-				// directly over the packed words.
-				bm := k.packs[j].blockMask(b, cnt)
-				if first {
-					m = bm
-					first = false
-				} else {
-					m &= bm
-				}
-				if p.Col.HasNulls() {
-					m &= p.Col.ValidMask(b, cnt)
-				}
-			case k.scalars[j]:
-				// Scalar fallback (col-vs-col with a packed side): Matches
-				// covers validity, so no separate NULL masking.
-				if first {
-					for i := 0; i < cnt; i++ {
-						if p.Matches(b+i, k.needles[j]) {
-							m |= 1 << uint(i)
-						}
-					}
-					first = false
-				} else {
-					for r := m; r != 0; r &= r - 1 {
-						i := bits.TrailingZeros64(r)
-						if !p.Matches(b+i, k.needles[j]) {
-							m &^= 1 << uint(i)
-						}
-					}
-				}
-			case k.colMasks[j] != nil:
-				// Column-vs-column compare over two row-aligned columns.
-				if first {
-					m = k.colMasks[j](p.Col.Data(), p.Col2.Data(), b, cnt)
-					first = false
-				} else {
-					m = k.colRefines[j](p.Col.Data(), p.Col2.Data(), b, m)
-				}
-				if p.Col.HasNulls() {
-					m &= p.Col.ValidMask(b, cnt)
-				}
-				if p.Col2.HasNulls() {
-					m &= p.Col2.ValidMask(b, cnt)
-				}
-			case k.masks[j] == nil:
-				// NULL test: the block mask is the validity polarity.
-				bm := p.BlockMask(b, cnt)
-				if first {
-					m = bm
-					first = false
-				} else {
-					m &= bm
-				}
-			case first:
-				m = k.masks[j](p.Col.Data(), b, cnt, k.needles[j])
-				if p.Col.HasNulls() {
-					m &= p.Col.ValidMask(b, cnt)
-				}
-				first = false
-			default:
-				m = k.refines[j](p.Col.Data(), b, m, k.needles[j])
-				if p.Col.HasNulls() {
-					m &= p.Col.ValidMask(b, cnt)
-				}
-			}
-			if m == 0 {
+		cnt := min(n-b, 64)
+		m := firstN(cnt)
+		for _, s := range k.steps {
+			if m = s(b, cnt, m); m == 0 {
 				break
 			}
 		}

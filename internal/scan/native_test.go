@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -16,7 +17,11 @@ import (
 // kernel and the pruned chunked driver, comparing bit-for-bit against the
 // scalar reference. Same recipe as the main differential sweep: all ten
 // types, all six comparators, NULL-carrying columns, NULL-test
-// predicates, and sizes that straddle the 64-row block boundary.
+// predicates, and sizes that straddle the 64-row block boundary. Half the
+// needles are values the column holds, so later predicates AND into
+// dense, sparse and empty masks alike; a third of the trials append a
+// column-vs-column and a Bloom predicate behind a dense first predicate,
+// over float columns salted with ±0 and NaN.
 func TestDifferentialNative(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	trials := 150
@@ -39,10 +44,18 @@ func TestDifferentialNative(t *testing.T) {
 		}
 		k := 1 + rng.Intn(4)
 		space := mach.NewAddrSpace()
-		var ch Chain
-		for j := 0; j < k; j++ {
-			typ := types[rng.Intn(len(types))]
-			col := randomColumn(rng, space, fmt.Sprintf("c%d", j), typ, n)
+		newCol := func(name string, typ expr.Type) *column.Column {
+			col := randomColumn(rng, space, name, typ, n)
+			if typ.Float() {
+				for i := 0; i < n; i++ {
+					switch rng.Intn(8) {
+					case 0:
+						col.Set(i, expr.NewFloat(typ, math.Copysign(0, -1)))
+					case 1:
+						col.Set(i, expr.NewFloat(typ, 0))
+					}
+				}
+			}
 			if rng.Intn(3) == 0 {
 				for i := 0; i < n; i++ {
 					if rng.Intn(10) == 0 {
@@ -50,6 +63,33 @@ func TestDifferentialNative(t *testing.T) {
 					}
 				}
 			}
+			return col
+		}
+		var ch Chain
+		joinForms := trial >= len(boundary) && rng.Intn(3) == 0
+		if joinForms {
+			// A dense first predicate (Ne a value the column likely
+			// holds), so the join forms see masks with most bits set.
+			typ := types[rng.Intn(len(types))]
+			if rng.Intn(2) == 0 {
+				typ = []expr.Type{expr.Float32, expr.Float64}[rng.Intn(2)]
+			}
+			first := newCol("f", typ)
+			ch = append(ch, Pred{Col: first, Op: expr.Ne, Value: nativeNeedle(rng, first)})
+			a, b, key := newCol("x", typ), newCol("y", typ), newCol("k", typ)
+			bl := NewBloom(typ, n/2+1)
+			for i := 0; i < n; i++ {
+				if rng.Intn(2) == 0 && !b.Null(i) {
+					bl.Add(b.Raw(i))
+				}
+			}
+			forms := []Pred{{Col: a, Col2: b, Op: ops[rng.Intn(len(ops))]}, {Col: key, Bloom: bl}}
+			rng.Shuffle(len(forms), func(i, j int) { forms[i], forms[j] = forms[j], forms[i] })
+			ch = append(ch, forms...)
+			k = rng.Intn(2)
+		}
+		for j := 0; j < k; j++ {
+			col := newCol(fmt.Sprintf("c%d", j), types[rng.Intn(len(types))])
 			switch rng.Intn(6) {
 			case 0:
 				kind := expr.PredIsNull
@@ -61,7 +101,7 @@ func TestDifferentialNative(t *testing.T) {
 				ch = append(ch, Pred{
 					Col:   col,
 					Op:    ops[rng.Intn(len(ops))],
-					Value: randomNeedle(rng, typ),
+					Value: nativeNeedle(rng, col),
 				})
 			}
 		}
@@ -69,11 +109,7 @@ func TestDifferentialNative(t *testing.T) {
 		desc := func() string {
 			s := fmt.Sprintf("trial %d n=%d:", trial, n)
 			for _, p := range ch {
-				if p.Kind != expr.PredCompare {
-					s += fmt.Sprintf(" [%s null-test]", p.Col.Type())
-					continue
-				}
-				s += fmt.Sprintf(" [%s %s %s]", p.Col.Type(), p.Op, p.Value)
+				s += fmt.Sprintf(" [%s %s]", p.Col.Type(), p)
 			}
 			return s
 		}
@@ -102,6 +138,19 @@ func TestDifferentialNative(t *testing.T) {
 			t.Fatalf("%s chunked(%d): %d chunks, want %d", desc(), chunk, stats.Chunks, wantChunks)
 		}
 	}
+}
+
+// nativeNeedle picks a compare literal for col: half the time a value the
+// column holds, else randomNeedle's, with ±0 and NaN among float needles.
+func nativeNeedle(rng *rand.Rand, col *column.Column) expr.Value {
+	typ := col.Type()
+	switch i := rng.Intn(col.Len()); {
+	case rng.Intn(2) == 0 && !col.Null(i):
+		return col.Value(i)
+	case typ.Float() && rng.Intn(4) == 0:
+		return expr.NewFloat(typ, []float64{math.Copysign(0, -1), 0, math.NaN()}[rng.Intn(3)])
+	}
+	return randomNeedle(rng, typ)
 }
 
 // TestNativePrunesClusteredData checks the zone-map skip on the layout it
@@ -217,17 +266,74 @@ func benchChain(b *testing.B, rows int) Chain {
 	return ch
 }
 
-func BenchmarkNativeTwoPredCount(b *testing.B) {
-	ch := benchChain(b, 1<<20)
-	kern, err := NewNative(ch)
-	if err != nil {
-		b.Fatal(err)
+// sweepChain builds "a < x AND b < half" over two uniform int32 columns of
+// 2^16 distinct values, x chosen so that sel of the rows pass a; packed
+// bit-packs both columns (16-bit lanes).
+func sweepChain(b *testing.B, rows int, sel float64, packed bool) Chain {
+	b.Helper()
+	const domain = 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	space := mach.NewAddrSpace()
+	var ch Chain
+	for j, limit := range []int64{max(1, int64(sel*domain)), domain / 2} {
+		vals := make([]int32, rows)
+		for i := range vals {
+			vals[i] = int32(rng.Intn(domain))
+		}
+		col := column.FromInt32s(space, string(rune('a'+j)), vals)
+		if packed {
+			var err error
+			if col, err = column.Pack(col); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ch = append(ch, Pred{Col: col, Op: expr.Lt, Value: expr.NewInt(expr.Int32, limit)})
 	}
-	b.SetBytes(2 * 4 * (1 << 20))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kern.Run(nil, false)
+	return ch
+}
+
+// BenchmarkNativeTwoPredCount times a two-predicate count: "eq50" is
+// a = 5 AND b = 5 at 50 % each over one 1 Mi-row window; the plain and
+// packed legs sweep the first predicate's selectivity (the paper's
+// Figure 5 axis) over 4 Mi rows in 64 Ki-row windows, as the engine runs
+// them, on int32 columns and their bit-packed twins.
+func BenchmarkNativeTwoPredCount(b *testing.B) {
+	b.Run("eq50", func(b *testing.B) {
+		kern, err := NewNative(benchChain(b, 1<<20))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(2 * 4 * (1 << 20))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			kern.Run(nil, false)
+		}
+	})
+	const rows, window = 1 << 22, 1 << 16
+	for _, enc := range []string{"plain", "packed"} {
+		for _, sel := range []float64{0.00001, 0.01, 0.5, 1} {
+			b.Run(fmt.Sprintf("%s/sel=%g%%", enc, sel*100), func(b *testing.B) {
+				ch := sweepChain(b, rows, sel, enc == "packed")
+				var kerns []*Native
+				for lo := 0; lo < rows; lo += window {
+					k, err := NewNative(ch.Slice(lo, lo+window))
+					if err != nil {
+						b.Fatal(err)
+					}
+					kerns = append(kerns, k)
+				}
+				b.SetBytes(2 * 4 * rows)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, k := range kerns {
+						k.Run(nil, false)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			})
+		}
 	}
 }
 

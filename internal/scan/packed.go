@@ -181,19 +181,51 @@ func (e *packedPred) blockMask(b, cnt int) uint64 {
 		}
 		return m
 	}
-	words := ch.Words[lane/lpw:]
-	pat := e.pat * packedLaneMul[lg]
-	full := firstN(cnt)
+	f, inv := e.kernel(lg)
+	return (f(ch.Words[lane/lpw:], cnt, e.pat*packedLaneMul[lg]) ^ inv) & firstN(cnt)
+}
+
+// kernel returns the packed kernel of the resolved Eq/Ne/Lt/Ge comparison
+// at lane width 2^lg and the mask to XOR its result with (Ne and Ge
+// complement Eq and Lt).
+func (e *packedPred) kernel(lg int) (packedMaskFunc, uint64) {
 	switch e.mode {
 	case packEq:
-		return packedEqFuncs[lg](words, cnt, pat) & full
+		return packedEqFuncs[lg], 0
 	case packNe:
-		return ^packedEqFuncs[lg](words, cnt, pat) & full
+		return packedEqFuncs[lg], ^uint64(0)
 	case packLt:
-		return packedLtFuncs[lg](words, cnt, pat) & full
+		return packedLtFuncs[lg], 0
 	default: // packGe
-		return ^packedLtFuncs[lg](words, cnt, pat) & full
+		return packedLtFuncs[lg], ^uint64(0)
 	}
+}
+
+// step lowers the predicate over a Native window of n view rows to its
+// block step (NULLs not consulted; nil means every row matches). When the
+// window lies in one chunk and starts on a word boundary — the engine's
+// chunk-aligned windows do — the comparison is resolved here, once, and
+// each block is one kernel call on its words. Other windows go through
+// blockMask.
+func (e *packedPred) step(n int) blockStep {
+	cr := e.p.ChunkRows()
+	ci, lane := e.off/cr, e.off%cr
+	if n == 0 || lane+n > cr || lane%(64>>bits.TrailingZeros8(e.p.Chunks()[ci].Bits)) != 0 {
+		return func(b, cnt int, m uint64) uint64 { return m & e.blockMask(b, cnt) }
+	}
+	e.resolve(ci)
+	switch e.mode {
+	case packNone:
+		return func(int, int, uint64) uint64 { return 0 }
+	case packAll:
+		return nil
+	}
+	ch := &e.p.Chunks()[ci]
+	lg := bits.TrailingZeros8(ch.Bits)
+	shift := uint(6 - lg) // block row b starts at word b>>shift of the window
+	f, inv := e.kernel(lg)
+	words, pat := ch.Words[lane>>shift:], e.pat*packedLaneMul[lg]
+	return func(b, cnt int, m uint64) uint64 { return m & (f(words[b>>shift:], cnt, pat) ^ inv) }
 }
 
 // matchDelta applies the resolved delta-space comparison to one delta.

@@ -98,7 +98,8 @@ func packedNeedle(rng *rand.Rand, t expr.Type, c *column.Column) expr.Value {
 // dialects, SISD) and checks count and positions bit-identical to the
 // scalar reference over the *unpacked* column — the storage-format-v3
 // correctness contract. Covers all int types, bit widths 1-64, NULLs,
-// chunk boundaries, FoR overflow edges and misaligned views.
+// chunk boundaries, FoR overflow edges and misaligned views; Native also
+// scans chunk-aligned, mid-word and chunk-straddling windows.
 func TestPackedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	trials := 60
@@ -171,6 +172,8 @@ func TestPackedDifferential(t *testing.T) {
 			return s
 		}
 
+		nativeWindows(t, rng, desc(), plainCh, packedCh)
+
 		// Optionally scan a view with an (often word-misaligned) offset.
 		begin, end := 0, n
 		if rng.Intn(2) == 0 {
@@ -213,6 +216,37 @@ func TestPackedDifferential(t *testing.T) {
 		}
 		if !equalResults(got, want) {
 			t.Fatalf("%s chunked(%d): count %d, want %d", desc(), chunk, got.Count, want.Count)
+		}
+	}
+}
+
+// nativeWindows runs Native over windows of the chain in the shapes its
+// packed steps tell apart: packed-chunk-aligned windows (resolved once per
+// window), windows starting mid-word (every lane width below 64
+// misaligns at an odd row) and windows straddling a packed-chunk boundary
+// (both fall back to per-block resolution).
+func nativeWindows(t *testing.T, rng *rand.Rand, desc string, plainCh, packedCh Chain) {
+	t.Helper()
+	n := plainCh.Rows()
+	cr := column.PackChunkRows
+	windows := [][2]int{{0, min(n, cr)}}
+	if n > 1 {
+		lo := 1 + 2*rng.Intn(min(n-1, 128)/2+1)
+		windows = append(windows, [2]int{min(lo, n-1), n})
+	}
+	if n > cr {
+		windows = append(windows,
+			[2]int{cr, min(n, 2*cr)},
+			[2]int{cr - 1 - rng.Intn(200), min(n, cr+1+rng.Intn(200))})
+	}
+	for _, w := range windows {
+		want := Reference(plainCh.Slice(w[0], w[1]), true)
+		kern, err := NewNative(packedCh.Slice(w[0], w[1]))
+		if err != nil {
+			t.Fatalf("%s native[%d:%d]: %v", desc, w[0], w[1], err)
+		}
+		if got := kern.Run(nil, true); !equalResults(got, want) {
+			t.Fatalf("%s native[%d:%d]: count %d, want %d", desc, w[0], w[1], got.Count, want.Count)
 		}
 	}
 }

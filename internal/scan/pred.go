@@ -96,18 +96,11 @@ func (p Pred) Matches(i int, storedNeedle uint64) bool {
 func (p Pred) BlockMask(b, cnt int) uint64 {
 	switch p.Kind {
 	case expr.PredIsNull:
-		full := ^uint64(0)
-		if cnt < 64 {
-			full = 1<<uint(cnt) - 1
-		}
-		return ^p.Col.ValidMask(b, cnt) & full
+		return ^p.Col.ValidMask(b, cnt) & firstN(cnt)
 	case expr.PredIsNotNull:
 		return p.Col.ValidMask(b, cnt)
 	default:
-		if cnt >= 64 {
-			return ^uint64(0)
-		}
-		return 1<<uint(cnt) - 1
+		return firstN(cnt)
 	}
 }
 
