@@ -84,8 +84,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-statement wall-clock limit (0 = none), e.g. 5s")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission limit: queries running at once (0 = unlimited)")
 	memBudget := flag.Int64("mem-budget", 0, "per-query memory budget in bytes for materialized results (0 = unlimited)")
-	cores := flag.Int("cores", 1, "simulated cores for morsel-parallel scans (1 = the paper's single-core setting)")
-	morselRows := flag.Int("morsel", 0, "morsel size in rows for parallel scans (0 = one pipeline batch)")
+	cores := flag.Int("cores", 0, "cores for morsel-parallel scans (0 = the config's default: 1 simulated, GOMAXPROCS native; 1 = the paper's single-core setting)")
 	remote := flag.String("remote", "", "send statements to a running fusedscan-server at this base URL (e.g. http://localhost:8080) instead of a local engine")
 	flag.Parse()
 	stmtTimeout = *timeout
@@ -138,8 +137,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Cores = *cores
-	cfg.MorselRows = *morselRows
+	if *cores > 0 {
+		cfg.Cores = *cores
+	}
 	if err := eng.SetConfig(cfg); err != nil {
 		fatal(err)
 	}
@@ -303,6 +303,9 @@ func analyzeOne(eng *fusedscan.Engine, sql string) {
 		}
 		if op.Encoding != "" {
 			extra += fmt.Sprintf(" enc=%s bytes=%d", op.Encoding, op.BytesScanned)
+		}
+		if op.Cores > 1 {
+			extra += fmt.Sprintf(" cores=%d", op.Cores)
 		}
 		if op.BuildRows > 0 || op.ProbeRows > 0 {
 			extra += fmt.Sprintf(" build=%d probe=%d", op.BuildRows, op.ProbeRows)

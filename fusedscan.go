@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -66,14 +67,17 @@ type Config struct {
 	// AVX2 selects the paper's AVX2 backport dialect (requires
 	// RegisterWidth 128).
 	AVX2 bool
-	// Cores > 1 executes predicate-chain scans morsel-parallel on that
-	// many cores — simulated ones under Simulate (see internal/parallel) —
-	// feeding one ordered batch stream into the rest of the plan. 0 or 1
-	// means single-core, the paper's evaluation setting.
+	// Cores > 1 lets a predicate-chain scan run on up to that many cores
+	// — simulated ones under Simulate (see internal/parallel) — feeding one
+	// ordered batch stream into the rest of the plan. Its morsels are the
+	// 64 Ki-row chunks that zone-map pruning keeps; the querying goroutine
+	// runs its share and at most Cores-1 helpers run the rest. A scan
+	// stays on one core when fewer than two chunks survive pruning or a
+	// LIMIT bounds it, and natively the engine lowers the count while
+	// other queries execute (GOMAXPROCS less the others). 0 or 1 means
+	// single-core, the paper's evaluation setting; NativeConfig sets
+	// GOMAXPROCS.
 	Cores int
-	// MorselRows is the morsel size for parallel scans (0 = one pipeline
-	// batch, 65536 rows).
-	MorselRows int
 }
 
 // DefaultConfig is the paper's best configuration: fused, AVX-512, 512-bit,
@@ -85,11 +89,11 @@ func DefaultConfig() Config {
 }
 
 // NativeConfig is the turbo configuration: predicate chains run on the
-// generated SWAR kernels with zone-map chunk pruning, and no query builds
-// or charges a machine model. Result.Report is nil; results are
-// bit-identical to DefaultConfig.
+// generated SWAR kernels with zone-map chunk pruning, on every core the Go
+// runtime schedules on, and no query builds or charges a machine model.
+// Result.Report is nil; results are bit-identical to DefaultConfig.
 func NativeConfig() Config {
-	return Config{Simulate: false, UseFused: true, RegisterWidth: 512}
+	return Config{Simulate: false, UseFused: true, RegisterWidth: 512, Cores: runtime.GOMAXPROCS(0)}
 }
 
 func (c Config) options() (pqp.Options, error) {
@@ -109,7 +113,7 @@ func (c Config) options() (pqp.Options, error) {
 	}
 	return pqp.Options{
 		Native: !c.Simulate, UseFused: c.UseFused, Width: w, ISA: isa,
-		Cores: c.Cores, MorselRows: c.MorselRows,
+		Cores: c.Cores,
 	}, nil
 }
 
@@ -198,6 +202,9 @@ type OperatorStats struct {
 	// intersection narrowed them.
 	IndexProbes int64
 	IndexRows   int64
+	// Cores is how many cores produced a scan leaf's windows: 1, or 1
+	// plus the helpers a parallel scan started. 0 for other operators.
+	Cores int
 }
 
 // Result is the outcome of Engine.Query.
@@ -1143,7 +1150,7 @@ func (s *Scan) whereNull(col string, kind expr.PredKind) *Scan {
 type ParallelResult struct {
 	Count     int
 	Positions []uint32
-	Cores     int
+	Cores     int // cores requested
 	// The modelled times are zero unless the engine runs with
 	// Config.Simulate.
 	RuntimeMs float64 // modelled multi-core runtime (shared socket bandwidth)

@@ -1,0 +1,213 @@
+package fusedscan
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strconv"
+	"testing"
+)
+
+// parallelRows spans four full 64 Ki-row chunks and a ragged fifth.
+const parallelRows = 4<<16 + 12345
+
+// buildParallelEngine registers a fact table t over five chunks — random
+// int columns a and b, float f with mixed magnitudes (so float sums depend
+// on fold order), packed p, sorted s (zone maps prune it) and join key k —
+// and a dimension table d(k, v).
+func buildParallelEngine(t *testing.T) *Engine {
+	t.Helper()
+	rng := rand.New(rand.NewSource(41))
+	a := make([]int32, parallelRows)
+	b := make([]int32, parallelRows)
+	f := make([]float64, parallelRows)
+	p := make([]int32, parallelRows)
+	s := make([]int32, parallelRows)
+	k := make([]int32, parallelRows)
+	for i := range a {
+		a[i] = rng.Int31n(10)
+		b[i] = rng.Int31n(100)
+		f[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-4))
+		p[i] = rng.Int31n(1000)
+		s[i] = int32(i / 1000)
+		k[i] = rng.Int31n(5000)
+	}
+	eng := NewEngine()
+	if err := eng.CreateTable("t").Int32("a", a).Int32("b", b).Float64("f", f).
+		Int32("p", p).Int32("s", s).Int32("k", k).Pack("p").Finish(); err != nil {
+		t.Fatal(err)
+	}
+	dk := make([]int32, 5000)
+	dv := make([]int32, 5000)
+	for i := range dk {
+		dk[i] = int32(i)
+		dv[i] = rng.Int31n(10)
+	}
+	if err := eng.CreateTable("d").Int32("k", dk).Int32("v", dv).Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// parallelOutcome is everything a query must reproduce on any core count.
+type parallelOutcome struct {
+	count                  int64
+	columns                []string
+	rows                   [][]string
+	pruned, bytes          int64
+	bloomChecks, bloomPass int64
+	scans                  int
+	maxCores               int
+	encodings              []string
+}
+
+func runParallelQuery(t *testing.T, eng *Engine, sql string, stream bool, cores int) parallelOutcome {
+	t.Helper()
+	cfg := NativeConfig()
+	cfg.Cores = cores
+	qo := QueryOptions{Config: &cfg}
+	var streamed [][]string
+	if stream {
+		qo.Stream = func(_ []string, rows [][]string) error {
+			streamed = append(streamed, rows...)
+			return nil
+		}
+	}
+	res, err := eng.QueryWith(context.Background(), sql, qo)
+	if err != nil {
+		t.Fatalf("%s on %d cores: %v", sql, cores, err)
+	}
+	out := parallelOutcome{count: res.Count, columns: res.Columns, rows: res.Rows}
+	if stream {
+		out.rows = streamed
+	}
+	for _, op := range res.Operators {
+		out.bloomChecks += op.BloomChecks
+		out.bloomPass += op.BloomPass
+		if op.Path == "" {
+			continue
+		}
+		out.scans++
+		out.pruned += op.ChunksPruned
+		out.bytes += op.BytesScanned
+		out.maxCores = max(out.maxCores, op.Cores)
+		out.encodings = append(out.encodings, op.Encoding)
+	}
+	return out
+}
+
+// TestParallelScansMatchSingleCore runs each query shape on 1, 2 and 3
+// cores and requires identical rows (float aggregates compared as bits),
+// pruning, scanned bytes and Bloom counters. A scan with at least two
+// surviving chunks and no LIMIT must run on every core asked for, up to
+// one per chunk; a scan with one surviving chunk, or a LIMIT hint, must
+// start no helper.
+func TestParallelScansMatchSingleCore(t *testing.T) {
+	// The engine caps a native scan's cores at GOMAXPROCS; raise it so
+	// three cores are available on any machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4)))
+	eng := buildParallelEngine(t)
+	cases := []struct {
+		name, sql string
+		stream    bool
+		// usable is the most cores the (probe) scan can use: one per
+		// surviving window, or 1 under a LIMIT hint.
+		usable    int
+		floatCols []int
+		check     func(t *testing.T, o parallelOutcome)
+	}{
+		{name: "count", sql: "SELECT COUNT(*) FROM t WHERE a < 7 AND b >= 20", usable: 5},
+		{name: "float-sum-avg", sql: "SELECT SUM(f), AVG(f), COUNT(*) FROM t WHERE a < 8", usable: 5, floatCols: []int{0, 1}},
+		{name: "group-by", sql: "SELECT a, COUNT(*), SUM(b), SUM(f) FROM t WHERE b < 90 GROUP BY a", usable: 5, floatCols: []int{3}},
+		{name: "bloom-join", sql: "SELECT COUNT(*), SUM(t.b) FROM t JOIN d ON t.k = d.k WHERE t.a < 9 AND d.v = 3", usable: 5,
+			check: func(t *testing.T, o parallelOutcome) {
+				if o.bloomChecks == 0 || o.bloomPass >= o.bloomChecks {
+					t.Errorf("no Bloom transfer: pass %d of %d checks", o.bloomPass, o.bloomChecks)
+				}
+			}},
+		{name: "streamed-projection", sql: "SELECT a, b, f FROM t WHERE a = 3 AND b < 50", stream: true, usable: 5},
+		{name: "packed", sql: "SELECT COUNT(*), SUM(p) FROM t WHERE p < 300 AND a < 9", usable: 5,
+			check: func(t *testing.T, o parallelOutcome) {
+				if !slices.Contains(o.encodings, "packed") && !slices.Contains(o.encodings, "mixed") {
+					t.Errorf("encodings %v, want a packed scan", o.encodings)
+				}
+			}},
+		{name: "pruned-two-windows", sql: "SELECT COUNT(*), SUM(b) FROM t WHERE s >= 100 AND s < 140", usable: 2,
+			check: func(t *testing.T, o parallelOutcome) {
+				if o.pruned != 3 {
+					t.Errorf("pruned %d chunks, want 3", o.pruned)
+				}
+			}},
+		{name: "pruned-one-window", sql: "SELECT COUNT(*), SUM(b) FROM t WHERE s = 250",
+			check: func(t *testing.T, o parallelOutcome) {
+				if o.pruned != 4 {
+					t.Errorf("pruned %d chunks, want 4", o.pruned)
+				}
+			}},
+		{name: "limit", sql: "SELECT a, b FROM t WHERE a = 3 LIMIT 10"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := runParallelQuery(t, eng, tc.sql, tc.stream, 1)
+			if want.scans == 0 || want.maxCores != 1 {
+				t.Fatalf("single-core run: %d scans, max cores %d", want.scans, want.maxCores)
+			}
+			if len(want.rows) == 0 {
+				t.Fatal("degenerate case: no rows")
+			}
+			if tc.check != nil {
+				tc.check(t, want)
+			}
+			for _, cores := range []int{2, 3} {
+				got := runParallelQuery(t, eng, tc.sql, tc.stream, cores)
+				wantCores := min(cores, max(tc.usable, 1))
+				if got.maxCores != wantCores {
+					t.Errorf("%d cores: scan ran on %d, want %d", cores, got.maxCores, wantCores)
+				}
+				got.maxCores = want.maxCores
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%d cores differ from 1:\ngot  %+v\nwant %+v", cores, got, want)
+				}
+				for _, c := range tc.floatCols {
+					for r := range want.rows {
+						gb, wb := floatBits(t, got.rows[r][c]), floatBits(t, want.rows[r][c])
+						if gb != wb {
+							t.Errorf("%d cores: row %d col %d bits %#x, want %#x", cores, r, c, gb, wb)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func floatBits(t *testing.T, s string) uint64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return math.Float64bits(v)
+}
+
+// TestParallelScanCappedByExecutingQueries: a native scan takes only the
+// cores other executing queries leave (GOMAXPROCS less the others).
+func TestParallelScanCappedByExecutingQueries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	eng := buildParallelEngine(t)
+	const sql = "SELECT COUNT(*) FROM t WHERE a < 7"
+	if got := runParallelQuery(t, eng, sql, false, 4); got.maxCores != 2 {
+		t.Errorf("alone on 2 procs: scan ran on %d cores, want 2", got.maxCores)
+	}
+	release, err := eng.gov.Admit(context.Background()) // another query executing
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if got := runParallelQuery(t, eng, sql, false, 4); got.maxCores != 1 {
+		t.Errorf("beside another query on 2 procs: scan ran on %d cores, want 1", got.maxCores)
+	}
+}

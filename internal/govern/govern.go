@@ -765,6 +765,10 @@ func (g *Governor) NoteLoadRetries(n int64) {
 	}
 }
 
+// Running reports the admitted queries that have not yet released their
+// slot, without taking the governor's lock.
+func (g *Governor) Running() int64 { return g.running.Load() }
+
 // Snapshot returns the current counters.
 func (g *Governor) Snapshot() Stats {
 	g.mu.Lock()

@@ -4,15 +4,17 @@
 // into chunks or morsels"). The paper's evaluation is single-core; this
 // package is an explicitly-labelled extension.
 //
-// Execution model: the table is split into fixed-size morsels; worker
-// goroutines — one per core — pull morsels from a shared queue and run the
-// scan kernel over zero-copy column views. Functional results are merged in
-// morsel order, so they are identical to a sequential scan. Given machine
-// parameters, each worker simulates its own mach.CPU (own caches, own
-// branch predictor); given nil, as on the native path, none builds one.
+// Execution model: the scan runs over a list of row windows (morsels) —
+// fixed-size ones here, the zone-map-surviving chunks in the batch
+// pipeline. The consuming goroutine and cores-1 helpers run the scan
+// kernel over zero-copy column views of them. Functional results are
+// merged in morsel order, so they are identical to a sequential scan.
+// Given machine parameters, each core simulates its own mach.CPU (own
+// caches, own branch predictor); given nil, as on the native path, none
+// builds one.
 //
 // Failure model: a morsel whose kernel fails to build (or panics while
-// running) poisons only that morsel, not the process — workers recover
+// running) poisons only that morsel, not the process — every core recovers
 // panics, every morsel error is collected, and ScanContext returns them
 // all joined with errors.Join. Context cancellation is checked between
 // morsels, so a cancelled scan stops within one morsel's worth of work
@@ -32,6 +34,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"fusedscan/internal/mach"
 	"fusedscan/internal/scan"
@@ -42,9 +45,10 @@ type Result struct {
 	Count     int
 	Positions []uint32
 
-	// Cores is the number of workers used.
+	// Cores is the number of cores requested. Fewer run when there are
+	// fewer morsels than cores.
 	Cores int
-	// PerCore holds each worker's counters.
+	// PerCore holds each simulated core's counters, one per requested core.
 	PerCore []mach.Counters
 	// RuntimeMs is the modelled parallel runtime (see package doc).
 	RuntimeMs float64
@@ -56,16 +60,16 @@ type Result struct {
 	AggregateGBs float64
 }
 
-// Scan executes the chain with `cores` workers over morsels of morselRows
+// Scan executes the chain on `cores` cores over morsels of morselRows
 // rows. build constructs a kernel per morsel (e.g. scan.Impl.Build). With
-// nil params no worker simulates a CPU, and PerCore and the modelled times
+// nil params no core simulates a CPU, and PerCore and the modelled times
 // stay zero.
 func Scan(params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Result, error) {
 	return ScanContext(context.Background(), params, ch, build, cores, morselRows, wantPositions)
 }
 
-// ScanContext is Scan with cooperative cancellation: workers check ctx
-// between morsels and stop early when it is cancelled, in which case
+// ScanContext is Scan with cooperative cancellation: every core checks ctx
+// between morsels and stops early when it is cancelled, in which case
 // ctx.Err() is returned. All per-morsel failures (build errors and
 // recovered kernel panics) are aggregated with errors.Join rather than
 // keeping only the first.
@@ -75,7 +79,10 @@ func Scan(params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kerne
 // combined performance model. The batch pipeline (internal/pqp) consumes
 // Stream directly instead, morsel by morsel.
 func ScanContext(ctx context.Context, params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Result, error) {
-	s, err := NewStream(ctx, params, ch, build, cores, morselRows, wantPositions)
+	if morselRows < 1 {
+		return nil, fmt.Errorf("parallel: morselRows must be >= 1, got %d", morselRows)
+	}
+	s, err := NewStream(ctx, params, ch, build, cores, Windows(ch.Rows(), morselRows), wantPositions)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"fusedscan/internal/faultinject"
 	"fusedscan/internal/mach"
@@ -15,6 +16,20 @@ import (
 // delivered. Like io.EOF it signals normal termination, not failure.
 var EOS = errors.New("parallel: end of stream")
 
+// Window is one morsel: the table rows [Begin, End).
+type Window struct {
+	Begin, End int
+}
+
+// Windows splits rows into consecutive windows of at most size rows.
+func Windows(rows, size int) []Window {
+	var ws []Window
+	for begin := 0; begin < rows; begin += size {
+		ws = append(ws, Window{Begin: begin, End: min(begin+size, rows)})
+	}
+	return ws
+}
+
 // Morsel is one morsel's scan outcome, delivered by Stream.Next in morsel
 // (i.e. table) order. Res.Positions are relative to Begin.
 type Morsel struct {
@@ -22,27 +37,37 @@ type Morsel struct {
 	Begin int
 	// Rows is the number of table rows the morsel covers.
 	Rows int
+	// Chain is the chain sliced to the morsel's rows, as the kernel ran.
+	Chain scan.Chain
 	// Res is the kernel result over the morsel's rows.
 	Res scan.Result
 }
 
-// streamItem is the in-band worker→consumer message: a morsel result or
-// its failure.
+// streamItem is one morsel's result or failure, keyed by its window index.
 type streamItem struct {
-	idx   int
-	begin int
-	rows  int
-	res   scan.Result
-	err   error
+	idx int
+	sub scan.Chain
+	res scan.Result
+	err error
 }
 
-// Stream is a morsel-driven parallel scan producing results incrementally:
-// worker goroutines — one per core, each with its own mach.CPU when the
-// stream simulates — run the kernel over morsels round-robin, and Next
-// hands the results to the consumer one morsel at a time, merged back into
-// table order with a reorder buffer. This is how the batch pipeline
-// consumes a parallel scan: downstream operators see the exact stream a
-// sequential scan would produce, while production is parallel underneath.
+// Stream is a morsel-driven parallel scan producing results incrementally.
+// The consuming goroutine is one of the cores: Next runs morsels itself
+// while it waits, and cores-1 helper goroutines run the rest, so a
+// stream on N cores occupies exactly N goroutines. Next hands the results
+// over one morsel at a time, merged back into window order with a reorder
+// buffer. This is how the batch pipeline consumes a parallel scan:
+// downstream operators see the exact stream a sequential scan would
+// produce, while production is parallel underneath.
+//
+// Assignment: a simulating stream (non-nil params) gives each core its own
+// mach.CPU and deals morsel i to core i % cores — the consumer is core 0 —
+// so the modelled load is deterministic (a wall-clock work queue would
+// balance the emulator's time, not the modelled machine's). A native
+// stream lets every core claim the next unclaimed morsel from one atomic
+// counter, and the consumer keeps running morsels instead of parking
+// while a helper's is late: on a ~1 ms packed scan that measured faster
+// than the fixed i % cores split (DESIGN §9).
 //
 // A morsel whose kernel fails to build (or panics while running) poisons
 // only that morsel: Next returns its error for that position and can be
@@ -50,149 +75,193 @@ type streamItem struct {
 // joins them; the pipeline treats the first as fatal and Closes).
 //
 // Close cancels morsels not yet started — the LIMIT short-circuit path —
-// and waits for in-flight ones, so no worker outlives the consumer.
+// and waits for in-flight ones, so no helper outlives the consumer.
 type Stream struct {
-	parent context.Context
-	cancel context.CancelFunc
-	ch     chan streamItem
-	wg     *sync.WaitGroup
-	cpus   []*mach.CPU // all nil when the stream does not simulate
+	parent  context.Context
+	ctx     context.Context // parent, also cancelled by Close
+	cancel  context.CancelFunc
+	chain   scan.Chain
+	build   func(scan.Chain) (scan.Kernel, error)
+	windows []Window
+	want    bool
+	cores   int
+	helpers int
+	// claimed is the next unclaimed morsel of a native stream.
+	claimed atomic.Int64
+	ch      chan streamItem
+	wg      sync.WaitGroup
+	cpus    []*mach.CPU // all nil when the stream does not simulate
 
 	pending map[int]streamItem
 	next    int
-	total   int
 
 	finishOnce sync.Once
 	perCore    []mach.Counters
 }
 
-// NewStream validates the scan and launches the workers. build constructs
-// a kernel per morsel (e.g. a JIT compile hitting the operator cache, or
-// scan.NewSISD); wantPositions false runs the kernels in count-only mode.
-// params, when non-nil, gives each worker a simulated CPU; nil runs the
-// kernels with a nil CPU.
-func NewStream(ctx context.Context, params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Stream, error) {
+// NewStream validates the scan and starts the helpers over windows, which
+// must be ascending and disjoint. build constructs a kernel per morsel
+// (e.g. a JIT compile hitting the operator cache, or scan.NewNative);
+// wantPositions false runs the kernels in count-only mode. params, when
+// non-nil, gives each core a simulated CPU; nil runs the kernels with a
+// nil CPU.
+func NewStream(ctx context.Context, params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores int, windows []Window, wantPositions bool) (*Stream, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err
 	}
 	if cores < 1 {
 		return nil, fmt.Errorf("parallel: cores must be >= 1, got %d", cores)
 	}
-	if morselRows < 1 {
-		return nil, fmt.Errorf("parallel: morselRows must be >= 1, got %d", morselRows)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	n := ch.Rows()
-	type morsel struct {
-		idx, begin, end int
-	}
-	var morsels []morsel
-	for begin, idx := 0, 0; begin < n; begin, idx = begin+morselRows, idx+1 {
-		end := begin + morselRows
-		if end > n {
-			end = n
-		}
-		morsels = append(morsels, morsel{idx: idx, begin: begin, end: end})
-	}
-
 	wctx, cancel := context.WithCancel(ctx)
 	s := &Stream{
-		parent: ctx,
-		cancel: cancel,
-		// The channel is bounded to a couple of morsels per core: workers
+		parent: ctx, ctx: wctx, cancel: cancel,
+		chain: ch, build: build, windows: windows, want: wantPositions,
+		cores: cores,
+		// A core with no morsel to run is not started.
+		helpers: max(min(cores, len(windows))-1, 0),
+		// The channel is bounded to a couple of morsels per core: helpers
 		// block when the consumer lags (backpressure), which keeps
 		// in-flight results O(cores), not O(table) — and makes Close
-		// actually stop upstream work instead of letting workers race to
+		// actually stop upstream work instead of letting helpers race to
 		// the end of the table.
 		ch:      make(chan streamItem, 2*cores),
-		wg:      &sync.WaitGroup{},
 		cpus:    make([]*mach.CPU, cores),
 		pending: make(map[int]streamItem),
-		total:   len(morsels),
 	}
-
-	// runMorsel builds and runs one morsel's kernel, converting a panic in
-	// either into an error: a poisoned morsel must fail that morsel, not
-	// the process (worker goroutines are outside any caller's recover).
-	runMorsel := func(worker int, m morsel) (res scan.Result, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				// An error-typed panic value (e.g. *faultinject.Panic) is
-				// wrapped so errors.As still reaches it.
-				if cause, ok := r.(error); ok {
-					err = fmt.Errorf("parallel: morsel %d: panic: %w", m.idx, cause)
-				} else {
-					err = fmt.Errorf("parallel: morsel %d: panic: %v", m.idx, r)
-				}
-			}
-		}()
-		if err := faultinject.Hit(faultinject.SiteParallelMorsel); err != nil {
-			return scan.Result{}, fmt.Errorf("parallel: morsel %d: %w", m.idx, err)
-		}
-		sub := ch.Slice(m.begin, m.end)
-		kern, err := build(sub)
-		if err != nil {
-			return scan.Result{}, fmt.Errorf("parallel: morsel %d: %w", m.idx, err)
-		}
-		return kern.Run(s.cpus[worker], wantPositions), nil
-	}
-
-	// Morsels are assigned round-robin so the *simulated* load is balanced
-	// deterministically across cores (a wall-clock work queue would balance
-	// the emulator's time, not the modelled machine's).
-	for c := 0; c < cores; c++ {
-		if params != nil {
+	if params != nil {
+		for c := range s.cpus {
 			s.cpus[c] = mach.New(*params)
 		}
-		s.wg.Add(1)
-		go func(worker int) {
-			defer s.wg.Done()
-			for mi := worker; mi < len(morsels); mi += cores {
-				if wctx.Err() != nil {
-					return
-				}
-				m := morsels[mi]
-				res, err := runMorsel(worker, m)
-				select {
-				case s.ch <- streamItem{idx: m.idx, begin: m.begin, rows: m.end - m.begin, res: res, err: err}:
-				case <-wctx.Done():
-					return
-				}
-			}
-		}(c)
 	}
-	go func() {
-		s.wg.Wait()
-		close(s.ch)
-	}()
+	s.wg.Add(s.helpers)
+	for c := 1; c <= s.helpers; c++ {
+		go s.help(c)
+	}
 	return s, nil
 }
 
-// Next returns the next morsel in table order, EOS when the scan is
+// Helpers reports how many helper goroutines the stream started: its
+// cores less the consumer, and never more than there are other morsels.
+func (s *Stream) Helpers() int { return s.helpers }
+
+// simulated reports whether morsels are dealt round-robin to simulated
+// CPUs rather than claimed from the shared counter.
+func (s *Stream) simulated() bool { return s.cpus[0] != nil }
+
+// claim returns the morsel core runs after prev (-1 for its first), or a
+// value >= len(windows) when none remains.
+func (s *Stream) claim(core, prev int) int {
+	if s.simulated() {
+		if prev < 0 {
+			return core
+		}
+		return prev + s.cores
+	}
+	return int(s.claimed.Add(1) - 1)
+}
+
+// help is one helper core's loop: claim, run, hand the result over.
+func (s *Stream) help(core int) {
+	defer s.wg.Done()
+	for i := s.claim(core, -1); i < len(s.windows); i = s.claim(core, i) {
+		if s.ctx.Err() != nil {
+			return
+		}
+		select {
+		case s.ch <- s.run(core, i):
+		case <-s.ctx.Done():
+			return
+		}
+	}
+}
+
+// run builds and runs morsel i's kernel on core's CPU, converting a panic
+// in either into an error: a poisoned morsel must fail that morsel, not
+// the process (helper goroutines are outside any caller's recover).
+func (s *Stream) run(core, i int) (item streamItem) {
+	item.idx = i
+	defer func() {
+		if r := recover(); r != nil {
+			// An error-typed panic value (e.g. *faultinject.Panic) is
+			// wrapped so errors.As still reaches it.
+			if cause, ok := r.(error); ok {
+				item.err = fmt.Errorf("parallel: morsel %d: panic: %w", i, cause)
+			} else {
+				item.err = fmt.Errorf("parallel: morsel %d: panic: %v", i, r)
+			}
+		}
+	}()
+	if err := faultinject.Hit(faultinject.SiteParallelMorsel); err != nil {
+		item.err = fmt.Errorf("parallel: morsel %d: %w", i, err)
+		return item
+	}
+	w := s.windows[i]
+	item.sub = s.chain.Slice(w.Begin, w.End)
+	kern, err := s.build(item.sub)
+	if err != nil {
+		item.err = fmt.Errorf("parallel: morsel %d: %w", i, err)
+		return item
+	}
+	item.res = kern.Run(s.cpus[core], s.want)
+	return item
+}
+
+// Next returns the next morsel in window order, EOS when the scan is
 // complete, the context's error when it was cancelled, or the morsel's own
 // failure (Next may be called again afterwards to receive the remaining
-// morsels).
+// morsels). While the next morsel is not ready, Next runs one of the
+// consumer's own.
 func (s *Stream) Next() (Morsel, error) {
 	for {
+		if err := s.parent.Err(); err != nil {
+			return Morsel{}, err
+		}
+		if s.next >= len(s.windows) {
+			return Morsel{}, EOS
+		}
 		if item, ok := s.pending[s.next]; ok {
 			delete(s.pending, s.next)
 			s.next++
 			if item.err != nil {
 				return Morsel{}, item.err
 			}
-			return Morsel{Begin: item.begin, Rows: item.rows, Res: item.res}, nil
+			w := s.windows[item.idx]
+			return Morsel{Begin: w.Begin, Rows: w.End - w.Begin, Chain: item.sub, Res: item.res}, nil
 		}
-		item, ok := <-s.ch
-		if !ok {
+		if s.simulated() {
+			if s.next%s.cores == 0 {
+				s.pending[s.next] = s.run(0, s.next)
+				continue
+			}
+		} else {
+			select {
+			case item := <-s.ch:
+				s.pending[item.idx] = item
+				continue
+			default:
+			}
+			// Run ahead only as far as the channel bound lets helpers run
+			// ahead, so the reorder buffer stays O(cores) too.
+			if s.claimed.Load() < int64(s.next+cap(s.ch)) {
+				if i := s.claim(0, -1); i < len(s.windows) {
+					s.pending[i] = s.run(0, i)
+					continue
+				}
+			}
+		}
+		select {
+		case item := <-s.ch:
+			s.pending[item.idx] = item
+		case <-s.ctx.Done():
+			// Close ran, or the parent was cancelled (checked above).
 			if err := s.parent.Err(); err != nil {
 				return Morsel{}, err
 			}
 			return Morsel{}, EOS
 		}
-		s.pending[item.idx] = item
 	}
 }
 
@@ -203,8 +272,8 @@ func (s *Stream) Close() {
 	s.wg.Wait()
 }
 
-// PerCore waits for the workers and returns each one's counters (nil when
-// the stream does not simulate). Call after EOS or Close.
+// PerCore waits for the helpers and returns each core's counters (nil
+// when the stream does not simulate). Call after EOS or Close.
 func (s *Stream) PerCore() []mach.Counters {
 	s.finishOnce.Do(func() {
 		s.wg.Wait()

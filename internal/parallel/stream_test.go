@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"fusedscan/internal/mach"
@@ -13,7 +14,7 @@ func TestStreamOrderedMergeMatchesReference(t *testing.T) {
 	want := scan.Reference(ch, true)
 	for _, cores := range []int{1, 2, 4} {
 		for _, morsel := range []int{999, 8192} {
-			s, err := NewStream(context.Background(), simParams(), ch, scan.ImplAVX512Fused512.Build, cores, morsel, true)
+			s, err := NewStream(context.Background(), simParams(), ch, scan.ImplAVX512Fused512.Build, cores, Windows(ch.Rows(), morsel), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +53,7 @@ func TestStreamOrderedMergeMatchesReference(t *testing.T) {
 
 func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 	ch := makeChain(t, 1_000_000, 0.5, 4)
-	s, err := NewStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, 10_000, true)
+	s, err := NewStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, Windows(ch.Rows(), 10_000), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 	// The workers must have stopped early: the rows they processed (visible
 	// in per-core scalar instruction counts) stay far below a full scan's.
 	var full, did uint64
-	fs, err := NewStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, 10_000, true)
+	fs, err := NewStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, Windows(ch.Rows(), 10_000), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 func TestStreamContextCancellation(t *testing.T) {
 	ch := makeChain(t, 200_000, 0.5, 5)
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := NewStream(ctx, simParams(), ch, scan.ImplSISD.Build, 2, 5_000, true)
+	s, err := NewStream(ctx, simParams(), ch, scan.ImplSISD.Build, 2, Windows(ch.Rows(), 5_000), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,5 +126,61 @@ func TestCombineMatchesScanContextModel(t *testing.T) {
 	m := Combine(mach.Default(), res.PerCore)
 	if m.RuntimeMs != res.RuntimeMs || m.ComputeMs != res.ComputeMs || m.MemMs != res.MemMs {
 		t.Errorf("Combine = %+v, ScanContext model = {%v %v %v}", m, res.RuntimeMs, res.ComputeMs, res.MemMs)
+	}
+}
+
+// TestNativeStreamOverSparseWindows: a native stream runs exactly the
+// windows it is given — here every other one, as zone-map pruning would
+// leave them — with the consumer as one of the cores, so N cores start
+// N-1 helpers (never more than there are other windows).
+func TestNativeStreamOverSparseWindows(t *testing.T) {
+	ch := makeChain(t, 100_000, 0.2, 7)
+	native := func(sub scan.Chain) (scan.Kernel, error) { return scan.NewNative(sub) }
+	var windows []Window
+	for i, w := range Windows(ch.Rows(), 3000) {
+		if i%2 == 0 {
+			windows = append(windows, w)
+		}
+	}
+	var want []uint32
+	for _, w := range windows {
+		for _, p := range scan.Reference(ch.Slice(w.Begin, w.End), true).Positions {
+			want = append(want, p+uint32(w.Begin))
+		}
+	}
+	for _, tc := range []struct {
+		cores   int
+		windows []Window
+		helpers int
+	}{
+		{1, windows, 0}, {2, windows, 1}, {4, windows, 3}, {4, windows[:2], 1}, {3, nil, 0},
+	} {
+		s, err := NewStream(context.Background(), nil, ch, native, tc.cores, tc.windows, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Helpers() != tc.helpers {
+			t.Errorf("cores=%d windows=%d: %d helpers, want %d", tc.cores, len(tc.windows), s.Helpers(), tc.helpers)
+		}
+		var got []uint32
+		for i := 0; ; i++ {
+			m, err := s.Next()
+			if err == EOS {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := tc.windows[i]; m.Begin != w.Begin || m.Rows != w.End-w.Begin {
+				t.Fatalf("cores=%d: morsel %d covers [%d, +%d), want %v", tc.cores, i, m.Begin, m.Rows, w)
+			}
+			for _, p := range m.Res.Positions {
+				got = append(got, p+uint32(m.Begin))
+			}
+		}
+		s.Close()
+		if len(tc.windows) == len(windows) && !slices.Equal(got, want) {
+			t.Errorf("cores=%d: %d positions differ from the reference's %d", tc.cores, len(got), len(want))
+		}
 	}
 }

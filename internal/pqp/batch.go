@@ -143,6 +143,9 @@ type OperatorStats struct {
 	// sorted-list intersection narrowed them down.
 	IndexProbes int64
 	IndexRows   int64
+	// Cores is how many cores produced a scan leaf's windows: 1, or 1
+	// plus the helpers a parallel scan started. 0 for other operators.
+	Cores int
 }
 
 // Execution-path labels reported in scan OperatorStats.
@@ -170,6 +173,9 @@ func (s OperatorStats) String() string {
 	}
 	if s.Encoding != "" {
 		out += fmt.Sprintf(" enc=%s bytes=%d", s.Encoding, s.BytesScanned)
+	}
+	if s.Cores > 1 {
+		out += fmt.Sprintf(" cores=%d", s.Cores)
 	}
 	if s.BuildRows > 0 || s.ProbeRows > 0 {
 		out += fmt.Sprintf(" build=%d probe=%d", s.BuildRows, s.ProbeRows)

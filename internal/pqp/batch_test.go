@@ -317,7 +317,7 @@ func TestParallelPipelineMatchesSequential(t *testing.T) {
 		seq := DefaultOptions()
 		par := DefaultOptions()
 		par.Cores = 4
-		par.MorselRows = 1 << 12
+		par.BatchRows = 1 << 12
 		par.Params = mach.Default()
 		want := renderResult(runSQL(t, cat, sql, seq, true))
 		got := renderResult(runSQL(t, cat, sql, par, true))

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
@@ -55,11 +56,15 @@ type joinOp struct {
 	// probe side is not a chain scan; the filter then runs inside the join
 	// loop instead.
 	probeScan *scanOp
-	probeKey  *column.Column
-	buildKey  *column.Column
-	keyType   expr.Type
-	residuals []joinResidual
-	transfer  bool
+	// probeChain is probeScan's own chain; each Open rebuilds the scan's
+	// chain from it, so reruns of the plan add one Bloom step, not one per
+	// run.
+	probeChain scan.Chain
+	probeKey   *column.Column
+	buildKey   *column.Column
+	keyType    expr.Type
+	residuals  []joinResidual
+	transfer   bool
 	// kernBuild constructs the kernel that evaluates residual
 	// column-vs-column chains over the gathered pair columns.
 	kernBuild func(scan.Chain) (scan.Kernel, error)
@@ -161,7 +166,7 @@ func (op *joinOp) Open(ctx context.Context, cpu *mach.CPU) error {
 			// (cheaper, already selectivity-ordered) predicates run first,
 			// and rows that survive them are membership-tested inside the
 			// kernel before any hash-table work.
-			op.probeScan.chain = append(op.probeScan.chain, scan.Pred{
+			op.probeScan.chain = append(slices.Clip(op.probeChain), scan.Pred{
 				Col: op.probeKey, Bloom: bl, Stats: op.bloomStats,
 			})
 		} else {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestJoinGroupByAgainstOracle(t *testing.T) {
 		"parallel": func() Options {
 			o := DefaultOptions()
 			o.Cores = 3
-			o.MorselRows = 517
+			o.BatchRows = 517
 			o.Params = mach.Default()
 			return o
 		}(),
@@ -276,6 +277,60 @@ func TestJoinBloomPrefilterReducesProbeRows(t *testing.T) {
 	}
 	if joinStats.BuildRows == 0 {
 		t.Error("join build rows = 0")
+	}
+}
+
+// TestJoinPlanRerunKeepsOneBloomStep runs one translated join plan three
+// times: every run must inject exactly one Bloom step into the probe chain
+// and report the same count and Bloom counters.
+func TestJoinPlanRerunKeepsOneBloomStep(t *testing.T) {
+	cat, _ := joinFixture(t)
+	sql := "SELECT COUNT(*) FROM f JOIN d ON f.k = d.k WHERE f.x >= 0 AND d.v = 3"
+	for name, opts := range map[string]Options{
+		"fused":  DefaultOptions(),
+		"native": func() Options { o := DefaultOptions(); o.Native, o.Cores, o.BatchRows = true, 2, 517; return o }(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			pp, err := Translate(plan(t, cat, sql, true), jit.NewCompiler(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []int64
+			var chainLen int
+			for run := 0; run < 3; run++ {
+				var cpu *mach.CPU
+				if !opts.Native {
+					cpu = mach.New(mach.Default())
+				}
+				res, err := pp.Run(context.Background(), cpu)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var join *OperatorStats
+				stats := pp.OperatorStats()
+				for i := range stats {
+					if strings.HasPrefix(stats[i].Name, "HashJoin") {
+						join = &stats[i]
+					}
+				}
+				if join == nil || join.BloomChecks == 0 {
+					t.Fatalf("run %d: no Bloom checks:\n%s", run, FormatStats(stats))
+				}
+				got := []int64{res.Aggregates[0].Int(), join.BloomChecks, join.BloomPass}
+				var jo *joinOp
+				for op := pp.Root; jo == nil; op = op.(interface{ child() Operator }).child() {
+					jo, _ = op.(*joinOp)
+				}
+				n := len(jo.probeScan.chain)
+				if run == 0 {
+					want, chainLen = got, n
+					continue
+				}
+				if !slices.Equal(got, want) || n != chainLen {
+					t.Errorf("run %d: count/checks/pass %v chain %d, run 0 had %v chain %d", run, got, n, want, chainLen)
+				}
+			}
+		})
 	}
 }
 

@@ -142,10 +142,13 @@ func (op *fullScanOp) Close() error {
 // on the kernel family Kernels picked (native, fused or scalar
 // short-circuit), emitting each chunk's chunk-relative position list as one
 // batch — the kernel's position lists feed the pipeline directly, never
-// widening into a whole-table position list. With Cores > 1 the chunks
-// become morsels produced by parallel workers (each with its own simulated
-// CPU when the plan runs against one) and merged in morsel order, so
-// downstream operators consume an identical ordered stream.
+// widening into a whole-table position list. Open lists the windows the
+// zone maps do not prune, once; both execution modes walk that list. With
+// Cores > 1, at least two surviving windows and no LIMIT hint, the windows
+// become the morsels of a parallel stream (each core with its own
+// simulated CPU when the plan runs against one), merged back in window
+// order, so downstream operators consume an identical ordered stream and
+// the scan reports the same pruning and byte counts on any core count.
 type scanOp struct {
 	tbl       *column.Table
 	chain     scan.Chain
@@ -155,26 +158,28 @@ type scanOp struct {
 	// producing once this many matches have been emitted (rounded up to a
 	// batch boundary).
 	stopAfter int
-	// cores/morselRows/params configure parallel batch production.
-	cores      int
-	morselRows int
-	params     mach.Params
-	countOnly  bool
+	// cores/params configure parallel batch production.
+	cores     int
+	params    mach.Params
+	countOnly bool
 	// estSel is the optimizer's selectivity estimate for the whole chain,
 	// used to pre-size per-chunk position lists (0 = no estimate).
 	estSel float64
 
-	ctx     context.Context
-	cpu     *mach.CPU
-	cursor  int
+	ctx context.Context
+	cpu *mach.CPU
+	// windows are the chunks zone-map pruning kept; next indexes the
+	// next one to emit.
+	windows []parallel.Window
+	next    int
 	emitted int
 	stream  *parallel.Stream
+	// ran is how many cores produced the windows (1 + the stream's
+	// helpers).
+	ran     int
 	perCore []mach.Counters
 	charger batchCharger
-	// pruner skips chunks the columns' zone maps prove empty (single-core
-	// path; the parallel morsel stream does not prune yet). pruned counts
-	// the skipped chunks.
-	pruner *scan.Pruner
+	// pruned counts the chunks the zone maps skipped.
 	pruned int64
 	// bytes totals the stored value bytes the chain's predicate columns
 	// covered across non-pruned windows (OperatorStats.BytesScanned).
@@ -192,6 +197,7 @@ func (op *scanOp) Stats() OperatorStats {
 	// EncodingMixed labels.
 	st.Encoding = op.chain.Encoding()
 	st.BytesScanned = op.bytes
+	st.Cores = op.ran
 	return st
 }
 
@@ -213,32 +219,49 @@ func (op *scanOp) setCountOnly(v bool) { op.countOnly = v }
 
 func (op *scanOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	op.ctx, op.cpu = ctx, cpu
-	op.cursor, op.emitted = 0, 0
+	op.next, op.emitted = 0, 0
 	op.pruned, op.bytes = 0, 0
+	op.stream, op.ran, op.perCore = nil, 1, nil
 	op.charger = batchCharger{acct: govern.AccountantFrom(ctx)}
-	if op.cores <= 1 {
-		// Zone maps are built lazily per column and cached, so the first
-		// query over a table pays one stats pass per predicate column and
-		// later queries prune for free.
-		op.pruner = scan.NewPruner(op.chain, op.batchRows)
-	}
-	if op.cores > 1 {
-		morselRows := op.morselRows
-		if morselRows <= 0 {
-			morselRows = op.batchRows
+	// Zone maps are built lazily per column and cached, so the first
+	// query over a table pays one stats pass per predicate column and
+	// later queries prune for free.
+	pruner := scan.NewPruner(op.chain, op.batchRows)
+	op.windows = op.windows[:0]
+	for begin, n := 0, op.chain.Rows(); begin < n; begin += op.batchRows {
+		end := min(begin+op.batchRows, n)
+		if pruner.Prune(begin, end) {
+			op.pruned++
+			continue
 		}
-		// Workers simulate exactly when the driver does.
+		op.windows = append(op.windows, parallel.Window{Begin: begin, End: end})
+	}
+	// A LIMIT scan usually stops within its first windows, and a single
+	// window leaves a helper nothing to do: both stay on this core.
+	if op.cores > 1 && len(op.windows) > 1 && op.stopAfter == 0 {
+		// Cores simulate exactly when the driver does.
 		var params *mach.Params
 		if cpu != nil {
 			params = &op.params
 		}
-		st, err := parallel.NewStream(ctx, params, op.chain, op.kernels.Build, op.cores, morselRows, !op.countOnly)
+		estSel := op.sizeHint()
+		build := func(sub scan.Chain) (scan.Kernel, error) { return buildWindow(op.kernels.Build, sub, estSel) }
+		st, err := parallel.NewStream(ctx, params, op.chain, build, op.cores, op.windows, !op.countOnly)
 		if err != nil {
 			return err
 		}
-		op.stream = st
+		op.stream, op.ran = st, 1+st.Helpers()
 	}
 	return ctx.Err()
+}
+
+// sizeHint is the selectivity estimate that pre-sizes position lists (0
+// in count-only mode, which builds none).
+func (op *scanOp) sizeHint() float64 {
+	if op.countOnly {
+		return 0
+	}
+	return op.estSel
 }
 
 func (op *scanOp) Next() (Batch, error) {
@@ -249,53 +272,33 @@ func (op *scanOp) Next() (Batch, error) {
 	if err := op.ctx.Err(); err != nil {
 		return Batch{}, err
 	}
-	var b Batch
+	if op.next == len(op.windows) {
+		if op.stream != nil && op.perCore == nil {
+			op.perCore = op.stream.PerCore()
+		}
+		return Batch{}, EOS
+	}
+	w := op.windows[op.next]
+	op.next++
+	var sub scan.Chain
+	var res scan.Result
 	if op.stream != nil {
 		m, err := op.stream.Next()
-		if err == parallel.EOS {
-			op.perCore = op.stream.PerCore()
-			return Batch{}, EOS
-		}
 		if err != nil {
 			return Batch{}, err
 		}
-		op.stats.noteScanned(m.Rows)
-		op.bytes += op.chain.Slice(m.Begin, m.Begin+m.Rows).ScanBytes()
-		b = Batch{Base: uint32(m.Begin), Sel: m.Res.Positions, Count: m.Res.Count}
+		sub, res = m.Chain, m.Res
 	} else {
-		n := op.chain.Rows()
-		for {
-			if op.cursor >= n {
-				return Batch{}, EOS
-			}
-			begin := op.cursor
-			end := begin + op.batchRows
-			if end > n {
-				end = n
-			}
-			op.cursor = end
-			if op.pruner.Prune(begin, end) {
-				// Zone maps prove this chunk empty: skip it without touching
-				// its bytes. Pruned rows do not count as scanned.
-				op.pruned++
-				continue
-			}
-			op.stats.noteScanned(end - begin)
-			sub := op.chain.Slice(begin, end)
-			op.bytes += sub.ScanBytes()
-			estSel := op.estSel
-			if op.countOnly {
-				estSel = 0
-			}
-			kern, err := buildWindow(op.kernels.Build, sub, estSel)
-			if err != nil {
-				return Batch{}, fmt.Errorf("pqp: scan chunk [%d, %d): %w", begin, end, err)
-			}
-			res := kern.Run(op.cpu, !op.countOnly)
-			b = Batch{Base: uint32(begin), Sel: res.Positions, Count: res.Count}
-			break
+		sub = op.chain.Slice(w.Begin, w.End)
+		kern, err := buildWindow(op.kernels.Build, sub, op.sizeHint())
+		if err != nil {
+			return Batch{}, fmt.Errorf("pqp: scan chunk [%d, %d): %w", w.Begin, w.End, err)
 		}
+		res = kern.Run(op.cpu, !op.countOnly)
 	}
+	op.stats.noteScanned(w.End - w.Begin)
+	op.bytes += sub.ScanBytes()
+	b := Batch{Base: uint32(w.Begin), Sel: res.Positions, Count: res.Count}
 	if err := op.charger.swap(int64(len(b.Sel)) * bytesPerPosition); err != nil {
 		return Batch{}, err
 	}
@@ -307,9 +310,9 @@ func (op *scanOp) Next() (Batch, error) {
 func (op *scanOp) Close() error {
 	op.charger.done()
 	if op.stream != nil {
-		// Close cancels morsels not yet started — the LIMIT short-circuit
-		// path when the consumer stops pulling early. It must run before
-		// PerCore, which waits for the workers to wind down.
+		// Close cancels morsels not yet started — the early-exit path when
+		// the consumer stops pulling. It must run before PerCore, which
+		// waits for the helpers to wind down.
 		op.stream.Close()
 		if op.perCore == nil {
 			op.perCore = op.stream.PerCore()
@@ -318,8 +321,8 @@ func (op *scanOp) Close() error {
 	return nil
 }
 
-// perCoreCounters exposes the parallel workers' counters to the plan-level
-// report (nil for single-core execution).
+// perCoreCounters exposes the parallel scan's simulated per-core counters
+// to the plan-level report (nil for single-core or native execution).
 func (op *scanOp) perCoreCounters() []mach.Counters { return op.perCore }
 
 // filterOp applies one predicate to incoming position batches — the

@@ -47,14 +47,13 @@ type Options struct {
 	Width vec.Width
 	// ISA is the instruction-set dialect for fused operators.
 	ISA vec.ISA
-	// Cores > 1 turns predicate-chain scans into morsel-driven parallel
-	// batch producers (see internal/parallel); each worker simulates its
-	// own CPU, built from Params, when the plan runs against one.
-	// Downstream operators still consume one ordered stream.
+	// Cores > 1 lets a predicate-chain scan run its zone-map-surviving
+	// chunk windows as morsels on that many cores (see internal/parallel)
+	// when at least two windows survive and the scan has no LIMIT hint;
+	// each core simulates its own CPU, built from Params, when the plan
+	// runs against one. Downstream operators still consume one ordered
+	// stream.
 	Cores int
-	// MorselRows is the morsel size for parallel scans; defaults to
-	// BatchRows.
-	MorselRows int
 	// Params is the machine calibration for parallel workers' CPUs.
 	Params mach.Params
 	// BatchRows overrides the pipeline batch capacity (default one scan
@@ -473,7 +472,7 @@ func translateChainScan(fc *lqp.FusedChain, tbl *column.Table, comp *jit.Compile
 	return &scanOp{
 		tbl: tbl, chain: ch, kernels: f, estSel: fc.EstSel,
 		batchRows: opts.batchRows(), stopAfter: fc.StopAfter,
-		cores: opts.Cores, morselRows: opts.MorselRows, params: opts.Params,
+		cores: opts.Cores, params: opts.Params,
 	}, nil
 }
 
@@ -523,12 +522,16 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 	for _, r := range t.Residuals {
 		label += " AND " + r.Label
 	}
-	return &joinOp{
+	op := &joinOp{
 		probe: psrc, build: bsrc, probeScan: probeScan,
 		probeKey: probeKey, buildKey: buildKey, keyType: t.KeyType,
 		residuals: residuals, transfer: t.Transfer,
 		kernBuild: rf.Build, space: tbl.Space(), label: label,
-	}, nil
+	}
+	if probeScan != nil {
+		op.probeChain = probeScan.chain
+	}
+	return op, nil
 }
 
 // sides resolves the side-resolved column references of an operator above

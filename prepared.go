@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -388,6 +389,12 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 		return nil, err
 	}
 	opts.Params = e.params
+	if !cfg.Simulate {
+		// Native scans share the box: with k queries admitted (this one
+		// among them), each may use the cores the other k-1 leave.
+		// Simulated cores are modelled, so they keep the configured count.
+		opts.Cores = min(opts.Cores, runtime.GOMAXPROCS(0)-int(e.gov.Running())+1)
+	}
 	// Streaming consumers drain rows batch-by-batch, so the projection's
 	// default materialization cap (a guard against unbounded result memory)
 	// is lifted; an explicit LIMIT still applies.
