@@ -100,11 +100,13 @@ bench-quick:
 	done; echo "bench-quick: ok"
 
 # Wall-clock benchmarks of the native turbo path: Go micro-benchmarks for
-# the SWAR kernels plus the end-to-end native-vs-emulated comparison.
+# the SWAR kernels and for the hash join and aggregation sink, plus the
+# end-to-end native-vs-emulated comparison.
 # Regenerate the checked-in baseline with
 # `go run ./cmd/fusedscan-smoke -native -out BENCH_NATIVE.json`.
 bench-native:
 	$(GO) test -run=NONE -bench='Native|Emulated' -benchmem ./internal/scan
+	$(GO) test -run=NONE -bench='HashJoin|GroupBySink' -benchmem ./internal/pqp
 	$(GO) run ./cmd/fusedscan-smoke -native
 
 # Regression gate over BENCH_NATIVE.json: counts and prune statistics must

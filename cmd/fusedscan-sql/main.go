@@ -313,6 +313,9 @@ func analyzeOne(eng *fusedscan.Engine, sql string) {
 		if op.BloomChecks > 0 {
 			extra += fmt.Sprintf(" bloom=%d/%d", op.BloomPass, op.BloomChecks)
 		}
+		if op.BloomSkipped {
+			extra += " bloom=skipped"
+		}
 		if op.Groups > 0 {
 			extra += fmt.Sprintf(" groups=%d", op.Groups)
 		}

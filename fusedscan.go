@@ -186,6 +186,9 @@ type OperatorStats struct {
 	// evaluations on the probe side: rows checked and rows let through.
 	BloomChecks int64
 	BloomPass   int64
+	// BloomSkipped marks a join whose Bloom filter passed nearly every
+	// sampled probe key and so was not injected into the probe scan.
+	BloomSkipped bool
 	// Groups counts distinct groups a grouped-aggregation sink produced.
 	Groups int64
 	// Encoding names the storage encoding of a scan leaf's predicate

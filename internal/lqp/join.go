@@ -47,7 +47,8 @@ type Join struct {
 
 	// Transfer marks the predicate-transfer rewrite: the executor builds a
 	// Bloom filter from the filtered build side's keys and injects it as a
-	// prefilter stage into the probe side's fused scan chain.
+	// prefilter stage into the probe side's fused scan chain, unless a
+	// sample of probe keys shows it would pass nearly every row.
 	Transfer bool
 	// ProbeCols/BuildCols, when non-nil, are the pruned per-side column
 	// sets actually consumed at or above the join (nil means all columns

@@ -122,8 +122,10 @@ func (o *Optimizer) pushJoinPredicates(p *Plan) {
 
 // markPredicateTransfer tags the join for the Bloom-filter rewrite: the
 // executor hashes the filtered build side's join keys into a Bloom
-// filter and prepends it to the probe scan's fused chain, so probe rows
+// filter and appends it to the probe scan's fused chain, so probe rows
 // without a partner are rejected during the scan, before any join work.
+// The executor drops the filter when sampled probe keys show it would
+// reject almost none.
 func (o *Optimizer) markPredicateTransfer(p *Plan, join *Join) {
 	join.Transfer = true
 	p.AppliedRules = append(p.AppliedRules, "PredicateTransferBloom")

@@ -126,6 +126,9 @@ type OperatorStats struct {
 	// the filter let through.
 	BloomChecks int64
 	BloomPass   int64
+	// BloomSkipped marks a join whose transferred Bloom filter was built
+	// but not injected because it passed nearly every sampled probe key.
+	BloomSkipped bool
 	// Groups counts distinct groups a grouped-aggregation sink produced.
 	Groups int64
 	// Encoding names the storage encoding of a scan leaf's predicate
@@ -182,6 +185,9 @@ func (s OperatorStats) String() string {
 	}
 	if s.BloomChecks > 0 {
 		out += fmt.Sprintf(" bloom=%d/%d", s.BloomPass, s.BloomChecks)
+	}
+	if s.BloomSkipped {
+		out += " bloom=skipped"
 	}
 	if s.Groups > 0 {
 		out += fmt.Sprintf(" groups=%d", s.Groups)

@@ -207,7 +207,7 @@ func TestGroupTableGrowthBoundaries(t *testing.T) {
 	cat := testCatalog{"t": tbl}
 
 	counts := []int{1, 16 << 10, distinct}
-	for b := groupTableMinSlots / 2; b <= distinct; b *= 2 {
+	for b := keyTableMinSlots / 2; b <= distinct; b *= 2 {
 		counts = append(counts, b-1, b, b+1)
 	}
 	// Every key occurs perKey times, so the reference for "k < groups" is
@@ -439,6 +439,57 @@ func BenchmarkGroupBySink(b *testing.B) {
 			}
 			st := pp.OperatorStats()
 			b.ReportMetric(float64(st[0].WallNs-st[1].WallNs)/float64(b.N)/n, "sink_ns/row")
+		})
+	}
+}
+
+// BenchmarkHashJoin times the hash join on the native path: 16 Ki unique
+// build keys against 256 Ki probe rows that all pass the probe scan, with
+// the unfiltered build side and with a 5 % one whose Bloom filter is
+// transferred into the probe scan. join_ns/probe_row is the join's own
+// time (its WallNs, which includes the build, minus its probe child's)
+// per probe-table row.
+func BenchmarkHashJoin(b *testing.B) {
+	const n, m = 256 << 10, 16 << 10
+	rng := rand.New(rand.NewSource(1))
+	space := mach.NewAddrSpace()
+	fact := column.NewTable(space, "fact")
+	fk, a := make([]int32, n), make([]int32, n)
+	for i := range fk {
+		fk[i], a[i] = int32(rng.Intn(m)), int32(rng.Intn(1000))
+	}
+	fact.MustAddColumn(column.FromInt32s(space, "fk", fk))
+	fact.MustAddColumn(column.FromInt32s(space, "a", a))
+	dim := column.NewTable(space, "dim")
+	dk, w := make([]int32, m), make([]int32, m)
+	for i, p := range rng.Perm(m) {
+		dk[i], w[i] = int32(p), int32(rng.Intn(1000))
+	}
+	dim.MustAddColumn(column.FromInt32s(space, "dk", dk))
+	dim.MustAddColumn(column.FromInt32s(space, "w", w))
+	cat := testCatalog{"fact": fact, "dim": dim}
+	for _, q := range []struct{ name, sql string }{
+		{"unfiltered", "SELECT COUNT(*) FROM fact JOIN dim ON fact.fk = dim.dk WHERE fact.a >= 0"},
+		{"bloom5", "SELECT COUNT(*) FROM fact JOIN dim ON fact.fk = dim.dk WHERE fact.a >= 0 AND dim.w < 50"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			pp, err := Translate(plan2(b, cat, q.sql, true), jit.NewCompiler(), nativeOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var jo *joinOp
+			for op := pp.Root; jo == nil; op = op.(interface{ child() Operator }).child() {
+				jo, _ = op.(*joinOp)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pp.Run(context.Background(), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			own := jo.Stats().WallNs - jo.probe.Stats().WallNs
+			b.ReportMetric(float64(own)/float64(b.N)/n, "join_ns/probe_row")
 		})
 	}
 }

@@ -5,14 +5,20 @@ package pqp
 // operators. The aggregation sink and the projection above it read its
 // pair batches through side-resolved columns (sideCol).
 //
-// The join drains its build side inside Open into a hash table keyed by
-// normalized raw key bits (scan.NormKeyBits) mapping to build-table row
-// positions — no payload is copied; everything downstream reads the
-// registered build table's columns by position. When the optimizer marked
-// predicate transfer, the filtered build side's distinct keys also populate
-// a Bloom filter that Open injects into the probe side's scan chain before
-// the probe scan ever opens, so probe rows without a possible partner die
-// inside the scan kernel (Yang et al.'s predicate transfer). Residual ON
+// Open drains the build side and resolves its keys — normalized raw key
+// bits (scan.NormKeyBits), NULL and NaN keys dropped — in the same keyTable
+// the aggregation sink groups with, sized from the drained row count. Each
+// key's dense id indexes a CSR layout: starts[id]:starts[id+1] is its span
+// of one positions array, in build-stream (ascending) order. No payload is
+// copied; everything downstream reads the build table's columns by
+// position. Next resolves each probe batch aggBlock entries at a time, so a
+// probe row's matches are emitted in ascending build position and pairs
+// keep probe order. When the optimizer marked predicate transfer, the
+// table's key words also fill a Bloom filter. Open tests it on up to
+// bloomSamples evenly spaced probe keys and injects it into the probe
+// side's scan chain, before the probe scan opens, only if it rejects more
+// than 5 % of them: then probe rows without a possible partner die inside
+// the scan kernel (Yang et al.'s predicate transfer). Residual ON
 // predicates are evaluated per candidate-pair batch by gathering both
 // sides' values into temporary row-aligned columns and running the
 // column-vs-column comparator family through the same kernel flavor
@@ -32,10 +38,21 @@ import (
 	"fusedscan/internal/scan"
 )
 
-// bytesPerHashEntry is the hash-join memory-accounting estimate: one
-// hash-table entry holds a 4-byte position inside a bucket slice plus
-// amortized map overhead (key, bucket header, padding).
-const bytesPerHashEntry = 48
+// bytesPerBuildRow is the build scratch per drained row: its key word and
+// its position, held until the table is laid out.
+const bytesPerBuildRow = 8 + 4
+
+// bloomSamples is how many evenly spaced probe keys Open tests against the
+// Bloom filter. A filter that passes 95 % of them or more costs a test per
+// probe row and saves next to nothing, so it is not injected.
+const bloomSamples = 1024
+
+// Probe-block ids below the keyTable's -1 (no build match): the key is
+// NULL or NaN, or the join's own Bloom test rejected it.
+const (
+	idDeadKey  = -3
+	idFiltered = -2
+)
 
 // joinResidual is one bound residual ON comparison (probe OP build).
 type joinResidual struct {
@@ -45,7 +62,7 @@ type joinResidual struct {
 }
 
 // joinOp is the inner hash equi-join. Open drains the build side into the
-// hash table (and Bloom filter); Next pulls probe batches, looks up
+// key table (and Bloom filter); Next pulls probe batches, looks up
 // candidate pairs and filters them through the residual comparators,
 // emitting pair batches (Sel = probe-relative, BuildSel = build-absolute).
 type joinOp struct {
@@ -56,9 +73,8 @@ type joinOp struct {
 	// probe side is not a chain scan; the filter then runs inside the join
 	// loop instead.
 	probeScan *scanOp
-	// probeChain is probeScan's own chain; each Open rebuilds the scan's
-	// chain from it, so reruns of the plan add one Bloom step, not one per
-	// run.
+	// probeChain is probeScan's own chain; each Open resets the scan's
+	// chain to it, so reruns of the plan add at most one Bloom step.
 	probeChain scan.Chain
 	probeKey   *column.Column
 	buildKey   *column.Column
@@ -71,23 +87,33 @@ type joinOp struct {
 	space     *mach.AddrSpace
 	label     string
 
-	ctx         context.Context
-	cpu         *mach.CPU
-	regionB     int
-	regionP     int
-	regionG     int
-	ht          map[uint64][]uint32
-	bloom       *scan.Bloom
-	bloomStats  *scan.BloomStats
-	scalarBloom bool
-	buildRows   int64
-	probeRows   int64
-	probeOpened bool
-	buildClosed bool
-	empty       bool
-	charger     batchCharger
-	rowIdx      int
-	stats       opStats
+	ctx     context.Context
+	cpu     *mach.CPU
+	acct    *govern.Accountant
+	regionB int
+	regionP int
+	regionG int
+	// table holds the build keys; starts/positions are the CSR layout of
+	// each key id's build positions.
+	table        keyTable
+	starts       []uint32
+	positions    []uint32
+	bloom        *scan.Bloom
+	bloomStats   *scan.BloomStats
+	bloomSkipped bool
+	scalarBloom  bool
+	buildRows    int64
+	probeRows    int64
+	probeOpened  bool
+	buildClosed  bool
+	empty        bool
+	charger      batchCharger
+	rowIdx       int
+	// Per-block scratch: key words, dead-key flags and resolved ids.
+	keyBuf  [aggBlock]uint64
+	deadBuf [aggBlock]bool
+	idBuf   [aggBlock]int32
+	stats   opStats
 }
 
 func (op *joinOp) Describe() string {
@@ -102,6 +128,7 @@ func (op *joinOp) Stats() OperatorStats {
 	st := op.stats.snapshot(op.Describe())
 	st.BuildRows = op.buildRows
 	st.ProbeRows = op.probeRows
+	st.BloomSkipped = op.bloomSkipped
 	if op.bloomStats != nil {
 		st.BloomChecks = op.bloomStats.Checks.Load()
 		st.BloomPass = op.bloomStats.Pass.Load()
@@ -119,17 +146,20 @@ func (op *joinOp) buildChild() Operator { return op.build }
 // sides to form pairs.
 func (op *joinOp) setCountOnly(bool) {}
 
-// Open runs the entire build phase: drain the build child, assemble the
-// hash table (charged against the query's memory budget), and when
-// predicate transfer is on, build the Bloom filter and inject it into the
-// probe scan's chain — all before the probe side opens.
+// Open runs the entire build phase: drain the build child, lay out the
+// key table (charged against the query's memory budget), and when
+// predicate transfer is on and pays, build the Bloom filter and inject it
+// into the probe scan's chain — all before the probe side opens.
 func (op *joinOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	defer op.stats.timed()()
-	op.ctx, op.cpu = ctx, cpu
-	op.charger = batchCharger{acct: govern.AccountantFrom(ctx)}
-	op.ht = make(map[uint64][]uint32)
+	op.ctx, op.cpu, op.acct = ctx, cpu, govern.AccountantFrom(ctx)
+	op.charger = batchCharger{acct: op.acct}
 	op.buildRows, op.probeRows, op.rowIdx = 0, 0, 0
-	op.probeOpened, op.buildClosed, op.empty, op.scalarBloom = false, false, false, false
+	op.probeOpened, op.buildClosed, op.empty = false, false, false
+	op.bloom, op.bloomStats, op.bloomSkipped, op.scalarBloom = nil, nil, false, false
+	if op.probeScan != nil {
+		op.probeScan.chain = slices.Clip(op.probeChain)
+	}
 	op.regionB = cpu.NewRandomRegion()
 	op.regionP = cpu.NewRandomRegion()
 	op.regionG = cpu.NewRandomRegion()
@@ -152,25 +182,8 @@ func (op *joinOp) Open(ctx context.Context, cpu *mach.CPU) error {
 		return nil
 	}
 	if op.transfer {
-		op.bloomStats = &scan.BloomStats{}
-		bl := scan.NewBloom(op.keyType, len(op.ht))
-		for k := range op.ht {
-			bl.Add(k) // keys are already normalized; Add's NormKey is idempotent
-		}
-		if err := govern.Charge(ctx, bl.SizeBytes()); err != nil {
+		if err := op.transferBloom(); err != nil {
 			return err
-		}
-		op.bloom = bl
-		if op.probeScan != nil {
-			// Inject the prefilter as the last chain stage: the probe's own
-			// (cheaper, already selectivity-ordered) predicates run first,
-			// and rows that survive them are membership-tested inside the
-			// kernel before any hash-table work.
-			op.probeScan.chain = append(slices.Clip(op.probeChain), scan.Pred{
-				Col: op.probeKey, Bloom: bl, Stats: op.bloomStats,
-			})
-		} else {
-			op.scalarBloom = true
 		}
 	}
 	if err := op.probe.Open(ctx, cpu); err != nil {
@@ -180,16 +193,22 @@ func (op *joinOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	return nil
 }
 
-// drainBuild folds the whole build-side position stream into the hash
+// drainBuild folds the whole build-side position stream into the key
 // table. NULL keys never join; NaN float keys equal nothing (including
 // themselves) and are dropped too.
 func (op *joinOp) drainBuild() error {
+	key := sideCol{col: op.buildKey}
 	size := op.buildKey.Type().Size()
-	isFloat := op.keyType.Float()
+	var keys []uint64
+	var pos []uint32
+	// The scratch is retained until the table is laid out: budget its
+	// growth before allocating, and return it once the layout is built.
+	var scratch int64
+	defer func() { op.acct.Release(scratch) }()
 	for {
 		b, err := op.build.Next()
 		if err == EOS {
-			return nil
+			break
 		}
 		if err != nil {
 			return err
@@ -197,30 +216,175 @@ func (op *joinOp) drainBuild() error {
 		if err := faultinject.Hit(faultinject.SiteJoinBuildAlloc); err != nil {
 			return fmt.Errorf("pqp: hash join build: %w", err)
 		}
-		// Hash-table state is retained until the join closes: budget it
-		// batch-at-a-time as it accrues, before allocating.
-		if err := govern.Charge(op.ctx, int64(b.Count)*bytesPerHashEntry); err != nil {
+		n := len(b.Sel)
+		if err := pollSpan(op.ctx, op.rowIdx, n); err != nil {
 			return err
 		}
-		for _, rel := range b.Sel {
-			if err := pollCtx(op.ctx, op.rowIdx); err != nil {
+		op.rowIdx += n
+		if op.cpu != nil {
+			for _, rel := range b.Sel {
+				op.cpu.Scalar(2)
+				op.cpu.RandomRead(op.regionB, op.buildKey.Addr(int(b.Base)+int(rel)), size)
+			}
+		}
+		if need := len(keys) + n; need > cap(keys) {
+			grown := max(need, 2*cap(keys))
+			bytes := int64(grown-cap(keys)) * bytesPerBuildRow
+			if err := op.acct.Charge(bytes); err != nil {
 				return err
 			}
-			op.rowIdx++
-			pos := int(b.Base) + int(rel)
-			op.cpu.Scalar(2)
-			op.cpu.RandomRead(op.regionB, op.buildKey.Addr(pos), size)
-			if op.buildKey.Null(pos) {
-				continue
+			scratch += bytes
+			keys, pos = slices.Grow(keys, grown-len(keys)), slices.Grow(pos, grown-len(pos))
+		}
+		for lo := 0; lo < n; lo += aggBlock {
+			m := min(aggBlock, n-lo)
+			at := len(keys)
+			block := keys[at : at+m]
+			dead := op.deadBuf[:m]
+			anyDead := joinKeys(&key, op.keyType, &b, lo, block, dead)
+			for i, k := range block {
+				if !anyDead || !dead[i] {
+					keys = append(keys, k)
+					pos = append(pos, b.Base+b.Sel[lo+i])
+				}
 			}
-			if isFloat && math.IsNaN(op.buildKey.Value(pos).Float()) {
-				continue
-			}
-			k := scan.NormKeyBits(op.keyType, op.buildKey.Raw(pos))
-			op.ht[k] = append(op.ht[k], uint32(pos))
-			op.buildRows++
 		}
 	}
+	op.buildRows = int64(len(keys))
+	if len(keys) == 0 {
+		return nil
+	}
+	return op.layout(keys, pos)
+}
+
+// layout inserts the drained keys into the key table, sized for all of
+// them, and lays out each key id's build positions in CSR form: a counting
+// pass, a prefix sum into starts, and a stable fill that keeps each key's
+// positions in build-stream order. The table's allocations are charged
+// before they are made. keys is overwritten with the rows' ids.
+func (op *joinOp) layout(keys []uint64, pos []uint32) error {
+	n := len(keys)
+	if err := op.acct.Charge(keyTableBytes(1, n)); err != nil {
+		return err
+	}
+	op.table = newKeyTable(1, n)
+	for i, k := range keys {
+		id, slot := op.table.find1(k)
+		if id < 0 {
+			id = op.table.insert(keys[i:i+1], slot)
+		}
+		keys[i] = uint64(id)
+	}
+	ids := op.table.size()
+	if err := op.acct.Charge(4*int64(ids+1) + 4*int64(n)); err != nil {
+		return err
+	}
+	starts := make([]uint32, ids+1)
+	for _, id := range keys {
+		starts[id+1]++
+	}
+	for id := range ids {
+		starts[id+1] += starts[id]
+	}
+	positions := make([]uint32, n)
+	for i, id := range keys {
+		positions[starts[id]] = pos[i]
+		starts[id]++
+	}
+	// The fill advanced each start to the next key's: shift them back.
+	copy(starts[1:], starts[:ids])
+	starts[0] = 0
+	op.starts, op.positions = starts, positions
+	return nil
+}
+
+// joinKeys loads the join-key words of entries [lo, lo+len(keys)) of in
+// through c, normalized by scan.NormKeyBits, and sets dead[i] where the
+// key is NULL or NaN: such a key equals nothing. It reports whether any
+// entry is dead; when none is, dead is left as it was.
+func joinKeys(c *sideCol, t expr.Type, in *Batch, lo int, keys []uint64, dead []bool) bool {
+	c.load(in, lo, keys)
+	anyDead := false
+	if c.col.HasNulls() {
+		c.loadNulls(in, lo, dead)
+		anyDead = slices.Contains(dead, true)
+	}
+	if t.Float() {
+		for i, r := range keys {
+			if isNaNKey(t, r) {
+				if !anyDead {
+					clear(dead)
+					anyDead = true
+				}
+				dead[i] = true
+			}
+			keys[i] = scan.NormKeyBits(t, r)
+		}
+	}
+	return anyDead
+}
+
+// isNaNKey reports whether stored key bits of type t hold a NaN.
+func isNaNKey(t expr.Type, raw uint64) bool {
+	switch t {
+	case expr.Float32:
+		return math.IsNaN(float64(math.Float32frombits(uint32(raw))))
+	case expr.Float64:
+		return math.IsNaN(math.Float64frombits(raw))
+	}
+	return false
+}
+
+// transferBloom fills a Bloom filter from the table's key words and, when
+// it filters (see bloomFilters), injects it as the last step of the probe
+// scan's chain — the probe's own, already selectivity-ordered predicates
+// run first — or, without a chain scan, tests it in the probe loop. A
+// filter that does not filter is dropped and reported as skipped.
+func (op *joinOp) transferBloom() error {
+	bl := scan.NewBloom(op.keyType, op.table.size())
+	if err := op.acct.Charge(bl.SizeBytes()); err != nil {
+		return err
+	}
+	for _, k := range op.table.words {
+		bl.Add(k)
+	}
+	if !op.bloomFilters(bl) {
+		op.acct.Release(bl.SizeBytes())
+		op.bloomSkipped = true
+		return nil
+	}
+	op.bloom, op.bloomStats = bl, &scan.BloomStats{}
+	if op.probeScan != nil {
+		op.probeScan.chain = append(op.probeScan.chain, scan.Pred{
+			Col: op.probeKey, Bloom: bl, Stats: op.bloomStats,
+		})
+	} else {
+		op.scalarBloom = true
+	}
+	return nil
+}
+
+// bloomFilters tests bl on up to bloomSamples evenly spaced non-NULL,
+// non-NaN probe-key values and reports whether fewer than 95 % pass.
+func (op *joinOp) bloomFilters(bl *scan.Bloom) bool {
+	n := op.probeKey.Len()
+	m := min(n, bloomSamples)
+	tested, passed := 0, 0
+	for i := range m {
+		p := i * n / m
+		if op.probeKey.Null(p) {
+			continue
+		}
+		raw := op.probeKey.Raw(p)
+		if isNaNKey(op.keyType, raw) {
+			continue
+		}
+		tested++
+		if bl.Test(raw) {
+			passed++
+		}
+	}
+	return 20*passed < 19*tested
 }
 
 func (op *joinOp) Next() (Batch, error) {
@@ -237,39 +401,28 @@ func (op *joinOp) Next() (Batch, error) {
 	}
 	op.stats.noteIn(in)
 	op.probeRows += int64(in.Count)
-	size := op.probeKey.Type().Size()
-	isFloat := op.keyType.Float()
-	var pairsP, pairsB []uint32
-	for _, rel := range in.Sel {
-		if err := pollCtx(op.ctx, op.rowIdx); err != nil {
+	n := len(in.Sel)
+	pairsP, pairsB := make([]uint32, 0, n), make([]uint32, 0, n)
+	for lo := 0; lo < n; lo += aggBlock {
+		m := min(aggBlock, n-lo)
+		if err := pollSpan(op.ctx, op.rowIdx, m); err != nil {
 			return Batch{}, err
 		}
-		op.rowIdx++
-		pos := int(in.Base) + int(rel)
-		op.cpu.Scalar(2)
-		op.cpu.RandomRead(op.regionP, op.probeKey.Addr(pos), size)
-		if op.probeKey.Null(pos) {
-			continue
+		op.rowIdx += m
+		ids := op.idBuf[:m]
+		op.resolveProbe(&in, lo, ids)
+		if op.cpu != nil {
+			op.chargeProbe(&in, lo, ids)
 		}
-		if isFloat && math.IsNaN(op.probeKey.Value(pos).Float()) {
-			continue
-		}
-		k := scan.NormKeyBits(op.keyType, op.probeKey.Raw(pos))
-		if op.scalarBloom {
-			// The probe side is not a chain scan, so the transferred filter
-			// runs here — still ahead of the hash lookup and residuals.
-			op.bloomStats.Checks.Add(1)
-			op.cpu.Scalar(4)
-			if !op.bloom.Test(k) {
+		for i, id := range ids {
+			if id < 0 {
 				continue
 			}
-			op.bloomStats.Pass.Add(1)
-		}
-		matches := op.ht[k]
-		op.cpu.Branch(0xA00+uint32(op.regionP), len(matches) > 0)
-		for _, bpos := range matches {
-			pairsP = append(pairsP, rel)
-			pairsB = append(pairsB, bpos)
+			rel := in.Sel[lo+i]
+			for _, bpos := range op.positions[op.starts[id]:op.starts[id+1]] {
+				pairsP = append(pairsP, rel)
+				pairsB = append(pairsB, bpos)
+			}
 		}
 	}
 	if len(op.residuals) > 0 && len(pairsP) > 0 {
@@ -284,6 +437,57 @@ func (op *joinOp) Next() (Batch, error) {
 	}
 	op.stats.noteOut(out)
 	return out, nil
+}
+
+// resolveProbe sets ids to the build key ids of entries [lo, lo+len(ids))
+// of in: -1 for no match, idDeadKey for a NULL or NaN key, idFiltered for
+// a key the join-side Bloom test rejected.
+func (op *joinOp) resolveProbe(in *Batch, lo int, ids []int32) {
+	keys, dead := op.keyBuf[:len(ids)], op.deadBuf[:len(ids)]
+	anyDead := joinKeys(&sideCol{col: op.probeKey}, op.keyType, in, lo, keys, dead)
+	var checks, filtered int64
+	for i, k := range keys {
+		if anyDead && dead[i] {
+			ids[i] = idDeadKey
+			continue
+		}
+		if op.scalarBloom {
+			// The probe side is not a chain scan, so the transferred filter
+			// runs here — still ahead of the table lookup and residuals.
+			checks++
+			if !op.bloom.Test(k) {
+				ids[i] = idFiltered
+				filtered++
+				continue
+			}
+		}
+		ids[i], _ = op.table.find1(k)
+	}
+	if checks > 0 {
+		op.bloomStats.Checks.Add(checks)
+		op.bloomStats.Pass.Add(checks - filtered)
+	}
+}
+
+// chargeProbe charges the machine model for entries [lo, lo+len(ids)) of
+// in, row by row: the probe key's address computation and random read,
+// the join-side Bloom test, and the match branch.
+func (op *joinOp) chargeProbe(in *Batch, lo int, ids []int32) {
+	size := op.probeKey.Type().Size()
+	for i, id := range ids {
+		op.cpu.Scalar(2)
+		op.cpu.RandomRead(op.regionP, op.probeKey.Addr(int(in.Base)+int(in.Sel[lo+i])), size)
+		if id == idDeadKey {
+			continue
+		}
+		if op.scalarBloom {
+			op.cpu.Scalar(4)
+			if id == idFiltered {
+				continue
+			}
+		}
+		op.cpu.Branch(0xA00+uint32(op.regionP), id >= 0)
+	}
 }
 
 // applyResiduals evaluates the residual ON comparisons over the candidate
@@ -305,9 +509,11 @@ func (op *joinOp) applyResiduals(base uint32, pairsP, pairsB []uint32) ([]uint32
 			op.rowIdx++
 			ppos := int(base) + int(pairsP[i])
 			bpos := int(pairsB[i])
-			op.cpu.Scalar(4)
-			op.cpu.RandomRead(op.regionG, r.probeCol.Addr(ppos), sizeP)
-			op.cpu.RandomRead(op.regionG, r.buildCol.Addr(bpos), sizeB)
+			if op.cpu != nil {
+				op.cpu.Scalar(4)
+				op.cpu.RandomRead(op.regionG, r.probeCol.Addr(ppos), sizeP)
+				op.cpu.RandomRead(op.regionG, r.buildCol.Addr(bpos), sizeB)
+			}
 			if r.probeCol.Null(ppos) {
 				tmpP.SetNull(i)
 			} else {
@@ -337,7 +543,7 @@ func (op *joinOp) applyResiduals(base uint32, pairsP, pairsB []uint32) ([]uint32
 
 func (op *joinOp) Close() error {
 	op.charger.done()
-	op.ht = nil
+	op.table, op.starts, op.positions, op.bloom = keyTable{}, nil, nil, nil
 	var err error
 	if !op.buildClosed {
 		err = op.build.Close()

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"fusedscan/internal/column"
+	"fusedscan/internal/expr"
 	"fusedscan/internal/faultinject"
 	"fusedscan/internal/govern"
 	"fusedscan/internal/jit"
@@ -281,53 +283,65 @@ func TestJoinBloomPrefilterReducesProbeRows(t *testing.T) {
 }
 
 // TestJoinPlanRerunKeepsOneBloomStep runs one translated join plan three
-// times: every run must inject exactly one Bloom step into the probe chain
-// and report the same count and Bloom counters.
+// times: every run must leave the probe chain at its own length plus one
+// Bloom step and report the same count and Bloom counters. When the build
+// side covers every probe key, the filter would pass every row: every run
+// must then skip it, leaving the chain at its own length with no checks.
 func TestJoinPlanRerunKeepsOneBloomStep(t *testing.T) {
 	cat, _ := joinFixture(t)
-	sql := "SELECT COUNT(*) FROM f JOIN d ON f.k = d.k WHERE f.x >= 0 AND d.v = 3"
+	cases := []struct {
+		name, sql string
+		skipped   bool
+	}{
+		{"bloom", "SELECT COUNT(*) FROM f JOIN d ON f.k = d.k WHERE f.x >= 0 AND d.v = 3", false},
+		// f's keys span 0..149 and cover each of d's 0..119.
+		{"skipped", "SELECT COUNT(*) FROM d JOIN f ON d.k = f.k WHERE d.v >= 0", true},
+	}
 	for name, opts := range map[string]Options{
 		"fused":  DefaultOptions(),
 		"native": func() Options { o := DefaultOptions(); o.Native, o.Cores, o.BatchRows = true, 2, 517; return o }(),
 	} {
 		t.Run(name, func(t *testing.T) {
-			pp, err := Translate(plan(t, cat, sql, true), jit.NewCompiler(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want []int64
-			var chainLen int
-			for run := 0; run < 3; run++ {
-				var cpu *mach.CPU
-				if !opts.Native {
-					cpu = mach.New(mach.Default())
-				}
-				res, err := pp.Run(context.Background(), cpu)
+			for _, c := range cases {
+				pp, err := Translate(plan(t, cat, c.sql, true), jit.NewCompiler(), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var join *OperatorStats
-				stats := pp.OperatorStats()
-				for i := range stats {
-					if strings.HasPrefix(stats[i].Name, "HashJoin") {
-						join = &stats[i]
-					}
-				}
-				if join == nil || join.BloomChecks == 0 {
-					t.Fatalf("run %d: no Bloom checks:\n%s", run, FormatStats(stats))
-				}
-				got := []int64{res.Aggregates[0].Int(), join.BloomChecks, join.BloomPass}
 				var jo *joinOp
 				for op := pp.Root; jo == nil; op = op.(interface{ child() Operator }).child() {
 					jo, _ = op.(*joinOp)
 				}
-				n := len(jo.probeScan.chain)
-				if run == 0 {
-					want, chainLen = got, n
-					continue
+				wantLen := len(jo.probeChain) + 1
+				if c.skipped {
+					wantLen--
 				}
-				if !slices.Equal(got, want) || n != chainLen {
-					t.Errorf("run %d: count/checks/pass %v chain %d, run 0 had %v chain %d", run, got, n, want, chainLen)
+				var want []int64
+				for run := 0; run < 3; run++ {
+					var cpu *mach.CPU
+					if !opts.Native {
+						cpu = mach.New(mach.Default())
+					}
+					res, err := pp.Run(context.Background(), cpu)
+					if err != nil {
+						t.Fatal(err)
+					}
+					join := jo.Stats()
+					rendered := FormatStats(pp.OperatorStats())
+					if c.skipped != (join.BloomChecks == 0) || join.BloomSkipped != c.skipped ||
+						strings.Contains(rendered, "bloom=skipped") != c.skipped {
+						t.Fatalf("%s run %d: skipped=%v, got checks=%d BloomSkipped=%v:\n%s", c.name, run, c.skipped, join.BloomChecks, join.BloomSkipped, rendered)
+					}
+					if n := len(jo.probeScan.chain); n != wantLen {
+						t.Errorf("%s run %d: probe chain has %d steps, want %d", c.name, run, n, wantLen)
+					}
+					got := []int64{res.Aggregates[0].Int(), join.BloomChecks, join.BloomPass}
+					if run == 0 {
+						want = got
+						continue
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s run %d: count/checks/pass %v, run 0 had %v", c.name, run, got, want)
+					}
 				}
 			}
 		})
@@ -501,5 +515,177 @@ func TestJoinSelectStarQualifiesColumns(t *testing.T) {
 		if row[0].Int() != row[3].Int() {
 			t.Fatalf("join key mismatch in row: %v", row)
 		}
+	}
+}
+
+// joinKeyRaw returns the stored bits of key value index v (0..39) in type
+// t: negative values for signed types, the top bit for uint64, and for
+// floats a signed zero (either sign) at v = 0, a NaN at v = 1 and
+// fractions otherwise.
+func joinKeyRaw(t expr.Type, v int, rng *rand.Rand) uint64 {
+	f := float64(v) - 10.5
+	switch v {
+	case 0:
+		f = math.Copysign(0, float64(rng.Intn(2))-0.5)
+	case 1:
+		f = math.NaN()
+	}
+	switch {
+	case t == expr.Float32:
+		return uint64(math.Float32bits(float32(f)))
+	case t == expr.Float64:
+		return math.Float64bits(f)
+	case t.Signed():
+		return uint64(int64(v - 20))
+	case t == expr.Uint64:
+		return uint64(v) | uint64(v&1)<<63
+	}
+	return uint64(3 * v)
+}
+
+// joinKeyTable builds a table of n rows: a key column k of type t drawn
+// from the first domain key values, NULL one row in nullEvery (every row
+// when nullEvery is 1), and an int32 column r in [0, 100).
+func joinKeyTable(t *testing.T, space *mach.AddrSpace, name string, kt expr.Type, n, domain, nullEvery int, pack bool, rng *rand.Rand) *column.Table {
+	t.Helper()
+	k := column.New(space, "k", kt, n)
+	r := make([]int32, n)
+	for i := range n {
+		k.SetRaw(i, joinKeyRaw(kt, rng.Intn(domain), rng))
+		if rng.Intn(nullEvery) == 0 {
+			k.SetNull(i)
+		}
+		r[i] = int32(rng.Intn(100))
+	}
+	if pack {
+		var err error
+		if k, err = column.Pack(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl := column.NewTable(space, name)
+	tbl.MustAddColumn(k)
+	tbl.MustAddColumn(column.FromInt32s(space, "r", r))
+	return tbl
+}
+
+// nestedLoopJoin is the reference: for each probe row in order, every
+// build row in ascending position whose key equals it under SQL '=' (no
+// NULLs, NaN equal to nothing, -0 equal to +0) and, with residual, whose r
+// exceeds the probe row's.
+func nestedLoopJoin(p, b *column.Table, residual bool) [][2]uint32 {
+	pk, _ := p.Column("k")
+	bk, _ := b.Column("k")
+	pr, _ := p.Column("r")
+	br, _ := b.Column("r")
+	eq := func(x, y uint64) bool { return x == y }
+	switch pk.Type() {
+	case expr.Float32:
+		eq = func(x, y uint64) bool { return math.Float32frombits(uint32(x)) == math.Float32frombits(uint32(y)) }
+	case expr.Float64:
+		eq = func(x, y uint64) bool { return math.Float64frombits(x) == math.Float64frombits(y) }
+	}
+	var out [][2]uint32
+	for i := range p.Rows() {
+		if pk.Null(i) {
+			continue
+		}
+		x := pk.Raw(i)
+		for j := range b.Rows() {
+			if bk.Null(j) || !eq(x, bk.Raw(j)) || (residual && pr.Raw(i) >= br.Raw(j)) {
+				continue
+			}
+			out = append(out, [2]uint32{uint32(i), uint32(j)})
+		}
+	}
+	return out
+}
+
+// TestJoinTableMatchesNestedLoop drives the hash join directly and checks
+// its pair stream against the nested-loop reference: pairs in probe order,
+// each probe row's matches in ascending build position. The probe side
+// spans three scan chunks, so two cores scan it in parallel.
+func TestJoinTableMatchesNestedLoop(t *testing.T) {
+	const probeRows, buildRows = 2<<16 + 777, 64
+	type joinCase struct {
+		name      string
+		kt        expr.Type
+		pack      bool
+		residual  bool
+		buildNull int // one build key in buildNull is NULL; 1 empties the build
+	}
+	var cases []joinCase
+	for _, kt := range expr.AllTypes() {
+		cases = append(cases, joinCase{name: kt.String(), kt: kt, buildNull: 11})
+	}
+	cases = append(cases,
+		joinCase{name: "packed", kt: expr.Int32, pack: true, buildNull: 11},
+		joinCase{name: "residual", kt: expr.Int64, residual: true, buildNull: 11},
+		joinCase{name: "empty-build", kt: expr.Int32, buildNull: 1},
+	)
+	native := func(cores int) Options { o := nativeOptions(); o.Cores = cores; return o }
+	for ci, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(ci)))
+			space := mach.NewAddrSpace()
+			// Build keys cover 24 of the probe's 40 values, ~2.7 rows each.
+			p := joinKeyTable(t, space, "p", c.kt, probeRows, 40, 13, c.pack, rng)
+			b := joinKeyTable(t, space, "b", c.kt, buildRows, 24, c.buildNull, false, rng)
+			want := nestedLoopJoin(p, b, c.residual)
+			sql := "SELECT p.r, b.r FROM p JOIN b ON p.k = b.k"
+			if c.residual {
+				sql += " AND p.r < b.r"
+			}
+			sql += " WHERE p.r >= 0"
+			for name, run := range map[string]struct {
+				opts Options
+				cpu  *mach.CPU
+			}{
+				"native-1": {native(1), nil},
+				"native-2": {native(2), nil},
+				"emulated": {DefaultOptions(), mach.New(mach.Default())},
+			} {
+				pp, err := Translate(plan(t, testCatalog{"p": p, "b": b}, sql, true), jit.NewCompiler(), run.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var jo *joinOp
+				for op := pp.Root; jo == nil; op = op.(interface{ child() Operator }).child() {
+					jo, _ = op.(*joinOp)
+				}
+				if err := jo.Open(context.Background(), run.cpu); err != nil {
+					t.Fatal(err)
+				}
+				var got [][2]uint32
+				for {
+					bt, err := jo.Next()
+					if err == EOS {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, rel := range bt.Sel {
+						got = append(got, [2]uint32{bt.Base + rel, bt.BuildSel[i]})
+					}
+				}
+				if err := jo.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					i := 0
+					for i < min(len(got), len(want)) && got[i] == want[i] {
+						i++
+					}
+					t.Fatalf("%s: %d pairs, want %d; first difference at pair %d", name, len(got), len(want), i)
+				}
+				if c.buildNull == 1 && jo.Stats().ProbeRows != 0 {
+					t.Errorf("%s: empty build side, yet %d probe rows reached the join", name, jo.Stats().ProbeRows)
+				}
+				if cores := jo.probe.Stats().Cores; name == "native-2" && c.buildNull != 1 && cores != 2 {
+					t.Errorf("%s: probe scan ran on %d cores", name, cores)
+				}
+			}
+		})
 	}
 }

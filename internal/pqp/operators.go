@@ -595,86 +595,6 @@ func foldFloatExtreme(cells []aggCell, gids []int32, vals []uint64, max bool) {
 	}
 }
 
-// groupTable maps rows of key words — a fixed stride of uint64 per row —
-// to dense group ids with linear probing. Group g's words sit at
-// words[g*stride:(g+1)*stride]; a slot holds g+1, 0 marking it empty. The
-// slot array starts at groupTableMinSlots and doubles whenever it is half
-// full, so a new group costs no allocation of its own.
-type groupTable struct {
-	stride int
-	words  []uint64
-	slots  []int32
-	shift  uint // 64 - log2(len(slots))
-}
-
-const (
-	groupTableMinSlots = 16
-	// hashMul is 2^64/φ: multiply-shift (Fibonacci) hashing keeps the
-	// product's top bits.
-	hashMul = 0x9e3779b97f4a7c15
-)
-
-func newGroupTable(stride int) groupTable {
-	return groupTable{stride: stride, slots: make([]int32, groupTableMinSlots), shift: 64 - 4}
-}
-
-// groups returns how many groups the table holds.
-func (t *groupTable) groups() int { return len(t.words) / t.stride }
-
-func (t *groupTable) home(key []uint64) int {
-	var h uint64
-	for _, w := range key {
-		h = (h ^ w) * hashMul
-	}
-	return int(h >> t.shift)
-}
-
-// find returns key's group id, or -1 and the empty slot where insert must
-// place it.
-func (t *groupTable) find(key []uint64) (gid int32, slot int) {
-	mask := len(t.slots) - 1
-	if t.stride == 1 {
-		// The common single non-nullable key: compare words directly.
-		w := key[0]
-		for s := int(w * hashMul >> t.shift); ; s = (s + 1) & mask {
-			g := t.slots[s] - 1
-			if g < 0 || t.words[g] == w {
-				return g, s
-			}
-		}
-	}
-	for s := t.home(key); ; s = (s + 1) & mask {
-		g := t.slots[s] - 1
-		if g < 0 || slices.Equal(t.words[int(g)*t.stride:][:t.stride], key) {
-			return g, s
-		}
-	}
-}
-
-// insert adds key as a new group at the slot find returned.
-func (t *groupTable) insert(key []uint64, slot int) int32 {
-	g := int32(t.groups())
-	t.words = append(t.words, key...)
-	t.slots[slot] = g + 1
-	if 2*(int(g)+1) >= len(t.slots) {
-		t.grow()
-	}
-	return g
-}
-
-func (t *groupTable) grow() {
-	t.slots = make([]int32, 2*len(t.slots))
-	t.shift--
-	mask := len(t.slots) - 1
-	for g := range t.groups() {
-		s := t.home(t.words[g*t.stride:][:t.stride])
-		for t.slots[s] != 0 {
-			s = (s + 1) & mask
-		}
-		t.slots[s] = int32(g) + 1
-	}
-}
-
 // groupRow is a group's first input row: its probe-side position and, over
 // a join, its build-side one. The group's key values are rendered from it.
 type groupRow struct{ probe, build uint32 }
@@ -685,7 +605,7 @@ type groupRow struct{ probe, build uint32 }
 // streams. Each block of aggBlock entries is first resolved to group ids —
 // every row's keys become a stride of uint64 words (scan.NormKeyBits per
 // key, plus NULL-flag words when a key column holds NULLs) looked up in the
-// groupTable — then each aggregate folds its column into flat per-group
+// keyTable — then each aggregate folds its column into flat per-group
 // cells with a loop specialised by the column's type class. With zero keys
 // every entry belongs to the one group: the plain aggregate, emitted as a
 // single final batch of aggregate values. With keys the groups are emitted
@@ -704,7 +624,7 @@ type groupOp struct {
 	ctx     context.Context
 	cpu     *mach.CPU
 	acct    *govern.Accountant
-	table   groupTable
+	table   keyTable
 	first   []groupRow  // per group
 	counts  []int64     // rows per group
 	cells   [][]aggCell // per item, then per group; nil for COUNT(*) items
@@ -771,7 +691,7 @@ func (op *groupOp) Open(ctx context.Context, cpu *mach.CPU) error {
 				break
 			}
 		}
-		op.table = newGroupTable(stride)
+		op.table = newKeyTable(stride, 0)
 	}
 	op.total, op.cursor, op.rowIdx = 0, 0, 0
 	op.drained = false
@@ -1168,7 +1088,7 @@ func orderWord(t expr.Type, w uint64) uint64 {
 // Close releases the group table, cells and scratch; counts and ordered
 // stay for Stats.
 func (op *groupOp) Close() error {
-	op.table, op.first, op.cells = groupTable{}, nil, nil
+	op.table, op.first, op.cells = keyTable{}, nil, nil
 	op.gids, op.liveGids, op.keyWords, op.vals = nil, nil, nil, nil
 	return op.input.Close()
 }
