@@ -8,13 +8,16 @@
 //	fusedscan-smoke -out BENCH.json  # write the baseline file
 //
 // With -native the tool instead benchmarks the native turbo path for
-// real: it times the same two-predicate COUNT(*) through the native SWAR
-// kernels and the emulated fused kernel (best of -reps wall-clock
-// runs, after a warm-up), records the speedup, and runs a clustered-data query whose
-// zone-map prune counts are deterministic. -check compares a current run
+// real: it times the same two-predicate COUNT(*) through the native
+// kernels and the emulated fused kernel (best of -reps wall-clock runs,
+// after a warm-up), records the speedup, and runs a clustered-data query
+// whose zone-map prune counts are deterministic. Each native rep is
+// followed by a roofline read: a plain []uint64 sum over as many bytes as
+// the query scans, on as many cores. -check compares a current run
 // against a checked-in BENCH_NATIVE.json: exact fields (counts, chunks
-// pruned) must match, the native wall-clock must not regress by more
-// than -tol, and the speedup floor must hold.
+// pruned) must match, each native leg's wall/roofline ratio must not
+// regress by more than -tol, and the speedup floors must hold. The ratio
+// cancels the box's phase, which a wall from another sitting does not.
 //
 //	fusedscan-smoke -native -out BENCH_NATIVE.json     # write the baseline
 //	fusedscan-smoke -native -check BENCH_NATIVE.json   # gate regressions
@@ -27,6 +30,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"fusedscan"
@@ -219,6 +226,11 @@ type nativeResult struct {
 	Encoding     string  `json:"encoding"`
 	BytesScanned int64   `json:"bytes_scanned"`
 	EffDecodeGBs float64 `json:"eff_decode_gbs"`
+	// RooflineNsBest is the best roofline read of BytesScanned bytes,
+	// timed right after each rep of the native legs; WallPerRoofline is
+	// the median over reps of wall / roofline, the figure -check gates.
+	RooflineNsBest  int64   `json:"roofline_ns_best,omitempty"`
+	WallPerRoofline float64 `json:"wall_per_roofline,omitempty"`
 }
 
 // nativeReport is the BENCH_NATIVE.json schema. SpeedupFloor documents
@@ -319,23 +331,74 @@ func buildIndexTable(eng *fusedscan.Engine) error {
 
 // bestWallNs runs the query once to warm up (plan cache, page faults),
 // then reps more times, returning the fastest duration and the (stable)
-// count.
-func bestWallNs(eng *fusedscan.Engine, sql string, reps int) (int64, *fusedscan.Result, error) {
-	var best int64 = 1<<63 - 1
-	var last *fusedscan.Result
+// count. With a non-nil roof it also reads the query's scanned bytes of
+// roof right after each rep, and returns the best roofline time and the
+// median over reps of wall / roofline: each pair shares the box's phase,
+// and the median drops a pair that straddled a phase change.
+func bestWallNs(eng *fusedscan.Engine, sql string, reps int, roof []uint64) (best, bestRoof int64, ratio float64, last *fusedscan.Result, err error) {
+	best, bestRoof = 1<<63-1, 1<<63-1
+	var ratios []float64
 	for i := 0; i <= reps; i++ {
 		start := time.Now()
 		res, err := eng.QueryContext(context.Background(), sql)
 		if err != nil {
-			return 0, nil, err
+			return 0, 0, 0, nil, err
 		}
 		d := time.Since(start).Nanoseconds()
-		if i > 0 && d < best {
-			best = d
-		}
 		last = res
+		words := roof[:min(len(roof), int(scanLeaf(res).BytesScanned/8))]
+		if i == 0 {
+			// Warm-up. The first roofline reads after other work run up
+			// to 2.5x slow (caches, idle threads). A collection then
+			// keeps a GC cycle, which takes one of the roofline's cores,
+			// out of the timed pairs.
+			for j := 0; roof != nil && j < 4; j++ {
+				readRoofline(words)
+			}
+			runtime.GC()
+			continue
+		}
+		best = min(best, d)
+		if roof != nil {
+			r := readRoofline(words)
+			bestRoof = min(bestRoof, r)
+			ratios = append(ratios, float64(d)/float64(max(r, 1)))
+		}
 	}
-	return best, last, nil
+	if len(ratios) > 0 {
+		sort.Float64s(ratios)
+		ratio = ratios[len(ratios)/2]
+	}
+	return best, bestRoof, ratio, last, nil
+}
+
+var roofSink atomic.Uint64 // keeps the roofline sums from being optimised away
+
+// readRoofline times a plain sum over words split across GOMAXPROCS
+// goroutines, as the native scan splits its chunks across cores: a phase
+// in which the box gives this process fewer cycles slows both alike. Every
+// goroutine ends before it returns.
+func readRoofline(words []uint64) int64 {
+	cores := runtime.GOMAXPROCS(0)
+	part := (len(words) + cores - 1) / cores
+	var wg sync.WaitGroup
+	start := time.Now()
+	for lo := 0; lo < len(words); lo += part {
+		wg.Add(1)
+		go func(w []uint64) {
+			defer wg.Done()
+			var s0, s1, s2, s3 uint64
+			for i := 0; i+3 < len(w); i += 4 {
+				s0 += w[i]
+				s1 += w[i+1]
+				s2 += w[i+2]
+				s3 += w[i+3]
+			}
+			roofSink.Add(s0 + s1 + s2 + s3)
+		}(words[lo:min(lo+part, len(words))])
+	}
+	wg.Wait()
+	return time.Since(start).Nanoseconds()
 }
 
 // scanLeaf returns the deepest operator in the pipeline walk — the scan.
@@ -359,21 +422,32 @@ func runNative(reps int) (*nativeReport, error) {
 	// the effective-decode-throughput axis for every count leg.
 	const decodedBytes = nativeRows * 4 * 2
 
+	// The roofline buffer: the plain scan's bytes, filled so no read
+	// lands on a shared zero page.
+	roof := make([]uint64, decodedBytes/8)
+	for i := range roof {
+		roof[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
 	legs := []struct {
 		path  string
 		table string
 		cfg   fusedscan.Config
+		roof  []uint64
 	}{
-		{"native", "demo", fusedscan.NativeConfig()},
-		{"emulated", "demo", fusedscan.DefaultConfig()},
-		{"packed-native", "pdemo", fusedscan.NativeConfig()},
+		{"native", "demo", fusedscan.NativeConfig(), roof},
+		{"emulated", "demo", fusedscan.DefaultConfig(), nil},
+		{"packed-native", "pdemo", fusedscan.NativeConfig(), roof},
 	}
 	for _, leg := range legs {
 		if err := eng.SetConfig(leg.cfg); err != nil {
 			return nil, err
 		}
 		q := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE a = 5 AND b = 5", leg.table)
-		ns, res, err := bestWallNs(eng, q, reps)
+		n := reps
+		if leg.roof != nil {
+			n = 5 * reps // a median of 5 pairs moved by a third between runs, of 25 by a few percent
+		}
+		ns, roofNs, ratio, res, err := bestWallNs(eng, q, n, leg.roof)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", leg.path, err)
 		}
@@ -385,6 +459,9 @@ func runNative(reps int) (*nativeReport, error) {
 		}
 		if ns > 0 {
 			nr.EffDecodeGBs = float64(decodedBytes) / float64(ns)
+		}
+		if leg.roof != nil {
+			nr.RooflineNsBest, nr.WallPerRoofline = roofNs, ratio
 		}
 		rep.Results = append(rep.Results, nr)
 	}
@@ -449,7 +526,7 @@ func runNative(reps int) (*nativeReport, error) {
 			fmt.Sprintf("SELECT /*+ NO_INDEX */ COUNT(*) FROM idemo WHERE k < %d", lowSelLit)},
 	}
 	for _, leg := range idxLegs {
-		ns, res, err := bestWallNs(eng, leg.sql, reps)
+		ns, _, _, res, err := bestWallNs(eng, leg.sql, reps, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", leg.path, err)
 		}
@@ -490,8 +567,8 @@ func runNative(reps int) (*nativeReport, error) {
 }
 
 // checkNative gates a current run against the checked-in baseline:
-// deterministic fields exactly, native wall-clock within tol, speedup
-// above the floor.
+// deterministic fields exactly, each native leg's wall/roofline ratio
+// within tol of the baseline's, speedups above their floors.
 func checkNative(cur *nativeReport, baselinePath string, tol float64) error {
 	buf, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -516,9 +593,12 @@ func checkNative(cur *nativeReport, baselinePath string, tol float64) error {
 	}
 	for _, path := range []string{"native", "packed-native"} {
 		b, c := resultByPath(&base, path), resultByPath(cur, path)
-		if limit := float64(b.WallNsBest) * (1 + tol); float64(c.WallNsBest) > limit {
-			return fmt.Errorf("%s wall-clock regressed: %.3f ms vs baseline %.3f ms (tolerance %.0f%%)",
-				path, c.WallMs, b.WallMs, 100*tol)
+		if b.WallPerRoofline == 0 {
+			return fmt.Errorf("%s leg of %s has no wall_per_roofline; regenerate the baseline", path, baselinePath)
+		}
+		if limit := b.WallPerRoofline * (1 + tol); c.WallPerRoofline > limit {
+			return fmt.Errorf("%s regressed against the roofline: wall is %.2fx a []uint64 read of its bytes (best %.3f ms vs %.3f ms), baseline %.2fx (tolerance %.0f%%)",
+				path, c.WallPerRoofline, c.WallMs, float64(c.RooflineNsBest)/1e6, b.WallPerRoofline, 100*tol)
 		}
 	}
 	if cur.Speedup < base.SpeedupFloor {
@@ -609,8 +689,8 @@ func main() {
 					pk.BytesScanned, pl.BytesScanned, pk.EffDecodeGBs)
 				return
 			}
-			fmt.Printf("native benchmark gate ok: %.3f ms native, %.1fx vs emulated, %d/%d chunks pruned\n",
-				nrep.Results[0].WallMs, nrep.Speedup, nrep.Pruning.ChunksPruned, nrep.Pruning.Chunks)
+			fmt.Printf("native benchmark gate ok: %.3f ms native (%.2fx its roofline read), %.1fx vs emulated, %d/%d chunks pruned\n",
+				nrep.Results[0].WallMs, nrep.Results[0].WallPerRoofline, nrep.Speedup, nrep.Pruning.ChunksPruned, nrep.Pruning.Chunks)
 			return
 		}
 		rep = nrep

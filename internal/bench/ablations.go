@@ -187,7 +187,7 @@ func AblationDictionary(cfg Config) AblationDictionaryResult {
 	col := column.New(space, "c", expr.Int32, rows)
 	// 64 distinct values, uniformly distributed (6-bit codes).
 	for i := 0; i < rows; i++ {
-		col.SetRaw(i, uint64(uint32((i*2654435761)>>8&63)))
+		col.SetRaw(i, uint64((uint32(i)*2654435761)>>8&63))
 	}
 	dict := column.Encode(space, col)
 	needle := expr.NewInt(expr.Int32, 5)

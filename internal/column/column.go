@@ -67,13 +67,17 @@ func New(space *mach.AddrSpace, name string, t expr.Type, n int) *Column {
 // NewFromBytes wraps an existing little-endian value buffer as a column
 // without copying; len(data) must be a whole number of t.Size() lanes.
 // The storage decoder uses this so untrusted streams are read into
-// incrementally-grown buffers instead of one header-sized allocation.
+// incrementally-grown buffers instead of one header-sized allocation. A
+// buffer not aligned to t.Size() is copied, so View can read it in place.
 func NewFromBytes(space *mach.AddrSpace, name string, t expr.Type, data []byte) *Column {
 	if !t.Valid() {
 		panic(fmt.Sprintf("column: invalid type %d", uint8(t)))
 	}
 	if len(data)%t.Size() != 0 {
 		panic(fmt.Sprintf("column %s: %d bytes is not a whole number of %d-byte lanes", name, len(data), t.Size()))
+	}
+	if !aligned(data, t.Size()) {
+		data = append([]byte(nil), data...)
 	}
 	return &Column{
 		name:  name,
@@ -157,6 +161,27 @@ func (c *Column) Raw(i int) uint64 {
 	default:
 		return binary.LittleEndian.Uint64(c.data[off:])
 	}
+}
+
+// Elem is the set of Go types a plain column's lanes hold, one per
+// expr.Type; View and FromRaw are instantiated with them.
+type Elem interface {
+	int8 | int16 | int32 | int64 | uint8 | uint16 | uint32 | uint64 | float32 | float64
+}
+
+// FromRaw converts a lane's stored bits, as Raw returns them, into its Go
+// value.
+func FromRaw[T Elem](raw uint64) T {
+	var v T
+	switch p := any(&v).(type) {
+	case *float32:
+		*p = math.Float32frombits(uint32(raw))
+	case *float64:
+		*p = math.Float64frombits(raw)
+	default:
+		v = T(raw) // integers truncate to their width
+	}
+	return v
 }
 
 // Set stores a typed value at row i. The value must match the column type.

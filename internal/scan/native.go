@@ -1,32 +1,31 @@
 package scan
 
-//go:generate go run ./gen
-
 import (
-	"fmt"
 	"math/bits"
 
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
 	"fusedscan/internal/faultinject"
 	"fusedscan/internal/mach"
+	"fusedscan/internal/vec"
 )
 
 // Native is the turbo execution path: it evaluates a fused predicate chain
-// directly over the typed column bytes with generated SWAR kernels
-// (native_kernels_gen.go) instead of the emulated AVX-512 interpreter.
+// directly over the column values with the generic block kernels of
+// native_kernels.go, reading each plain column through its typed view
+// (column.View), instead of the emulated AVX-512 interpreter.
 //
 // The structure mirrors the paper's fused kernel at 64-row block
 // granularity. NewNative specialises the chain once into a slice of block
-// steps, one per predicate, each with its column, needle, kernel and
-// validity AND bound in (for a packed column, the delta-space comparison is
-// resolved once per window). Run seeds each block's mask with the block's
-// rows and lets every step AND its whole branch-free 64-row mask in; the
-// chain stops at the first step that leaves the mask empty, so later
-// columns are read only for blocks where something survived. Positions are
-// emitted from the final mask. Counts and position lists are bit-identical
-// to Fused/SISD/Reference — enforced by the differential fuzzer in
-// native_test.go.
+// steps, one per predicate, each with its column view, typed needle,
+// kernel and validity AND bound in (for a packed column, the delta-space
+// comparison is resolved once per window). Run seeds each block's mask
+// with the block's rows and lets every step AND its whole branch-free
+// 64-row mask in; the chain stops at the first step that leaves the mask
+// empty, so later columns are read only for blocks where something
+// survived. Positions are emitted from the final mask. Counts and position
+// lists are bit-identical to Fused/SISD/Reference — enforced by the
+// differential fuzzer in native_test.go.
 //
 // Native does not touch the machine model: the cpu argument is accepted to
 // satisfy Kernel and ignored, so results carry no simulated PerfReport
@@ -41,20 +40,15 @@ type Native struct {
 // rows (cnt <= 64) starting at row b; m has no bits past cnt.
 type blockStep func(b, cnt int, m uint64) uint64
 
-// NewNative builds the native kernel for a validated chain. All ten types
-// and six comparators have generated kernels (in both the needle and the
-// column-vs-column family), so this only fails on an invalid chain.
+// NewNative builds the native kernel for a chain. Every type, comparator
+// and predicate form has a kernel, so this fails only on an invalid chain.
 func NewNative(ch Chain) (*Native, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err
 	}
 	k := &Native{ch: ch, steps: make([]blockStep, 0, len(ch))}
 	for i := range ch {
-		s, err := nativeStep(&ch[i], ch.Rows())
-		if err != nil {
-			return nil, err
-		}
-		if s != nil {
+		if s := nativeStep(&ch[i], ch.Rows()); s != nil {
 			k.steps = append(k.steps, s)
 		}
 	}
@@ -63,11 +57,11 @@ func NewNative(ch Chain) (*Native, error) {
 
 // nativeStep lowers one predicate over a window of n rows to its block
 // step; nil means the predicate holds for every row of the window.
-func nativeStep(p *Pred, n int) (blockStep, error) {
+func nativeStep(p *Pred, n int) blockStep {
 	switch {
 	case p.Kind != expr.PredCompare:
 		// NULL test: the block mask is the validity polarity.
-		return func(b, cnt int, m uint64) uint64 { return m & p.BlockMask(b, cnt) }, nil
+		return func(b, cnt int, m uint64) uint64 { return m & p.BlockMask(b, cnt) }
 	case p.IsBloom():
 		// Bloom prefilter: probe the filter for the surviving rows, then
 		// mask out NULL keys.
@@ -87,9 +81,9 @@ func nativeStep(p *Pred, n int) (blockStep, error) {
 				p.Stats.Pass.Add(int64(bits.OnesCount64(m)))
 			}
 			return m
-		}, nil
+		}
 	case p.IsColCol() && (p.Col.IsPacked() || p.Col2.IsPacked()):
-		// Col-vs-col over packed storage: the SWAR col-col kernels read
+		// Col-vs-col over packed storage: the col-col kernels read
 		// full-width lanes, so decode the surviving rows one at a time.
 		// Matches covers validity.
 		return func(b, cnt int, m uint64) uint64 {
@@ -99,26 +93,79 @@ func nativeStep(p *Pred, n int) (blockStep, error) {
 				}
 			}
 			return m
-		}, nil
-	case p.IsColCol():
-		f := nativeMaskColFuncs[p.Col.Type()][p.Op]
-		if f == nil {
-			return nil, fmt.Errorf("scan: no native col-vs-col kernel for %s %s", p.Col.Type(), p.Op)
 		}
-		x, y := p.Col.Data(), p.Col2.Data()
-		s := func(b, cnt int, m uint64) uint64 { return m & f(x, y, b, cnt) }
-		return withValidity(withValidity(s, p.Col), p.Col2), nil
+	case p.IsColCol():
+		return withValidity(withValidity(typedSteps[p.Col.Type()](p), p.Col), p.Col2)
 	case p.Col.IsPacked():
 		// Compare over a packed column: delta-space SWAR over the packed
 		// words, no decode (packed.go).
-		return withValidity(newPackedPred(*p).step(n), p.Col), nil
+		return withValidity(newPackedPred(*p).step(n), p.Col)
 	}
-	f := nativeMaskFuncs[p.Col.Type()][p.Op]
-	if f == nil {
-		return nil, fmt.Errorf("scan: no native kernel for %s %s", p.Col.Type(), p.Op)
+	return withValidity(typedSteps[p.Col.Type()](p), p.Col)
+}
+
+// typedSteps lowers a compare over plain columns through the kernels
+// instantiated for the column type.
+var typedSteps = [expr.NumTypes]func(*Pred) blockStep{
+	expr.Int8: compareStep[int8], expr.Int16: compareStep[int16],
+	expr.Int32: compareStep[int32], expr.Int64: compareStep[int64],
+	expr.Uint8: compareStep[uint8], expr.Uint16: compareStep[uint16],
+	expr.Uint32: compareStep[uint32], expr.Uint64: compareStep[uint64],
+	expr.Float32: compareStep[float32], expr.Float64: compareStep[float64],
+}
+
+// compareStep binds the typed view of p's column (and of Col2 for a
+// column-vs-column compare) and, for a literal, the needle decoded into T
+// once, to the block kernel of p.Op. Validity is the caller's.
+func compareStep[T column.Elem](p *Pred) blockStep {
+	x, byteLanes := column.View[T](p.Col), p.Col.Type().Size() == 1
+	if p.IsColCol() {
+		y := column.View[T](p.Col2)
+		if a, c := p.Col.Data(), p.Col2.Data(); byteLanes && (p.Op == expr.Eq || p.Op == expr.Ne) {
+			// 1-byte equality: eight lanes per word (maskColEqByte).
+			if p.Op == expr.Eq {
+				return func(b, cnt int, m uint64) uint64 { return m & maskColEqByte(a, c, b, cnt) }
+			}
+			return func(b, cnt int, m uint64) uint64 { return m &^ maskColEqByte(a, c, b, cnt) }
+		}
+		switch p.Op {
+		case expr.Eq:
+			return func(b, cnt int, m uint64) uint64 { return m & maskColEq(x, y, b, cnt) }
+		case expr.Ne:
+			return func(b, cnt int, m uint64) uint64 { return m &^ maskColEq(x, y, b, cnt) }
+		case expr.Lt:
+			return func(b, cnt int, m uint64) uint64 { return m & maskColLt(x, y, b, cnt) }
+		case expr.Le:
+			return func(b, cnt int, m uint64) uint64 { return m & maskColLe(x, y, b, cnt) }
+		case expr.Gt:
+			return func(b, cnt int, m uint64) uint64 { return m & maskColLt(y, x, b, cnt) }
+		default: // expr.Ge
+			return func(b, cnt int, m uint64) uint64 { return m & maskColLe(y, x, b, cnt) }
+		}
 	}
-	data, needle := p.Col.Data(), p.StoredBits()
-	return withValidity(func(b, cnt int, m uint64) uint64 { return m & f(data, b, cnt, needle) }, p.Col), nil
+	raw := p.StoredBits()
+	if a, pat := p.Col.Data(), vec.BroadcastByte(byte(raw)); byteLanes && (p.Op == expr.Eq || p.Op == expr.Ne) {
+		// 1-byte equality: eight lanes per word (maskEqByte).
+		if p.Op == expr.Eq {
+			return func(b, cnt int, m uint64) uint64 { return m & maskEqByte(a, b, cnt, pat) }
+		}
+		return func(b, cnt int, m uint64) uint64 { return m &^ maskEqByte(a, b, cnt, pat) }
+	}
+	n := column.FromRaw[T](raw)
+	switch p.Op {
+	case expr.Eq:
+		return func(b, cnt int, m uint64) uint64 { return m & maskEq(x, b, cnt, n) }
+	case expr.Ne:
+		return func(b, cnt int, m uint64) uint64 { return m &^ maskEq(x, b, cnt, n) }
+	case expr.Lt:
+		return func(b, cnt int, m uint64) uint64 { return m & maskLt(x, b, cnt, n) }
+	case expr.Le:
+		return func(b, cnt int, m uint64) uint64 { return m & maskLe(x, b, cnt, n) }
+	case expr.Gt:
+		return func(b, cnt int, m uint64) uint64 { return m & maskGt(x, b, cnt, n) }
+	default: // expr.Ge
+		return func(b, cnt int, m uint64) uint64 { return m & maskGe(x, b, cnt, n) }
+	}
 }
 
 // withValidity ANDs col's validity into step s when col has NULLs; a nil

@@ -352,6 +352,43 @@ func BenchmarkNativeTwoPredPositions(b *testing.B) {
 	}
 }
 
+// BenchmarkNativeMask times one native compare kernel per type: "x = v"
+// and "x < v" over a needle, and "x = y" and "x < y" over two columns,
+// each over 4 Mi rows (whole 64-row blocks) in one window, for all ten
+// types. The end-to-end benchmark loads only int32 columns; this is where
+// a slower int8 or float64 kernel shows.
+func BenchmarkNativeMask(b *testing.B) {
+	const rows = 1 << 22
+	for _, typ := range expr.AllTypes() {
+		b.Run(typ.String(), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			space := mach.NewAddrSpace()
+			x, y := randomColumn(rng, space, "x", typ, rows), randomColumn(rng, space, "y", typ, rows)
+			needle := randomNeedle(rng, typ)
+			for _, fam := range []string{"needle", "colcol"} {
+				for _, op := range []expr.CmpOp{expr.Eq, expr.Lt} {
+					name := map[expr.CmpOp]string{expr.Eq: "eq", expr.Lt: "lt"}[op]
+					b.Run(fam+"/"+name, func(b *testing.B) {
+						p, bytes := Pred{Col: x, Op: op, Value: needle}, rows*typ.Size()
+						if fam == "colcol" {
+							p.Col2, bytes = y, 2*bytes
+						}
+						kern, err := NewNative(Chain{p})
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							kern.Run(nil, false)
+						}
+						b.ReportMetric(float64(bytes)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+					})
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkEmulatedTwoPredCount(b *testing.B) {
 	ch := benchChain(b, 1<<20)
 	kern, err := ImplAVX512Fused512.Build(ch)

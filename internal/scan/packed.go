@@ -10,8 +10,8 @@ import (
 // Packed-predicate evaluation (DESIGN.md §15): a "column OP literal"
 // predicate over a bit-packed frame-of-reference column is rewritten, per
 // chunk, into *delta space* and evaluated directly over the packed 64-bit
-// words with the generated SWAR primitives (packedEqW*/packedLtW* in
-// native_kernels_gen.go) — 64/bits values per word, no decode.
+// words with the SWAR kernels of native_kernels.go (one per comparison
+// and lane width) — 64/bits values per word, no decode.
 //
 // The rewrite works because packed deltas are order-space: within a chunk,
 // key(row) = Ref + delta(row) with delta in [0, MaxKey-Ref], and unsigned
@@ -145,10 +145,10 @@ func firstN(cnt int) uint64 {
 // result does NOT account for NULLs — callers AND the validity mask, as
 // for every other compare kernel.
 //
-// The SWAR fast path requires the block to sit inside one chunk with its
-// first lane on a word boundary; blocks that straddle a chunk or start
-// mid-word (views with unaligned offsets) fall back to the scalar
-// per-lane extraction, which is bit-identical.
+// The SWAR fast path requires a full 64-row block inside one chunk with
+// its first lane on a word boundary; partial blocks and blocks that start
+// mid-word (views with unaligned offsets) fall back to the scalar per-lane
+// extraction, which is bit-identical. A chunk-straddling block is split.
 func (e *packedPred) blockMask(b, cnt int) uint64 {
 	row := e.off + b
 	chunkRows := e.p.ChunkRows()
@@ -171,8 +171,8 @@ func (e *packedPred) blockMask(b, cnt int) uint64 {
 	ch := &e.p.Chunks()[ci]
 	lg := bits.TrailingZeros8(ch.Bits)
 	lpw := 64 >> uint(lg) // lanes per word
-	if lane%lpw != 0 {
-		// Misaligned view: scalar per-lane fallback.
+	if lane%lpw != 0 || cnt < 64 {
+		// Misaligned view or partial block: scalar per-lane fallback.
 		var m uint64
 		for i := 0; i < cnt; i++ {
 			if e.matchDelta(ch.Delta(lane + i)) {
@@ -181,32 +181,36 @@ func (e *packedPred) blockMask(b, cnt int) uint64 {
 		}
 		return m
 	}
-	f, inv := e.kernel(lg)
-	return (f(ch.Words[lane/lpw:], cnt, e.pat*packedLaneMul[lg]) ^ inv) & firstN(cnt)
+	f, pat, mm, hh, inv := e.kernel(lg)
+	return f(ch.Words[lane/lpw:], pat, mm, hh) ^ inv
 }
 
 // kernel returns the packed kernel of the resolved Eq/Ne/Lt/Ge comparison
-// at lane width 2^lg and the mask to XOR its result with (Ne and Ge
-// complement Eq and Lt).
-func (e *packedPred) kernel(lg int) (packedMaskFunc, uint64) {
-	switch e.mode {
-	case packEq:
-		return packedEqFuncs[lg], 0
-	case packNe:
-		return packedEqFuncs[lg], ^uint64(0)
-	case packLt:
-		return packedLtFuncs[lg], 0
-	default: // packGe
-		return packedLtFuncs[lg], ^uint64(0)
+// at lane width 2^lg, its pattern and lane masks (packedMaskFunc), and the
+// mask to XOR its miss bits with: all ones for Eq and Lt, none for their
+// complements Ne and Ge.
+func (e *packedPred) kernel(lg int) (f packedMaskFunc, pat, mm, hh, inv uint64) {
+	hh = packedLaneHigh[lg]
+	pat = e.pat * (hh >> (1<<lg - 1))
+	kind := packedKindEq
+	if e.mode == packLt || e.mode == packGe {
+		kind, pat = packedKindLtLow, pat&^hh
+		if e.pat>>(1<<lg-1) != 0 {
+			kind = packedKindLtHigh
+		}
 	}
+	if e.mode == packEq || e.mode == packLt {
+		inv = ^uint64(0)
+	}
+	return packedKernels[kind][lg], pat, ^hh, hh, inv
 }
 
 // step lowers the predicate over a Native window of n view rows to its
 // block step (NULLs not consulted; nil means every row matches). When the
 // window lies in one chunk and starts on a word boundary — the engine's
 // chunk-aligned windows do — the comparison is resolved here, once, and
-// each block is one kernel call on its words. Other windows go through
-// blockMask.
+// each full block is one kernel call on its words. Other windows, and a
+// partial last block, go through blockMask.
 func (e *packedPred) step(n int) blockStep {
 	cr := e.p.ChunkRows()
 	ci, lane := e.off/cr, e.off%cr
@@ -223,9 +227,19 @@ func (e *packedPred) step(n int) blockStep {
 	ch := &e.p.Chunks()[ci]
 	lg := bits.TrailingZeros8(ch.Bits)
 	shift := uint(6 - lg) // block row b starts at word b>>shift of the window
-	f, inv := e.kernel(lg)
-	words, pat := ch.Words[lane>>shift:], e.pat*packedLaneMul[lg]
-	return func(b, cnt int, m uint64) uint64 { return m & (f(words[b>>shift:], cnt, pat) ^ inv) }
+	f, pat, mm, hh, inv := e.kernel(lg)
+	words := ch.Words[lane>>shift:]
+	s := func(b, cnt int, m uint64) uint64 { return m & (f(words[b>>shift:], pat, mm, hh) ^ inv) }
+	if n%64 == 0 {
+		return s
+	}
+	// The window ends in a partial block: it takes blockMask's per-lane path.
+	return func(b, cnt int, m uint64) uint64 {
+		if cnt < 64 {
+			return m & e.blockMask(b, cnt)
+		}
+		return s(b, cnt, m)
+	}
 }
 
 // matchDelta applies the resolved delta-space comparison to one delta.
