@@ -1,5 +1,7 @@
 // Parallel: morsel-driven multi-core scan scaling (an extension beyond the
-// paper's single-core evaluation). Two regimes fall out of the model:
+// paper's single-core evaluation). Config.Cores sets how many simulated
+// cores a scan's 64 Ki-row chunks are spread over; the modelled runtime
+// comes from ScanResult.Report. Two regimes fall out of the model:
 //
 //   - the branchy SISD scan is compute-bound (misprediction rollbacks), so
 //     it scales nearly linearly with cores;
@@ -46,25 +48,23 @@ func main() {
 	}
 
 	run := func(label string, cfg fusedscan.Config) {
-		if err := eng.SetConfig(cfg); err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("%s (4M rows, 50%% selectivity per predicate)\n", label)
-		fmt.Printf("%-8s %14s %14s %14s %10s\n", "cores", "runtime", "compute", "memory", "speedup")
+		fmt.Printf("%-8s %14s %12s %10s\n", "cores", "runtime", "bandwidth", "speedup")
 		var base float64
 		for _, cores := range []int{1, 2, 4, 8, 16} {
-			res, err := eng.NewScan("tbl").
-				Where("a", "=", "5").
-				Where("b", "=", "2").
-				RunParallel(cores, 250_000)
+			cfg.Cores = cores
+			if err := eng.SetConfig(cfg); err != nil {
+				log.Fatal(err)
+			}
+			res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
 			if err != nil {
 				log.Fatal(err)
 			}
+			r := res.Report
 			if cores == 1 {
-				base = res.RuntimeMs
+				base = r.RuntimeMs
 			}
-			fmt.Printf("%-8d %11.3f ms %11.3f ms %11.3f ms %9.2fx\n",
-				cores, res.RuntimeMs, res.ComputeMs, res.MemMs, base/res.RuntimeMs)
+			fmt.Printf("%-8d %11.3f ms %7.1f GB/s %9.2fx\n", cores, r.RuntimeMs, r.AchievedGBs, base/r.RuntimeMs)
 		}
 		fmt.Println()
 	}

@@ -40,9 +40,7 @@ import (
 	"fusedscan/internal/jit"
 	"fusedscan/internal/lqp"
 	"fusedscan/internal/mach"
-	"fusedscan/internal/parallel"
 	"fusedscan/internal/pqp"
-	"fusedscan/internal/scan"
 	"fusedscan/internal/sqlparse"
 	"fusedscan/internal/storage"
 	"fusedscan/internal/vec"
@@ -1074,8 +1072,7 @@ type ScanResult struct {
 	// Report carries the simulated hardware counters when the engine runs
 	// with Config.Simulate; nil on the native path.
 	Report *PerfReport
-	// ChunksPruned counts chunks skipped by zone-map pruning (chunked and
-	// native executions; a whole-table simulated pass has no chunks).
+	// ChunksPruned counts the 64 Ki-row chunks zone-map pruning skipped.
 	ChunksPruned int
 	// Encoding names the storage encoding of the chain's predicate
 	// columns ("plain", "packed" or "mixed"); BytesScanned totals the
@@ -1090,13 +1087,13 @@ type ScanResult struct {
 }
 
 // Scan starts a direct predicate-chain scan on a table, bypassing SQL —
-// the API benchmarks and embedding applications use.
+// the API benchmarks and embedding applications use. It runs as the plan
+// a query's fused chain becomes, on the same governed path.
 type Scan struct {
-	eng       *Engine
-	tbl       *column.Table
-	chain     scan.Chain
-	chunkRows int
-	err       error
+	eng   *Engine
+	tbl   *column.Table
+	preds []expr.Predicate
+	err   error
 }
 
 // NewScan begins building a chain scan over a registered table.
@@ -1126,7 +1123,7 @@ func (s *Scan) Where(col, op, literal string) *Scan {
 		s.err = err
 		return s
 	}
-	s.chain = append(s.chain, scan.Pred{Col: c, Op: cmpOp, Value: v})
+	s.preds = append(s.preds, expr.Predicate{Column: col, Op: cmpOp, Value: v})
 	return s
 }
 
@@ -1140,191 +1137,66 @@ func (s *Scan) whereNull(col string, kind expr.PredKind) *Scan {
 	if s.err != nil {
 		return s
 	}
-	c, err := s.tbl.Column(col)
-	if err != nil {
+	if _, err := s.tbl.Column(col); err != nil {
 		s.err = err
 		return s
 	}
-	s.chain = append(s.chain, scan.Pred{Col: c, Kind: kind})
-	return s
-}
-
-// ParallelResult is the outcome of Scan.RunParallel.
-type ParallelResult struct {
-	Count     int
-	Positions []uint32
-	Cores     int // cores requested
-	// The modelled times are zero unless the engine runs with
-	// Config.Simulate.
-	RuntimeMs float64 // modelled multi-core runtime (shared socket bandwidth)
-	ComputeMs float64 // slowest core's compute time
-	MemMs     float64 // memory time at the aggregate bandwidth
-	// Degraded is set when JIT compilation failed for at least one morsel
-	// and the scan fell back to the scalar kernel there; DegradedReason
-	// records the first reason.
-	Degraded       bool
-	DegradedReason string
-}
-
-// RunParallel executes the chain morsel-at-a-time on the given number of
-// cores, simulated ones under Config.Simulate (an extension beyond the
-// paper's single-core evaluation; see internal/parallel). Results are
-// identical to Run.
-func (s *Scan) RunParallel(cores, morselRows int) (*ParallelResult, error) {
-	return s.RunParallelContext(context.Background(), cores, morselRows)
-}
-
-// RunParallelContext is RunParallel with cooperative cancellation: workers
-// check ctx between morsels, and a cancelled context returns ctx.Err().
-// A failed JIT compile degrades the affected morsels to the scalar kernel
-// rather than failing the scan.
-func (s *Scan) RunParallelContext(ctx context.Context, cores, morselRows int) (*ParallelResult, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg := s.eng.Config()
-	opts, err := cfg.options()
-	if err != nil {
-		return nil, err
-	}
-	// No up-front build: every build, and any panic in it, stays inside the
-	// workers' per-morsel recovery.
-	fam, err := pqp.Kernels(nil, s.eng.compiler, opts)
-	if err != nil {
-		return nil, err
-	}
-	var params *mach.Params
-	if cfg.Simulate {
-		params = &s.eng.params
-	}
-	res, err := parallel.ScanContext(ctx, params, s.chain, fam.Build, cores, morselRows, true)
-	if err != nil {
-		return nil, err
-	}
-	degraded, reason := fam.Degraded()
-	return &ParallelResult{
-		Count:          res.Count,
-		Positions:      res.Positions,
-		Cores:          res.Cores,
-		RuntimeMs:      res.RuntimeMs,
-		ComputeMs:      res.ComputeMs,
-		MemMs:          res.MemMs,
-		Degraded:       degraded,
-		DegradedReason: reason,
-	}, nil
-}
-
-// Chunked makes Run execute chunk-at-a-time over horizontal partitions of
-// the given size (the paper's chunk/morsel footnote). Results are
-// identical to a whole-table scan.
-func (s *Scan) Chunked(rows int) *Scan {
-	if s.err == nil && rows <= 0 {
-		s.err = fmt.Errorf("fusedscan: chunk size must be positive, got %d", rows)
-		return s
-	}
-	s.chunkRows = rows
+	s.preds = append(s.preds, expr.Predicate{Column: col, Kind: kind})
 	return s
 }
 
 // Run executes the chain with the engine's configuration, returning the
-// qualifying positions and the simulated performance report.
+// qualifying positions and, under Config.Simulate, the simulated
+// performance report.
 func (s *Scan) Run() (*ScanResult, error) {
 	return s.RunContext(context.Background())
 }
 
-// RunContext is Run with cooperative cancellation: when ctx can be
-// cancelled, the scan executes chunk-at-a-time (semantically identical)
-// and checks ctx between chunks, so a cancelled or deadline-exceeded
-// context aborts the scan promptly with ctx.Err(). A failed JIT compile
-// degrades the scan to the scalar kernel rather than failing it. When the
-// engine has a per-query memory budget configured, position-list growth is
-// charged against it and the scan fails with ErrMemoryBudget when exceeded.
+// RunContext is Run honouring ctx. The chain runs in the order the
+// predicates were added, as one fused scan over the 64 Ki-row chunks
+// zone-map pruning keeps, on up to Config.Cores cores, through the path
+// QueryContext takes: admission control, the default deadline, the memory
+// budget (ErrMemoryBudget), cancellation between chunks (ctx.Err()), the
+// scalar fallback when JIT compilation fails (Degraded), and panic
+// recovery into a *QueryError.
 func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	var positions []uint32
+	sink := func(b pqp.Batch) error {
+		for _, rel := range b.Sel {
+			positions = append(positions, b.Base+rel)
+		}
+		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	// The plan is not optimized, so the chain keeps the caller's order.
+	makePlan := func(*string) (*lqp.Plan, error) {
+		return &lqp.Plan{Root: &lqp.FusedChain{Input: &lqp.StoredTable{Table: s.tbl}, Preds: s.preds}, Table: s.tbl}, nil
 	}
-	if err := s.chain.Validate(); err != nil {
-		return nil, err
-	}
-	if acct := s.eng.gov.NewAccountant(); acct != nil {
-		ctx = govern.WithAccountant(ctx, acct)
-	}
-	cfg := s.eng.Config()
-	opts, err := cfg.options()
+	res, err := s.eng.execute(ctx, s.text(), makePlan, execOpts{sink: sink})
 	if err != nil {
 		return nil, err
 	}
-
-	fam, err := pqp.Kernels(s.chain, s.eng.compiler, opts)
-	if err != nil {
-		return nil, err
-	}
-	var cpu *mach.CPU
-	if cfg.Simulate {
-		cpu = mach.New(s.eng.params)
-	}
-	chunkRows := s.chunkRows
-	if chunkRows == 0 && (opts.Native || ctx.Done() != nil || govern.AccountantFrom(ctx) != nil) {
-		// Cancellable, budgeted or native execution: chunk-at-a-time with a
-		// context check, memory accounting and zone-map pruning between
-		// chunks (same results as a whole-table pass). The native path is
-		// always chunked so it prunes and cancels by default.
-		chunkRows = cancellableChunkRows
-	}
-	var res scan.Result
-	var cstats scan.ChunkedStats
-	if chunkRows > 0 {
-		res, cstats, err = scan.RunChunkedPruned(ctx, fam.Build, s.chain, chunkRows, cpu, true)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		kern, err := fam.Build(s.chain)
-		if err != nil {
-			return nil, err
-		}
-		res = kern.Run(cpu, true)
-	}
-	degraded, reason := fam.Degraded()
-	out := &ScanResult{
-		Count:          res.Count,
-		Positions:      res.Positions,
-		ChunksPruned:   cstats.ChunksPruned,
-		Encoding:       s.chain.Encoding(),
-		BytesScanned:   cstats.BytesScanned,
-		Degraded:       degraded,
-		DegradedReason: reason,
-	}
-	if cstats.Chunks == 0 {
-		// Whole-table (unchunked) pass: nothing was pruned, the chain's
-		// full extent was addressed.
-		out.BytesScanned = s.chain.ScanBytes()
-	}
-	s.eng.bytesScanned.Add(out.BytesScanned)
-	if out.Encoding != "plain" {
-		s.eng.packedScans.Add(1)
-	}
-	if cpu != nil {
-		var progs []*jit.Program
-		if fam.Program != nil {
-			progs = append(progs, fam.Program)
-		}
-		hits, _, cached := s.eng.compiler.Stats()
-		pr := perfReport(cpu.Finish().Report(&s.eng.params), progs, hits, cached)
-		out.Report = &pr
-	}
-	return out, nil
+	st := res.Operators[0]
+	return &ScanResult{
+		Count:          int(res.Count),
+		Positions:      positions,
+		Report:         res.Report,
+		ChunksPruned:   int(st.ChunksPruned),
+		Encoding:       st.Encoding,
+		BytesScanned:   st.BytesScanned,
+		Degraded:       res.Degraded,
+		DegradedReason: res.DegradedReason,
+	}, nil
 }
 
-// cancellableChunkRows is the horizontal partition size RunContext uses for
-// cancellable execution; cancellation latency is bounded by one chunk.
-const cancellableChunkRows = 1 << 16
+// text names the scan in a *QueryError, e.g. "SCAN t WHERE a = 5 AND b = 2".
+func (s *Scan) text() string {
+	text, sep := "SCAN "+s.tbl.Name(), " WHERE "
+	for _, p := range s.preds {
+		text += sep + p.String()
+		sep = " AND "
+	}
+	return text
+}

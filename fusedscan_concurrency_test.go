@@ -8,6 +8,31 @@ import (
 	"time"
 )
 
+// addWideTable registers "wide", one int32 column a = row % 10 over two
+// full 64 Ki-row chunks and a ragged third, so that a scan of it runs in
+// parallel, and sets the engine's config to DefaultConfig on the given
+// cores. It returns how many rows have a = 5.
+func addWideTable(t *testing.T, eng *Engine, cores int) int {
+	t.Helper()
+	wide := make([]int32, 2<<16+100)
+	want := 0
+	for i := range wide {
+		wide[i] = int32(i % 10)
+		if wide[i] == 5 {
+			want++
+		}
+	}
+	if err := eng.CreateTable("wide").Int32("a", wide).Finish(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Cores = cores
+	if err := eng.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // TestEngineConcurrentQueriesAndDDL exercises the engine's concurrency
 // contract under the race detector: many goroutines issue queries, scans,
 // parallel scans, table registrations and config changes against one
@@ -20,6 +45,9 @@ func TestEngineConcurrentQueriesAndDDL(t *testing.T) {
 		iters      = 25
 	)
 	eng, want := buildTestEngine(t, rows, 0.1, 0.5)
+	// The fluent scans run on four cores; the config churn below keeps
+	// Cores.
+	wideWant := addWideTable(t, eng, 4)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*iters)
@@ -52,13 +80,13 @@ func TestEngineConcurrentQueriesAndDDL(t *testing.T) {
 						return
 					}
 				case 2: // fluent scans, parallel execution
-					res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").RunParallel(4, 4096)
+					res, err := eng.NewScan("wide").Where("a", "=", "5").Run()
 					if err != nil {
 						errs <- err
 						return
 					}
-					if res.Count != want {
-						errs <- fmt.Errorf("goroutine %d iter %d: parallel count = %d, want %d", g, i, res.Count, want)
+					if res.Count != wideWant {
+						errs <- fmt.Errorf("goroutine %d iter %d: parallel count = %d, want %d", g, i, res.Count, wideWant)
 						return
 					}
 				case 3: // DDL: register fresh tables while queries run

@@ -173,6 +173,75 @@ func TestScanMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestScanAdmissionShedsWhenSaturated: a direct scan passes the same
+// admission control as a query, so with the only slot held by a streaming
+// query it is shed with the typed overload error.
+func TestScanAdmissionShedsWhenSaturated(t *testing.T) {
+	eng, want := buildTestEngine(t, 2000, 0.5, 0.5)
+	g := DefaultGovernance()
+	g.MaxConcurrent = 1
+	g.MaxQueue = 0
+	eng.SetGovernance(g)
+
+	holding, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		first := true
+		_, err := eng.QueryWith(context.Background(), "SELECT a FROM tbl WHERE a = 5", QueryOptions{
+			Stream: func([]string, [][]string) error {
+				if first {
+					first = false
+					close(holding)
+					<-release
+				}
+				return nil
+			},
+		})
+		done <- err
+	}()
+	<-holding
+	_, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
+	var oe *OverloadedError
+	if !errors.As(err, &oe) {
+		t.Errorf("err = %v (%T), want *OverloadedError", err, err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("streaming query: %v", err)
+	}
+	res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
+	if err != nil {
+		t.Fatalf("scan after release: %v", err)
+	}
+	if res.Count != want {
+		t.Errorf("count = %d, want %d", res.Count, want)
+	}
+}
+
+// TestScanDefaultTimeout: the default query deadline applies to a direct
+// scan whose context has none.
+func TestScanDefaultTimeout(t *testing.T) {
+	eng, want := buildTestEngine(t, 50000, 0.5, 0.5)
+	g := DefaultGovernance()
+	g.DefaultQueryTimeout = time.Nanosecond
+	eng.SetGovernance(g)
+
+	_, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").RunContext(context.Background())
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded from the default timeout", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").RunContext(ctx)
+	if err != nil {
+		t.Fatalf("scan with caller deadline: %v", err)
+	}
+	if res.Count != want {
+		t.Errorf("count = %d, want %d", res.Count, want)
+	}
+}
+
 // TestQueryDefaultTimeout: a configured default deadline applies when the
 // caller's context has none, and never overrides a caller deadline.
 func TestQueryDefaultTimeout(t *testing.T) {

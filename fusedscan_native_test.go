@@ -149,7 +149,7 @@ func TestClusteredPruningEndToEnd(t *testing.T) {
 // and stays exact.
 func TestScanAPIPruning(t *testing.T) {
 	eng, want := buildClusteredEngine(t)
-	res, err := eng.NewScan("clustered").Where("a", "=", "1040").Chunked(1 << 16).Run()
+	res, err := eng.NewScan("clustered").Where("a", "=", "1040").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestScanAPIPruning(t *testing.T) {
 	if err := eng.SetConfig(NativeConfig()); err != nil {
 		t.Fatal(err)
 	}
-	nres, err := eng.NewScan("clustered").Where("a", "=", "1040").Chunked(1 << 16).Run()
+	nres, err := eng.NewScan("clustered").Where("a", "=", "1040").Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,6 +184,43 @@ func TestParallelScansMatchSingleCore(t *testing.T) {
 	}
 }
 
+// TestParallelScanAPIMatchesSingleCore runs one direct scan natively on
+// 1, 2 and 3 cores and on the simulated path: identical positions, and
+// the same pruned chunks, scanned bytes and encoding, since every leg runs
+// the same zone-map-pruned chunk windows.
+func TestParallelScanAPIMatchesSingleCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4)))
+	eng := buildParallelEngine(t)
+	run := func(cfg Config) *ScanResult {
+		t.Helper()
+		if err := eng.SetConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.NewScan("t").Where("s", ">=", "100").Where("s", "<", "140").
+			Where("a", "<", "7").Where("p", "<", "300").Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(DefaultConfig())
+	if want.Count == 0 || want.ChunksPruned != 3 || want.Encoding != "mixed" {
+		t.Fatalf("simulated: count %d, pruned %d, encoding %q; want matches, 3 pruned, mixed",
+			want.Count, want.ChunksPruned, want.Encoding)
+	}
+	for _, cores := range []int{1, 2, 3} {
+		cfg := NativeConfig()
+		cfg.Cores = cores
+		got := run(cfg)
+		if !slices.Equal(got.Positions, want.Positions) || got.Count != want.Count ||
+			got.ChunksPruned != want.ChunksPruned || got.BytesScanned != want.BytesScanned || got.Encoding != want.Encoding {
+			t.Errorf("%d cores: count %d pruned %d bytes %d %s, want %d pruned %d bytes %d %s (positions equal %v)",
+				cores, got.Count, got.ChunksPruned, got.BytesScanned, got.Encoding,
+				want.Count, want.ChunksPruned, want.BytesScanned, want.Encoding, slices.Equal(got.Positions, want.Positions))
+		}
+	}
+}
+
 func floatBits(t *testing.T, s string) uint64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(s, 64)

@@ -199,6 +199,38 @@ func TestKernelPanicReturnsQueryError(t *testing.T) {
 	}
 }
 
+// TestScanKernelPanicReturnsQueryError: a kernel panic in a direct scan is
+// recovered like one in a query, on both execution paths, and names the
+// scan in the error.
+func TestScanKernelPanicReturnsQueryError(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	eng, want := buildTestEngine(t, 10000, 0.1, 0.5)
+	for _, cfg := range []Config{DefaultConfig(), NativeConfig()} {
+		if err := eng.SetConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		faultinject.Arm(faultinject.SiteKernelRun, 1, faultinject.ModePanic)
+		_, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
+		var qe *QueryError
+		if !errors.As(err, &qe) {
+			t.Fatalf("simulate=%v: err = %v (%T), want *QueryError", cfg.Simulate, err, err)
+		}
+		if qe.Stage != "execute" || !qe.Panicked || qe.Query != "SCAN tbl WHERE a = 5 AND b = 2" {
+			t.Errorf("simulate=%v: Stage=%q Panicked=%v Query=%q", cfg.Simulate, qe.Stage, qe.Panicked, qe.Query)
+		}
+
+		faultinject.Reset()
+		res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
+		if err != nil {
+			t.Fatalf("simulate=%v: engine unusable after recovered panic: %v", cfg.Simulate, err)
+		}
+		if res.Count != want {
+			t.Fatalf("simulate=%v: count = %d, want %d", cfg.Simulate, res.Count, want)
+		}
+	}
+}
+
 func TestQueryErrorUnwrap(t *testing.T) {
 	inner := errors.New("boom")
 	qe := &QueryError{Stage: "execute", Query: "SELECT 1", Err: inner}
@@ -221,10 +253,15 @@ func TestScanRunContextCancel(t *testing.T) {
 }
 
 func TestRunParallelContextCancel(t *testing.T) {
-	eng := buildBigEngine(t, 100_000)
+	eng := buildBigEngine(t, 3<<16)
+	cfg := DefaultConfig()
+	cfg.Cores = 4
+	if err := eng.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.NewScan("big").Where("x", "<", "500").RunParallelContext(ctx, 4, 10_000)
+	_, err := eng.NewScan("big").Where("x", "<", "500").RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -233,17 +270,21 @@ func TestRunParallelContextCancel(t *testing.T) {
 func TestRunParallelDegradesOnCompileFailure(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
-	eng, want := buildTestEngine(t, 40000, 0.1, 0.5)
+	eng, want := buildTestEngine(t, 3<<16, 0.1, 0.5)
+	cfg := DefaultConfig()
+	cfg.Cores = 4
+	if err := eng.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
 
-	// Fail the first morsel's compile; the rest hit the operator cache or
-	// compile cleanly, so only the first morsel runs scalar.
+	// Fail the chain's compile: every chunk runs on the scalar kernel.
 	faultinject.Arm(faultinject.SiteJITCompile, 1, faultinject.ModeError)
-	res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").RunParallel(4, 8000)
+	res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
 	if err != nil {
 		t.Fatalf("degraded parallel scan failed: %v", err)
 	}
 	if !res.Degraded {
-		t.Fatal("ParallelResult.Degraded not set")
+		t.Fatal("ScanResult.Degraded not set")
 	}
 	if res.Count != want {
 		t.Fatalf("degraded parallel count = %d, want %d", res.Count, want)

@@ -72,6 +72,8 @@ func TestSoakGovernedChaos(t *testing.T) {
 	const workers = 12
 
 	eng, _ := buildTestEngine(t, 30000, 0.3, 0.4)
+	// The direct-scan leg runs on four cores.
+	wideWant := addWideTable(t, eng, 4)
 	mix := []string{
 		"SELECT COUNT(*) FROM tbl WHERE a = 5 AND b = 2",
 		"SELECT COUNT(*) FROM tbl WHERE a = 5",
@@ -154,13 +156,17 @@ func TestSoakGovernedChaos(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				q := mix[(w+i)%len(mix)]
-				// A slice of the load goes through the direct parallel-scan
-				// API instead of SQL, exercising its degradation path too.
+				// A slice of the load goes through the direct scan API
+				// instead of SQL, exercising its degradation path too.
 				if (w+i)%17 == 0 {
-					_, err := eng.NewScan("tbl").Where("a", "=", "5").RunParallelContext(context.Background(), 4, 4096)
-					if err != nil && !typedSoakError(err) {
+					res, err := eng.NewScan("wide").Where("a", "=", "5").RunContext(context.Background())
+					switch {
+					case err != nil && !typedSoakError(err):
 						untyped.Add(1)
 						reportBad(fmt.Sprintf("parallel scan: untyped error %v (%T)", err, err))
+					case err == nil && res.Count != wideWant:
+						mismatches.Add(1)
+						reportBad(fmt.Sprintf("parallel scan: count %d, want %d (degraded=%v)", res.Count, wideWant, res.Degraded))
 					}
 					continue
 				}

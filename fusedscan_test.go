@@ -3,6 +3,7 @@ package fusedscan
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -399,26 +400,38 @@ func TestQueryBetween(t *testing.T) {
 	}
 }
 
+// TestScanChunked checks Scan.Run against a scalar reference over a table
+// whose last 64 Ki-row chunk is ragged, on both execution paths.
 func TestScanChunked(t *testing.T) {
-	eng, want := buildTestEngine(t, 50000, 0.2, 0.3)
-	whole, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
+	const rows = 3<<16 + 4321
+	eng, want := buildTestEngine(t, rows, 0.2, 0.3)
+	tbl, err := eng.Table("tbl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Chunked(7000).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunked.Count != want || chunked.Count != whole.Count {
-		t.Fatalf("chunked count %d, whole %d, want %d", chunked.Count, whole.Count, want)
-	}
-	for i := range whole.Positions {
-		if whole.Positions[i] != chunked.Positions[i] {
-			t.Fatalf("position %d differs: %d vs %d", i, whole.Positions[i], chunked.Positions[i])
+	a, _ := tbl.Column("a")
+	b, _ := tbl.Column("b")
+	var ref []uint32
+	for i := range rows {
+		if int32(a.Raw(i)) == 5 && int32(b.Raw(i)) == 2 {
+			ref = append(ref, uint32(i))
 		}
 	}
-	if _, err := eng.NewScan("tbl").Where("a", "=", "5").Chunked(0).Run(); err == nil {
-		t.Error("chunk size 0 accepted")
+	if len(ref) != want || ref[len(ref)-1] < 3<<16 {
+		t.Fatalf("degenerate reference: %d positions", len(ref))
+	}
+	for _, cfg := range []Config{DefaultConfig(), NativeConfig()} {
+		if err := eng.SetConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != want || !slices.Equal(res.Positions, ref) {
+			t.Fatalf("simulate=%v: count %d (positions %d), want %d matching the reference",
+				cfg.Simulate, res.Count, len(res.Positions), want)
+		}
 	}
 }
 
@@ -494,29 +507,29 @@ func TestQuerySum(t *testing.T) {
 	}
 }
 
+// TestScanRunParallel runs a direct scan over four chunks on one and on
+// four simulated cores: same positions, and a shorter modelled runtime.
 func TestScanRunParallel(t *testing.T) {
-	eng, want := buildTestEngine(t, 60000, 0.2, 0.3)
+	eng, want := buildTestEngine(t, 4<<16, 0.2, 0.3)
 	seq, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").RunParallel(4, 8000)
+	cfg := DefaultConfig()
+	cfg.Cores = 4
+	if err := eng.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	par, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Count != want || par.Count != seq.Count {
-		t.Fatalf("parallel count %d, sequential %d, want %d", par.Count, seq.Count, want)
+	if par.Count != want || seq.Count != want || !slices.Equal(par.Positions, seq.Positions) {
+		t.Fatalf("parallel count %d, sequential %d, want %d, positions equal %v",
+			par.Count, seq.Count, want, slices.Equal(par.Positions, seq.Positions))
 	}
-	for i := range seq.Positions {
-		if seq.Positions[i] != par.Positions[i] {
-			t.Fatalf("position %d differs", i)
-		}
-	}
-	if par.Cores != 4 || par.RuntimeMs <= 0 {
-		t.Fatalf("parallel report: %+v", par)
-	}
-	if _, err := eng.NewScan("tbl").Where("a", "=", "5").RunParallel(0, 100); err == nil {
-		t.Error("0 cores accepted")
+	if par.Report == nil || par.Report.RuntimeMs <= 0 || par.Report.RuntimeMs >= seq.Report.RuntimeMs {
+		t.Fatalf("modelled runtime on 4 cores %+v, on 1 core %.3f ms", par.Report, seq.Report.RuntimeMs)
 	}
 }
 

@@ -33,8 +33,8 @@ func (f *Family) Degraded() (bool, string) {
 }
 
 // Kernels picks the kernel family for a predicate chain. It is the one
-// place that choice is made — for plan scans, join probes and residuals,
-// index residuals and the direct Scan API alike:
+// place that choice is made — for plan scans (the direct Scan API's among
+// them), join probes and residuals, and index residuals alike:
 //
 //   - Native: the generated SWAR kernels, "NativeTableScan(SWAR)".
 //   - UseFused: the fused kernel, compiled through comp's program cache
@@ -48,8 +48,7 @@ func (f *Family) Degraded() (bool, string) {
 // built once over ch up front, so a chain that cannot be fused at all turns
 // the whole family into "TableScan(SISD, degraded)"; only a chain SISD also
 // rejects returns the error. A nil ch skips that up-front build: a join's
-// residual chain exists only at run time, and a parallel scan builds only
-// inside its workers' panic recovery. The native family never falls back:
+// residual chain exists only at run time. The native family never falls back:
 // NewNative fails only on chains SISD rejects too.
 func Kernels(ch scan.Chain, comp *jit.Compiler, opts Options) (*Family, error) {
 	sisd := func(sub scan.Chain) (scan.Kernel, error) { return scan.NewSISD(sub) }

@@ -1,11 +1,38 @@
 package scan
 
 import (
-	"context"
 	"testing"
 
 	"fusedscan/internal/mach"
 )
+
+// runChunked is the tests' reference chunk loop: it builds a kernel per
+// chunkRows-row slice of ch, skips the slices a Pruner proves empty, and
+// rebases each slice's positions to table row ids. It also returns how
+// many slices were pruned.
+func runChunked(t *testing.T, build func(Chain) (Kernel, error), ch Chain, chunkRows int, cpu *mach.CPU, wantPositions bool) (Result, int) {
+	t.Helper()
+	pr := NewPruner(ch, chunkRows)
+	var total Result
+	pruned := 0
+	for begin := 0; begin < ch.Rows(); begin += chunkRows {
+		end := min(begin+chunkRows, ch.Rows())
+		if pr.Prune(begin, end) {
+			pruned++
+			continue
+		}
+		kern, err := build(ch.Slice(begin, end))
+		if err != nil {
+			t.Fatalf("chunk [%d, %d): %v", begin, end, err)
+		}
+		res := kern.Run(cpu, wantPositions)
+		total.Count += res.Count
+		for _, p := range res.Positions {
+			total.Positions = append(total.Positions, p+uint32(begin))
+		}
+	}
+	return total, pruned
+}
 
 func TestRunChunkedMatchesWholeTable(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 1000, 4097} {
@@ -13,10 +40,7 @@ func TestRunChunkedMatchesWholeTable(t *testing.T) {
 			ch := makeIntChain(t, n, 2, 0.2, int64(n+chunkRows))
 			want := Reference(ch, true)
 			for _, im := range AllImpls() {
-				got, _, err := RunChunkedPruned(context.Background(), im.Build, ch, chunkRows, mach.New(mach.Default()), true)
-				if err != nil {
-					t.Fatalf("%v: %v", im, err)
-				}
+				got, _ := runChunked(t, im.Build, ch, chunkRows, mach.New(mach.Default()), true)
 				if !equalResults(got, want) {
 					t.Fatalf("%v n=%d chunk=%d: count %d, want %d (positions %d vs %d)",
 						im, n, chunkRows, got.Count, want.Count, len(got.Positions), len(want.Positions))
@@ -42,25 +66,13 @@ func TestRunChunkedMemoryBehaviourMatchesUnchunked(t *testing.T) {
 	whole := cpuWhole.Finish()
 
 	cpuChunk := mach.New(p)
-	if _, _, err := RunChunkedPruned(context.Background(), ImplAVX512Fused512.Build, ch, 50_000, cpuChunk, false); err != nil {
-		t.Fatal(err)
-	}
+	runChunked(t, ImplAVX512Fused512.Build, ch, 50_000, cpuChunk, false)
 	chunked := cpuChunk.Finish()
 
 	// Same demand traffic within 1% (chunk boundaries may re-touch a line).
 	lo, hi := whole.DemandDRAMLines*99/100, whole.DemandDRAMLines*101/100+4
 	if chunked.DemandDRAMLines < lo || chunked.DemandDRAMLines > hi {
 		t.Errorf("chunked demand lines %d, whole-table %d", chunked.DemandDRAMLines, whole.DemandDRAMLines)
-	}
-}
-
-func TestRunChunkedErrors(t *testing.T) {
-	ch := makeIntChain(t, 100, 1, 0.5, 1)
-	if _, _, err := RunChunkedPruned(context.Background(), ImplSISD.Build, ch, 0, mach.New(mach.Default()), false); err == nil {
-		t.Error("chunkRows 0 accepted")
-	}
-	if _, _, err := RunChunkedPruned(context.Background(), ImplSISD.Build, Chain{}, 10, mach.New(mach.Default()), false); err == nil {
-		t.Error("empty chain accepted")
 	}
 }
 

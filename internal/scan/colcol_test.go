@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -130,11 +129,7 @@ func TestDifferentialColVsCol(t *testing.T) {
 
 		// Chunked execution slices both sides of every col-vs-col pred.
 		chunk := 1 + rng.Intn(n+10)
-		got, _, err := RunChunkedPruned(context.Background(), func(sub Chain) (Kernel, error) { return NewNative(sub) },
-			ch, chunk, nil, true)
-		if err != nil {
-			t.Fatalf("%s chunked: %v", desc(), err)
-		}
+		got, _ := runChunked(t, func(sub Chain) (Kernel, error) { return NewNative(sub) }, ch, chunk, nil, true)
 		if !equalResults(got, want) {
 			t.Fatalf("%s chunked(%d): count %d, want %d", desc(), chunk, got.Count, want.Count)
 		}

@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -130,10 +129,7 @@ func TestDifferentialAllImplementations(t *testing.T) {
 
 		// Chunked execution with a random chunk size.
 		chunk := 1 + rng.Intn(n+10)
-		got, _, err := RunChunkedPruned(context.Background(), ImplAVX512Fused512.Build, ch, chunk, mach.New(mach.Default()), true)
-		if err != nil {
-			t.Fatalf("%s chunked: %v", desc(), err)
-		}
+		got, _ := runChunked(t, ImplAVX512Fused512.Build, ch, chunk, mach.New(mach.Default()), true)
 		if !equalResults(got, want) {
 			t.Fatalf("%s chunked(%d): count %d, want %d", desc(), chunk, got.Count, want.Count)
 		}

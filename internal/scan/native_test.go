@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -126,16 +125,10 @@ func TestDifferentialNative(t *testing.T) {
 		// proof, and skipped plus executed chunks must cover the table.
 		chunk := 1 + rng.Intn(n+10)
 		build := func(sub Chain) (Kernel, error) { return NewNative(sub) }
-		got, stats, err := RunChunkedPruned(context.Background(), build, ch, chunk, nil, true)
-		if err != nil {
-			t.Fatalf("%s chunked: %v", desc(), err)
-		}
+		got, pruned := runChunked(t, build, ch, chunk, nil, true)
 		if !equalResults(got, want) {
 			t.Fatalf("%s chunked(%d): count %d, want %d (pruned %d/%d)",
-				desc(), chunk, got.Count, want.Count, stats.ChunksPruned, stats.Chunks)
-		}
-		if wantChunks := (n + chunk - 1) / chunk; stats.Chunks != wantChunks {
-			t.Fatalf("%s chunked(%d): %d chunks, want %d", desc(), chunk, stats.Chunks, wantChunks)
+				desc(), chunk, got.Count, want.Count, pruned, (n+chunk-1)/chunk)
 		}
 	}
 }
@@ -171,19 +164,12 @@ func TestNativePrunesClusteredData(t *testing.T) {
 
 	want := Reference(ch, true)
 	build := func(sub Chain) (Kernel, error) { return NewNative(sub) }
-	got, stats, err := RunChunkedPruned(context.Background(), build, ch, chunk, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, pruned := runChunked(t, build, ch, chunk, nil, true)
 	if !equalResults(got, want) {
 		t.Fatalf("count %d, want %d", got.Count, want.Count)
 	}
-	if stats.Chunks != n/chunk {
-		t.Fatalf("chunks = %d, want %d", stats.Chunks, n/chunk)
-	}
-	if pruned := float64(stats.ChunksPruned) / float64(stats.Chunks); pruned < 0.9 {
-		t.Fatalf("pruned %d of %d chunks (%.0f%%), want >= 90%%",
-			stats.ChunksPruned, stats.Chunks, 100*pruned)
+	if frac := float64(pruned) / (n / chunk); frac < 0.9 {
+		t.Fatalf("pruned %d of %d chunks (%.0f%%), want >= 90%%", pruned, n/chunk, 100*frac)
 	}
 }
 

@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -75,10 +74,7 @@ func TestNullableChainAllImplementations(t *testing.T) {
 			t.Fatalf("block n=%d: count %d, want %d", n, got.Count, want.Count)
 		}
 		// Chunked over views shares the parent's bitmap.
-		got, _, err := RunChunkedPruned(context.Background(), ImplAVX512Fused512.Build, ch, 97, mach.New(mach.Default()), true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := runChunked(t, ImplAVX512Fused512.Build, ch, 97, mach.New(mach.Default()), true)
 		if !equalResults(got, want) {
 			t.Fatalf("chunked n=%d: count %d, want %d", n, got.Count, want.Count)
 		}

@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -259,10 +258,7 @@ func TestPackedDifferential(t *testing.T) {
 
 		// Chunked execution across packed-chunk boundaries.
 		chunk := 1 + rng.Intn(end-begin+10)
-		got, _, err := RunChunkedPruned(context.Background(), func(ch Chain) (Kernel, error) { return NewNative(ch) }, packedCh, chunk, nil, true)
-		if err != nil {
-			t.Fatalf("%s chunked: %v", desc(), err)
-		}
+		got, _ := runChunked(t, func(ch Chain) (Kernel, error) { return NewNative(ch) }, packedCh, chunk, nil, true)
 		if !equalResults(got, want) {
 			t.Fatalf("%s chunked(%d): count %d, want %d", desc(), chunk, got.Count, want.Count)
 		}

@@ -79,6 +79,9 @@ type execOpts struct {
 	stream  func(columns []string, rows [][]string) error
 	session string
 	cheap   bool
+	// sink, when non-nil, receives every batch in place of the row
+	// renderer (the direct Scan API collects positions through it).
+	sink pqp.BatchSink
 }
 
 // QueryWith is QueryContext with QueryOptions. With neither Args nor
@@ -315,8 +318,8 @@ func renderAggregates(vals []expr.Value, nulls []bool) []string {
 	return []string{}
 }
 
-// execute is the one governed execution path under QueryContext, QueryWith
-// and Prepared.Execute*: admission control, default deadline, memory
+// execute is the one governed execution path under QueryContext, QueryWith,
+// Prepared.Execute* and Scan.Run*: admission control, default deadline, memory
 // accounting, stage-tracked panic recovery, translation, the batch
 // pipeline, and Result assembly. makePlan produces the bound logical plan
 // (advancing *stage as it goes); nil makePlan is the ad-hoc path — parse,
@@ -343,7 +346,8 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 		return nil, aerr
 	}
 	defer release()
-	if acct := e.gov.NewAccountant(); acct != nil {
+	acct := e.gov.NewAccountant()
+	if acct != nil {
 		ctx = govern.WithAccountant(ctx, acct)
 	}
 	stage := stageParse
@@ -417,6 +421,14 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 	var renderer batchRenderer
 	cols := phys.Shape().Columns
 	sink := func(b pqp.Batch) error {
+		if eo.sink != nil {
+			// A raw sink keeps the positions it is handed: charge them as
+			// retained memory, as the projection charges its rows.
+			if err := acct.Charge(int64(len(b.Sel)) * 4); err != nil {
+				return err
+			}
+			return eo.sink(b)
+		}
 		r := renderer.render(b.Cols)
 		switch {
 		case r == nil:
