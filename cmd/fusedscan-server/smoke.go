@@ -79,13 +79,15 @@ func smoke(base string, opts smokeOpts) error {
 
 	// 3. Prepared statements: prepare once (a cache miss warms the
 	// skeleton), execute twice (both hits), verify against the ad-hoc
-	// result and the /varz plan-cache counters.
+	// result and the /varz plan-cache counters. Ad hoc statements plan
+	// through the same cache, so the prepared spelling lists the
+	// predicates in the other order: a shape step 2 has not planted.
 	before, err := varz(client, base)
 	if err != nil {
 		return err
 	}
 	var prep server.PrepareResponse
-	err = postJSON(client, base+"/prepare", server.PrepareRequest{SQL: "SELECT COUNT(*) FROM demo WHERE a = $1 AND b = $2"}, &prep)
+	err = postJSON(client, base+"/prepare", server.PrepareRequest{SQL: "SELECT COUNT(*) FROM demo WHERE b = $2 AND a = $1"}, &prep)
 	if err != nil {
 		return fmt.Errorf("prepare: %w", err)
 	}

@@ -1001,8 +1001,8 @@ func recoverStage[T any](stage *string, sql string, out *T, err *error) {
 // budget is configured, materialization points (position lists, sort keys,
 // projected rows) charge it and the query fails with ErrMemoryBudget
 // instead of allocating without bound.
-func (e *Engine) QueryContext(ctx context.Context, sql string) (res *Result, err error) {
-	return e.execute(ctx, sql, nil, execOpts{})
+func (e *Engine) QueryContext(ctx context.Context, sql string) (*Result, error) {
+	return e.QueryWith(ctx, sql, QueryOptions{})
 }
 
 // Explain describes how a statement would execute: the logical plan before
@@ -1018,15 +1018,18 @@ type Explain struct {
 	// AccessPath is the cost-based access-path decision: "index(col)
 	// est=… cost=… vs scan=…" when an IndexScan was chosen, or a
 	// "scan …" string recording why not. Empty for plans the rule does
-	// not apply to (joins, parameterized skeletons).
+	// not apply to (joins, plans without a scan).
 	AccessPath string
 	// Hint echoes the statement's plan hint ("NO_INDEX", "INDEX(t col)"),
 	// empty when the statement carries none.
 	Hint string
 }
 
-// ExplainQuery plans a statement without executing it. Like QueryContext,
-// it recovers panics in any planning stage into a *QueryError.
+// ExplainQuery plans a statement without executing it, exactly as
+// QueryContext would plan it: LogicalPlan is the plan with its literals
+// bound, before optimization. A statement with $n placeholders has no
+// values to plan with and fails as Query does. Like QueryContext, it
+// recovers panics in any planning stage into a *QueryError.
 func (e *Engine) ExplainQuery(sql string) (ex *Explain, err error) {
 	stage := stageParse
 	defer recoverStage(&stage, sql, &ex, &err)
@@ -1034,13 +1037,12 @@ func (e *Engine) ExplainQuery(sql string) (ex *Explain, err error) {
 	if err != nil {
 		return nil, err
 	}
-	stage = stagePlan
-	plan, err := lqp.Build(sel, e)
+	shaped := shapeOf(sel)
+	ex = &Explain{}
+	plan, err := e.plan(&shaped, nil, &stage, &ex.LogicalPlan)
 	if err != nil {
 		return nil, err
 	}
-	ex = &Explain{LogicalPlan: plan.Format()}
-	e.optimizer.Optimize(plan)
 	ex.OptimizedPlan = plan.Format()
 	ex.AppliedRules = plan.AppliedRules
 	ex.AccessPath = plan.AccessPath
@@ -1171,8 +1173,8 @@ func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 		return nil
 	}
 	// The plan is not optimized, so the chain keeps the caller's order.
-	makePlan := func(*string) (*lqp.Plan, error) {
-		return &lqp.Plan{Root: &lqp.FusedChain{Input: &lqp.StoredTable{Table: s.tbl}, Preds: s.preds}, Table: s.tbl}, nil
+	makePlan := func(*string) (*lqp.Plan, *Result, error) {
+		return &lqp.Plan{Root: &lqp.FusedChain{Input: &lqp.StoredTable{Table: s.tbl}, Preds: s.preds}, Table: s.tbl}, nil, nil
 	}
 	res, err := s.eng.execute(ctx, s.text(), makePlan, execOpts{sink: sink})
 	if err != nil {

@@ -1,10 +1,17 @@
 package fusedscan
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
+	"math/rand"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"fusedscan/internal/sqlparse"
 )
 
 // buildPreparedFixture builds a deterministic mixed-type table for the
@@ -32,8 +39,7 @@ func buildPreparedFixture(t *testing.T, eng *Engine, name string, n int) {
 
 // TestPreparedMatchesAdHoc is the acceptance check: a prepared EXECUTE
 // must return byte-identical results to ad-hoc Engine.Query for the same
-// statement, on both the simulated and the native path, even though the
-// cached skeleton was optimized without literal values.
+// statement, on both the simulated and the native path.
 func TestPreparedMatchesAdHoc(t *testing.T) {
 	cases := []struct {
 		adhoc    string
@@ -108,9 +114,9 @@ func TestPreparedMatchesAdHoc(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCounters pins the skip-parse/skip-optimize contract:
-// Prepare records exactly one miss (planting the skeleton), and every
-// Execute afterwards is a hit.
+// TestPlanCacheCounters pins the skip-parse/skip-build contract: Prepare
+// records exactly one miss (planting the skeleton), and every Execute
+// afterwards is a hit.
 func TestPlanCacheCounters(t *testing.T) {
 	eng := NewEngine()
 	buildPreparedFixture(t, eng, "t", 500)
@@ -150,14 +156,14 @@ func TestPlanCacheCounters(t *testing.T) {
 	if s2.PlanCacheHits != s.PlanCacheHits+1 {
 		t.Errorf("same-shape prepare did not hit: %d -> %d", s.PlanCacheHits, s2.PlanCacheHits)
 	}
-	// Ad-hoc QueryContext never touches the cache (the paper's measurement
-	// discipline plans every statement from scratch).
+	// An ad hoc query plans through the same cache: its shape is the
+	// prepared one, so it records a hit.
 	if _, err := eng.Query("SELECT COUNT(*) FROM t WHERE a = 4"); err != nil {
 		t.Fatal(err)
 	}
 	s3 := eng.Stats()
-	if s3.PlanCacheHits != s2.PlanCacheHits || s3.PlanCacheMisses != s2.PlanCacheMisses {
-		t.Errorf("ad-hoc query touched the plan cache: hits %d->%d misses %d->%d",
+	if s3.PlanCacheHits != s2.PlanCacheHits+1 || s3.PlanCacheMisses != s2.PlanCacheMisses {
+		t.Errorf("ad-hoc query of a cached shape: hits %d->%d misses %d->%d, want one hit",
 			s2.PlanCacheHits, s3.PlanCacheHits, s2.PlanCacheMisses, s3.PlanCacheMisses)
 	}
 }
@@ -219,6 +225,51 @@ func TestReregisterInvalidatesPreparedPlans(t *testing.T) {
 	}
 	if res.Count != 1 {
 		t.Fatalf("new table: count = %d, want 1 (stale plan served?)", res.Count)
+	}
+}
+
+// TestReregisterRefreshesStatistics: statistics belong to the registered
+// columns, so a table dropped and registered again under the same name is
+// planned against its own data. The old table's range [1, 2] must not
+// prune a literal of the new one, ad hoc or prepared.
+func TestReregisterRefreshesStatistics(t *testing.T) {
+	for _, cfgName := range []string{"default", "native"} {
+		eng := NewEngine()
+		if cfgName == "native" {
+			if err := eng.SetConfig(NativeConfig()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		register := func(vals []int32) {
+			t.Helper()
+			if err := eng.CreateTable("t").Int32("a", vals).Finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		count := func(run func() (*Result, error), want int64, what string) {
+			t.Helper()
+			res, err := run()
+			if err != nil {
+				t.Fatalf("[%s] %s: %v", cfgName, what, err)
+			}
+			if res.Count != want {
+				t.Errorf("[%s] %s: count = %d, want %d", cfgName, what, res.Count, want)
+			}
+		}
+		register([]int32{1, 1, 1, 2})
+		count(func() (*Result, error) { return eng.Query("SELECT COUNT(*) FROM t WHERE a = 1") }, 3, "old table, ad hoc")
+		prep, err := eng.Prepare("SELECT COUNT(*) FROM t WHERE a = $1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		count(func() (*Result, error) { return prep.Execute("2") }, 1, "old table, prepared")
+
+		if !eng.DropTable("t") {
+			t.Fatal("DropTable returned false for a registered table")
+		}
+		register([]int32{1, 7, 7, 7, 7, 7})
+		count(func() (*Result, error) { return eng.Query("SELECT COUNT(*) FROM t WHERE a = 7") }, 5, "new table, ad hoc")
+		count(func() (*Result, error) { return prep.Execute("7") }, 5, "new table, prepared")
 	}
 }
 
@@ -316,6 +367,13 @@ func TestPreparedArgumentErrors(t *testing.T) {
 	if _, err := prep.Execute("1", "x"); !errors.As(err, &qe) && err == nil {
 		t.Fatal("expected an error")
 	}
+	// DDL takes no arguments.
+	if _, err := eng.QueryWith(context.Background(), "CREATE INDEX ON t (a)", QueryOptions{Args: []string{"1"}}); err == nil {
+		t.Fatal("DDL with arguments accepted")
+	}
+	if eng.LookupIndex("t", "a") != nil {
+		t.Fatal("DDL with arguments built an index")
+	}
 }
 
 // TestQueryWithStream: streaming delivers exactly the rows a buffered
@@ -406,4 +464,156 @@ func TestStreamLiftsMaterializationCap(t *testing.T) {
 	if got != n || res.Count != int64(n) {
 		t.Fatalf("streamed %d rows (count %d), want %d", got, res.Count, n)
 	}
+}
+
+// buildPlanEquivalenceEngine registers the tables the BENCH_SMOKE.json
+// statements name — demo(a, b, c, d) and dim(d, v, w) — plus an indexed
+// key k on demo and a bit-packed twin pdemo. a, b and c are increasingly
+// selective, so the optimizer reverses their source order.
+func buildPlanEquivalenceEngine(t *testing.T) *Engine {
+	t.Helper()
+	const n, dimN = 70_000, 2048
+	rng := rand.New(rand.NewSource(11))
+	a, b, c, d, k := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+	for i := range n {
+		a[i], b[i], c[i], d[i] = int32(rng.Intn(2)+4), int32(rng.Intn(10)), int32(rng.Intn(100)), int32(rng.Intn(1000))
+		k[i] = int32(i)
+	}
+	eng := NewEngine()
+	if err := eng.CreateTable("demo").Int32("a", a).Int32("b", b).Int32("c", c).Int32("d", d).Int32("k", k).
+		Index("k").Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CreateTable("pdemo").Int32("a", a).Int32("c", c).Pack().Finish(); err != nil {
+		t.Fatal(err)
+	}
+	dd, dv, dw := make([]int32, dimN), make([]int32, dimN), make([]int32, dimN)
+	for i := range dimN {
+		dd[i], dv[i], dw[i] = int32(rng.Intn(1000)), int32(rng.Intn(1000)), int32(rng.Intn(100))
+	}
+	if err := eng.CreateTable("dim").Int32("d", dd).Int32("v", dv).Int32("w", dw).Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestPreparedPlansMatchAdHoc: a statement runs the same plan whether it
+// arrives with its literals (Query), as its shape with Args (QueryWith) or
+// as a prepared shape (Prepare + Execute) — the same physical operators in
+// the same order, the same operator counters, and under DefaultConfig the
+// same simulated counters.
+func TestPreparedPlansMatchAdHoc(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_SMOKE.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var smoke struct {
+		Results []struct{ SQL string }
+	}
+	if err := json.Unmarshal(raw, &smoke); err != nil {
+		t.Fatal(err)
+	}
+	var stmts []string
+	for _, r := range smoke.Results {
+		if !slices.Contains(stmts, r.SQL) {
+			stmts = append(stmts, r.SQL)
+		}
+	}
+	stmts = append(stmts,
+		"SELECT COUNT(*) FROM demo WHERE b < 1 AND b > 3",      // contradiction
+		"SELECT COUNT(*) FROM pdemo WHERE a = 5 AND c < 1000",  // packed always-true literal
+		"SELECT COUNT(*) FROM pdemo WHERE a = 5 AND c > 5000",  // packed always-false literal
+		"SELECT COUNT(*) FROM demo WHERE c = 999",              // outside [min, max]
+		"SELECT a, d FROM demo WHERE k = 4321",                 // index point lookup
+		"SELECT /*+ NO_INDEX */ a, d FROM demo WHERE k = 4321", // hint
+		"SELECT COUNT(*) FROM demo WHERE a = 5 AND b BETWEEN 2 AND 4 AND c < 20",
+		"SELECT a, b, c FROM demo WHERE a = 4 AND c = 7 LIMIT 5",
+		"SELECT dim.w, COUNT(*) FROM demo JOIN dim ON demo.d = dim.d WHERE demo.a = 5 AND demo.c < 3 AND dim.v < 700 GROUP BY dim.w",
+	)
+	eng := buildPlanEquivalenceEngine(t)
+	for _, cfg := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"native", NativeConfig()}} {
+		if err := eng.SetConfig(cfg.cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range stmts {
+			sel, err := sqlparse.Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shape, slots := sqlparse.Normalize(sel)
+			args := make([]string, len(slots))
+			for i, s := range slots {
+				args[i] = s.Literal
+			}
+			prep, err := eng.Prepare(shape)
+			if err != nil {
+				t.Fatalf("[%s] prepare %q: %v", cfg.name, shape, err)
+			}
+			runs := []struct {
+				entry string
+				run   func() (*Result, error)
+			}{
+				{"Query", func() (*Result, error) { return eng.Query(sql) }},
+				{"QueryWith(Args)", func() (*Result, error) {
+					return eng.QueryWith(context.Background(), shape, QueryOptions{Args: args})
+				}},
+				{"Prepared.Execute", func() (*Result, error) { return prep.Execute(args...) }},
+			}
+			var want *Result
+			for _, r := range runs {
+				res, err := r.run()
+				if err != nil {
+					t.Fatalf("[%s] %s %q: %v", cfg.name, r.entry, sql, err)
+				}
+				for i := range res.Operators {
+					res.Operators[i].WallNs = 0
+				}
+				if res.Report != nil {
+					// JIT operator-cache bookkeeping depends on what ran
+					// before, not on the plan.
+					res.Report.CompileTimeMicros, res.Report.OperatorCacheHits, res.Report.OperatorCacheSize = 0, 0, 0
+				}
+				if want == nil {
+					ex, err := eng.ExplainQuery(sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := physicalFormat(res.Operators); got != ex.PhysicalPlan {
+						t.Errorf("[%s] %q: operators render\n%s  EXPLAIN shows\n%s", cfg.name, sql, got, ex.PhysicalPlan)
+					}
+					want = res
+					continue
+				}
+				if got, exp := physicalFormat(res.Operators), physicalFormat(want.Operators); got != exp {
+					t.Errorf("[%s] %q: %s runs\n%s  Query runs\n%s", cfg.name, sql, r.entry, got, exp)
+					continue
+				}
+				if !reflect.DeepEqual(res.Operators, want.Operators) {
+					t.Errorf("[%s] %q: %s operators %+v, Query's %+v", cfg.name, sql, r.entry, res.Operators, want.Operators)
+				}
+				if !reflect.DeepEqual(res.Report, want.Report) {
+					t.Errorf("[%s] %q: %s report %+v, Query's %+v", cfg.name, sql, r.entry, res.Report, want.Report)
+				}
+				if res.Count != want.Count || !reflect.DeepEqual(res.Rows, want.Rows) {
+					t.Errorf("[%s] %q: %s count %d, Query's %d", cfg.name, sql, r.entry, res.Count, want.Count)
+				}
+			}
+		}
+	}
+}
+
+// physicalFormat renders operator stats as pqp.Plan.Format renders the
+// plan they ran: one Describe line per operator, indented by depth.
+func physicalFormat(ops []OperatorStats) string {
+	var sb strings.Builder
+	for i, op := range ops {
+		if i > 0 && op.Depth > ops[i-1].Depth+1 {
+			sb.WriteString(strings.Repeat("  ", op.Depth-1) + "Build:\n")
+		}
+		sb.WriteString(strings.Repeat("  ", op.Depth) + op.Name + "\n")
+	}
+	return sb.String()
 }

@@ -13,7 +13,6 @@ import (
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
 	"fusedscan/internal/index"
-	"fusedscan/internal/lqp"
 	"fusedscan/internal/sqlparse"
 )
 
@@ -264,17 +263,6 @@ func (e *Engine) execDDL(stmt *sqlparse.Statement) (*Result, error) {
 
 func ddlResult(msg string) *Result {
 	return &Result{Columns: []string{"status"}, Rows: [][]string{{msg}}}
-}
-
-// chooseBoundAccessPath re-runs the access-path rule on a bound clone of
-// a cached plan skeleton. Skeletons are optimized fully parameterized —
-// no literal values, so the cost model cannot run and the skeleton always
-// stays on the scan path; once Bind fills the literals in, the exact
-// index-vs-scan comparison becomes possible. The rule is idempotent: a
-// plan that already carries a decision (e.g. a NO_INDEX hint recorded at
-// skeleton time) is left alone.
-func (e *Engine) chooseBoundAccessPath(plan *lqp.Plan) {
-	e.optimizer.ChooseAccessPath(plan)
 }
 
 // clusterTable returns a copy of t physically sorted by col (NULLs last,

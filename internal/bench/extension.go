@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -98,15 +99,10 @@ func ExtensionParallel(cfg Config) ExtensionParallelResult {
 		m := medianOver(cfg.reps(), cfg.Seed, func(seed int64) []float64 {
 			space := mach.NewAddrSpace()
 			ch := workload.Uniform(space, rows, 2, 0.5, seed)
-			rs, err := parallel.Scan(&cfg.Params, ch, scan.ImplSISD.Build, c, morsel, false)
-			if err != nil {
-				panic(err)
+			return []float64{
+				parallelRuntimeMs(&cfg.Params, ch, scan.ImplSISD.Build, c, morsel),
+				parallelRuntimeMs(&cfg.Params, ch, scan.ImplAVX512Fused512.Build, c, morsel),
 			}
-			rf, err := parallel.Scan(&cfg.Params, ch, scan.ImplAVX512Fused512.Build, c, morsel, false)
-			if err != nil {
-				panic(err)
-			}
-			return []float64{rs.RuntimeMs, rf.RuntimeMs}
 		})
 		res.SISDMs = append(res.SISDMs, m[0])
 		res.FusedMs = append(res.FusedMs, m[1])
@@ -125,4 +121,25 @@ func ExtensionParallel(cfg Config) ExtensionParallelResult {
 			c, res.SISDMs[i], res.SISDSpeedup[i], res.FusedMs[i], res.FusedSpeedup[i])
 	}
 	return res
+}
+
+// parallelRuntimeMs runs the chain as a simulated morsel stream over
+// fixed-size windows on the given cores and returns the shared-socket
+// model's runtime over the cores' counters.
+func parallelRuntimeMs(params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morsel int) float64 {
+	s, err := parallel.NewStream(context.Background(), params, ch, build, cores, parallel.Windows(ch.Rows(), morsel), false)
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	for {
+		_, err := s.Next()
+		if err == parallel.EOS {
+			break
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	return parallel.Combine(*params, s.PerCore()).RuntimeMs
 }

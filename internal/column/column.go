@@ -42,6 +42,10 @@ type Column struct {
 	// always consults the base column.
 	zmMu     sync.Mutex
 	zoneMaps map[int]*ZoneMap
+
+	// Optimizer statistics, computed on first use (see Stats).
+	statsOnce sync.Once
+	stats     Stats
 }
 
 // New allocates a zeroed column with n rows, registering its address range

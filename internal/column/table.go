@@ -2,6 +2,7 @@ package column
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"fusedscan/internal/expr"
@@ -134,12 +135,25 @@ type Stats struct {
 	// miss whole value classes (e.g. stride 9765 over values i % 7 sees
 	// only zeros). Undefined when every row is NULL.
 	Min, Max expr.Value
-	// SampleSorted holds up to sampleCap sampled values (canonical Bits),
+	// SampleSorted holds the sampled non-NaN values (canonical Bits),
 	// sorted by the column's comparison order, for selectivity estimation.
+	// SampleNaN counts the sampled NaNs, kept out of the sorted part
+	// because they have no place in that order. The sample holds at most
+	// sampleCap values in all.
 	SampleSorted []expr.Value
+	SampleNaN    int
 }
 
 const sampleCap = 1024
+
+// Stats returns the column's statistics, computing them on first use and
+// caching them for the column's lifetime. Concurrency-safe. Registered
+// columns are immutable, so the cache never goes stale; a table registered
+// again under the same name brings new columns and new statistics.
+func (c *Column) Stats() *Stats {
+	c.statsOnce.Do(func() { c.stats = ComputeStats(c) })
+	return &c.stats
+}
 
 // ComputeStats scans the column once (no machine-model accounting; this is
 // the planner's offline statistics pass) and returns its statistics.
@@ -170,15 +184,13 @@ func ComputeStats(c *Column) Stats {
 			valid += p.Chunks()[i].ValidRows
 		}
 		st.NullFraction = float64(n-valid) / float64(n)
-		for i := 0; i < n && len(st.SampleSorted) < sampleCap; i += step {
+		for i := 0; i < n && st.sampled() < sampleCap; i += step {
 			if c.Null(i) {
 				continue
 			}
-			st.SampleSorted = append(st.SampleSorted, c.Value(i))
+			st.addSample(c.Value(i))
 		}
-		sort.Slice(st.SampleSorted, func(i, j int) bool {
-			return st.SampleSorted[i].Compare(expr.Lt, st.SampleSorted[j])
-		})
+		st.sortSample()
 		return st
 	}
 	nulls, seen := 0, false
@@ -199,34 +211,76 @@ func ComputeStats(c *Column) Stats {
 				st.Max = v
 			}
 		}
-		if i%step == 0 && len(st.SampleSorted) < sampleCap {
-			st.SampleSorted = append(st.SampleSorted, v)
+		if i%step == 0 && st.sampled() < sampleCap {
+			st.addSample(v)
 		}
 	}
-	sort.Slice(st.SampleSorted, func(i, j int) bool {
-		return st.SampleSorted[i].Compare(expr.Lt, st.SampleSorted[j])
-	})
+	st.sortSample()
 	st.NullFraction = float64(nulls) / float64(n)
 	return st
 }
 
+func (st *Stats) sampled() int { return len(st.SampleSorted) + st.SampleNaN }
+
+func (st *Stats) addSample(v expr.Value) {
+	if isNaN(v) {
+		st.SampleNaN++
+		return
+	}
+	st.SampleSorted = append(st.SampleSorted, v)
+}
+
+func (st *Stats) sortSample() {
+	sort.Slice(st.SampleSorted, func(i, j int) bool {
+		return st.SampleSorted[i].Compare(expr.Lt, st.SampleSorted[j])
+	})
+}
+
+func isNaN(v expr.Value) bool { return v.Type.Float() && math.IsNaN(v.Float()) }
+
 // EstimateSelectivity estimates the fraction of rows satisfying "col op v"
 // from the sample. It returns a value in [0, 1].
 func (st *Stats) EstimateSelectivity(op expr.CmpOp, v expr.Value) float64 {
-	if len(st.SampleSorted) == 0 {
+	total := st.sampled()
+	if total == 0 {
 		return 1.0
-	}
-	match := 0
-	for _, s := range st.SampleSorted {
-		if s.Compare(op, v) {
-			match++
-		}
 	}
 	// Clamp away from exactly 0 so ordering decisions remain stable: an
 	// unseen value may still exist in unsampled rows.
-	sel := float64(match) / float64(len(st.SampleSorted))
+	sel := float64(st.countMatches(op, v)) / float64(total)
 	if sel == 0 {
-		sel = 0.5 / float64(len(st.SampleSorted))
+		sel = 0.5 / float64(total)
 	}
 	return sel
+}
+
+// countMatches counts the sampled values s with "s op v" — the count a
+// linear walk with Value.Compare gives — by two binary searches over the
+// sorted part. A NaN, sampled or needle, satisfies only <>.
+func (st *Stats) countMatches(op expr.CmpOp, v expr.Value) int {
+	s := st.SampleSorted
+	n := len(s)
+	if isNaN(v) {
+		if op == expr.Ne {
+			return n + st.SampleNaN
+		}
+		return 0
+	}
+	lt := sort.Search(n, func(i int) bool { return !s[i].Compare(expr.Lt, v) })
+	le := lt + sort.Search(n-lt, func(i int) bool { return s[lt+i].Compare(expr.Gt, v) })
+	switch op {
+	case expr.Eq:
+		return le - lt
+	case expr.Ne:
+		return n - (le - lt) + st.SampleNaN
+	case expr.Lt:
+		return lt
+	case expr.Le:
+		return le
+	case expr.Gt:
+		return n - le
+	case expr.Ge:
+		return n - lt
+	}
+	panic(fmt.Sprintf("column: invalid cmp op %d", uint8(op)))
 }

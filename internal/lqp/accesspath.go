@@ -83,10 +83,10 @@ type indexCand struct {
 // (bytes scanned with a short-circuit discount) and, when the index side
 // wins, replaces the FusedChain with an IndexScan leaf.
 //
-// The rule is exported because it must run twice on the prepared path:
-// once inside Optimize (where a parameterized skeleton has no bound
-// values and always stays on the scan path) and again on the bound clone
-// after Bind, where the literal values make exact costing possible.
+// Optimize runs the rule as its last single-table pass. It is exported
+// for callers that optimize a parameterized plan — where predicates with
+// unbound parameters are never index candidates — and re-cost its bound
+// clones.
 func (o *Optimizer) ChooseAccessPath(p *Plan) {
 	if o.indexes == nil || findJoin(p) != nil || p.AccessPath != "" {
 		return

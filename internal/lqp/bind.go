@@ -105,7 +105,9 @@ func (p *Plan) Bind(args []string) error {
 		}
 		v, err := expr.ParseValue(col.Type(), args[pred.Param-1])
 		if err != nil {
-			return fmt.Errorf("binding $%d to %q: %v", pred.Param, pred.Column, err)
+			// The slot may hold a literal of the statement text or a
+			// caller argument; the column names both.
+			return fmt.Errorf("predicate on %q: %v", pred.Column, err)
 		}
 		pred.Value = v
 		pred.Param = 0

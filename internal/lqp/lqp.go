@@ -109,10 +109,10 @@ type IndexProbe struct {
 // with the fused/native chain, window by window.
 //
 // The node carries live *index.Index pointers; that is safe because plans
-// holding an IndexScan are either executed immediately (ad-hoc) or rebuilt
-// per execution from a parameterized skeleton — skeletons themselves never
-// contain an IndexScan, and every index DDL bumps the catalog epoch, which
-// invalidates the plan cache.
+// holding an IndexScan are optimized per execution from a bound clone of
+// a cached skeleton — skeletons themselves are never optimized, so never
+// contain an IndexScan — and every index DDL bumps the catalog epoch,
+// which invalidates the plan cache.
 type IndexScan struct {
 	Table  *column.Table
 	Probes []IndexProbe // intersected, most selective first
@@ -318,8 +318,8 @@ type Plan struct {
 	AccessPath string
 	// NumParams is the number of $n parameters the plan awaits. A plan with
 	// NumParams > 0 is a skeleton: it must be Cloned and Bound with argument
-	// values before translation (the prepared-statement plan cache stores
-	// such skeletons and binds per execution).
+	// values before translation (the plan cache stores such skeletons and
+	// binds, then optimizes, a clone per execution).
 	NumParams int
 }
 

@@ -3,33 +3,24 @@ package lqp
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
 )
 
 // Optimizer applies the rule-based rewrites of Figure 9. Column statistics
-// are computed lazily per column and cached for the optimizer's lifetime.
-// An Optimizer is safe for concurrent use: the statistics cache is
-// mutex-guarded, and every other rewrite mutates only the per-query plan.
+// come from the columns themselves ((*column.Column).Stats computes them once
+// per column), so an Optimizer holds no per-table state and is safe for
+// concurrent use: every rewrite mutates only the per-query plan.
 type Optimizer struct {
-	mu    sync.Mutex
-	stats map[statsKey]column.Stats
 	// indexes is the engine's index catalog for the access-path rule; nil
 	// keeps every plan on the scan path. Set once via SetIndexCatalog
 	// before the optimizer sees any plan.
 	indexes IndexCatalog
 }
 
-type statsKey struct {
-	table, col string
-}
-
-// NewOptimizer returns an optimizer with an empty statistics cache.
-func NewOptimizer() *Optimizer {
-	return &Optimizer{stats: make(map[statsKey]column.Stats)}
-}
+// NewOptimizer returns an optimizer with no index catalog.
+func NewOptimizer() *Optimizer { return &Optimizer{} }
 
 // Optimize rewrites the plan in place: join predicate pushdown, per-side
 // selectivity estimation, unsatisfiable-predicate pruning,
@@ -318,26 +309,14 @@ func (o *Optimizer) pruneContradictions(p *Plan) {
 	}
 }
 
-func (o *Optimizer) colStats(tbl *column.Table, name string) (column.Stats, bool) {
-	key := statsKey{tbl.Name(), name}
-	o.mu.Lock()
-	st, ok := o.stats[key]
-	o.mu.Unlock()
-	if ok {
-		return st, true
-	}
+// colStats returns the statistics of tbl's column name, or false when the
+// table has no such column.
+func (o *Optimizer) colStats(tbl *column.Table, name string) (*column.Stats, bool) {
 	col, err := tbl.Column(name)
 	if err != nil {
-		return column.Stats{}, false
+		return nil, false
 	}
-	// Computed outside the lock: stats are deterministic per column, so a
-	// concurrent duplicate computation is wasted work, not a correctness
-	// problem.
-	st = column.ComputeStats(col)
-	o.mu.Lock()
-	o.stats[key] = st
-	o.mu.Unlock()
-	return st, true
+	return col.Stats(), true
 }
 
 // estimateSelectivities fills in EstSel on every predicate from sampled
@@ -358,8 +337,8 @@ func (o *Optimizer) estimateSelectivities(p *Plan) {
 			case pred.Pred.Param > 0:
 				// Unbound parameter: no value to estimate against. Keep the
 				// neutral default so parameterized predicates preserve their
-				// source order under the (stable) selectivity reorder — the
-				// skeleton is optimized once and reused for every binding.
+				// source order under the (stable) selectivity reorder. (The
+				// engine optimizes only bound plans.)
 				continue
 			default:
 				pred.EstSel = st.EstimateSelectivity(pred.Pred.Op, pred.Pred.Value)

@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fusedscan/internal/column"
@@ -30,20 +32,64 @@ func makeChain(t *testing.T, n int, sel float64, seed int64) scan.Chain {
 	return ch
 }
 
+// scanned is a stream drained to the end.
+type scanned struct {
+	count     int
+	positions []uint32 // table row ids
+	perCore   []mach.Counters
+}
+
+// runStream drains a stream of the chain over fixed windows of morselRows
+// rows as the batch pipeline consumes one: positions rebased to table row
+// ids, the first morsel error fatal.
+func runStream(ctx context.Context, params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, want bool) (*scanned, error) {
+	s, err := NewStream(ctx, params, ch, build, cores, Windows(ch.Rows(), morselRows), want)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	out := &scanned{}
+	for {
+		m, err := s.Next()
+		if err == EOS {
+			out.perCore = s.PerCore()
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out.count += m.Res.Count
+		for _, pos := range m.Res.Positions {
+			out.positions = append(out.positions, pos+uint32(m.Begin))
+		}
+	}
+}
+
+// scanSim runs a simulated stream to the end and applies the shared-socket
+// model to its cores' counters.
+func scanSim(t *testing.T, p mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int) CombinedModel {
+	t.Helper()
+	res, err := runStream(context.Background(), &p, ch, build, cores, morselRows, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Combine(p, res.perCore)
+}
+
 func TestParallelScanMatchesSequential(t *testing.T) {
 	ch := makeChain(t, 100_000, 0.1, 1)
 	want := scan.Reference(ch, true)
 	for _, cores := range []int{1, 2, 4, 8} {
 		for _, morsel := range []int{1000, 7777, 1_000_000} {
-			res, err := Scan(simParams(), ch, scan.ImplAVX512Fused512.Build, cores, morsel, true)
+			res, err := runStream(context.Background(), simParams(), ch, scan.ImplAVX512Fused512.Build, cores, morsel, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Count != want.Count || len(res.Positions) != len(want.Positions) {
-				t.Fatalf("cores=%d morsel=%d: count %d, want %d", cores, morsel, res.Count, want.Count)
+			if res.count != want.Count || len(res.positions) != len(want.Positions) {
+				t.Fatalf("cores=%d morsel=%d: count %d, want %d", cores, morsel, res.count, want.Count)
 			}
 			for i := range want.Positions {
-				if res.Positions[i] != want.Positions[i] {
+				if res.positions[i] != want.Positions[i] {
 					t.Fatalf("cores=%d: position %d differs", cores, i)
 				}
 			}
@@ -56,14 +102,8 @@ func TestParallelComputeBoundScaling(t *testing.T) {
 	// (mispredictions), so doubling cores should roughly halve runtime.
 	ch := makeChain(t, 400_000, 0.5, 2)
 	p := mach.Default()
-	r1, err := Scan(&p, ch, scan.ImplSISD.Build, 1, 50_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := Scan(&p, ch, scan.ImplSISD.Build, 4, 50_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := scanSim(t, p, ch, scan.ImplSISD.Build, 1, 50_000)
+	r4 := scanSim(t, p, ch, scan.ImplSISD.Build, 4, 50_000)
 	speedup := r1.RuntimeMs / r4.RuntimeMs
 	if speedup < 2.5 || speedup > 4.5 {
 		t.Errorf("4-core compute-bound speedup %.2fx, want ~4x", speedup)
@@ -75,14 +115,8 @@ func TestParallelBandwidthSaturation(t *testing.T) {
 	// SocketBandwidth / per-core bandwidth (~6.7 cores by default).
 	ch := makeChain(t, 2_000_000, 0.0001, 3)
 	p := mach.Default()
-	r1, err := Scan(&p, ch, scan.ImplAVX512Fused512.Build, 1, 100_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r16, err := Scan(&p, ch, scan.ImplAVX512Fused512.Build, 16, 100_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := scanSim(t, p, ch, scan.ImplAVX512Fused512.Build, 1, 100_000)
+	r16 := scanSim(t, p, ch, scan.ImplAVX512Fused512.Build, 16, 100_000)
 	maxSpeedup := p.SocketBandwidthGBs / p.StreamBandwidthGBs
 	got := r1.RuntimeMs / r16.RuntimeMs
 	if got > maxSpeedup*1.05 {
@@ -99,17 +133,15 @@ func TestParallelBandwidthSaturation(t *testing.T) {
 func TestParallelErrors(t *testing.T) {
 	ch := makeChain(t, 100, 0.5, 4)
 	p := mach.Default()
-	if _, err := Scan(&p, ch, scan.ImplSISD.Build, 0, 10, false); err == nil {
+	ctx := context.Background()
+	if _, err := runStream(ctx, &p, ch, scan.ImplSISD.Build, 0, 10, false); err == nil {
 		t.Error("0 cores accepted")
 	}
-	if _, err := Scan(&p, ch, scan.ImplSISD.Build, 2, 0, false); err == nil {
-		t.Error("0 morsel rows accepted")
-	}
-	if _, err := Scan(&p, scan.Chain{}, scan.ImplSISD.Build, 2, 10, false); err == nil {
+	if _, err := runStream(ctx, &p, scan.Chain{}, scan.ImplSISD.Build, 2, 10, false); err == nil {
 		t.Error("empty chain accepted")
 	}
 	badBuild := func(scan.Chain) (scan.Kernel, error) { return nil, errBoom }
-	if _, err := Scan(&p, ch, badBuild, 2, 10, false); err == nil {
+	if _, err := runStream(ctx, &p, ch, badBuild, 2, 10, false); err == nil {
 		t.Error("builder error swallowed")
 	}
 }
@@ -122,15 +154,15 @@ var errBoom = boomErr{}
 
 func TestParallelPerCoreCounters(t *testing.T) {
 	ch := makeChain(t, 50_000, 0.1, 5)
-	res, err := Scan(simParams(), ch, scan.ImplAVX512Fused512.Build, 3, 5000, false)
+	res, err := runStream(context.Background(), simParams(), ch, scan.ImplAVX512Fused512.Build, 3, 5000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerCore) != 3 {
-		t.Fatalf("per-core counters: %d", len(res.PerCore))
+	if len(res.perCore) != 3 {
+		t.Fatalf("per-core counters: %d", len(res.perCore))
 	}
 	var total uint64
-	for _, c := range res.PerCore {
+	for _, c := range res.perCore {
 		total += c.VecInstrs
 	}
 	if total == 0 {
@@ -146,19 +178,19 @@ func simParams() *mach.Params {
 }
 
 // TestParallelScanWithoutModel: nil params build no worker CPUs, report no
-// model, and return the same rows.
+// counters, and return the same rows.
 func TestParallelScanWithoutModel(t *testing.T) {
 	ch := makeChain(t, 50_000, 0.1, 6)
 	native := func(sub scan.Chain) (scan.Kernel, error) { return scan.NewNative(sub) }
-	res, err := Scan(nil, ch, native, 3, 5000, true)
+	res, err := runStream(context.Background(), nil, ch, native, 3, 5000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := scan.Reference(ch, true)
-	if res.Count != want.Count || len(res.Positions) != len(want.Positions) {
-		t.Fatalf("count %d, want %d", res.Count, want.Count)
+	if res.count != want.Count || !slices.Equal(res.positions, want.Positions) {
+		t.Fatalf("count %d, want %d", res.count, want.Count)
 	}
-	if res.PerCore != nil || res.RuntimeMs != 0 {
-		t.Errorf("PerCore=%v RuntimeMs=%v, want no model", res.PerCore, res.RuntimeMs)
+	if res.perCore != nil {
+		t.Errorf("perCore=%v, want no counters", res.perCore)
 	}
 }

@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,32 +15,9 @@ func TestScanContextCancelledBeforeStart(t *testing.T) {
 	ch := makeChain(t, 10_000, 0.1, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ScanContext(ctx, simParams(), ch, scan.ImplSISD.Build, 2, 1000, false)
+	_, err := runStream(ctx, simParams(), ch, scan.ImplSISD.Build, 2, 1000, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestScanCollectsAllBuildErrors(t *testing.T) {
-	ch := makeChain(t, 10_000, 0.1, 12)
-	calls := 0
-	build := func(sub scan.Chain) (scan.Kernel, error) {
-		calls++
-		if calls%2 == 0 {
-			return nil, fmt.Errorf("build failure #%d", calls)
-		}
-		return scan.NewSISD(sub)
-	}
-	// 10 morsels on 1 core: build is called sequentially, failing on every
-	// even call — 5 distinct errors, all of which must survive aggregation.
-	_, err := Scan(simParams(), ch, build, 1, 1000, false)
-	if err == nil {
-		t.Fatal("expected joined build errors")
-	}
-	for _, want := range []string{"build failure #2", "build failure #4", "build failure #10"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error missing %q:\n%v", want, err)
-		}
 	}
 }
 
@@ -54,7 +30,7 @@ func TestScanRecoversWorkerPanic(t *testing.T) {
 		}
 		return scan.NewSISD(sub)
 	}
-	_, err := Scan(simParams(), ch, build, 2, 1000, false)
+	_, err := runStream(context.Background(), simParams(), ch, build, 2, 1000, false)
 	if err == nil {
 		t.Fatal("expected an error from the panicking morsel")
 	}
@@ -69,7 +45,7 @@ func TestScanFaultInjectedMorselError(t *testing.T) {
 	ch := makeChain(t, 10_000, 0.1, 14)
 
 	faultinject.Arm(faultinject.SiteParallelMorsel, 4, faultinject.ModeError)
-	_, err := Scan(simParams(), ch, scan.ImplSISD.Build, 2, 1000, false)
+	_, err := runStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, 1000, false)
 	if err == nil {
 		t.Fatal("expected injected morsel error")
 	}
@@ -84,12 +60,12 @@ func TestScanFaultInjectedMorselError(t *testing.T) {
 	// The same scan succeeds once disarmed.
 	faultinject.Reset()
 	want := scan.Reference(ch, false)
-	res, err := Scan(simParams(), ch, scan.ImplSISD.Build, 2, 1000, false)
+	res, err := runStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count != want.Count {
-		t.Fatalf("count = %d, want %d", res.Count, want.Count)
+	if res.count != want.Count {
+		t.Fatalf("count = %d, want %d", res.count, want.Count)
 	}
 }
 
@@ -99,7 +75,7 @@ func TestScanFaultInjectedMorselPanicIsRecovered(t *testing.T) {
 	ch := makeChain(t, 10_000, 0.1, 15)
 
 	faultinject.Arm(faultinject.SiteParallelMorsel, 1, faultinject.ModePanic)
-	_, err := Scan(simParams(), ch, scan.ImplSISD.Build, 4, 1000, false)
+	_, err := runStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 4, 1000, false)
 	if err == nil {
 		t.Fatal("expected an error from the injected panic")
 	}
@@ -119,7 +95,7 @@ func TestScanContextCancelStopsWorkers(t *testing.T) {
 		}
 		return scan.NewSISD(sub)
 	}
-	_, err := ScanContext(ctx, simParams(), ch, build, 1, 1000, false)
+	_, err := runStream(ctx, simParams(), ch, build, 1, 1000, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

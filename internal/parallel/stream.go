@@ -71,8 +71,8 @@ type streamItem struct {
 //
 // A morsel whose kernel fails to build (or panics while running) poisons
 // only that morsel: Next returns its error for that position and can be
-// called again for the remaining morsels (the drain-everything caller
-// joins them; the pipeline treats the first as fatal and Closes).
+// called again for the remaining morsels (the pipeline treats the first
+// as fatal and Closes).
 //
 // Close cancels morsels not yet started — the LIMIT short-circuit path —
 // and waits for in-flight ones, so no helper outlives the consumer.

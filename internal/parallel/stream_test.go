@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"fusedscan/internal/mach"
 	"fusedscan/internal/scan"
 )
 
@@ -115,18 +114,6 @@ func TestStreamContextCancellation(t *testing.T) {
 		t.Error("cancelled stream drained to EOS without surfacing ctx.Err()")
 	}
 	s.Close()
-}
-
-func TestCombineMatchesScanContextModel(t *testing.T) {
-	ch := makeChain(t, 100_000, 0.1, 6)
-	res, err := Scan(simParams(), ch, scan.ImplSISD.Build, 4, 10_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Combine(mach.Default(), res.PerCore)
-	if m.RuntimeMs != res.RuntimeMs || m.ComputeMs != res.ComputeMs || m.MemMs != res.MemMs {
-		t.Errorf("Combine = %+v, ScanContext model = {%v %v %v}", m, res.RuntimeMs, res.ComputeMs, res.MemMs)
-	}
 }
 
 // TestNativeStreamOverSparseWindows: a native stream runs exactly the

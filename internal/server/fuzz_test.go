@@ -83,7 +83,7 @@ func FuzzServeQuery(f *testing.F) {
 
 		// Leg 2: a well-formed envelope around fuzzed SQL + fuzzed argument
 		// (the parameter-substitution path: normalize, cache, clone, bind).
-		body, err := json.Marshal(QueryRequest{SQL: sql, Args: []string{arg}, Stream: stream, UsePlanCache: true})
+		body, err := json.Marshal(QueryRequest{SQL: sql, Args: []string{arg}, Stream: stream})
 		if err != nil {
 			return
 		}

@@ -438,7 +438,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	qo := fusedscan.QueryOptions{
-		Config: cfg, Args: req.Args, UsePlanCache: req.UsePlanCache,
+		Config: cfg, Args: req.Args,
 		Session: fairnessKey(r, sess),
 	}
 	s.runQuery(w, r, sess, timeout, req.Stream, func(ctx context.Context, stream func([]string, [][]string) error) (*fusedscan.Result, error) {

@@ -56,9 +56,6 @@ type QueryRequest struct {
 	Stream bool `json:"stream,omitempty"`
 	// TimeoutMillis caps this query (0 = session, then server default).
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// UsePlanCache routes the statement through the prepared-plan cache
-	// (implied when Args are present).
-	UsePlanCache bool `json:"use_plan_cache,omitempty"`
 }
 
 // PrepareRequest is the body of POST /prepare. Preparing requires a

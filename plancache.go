@@ -23,10 +23,10 @@ type planKey struct {
 	epoch uint64
 }
 
-// planCache is a mutex-guarded LRU of optimized plan skeletons shared by
-// every session and prepared statement. Entries are *lqp.Plan values that
-// may still carry $n parameter slots; callers Clone and Bind them per
-// execution, never mutate them in place.
+// planCache is a mutex-guarded LRU of plan skeletons shared by every
+// statement, ad hoc or prepared. Entries are built, unoptimized *lqp.Plan
+// values whose literals are $n parameter slots; callers Clone, Bind and
+// optimize them per execution, never mutate them in place.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int

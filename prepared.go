@@ -1,22 +1,22 @@
 package fusedscan
 
-// Prepared statements and the shared governed execution path.
+// The one planning path and the shared governed execution path.
 //
-// Prepare parses a statement once, normalizes it to a canonical shape
-// (every literal replaced by a $n placeholder), and plans that shape into
-// an optimized logical-plan skeleton kept in the engine's LRU plan cache.
-// Execute then binds arguments into a clone of the skeleton and runs it —
-// on a cache hit, parsing and optimization are skipped entirely; only
-// translation (which the JIT operator cache dedupes below) and execution
-// remain. The cache is keyed by (shape, catalog/config epoch), so
-// Register, DropTable and SetConfig invalidate every cached plan at once.
-//
-// Skeletons are optimized without literal values: selectivity estimation
-// and unsatisfiability pruning skip parameterized predicates, leaving them
-// in source order. That changes simulated cost counters versus an ad-hoc
-// plan of the same statement, but never the result bytes — qualifying
-// positions are ascending regardless of predicate order — which is why
-// Prepared results are byte-identical to Engine.Query on the same SQL.
+// Every SELECT is planned the same way, whichever entry point runs it
+// (Query, QueryContext, QueryWith, Prepared.Execute*, ExplainQuery): the
+// statement is normalized to a canonical shape (every literal replaced by
+// a $n placeholder), the shape's built but unoptimized logical plan — its
+// skeleton — is fetched from the engine's LRU plan cache (or built and
+// planted there), the literals and the caller's arguments are bound into a
+// clone of it, and the bound clone is optimized with every value in view.
+// Selectivity estimates, predicate order, unsatisfiable-predicate pruning
+// and the index-vs-scan choice therefore see the same literals on every
+// path, so a prepared statement runs exactly the plan the same SQL gets ad
+// hoc. A cache hit skips parsing the shape and building the plan; the
+// optimizer runs on every execution, which is cheap because statistics
+// live on the columns, computed once, and estimates are binary searches.
+// The cache is keyed by (shape, catalog/config epoch), so Register, DropTable
+// and SetConfig invalidate every cached skeleton at once.
 
 import (
 	"context"
@@ -37,7 +37,7 @@ import (
 
 // QueryOptions extends QueryContext for the serving layer: per-query
 // configuration overrides, $n argument binding, batch-streamed results and
-// plan-cache routing.
+// admission routing.
 type QueryOptions struct {
 	// Config overrides the engine's execution configuration for this query
 	// only (e.g. a native-path session on a simulate-default engine). Nil
@@ -53,11 +53,10 @@ type QueryOptions struct {
 	// their single row through the same callback after the pipeline drains.
 	// A non-nil return aborts the query with that error.
 	Stream func(columns []string, rows [][]string) error
-	// UsePlanCache routes the statement through the prepared-plan cache:
-	// the SQL is parsed and normalized, and the optimized skeleton is
-	// fetched from (or planted in) the shared LRU. Statements with Args are
-	// always routed through the cache path, since binding requires a
-	// parameterized skeleton.
+	// UsePlanCache is ignored: every statement is planned through the plan
+	// cache.
+	//
+	// Deprecated: the field no longer changes which plan runs.
 	UsePlanCache bool
 	// Session is an opaque fairness key for admission control: when the
 	// queue is full, the session holding the most queued queries is
@@ -84,38 +83,63 @@ type execOpts struct {
 	sink pqp.BatchSink
 }
 
-// QueryWith is QueryContext with QueryOptions. With neither Args nor
-// UsePlanCache it is exactly QueryContext (full parse/plan/optimize with
-// literal values — the paper's measurement discipline), plus any Config
-// override and streaming.
+// QueryWith is QueryContext with QueryOptions: Args bind the statement's
+// $n placeholders, and Config, Stream, Session and Cheap shape its
+// execution. The statement is planned like every other (see plan).
 func (e *Engine) QueryWith(ctx context.Context, sql string, qo QueryOptions) (*Result, error) {
-	eo := execOpts{config: qo.Config, stream: qo.Stream, session: qo.Session, cheap: qo.Cheap}
-	if !qo.UsePlanCache && len(qo.Args) == 0 {
-		return e.execute(ctx, sql, nil, eo)
-	}
-	makePlan := func(stage *string) (*lqp.Plan, error) {
-		sel, err := sqlparse.Parse(sql)
+	makePlan := func(stage *string) (*lqp.Plan, *Result, error) {
+		stmt, err := sqlparse.ParseStatement(sql)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if sel.NumParams != len(qo.Args) {
-			return nil, fmt.Errorf("fusedscan: statement wants %d argument(s), got %d", sel.NumParams, len(qo.Args))
+		if stmt.Select == nil {
+			if len(qo.Args) > 0 {
+				return nil, nil, fmt.Errorf("fusedscan: statement wants 0 argument(s), got %d", len(qo.Args))
+			}
+			// Index DDL rides the same governed entry point: admission
+			// control already ran, and CreateIndex charges its build
+			// against the memory budget.
+			*stage = stageExecute
+			res, err := e.execDDL(stmt)
+			return nil, res, err
 		}
-		shape, slots := sqlparse.Normalize(sel)
-		return e.boundPlan(shape, slots, sel.NumParams, qo.Args, stage)
+		sel := shapeOf(stmt.Select)
+		plan, err := e.plan(&sel, qo.Args, stage, nil)
+		return plan, nil, err
 	}
-	return e.execute(ctx, sql, makePlan, eo)
+	return e.execute(ctx, sql, makePlan, execOpts{config: qo.Config, stream: qo.Stream, session: qo.Session, cheap: qo.Cheap})
 }
 
-// boundPlan is the plan-cache path QueryWith and Prepared share: fetch (or
-// plan) the skeleton for shape, bind args into a clone of it, and make the
-// access-path choice the skeleton could not make without literals.
-func (e *Engine) boundPlan(shape string, slots []sqlparse.Slot, numParams int, args []string, stage *string) (*lqp.Plan, error) {
-	skel, err := e.skeleton(shape, stage)
+// shapedSelect is a SELECT normalized for the plan cache: its canonical
+// shape (the cache key), the slots that rebuild the shape's argument list
+// from captured literals and caller arguments, and how many $n arguments
+// the caller supplies.
+type shapedSelect struct {
+	shape     string
+	slots     []sqlparse.Slot
+	numParams int
+}
+
+func shapeOf(sel *sqlparse.Select) shapedSelect {
+	shape, slots := sqlparse.Normalize(sel)
+	return shapedSelect{shape: shape, slots: slots, numParams: sel.NumParams}
+}
+
+// plan is the one planning path (see the file comment): it binds args
+// into a clone of sel's cached skeleton and optimizes the clone. logical,
+// when non-nil, receives the bound plan as it stood before optimization.
+func (e *Engine) plan(sel *shapedSelect, args []string, stage *string, logical *string) (*lqp.Plan, error) {
+	if len(args) != sel.numParams {
+		if len(args) == 0 {
+			return nil, fmt.Errorf("fusedscan: statement has %d unbound parameter(s); use Prepare/Execute or QueryWith with Args", sel.numParams)
+		}
+		return nil, fmt.Errorf("fusedscan: statement wants %d argument(s), got %d", sel.numParams, len(args))
+	}
+	skel, err := e.skeleton(sel.shape, stage)
 	if err != nil {
 		return nil, err
 	}
-	bound, err := sqlparse.BindSlots(slots, numParams, args)
+	bound, err := sqlparse.BindSlots(sel.slots, sel.numParams, args)
 	if err != nil {
 		return nil, err
 	}
@@ -124,10 +148,10 @@ func (e *Engine) boundPlan(shape string, slots []sqlparse.Slot, numParams int, a
 	if err := plan.Bind(bound); err != nil {
 		return nil, err
 	}
-	// Skeletons are costed without literal values and always stay on the
-	// scan path; with the literals bound, the index-vs-scan choice can now
-	// be made exactly.
-	e.chooseBoundAccessPath(plan)
+	if logical != nil {
+		*logical = plan.Format()
+	}
+	e.optimizer.Optimize(plan)
 	return plan, nil
 }
 
@@ -135,11 +159,11 @@ func (e *Engine) boundPlan(shape string, slots []sqlparse.Slot, numParams int, a
 // new capacity are evicted LRU-first). n <= 0 restores the default.
 func (e *Engine) SetPlanCacheCapacity(n int) { e.plans.setCapacity(n) }
 
-// skeleton returns the optimized plan skeleton for a normalized statement
-// shape, consulting the shared plan cache. The shape is canonical SQL, so a
-// miss simply re-parses it, builds and optimizes the plan (parameterized
-// predicates stay in source order), and caches it under the current
-// catalog/config epoch. On a hit, parse and optimize are skipped.
+// skeleton returns the unoptimized plan skeleton for a normalized
+// statement shape, consulting the shared plan cache. The shape is
+// canonical SQL, so a miss simply re-parses it, builds the plan and caches
+// it under the current catalog/config epoch. On a hit, parse and build are
+// skipped.
 func (e *Engine) skeleton(shape string, stage *string) (*lqp.Plan, error) {
 	key := planKey{shape: shape, epoch: e.epoch.Load()}
 	if p, ok := e.plans.get(key); ok {
@@ -154,27 +178,24 @@ func (e *Engine) skeleton(shape string, stage *string) (*lqp.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.optimizer.Optimize(plan)
 	e.plans.put(key, plan)
 	return plan, nil
 }
 
-// Prepared is a statement planned once and executable many times with
-// different arguments. It is a thin handle — the optimized skeleton lives
-// in the engine's shared plan cache, so Prepared values are cheap, safe
-// for concurrent use, and automatically replan when the catalog or
+// Prepared is a statement parsed and normalized once and executable many
+// times with different arguments. It is a thin handle — the plan skeleton
+// lives in the engine's shared plan cache, so Prepared values are cheap,
+// safe for concurrent use, and automatically replan when the catalog or
 // configuration changes underneath them.
 type Prepared struct {
-	eng       *Engine
-	sqlText   string
-	shape     string
-	slots     []sqlparse.Slot
-	numParams int
+	eng     *Engine
+	sqlText string
+	shapedSelect
 }
 
 // Prepare parses and normalizes a statement and warms the plan cache with
-// its optimized skeleton. The statement may mix $n placeholders and
-// literals; literals are captured and re-bound on every execution.
+// its skeleton. The statement may mix $n placeholders and literals;
+// literals are captured and re-bound on every execution.
 func (e *Engine) Prepare(sql string) (prep *Prepared, err error) {
 	stage := stageParse
 	defer recoverStage(&stage, sql, &prep, &err)
@@ -182,9 +203,8 @@ func (e *Engine) Prepare(sql string) (prep *Prepared, err error) {
 	if err != nil {
 		return nil, err
 	}
-	shape, slots := sqlparse.Normalize(sel)
-	prep = &Prepared{eng: e, sqlText: sql, shape: shape, slots: slots, numParams: sel.NumParams}
-	if _, err := e.skeleton(shape, &stage); err != nil {
+	prep = &Prepared{eng: e, sqlText: sql, shapedSelect: shapeOf(sel)}
+	if _, err := e.skeleton(prep.shape, &stage); err != nil {
 		return nil, err
 	}
 	return prep, nil
@@ -210,18 +230,18 @@ func (p *Prepared) ExecuteContext(ctx context.Context, args ...string) (*Result,
 	return p.ExecuteWith(ctx, QueryOptions{Args: args})
 }
 
-// ExecuteWith is ExecuteContext with QueryOptions (UsePlanCache is implied
-// — prepared statements always execute through the cache).
+// ExecuteWith is ExecuteContext with QueryOptions. The statement is
+// planned exactly as QueryWith plans the same SQL.
 func (p *Prepared) ExecuteWith(ctx context.Context, qo QueryOptions) (*Result, error) {
 	if len(qo.Args) != p.numParams {
 		return nil, fmt.Errorf("fusedscan: prepared statement wants %d argument(s), got %d", p.numParams, len(qo.Args))
 	}
-	makePlan := func(stage *string) (*lqp.Plan, error) {
-		return p.eng.boundPlan(p.shape, p.slots, p.numParams, qo.Args, stage)
+	makePlan := func(stage *string) (*lqp.Plan, *Result, error) {
+		plan, err := p.eng.plan(&p.shapedSelect, qo.Args, stage, nil)
+		return plan, nil, err
 	}
-	// Prepared executions ride the admission cheap lane: their plan is
-	// already optimized and cached, so they are exactly the short
-	// pre-planned work the lane reserves headroom for.
+	// Prepared executions ride the admission cheap lane: they are the
+	// short, repeated work the lane reserves headroom for.
 	return p.eng.execute(ctx, p.sqlText, makePlan, execOpts{config: qo.Config, stream: qo.Stream, session: qo.Session, cheap: true})
 }
 
@@ -321,12 +341,10 @@ func renderAggregates(vals []expr.Value, nulls []bool) []string {
 // execute is the one governed execution path under QueryContext, QueryWith,
 // Prepared.Execute* and Scan.Run*: admission control, default deadline, memory
 // accounting, stage-tracked panic recovery, translation, the batch
-// pipeline, and Result assembly. makePlan produces the bound logical plan
-// (advancing *stage as it goes); nil makePlan is the ad-hoc path — parse,
-// build and optimize the SQL text with its literal values, bypassing the
-// plan cache so simulated counters match the paper's measurement
-// discipline exactly.
-func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *string) (*lqp.Plan, error), eo execOpts) (res *Result, err error) {
+// pipeline, and Result assembly. makePlan produces the bound, optimized
+// logical plan (advancing *stage as it goes), or — for a DDL statement,
+// which it runs itself — the statement's Result.
+func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *string) (*lqp.Plan, *Result, error), eo execOpts) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -353,34 +371,9 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 	stage := stageParse
 	defer recoverStage(&stage, sql, &res, &err)
 
-	var plan *lqp.Plan
-	if makePlan == nil {
-		stmt, perr := sqlparse.ParseStatement(sql)
-		if perr != nil {
-			return nil, perr
-		}
-		if stmt.Select == nil {
-			// Index DDL rides the same governed entry point: admission
-			// control above already ran, and CreateIndex charges its build
-			// against the memory budget.
-			stage = stageExecute
-			return e.execDDL(stmt)
-		}
-		sel := stmt.Select
-		if sel.NumParams > 0 {
-			return nil, fmt.Errorf("fusedscan: statement has %d unbound parameter(s); use Prepare/Execute or QueryWith with Args", sel.NumParams)
-		}
-		stage = stagePlan
-		plan, err = lqp.Build(sel, e)
-		if err != nil {
-			return nil, err
-		}
-		e.optimizer.Optimize(plan)
-	} else {
-		plan, err = makePlan(&stage)
-		if err != nil {
-			return nil, err
-		}
+	plan, done, err := makePlan(&stage)
+	if err != nil || done != nil {
+		return done, err
 	}
 
 	stage = stageTranslate
