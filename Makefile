@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-quick bench-native bench-native-check bench-packed-check bench-index-check serve-check bench-serve bench-serve-check crash-check vuln clean
+.PHONY: check fmt build vet test race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-quick bench-native bench-native-check serve-check bench-serve bench-serve-check crash-check vuln clean
 
-check: fmt build vet race soak fuzz-join fuzz-packed fuzz-index bench-smoke bench-quick bench-native-check bench-packed-check bench-index-check serve-check bench-serve-check crash-check vuln
+check: fmt build vet race soak fuzz-join fuzz-packed fuzz-index bench-smoke bench-quick bench-native-check serve-check bench-serve-check crash-check vuln
 
 # Fails when any tracked Go file is not gofmt-formatted (lists them).
 fmt:
@@ -115,29 +115,19 @@ bench-native:
 	$(GO) test -run=NONE -bench='HashJoin|GroupBySink' -benchmem ./internal/pqp
 	$(GO) run ./cmd/fusedscan-smoke -native
 
-# Regression gate over BENCH_NATIVE.json: counts and prune statistics must
-# match exactly; each native leg's wall-clock over a roofline read timed
-# beside it (a []uint64 sum of the bytes it scans) may not regress by more
-# than 20% against the baseline's ratio, and the native-vs-emulated
-# speedup must stay above the 10x floor.
-bench-native-check:
-	$(GO) run ./cmd/fusedscan-smoke -native -check BENCH_NATIVE.json -tol 0.20
-
-# Scan-on-compressed gate over the same BENCH_NATIVE.json baseline, with
-# the packed axis summarized: the bit-packed native scan must beat the
-# plain native scan by the 1.5x floor with identical counts and prune
-# statistics, must never touch more bytes than the plain scan, and its
-# wall-clock over its roofline read may not regress by more than 20%.
-bench-packed-check:
-	$(GO) run ./cmd/fusedscan-smoke -native -check BENCH_NATIVE.json -tol 0.20 -packed
-
-# Secondary-index gate over the same BENCH_NATIVE.json baseline: the
-# cost-chosen point lookup on a 10M-row shuffled unique-key column must
-# beat the full native scan by the 5x floor with identical counts, and a
+# Regression gate over BENCH_NATIVE.json, one run for three axes. Counts
+# and prune statistics must match exactly; each native leg's wall-clock
+# over a roofline read timed beside it (a []uint64 sum of the bytes it
+# scans) may not regress by more than 20% against the baseline's ratio,
+# and the native-vs-emulated speedup must stay above the 10x floor.
+# Scan-on-compressed: the bit-packed native scan must beat the plain
+# native scan by the 1.5x floor and never touch more bytes than it.
+# Secondary index: the cost-chosen point lookup on a 10M-row shuffled
+# unique-key column must beat the full native scan by the 5x floor, and a
 # forced index hint at 40% selectivity must stay measurably slower than
 # the scan it overrides — the dolt lesson, checked on every run.
-bench-index-check:
-	$(GO) run ./cmd/fusedscan-smoke -native -check BENCH_NATIVE.json -tol 0.20 -index
+bench-native-check:
+	$(GO) run ./cmd/fusedscan-smoke -native -check BENCH_NATIVE.json -tol 0.20
 
 # End-to-end check of the HTTP query service: starts an ephemeral server
 # on a loopback port and drives a scripted smoke client through ad-hoc

@@ -261,7 +261,7 @@ func BenchmarkIntersect(b *testing.B) {
 // full-width native scan on identical logical data (1M rows, values
 // 0..999 so the packed lanes are 16-bit — 4 values per word vs the plain
 // path's 2). The wall-clock gate for this lives in
-// cmd/fusedscan-smoke (make bench-packed-check); this benchmark is for
+// cmd/fusedscan-smoke (make bench-native-check); this benchmark is for
 // interactive profiling.
 func BenchmarkPackedScan(b *testing.B) {
 	const rows = 1 << 20

@@ -691,8 +691,6 @@ func main() {
 	check := flag.String("check", "", "compare a -native run against this baseline JSON and exit non-zero on regression")
 	tol := flag.Float64("tol", 0.20, "allowed native wall-clock regression fraction for -check")
 	reps := flag.Int("reps", 5, "wall-clock repetitions per -native query (best is reported)")
-	packed := flag.Bool("packed", false, "with -check, summarize the scan-on-compressed axis on success")
-	index := flag.Bool("index", false, "with -check, summarize the secondary-index axis on success")
 	flag.Parse()
 
 	var rep any
@@ -705,22 +703,16 @@ func main() {
 				fmt.Fprintln(os.Stderr, "fusedscan-smoke: native benchmark gate failed:", cerr)
 				os.Exit(1)
 			}
-			if *index {
-				ip, sp := resultByPath(nrep, "index-point"), resultByPath(nrep, "scan-point")
-				fmt.Printf("index benchmark gate ok: %.4f ms point lookup vs %.3f ms native scan (%.0fx, floor %.0fx); forced low-sel index %.2fx slower than scan (floor %.1fx)\n",
-					ip.WallMs, sp.WallMs, nrep.IndexSpeedup, nrep.IndexFloor,
-					nrep.IndexLowSelSlowdown, nrep.IndexLowSelFloor)
-				return
-			}
-			if *packed {
-				pl, pk := resultByPath(nrep, "native"), resultByPath(nrep, "packed-native")
-				fmt.Printf("packed benchmark gate ok: %.3f ms packed vs %.3f ms plain native (%.2fx, floor %.1fx), %d vs %d bytes scanned, %.1f GB/s effective decode\n",
-					pk.WallMs, pl.WallMs, nrep.PackedSpeedup, nrep.PackedFloor,
-					pk.BytesScanned, pl.BytesScanned, pk.EffDecodeGBs)
-				return
-			}
+			pl, pk := resultByPath(nrep, "native"), resultByPath(nrep, "packed-native")
+			ip, sp := resultByPath(nrep, "index-point"), resultByPath(nrep, "scan-point")
 			fmt.Printf("native benchmark gate ok: %.3f ms native (%.2fx its roofline read), %.1fx vs emulated, %d/%d chunks pruned\n",
-				nrep.Results[0].WallMs, nrep.Results[0].WallPerRoofline, nrep.Speedup, nrep.Pruning.ChunksPruned, nrep.Pruning.Chunks)
+				pl.WallMs, pl.WallPerRoofline, nrep.Speedup, nrep.Pruning.ChunksPruned, nrep.Pruning.Chunks)
+			fmt.Printf("packed benchmark gate ok: %.3f ms packed vs %.3f ms plain native (%.2fx, floor %.1fx), %d vs %d bytes scanned, %.1f GB/s effective decode\n",
+				pk.WallMs, pl.WallMs, nrep.PackedSpeedup, nrep.PackedFloor,
+				pk.BytesScanned, pl.BytesScanned, pk.EffDecodeGBs)
+			fmt.Printf("index benchmark gate ok: %.4f ms point lookup vs %.3f ms native scan (%.0fx, floor %.0fx); forced low-sel index %.2fx slower than scan (floor %.1fx)\n",
+				ip.WallMs, sp.WallMs, nrep.IndexSpeedup, nrep.IndexFloor,
+				nrep.IndexLowSelSlowdown, nrep.IndexLowSelFloor)
 			return
 		}
 		rep = nrep

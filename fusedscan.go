@@ -911,11 +911,11 @@ func (b *TableBuilder) Index(cols ...string) *TableBuilder {
 }
 
 // ClusterBy physically sorts the table on one column — the CLUSTER BY
-// table option. Rows are reordered by the column's value (NULLs last,
-// ties keep insertion order), so chunk zone maps over that column become
-// tight ranges and scans with cluster-key predicates prune most chunks.
-// Call after the data columns are added and before Pack (packed chunks
-// are immutable).
+// table option. Rows are reordered in the value order ORDER BY uses (NaN
+// above +Inf, NULLs last, ties keep insertion order), so chunk zone maps
+// over that column become tight ranges and scans with cluster-key
+// predicates prune most chunks. Call after the data columns are added
+// and before Pack (packed chunks are immutable).
 func (b *TableBuilder) ClusterBy(col string) *TableBuilder {
 	if b.err != nil {
 		return b

@@ -265,10 +265,11 @@ func ddlResult(msg string) *Result {
 	return &Result{Columns: []string{"status"}, Rows: [][]string{{msg}}}
 }
 
-// clusterTable returns a copy of t physically sorted by col (NULLs last,
-// ties in original row order) — the CLUSTER BY table option. A clustered
-// column's chunks carry tight zone-map ranges, so scans over cluster-key
-// predicates prune most chunks instead of none.
+// clusterTable returns a copy of t physically sorted by col in the value
+// order (expr.OrderKey; NULLs last, ties in original row order) — the
+// CLUSTER BY table option. A clustered column's chunks carry tight
+// zone-map ranges, so scans over cluster-key predicates prune most chunks
+// instead of none.
 func clusterTable(t *column.Table, col string) (*column.Table, error) {
 	c, err := t.Column(col)
 	if err != nil {
@@ -280,25 +281,17 @@ func clusterTable(t *column.Table, col string) (*column.Table, error) {
 		}
 	}
 	n := t.Rows()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	words := make([]uint64, 0, n*c.SortWords())
+	for i := range n {
+		words = c.AppendSortWords(words, i, false)
 	}
-	typ := c.Type()
-	sort.SliceStable(perm, func(a, b int) bool {
-		pa, pb := perm[a], perm[b]
-		na, nb := c.Null(pa), c.Null(pb)
-		if na || nb {
-			return !na && nb // non-NULL sorts before NULL
-		}
-		return expr.CompareBits(typ, expr.Lt, c.Raw(pa), c.Raw(pb))
-	})
+	perm := expr.RadixOrder(words, c.SortWords(), n)
 	out := column.NewTable(t.Space(), t.Name())
 	for _, src := range t.Columns() {
 		dst := column.New(t.Space(), src.Name(), src.Type(), n)
 		for i, p := range perm {
-			dst.SetRaw(i, src.Raw(p))
-			if src.Null(p) {
+			dst.SetRaw(i, src.Raw(int(p)))
+			if src.Null(int(p)) {
 				dst.SetNull(i)
 			}
 		}

@@ -219,6 +219,33 @@ func (c *Column) Value(i int) expr.Value {
 	return c.rawValue(c.Raw(i))
 }
 
+// SortWords is the number of words AppendSortWords appends per row: a
+// NULL flag when the column holds NULLs, then the order key.
+func (c *Column) SortWords() int {
+	if c.HasNulls() {
+		return 2
+	}
+	return 1
+}
+
+// AppendSortWords appends row i's sort words for expr.RadixOrder: the
+// NULL flag (1 for NULL, so NULLs sort last in both directions) when the
+// column holds NULLs, then the row's expr.OrderKey, complemented for a
+// descending sort (0 for a NULL row, so NULLs keep their input order).
+func (c *Column) AppendSortWords(words []uint64, i int, desc bool) []uint64 {
+	if c.HasNulls() {
+		if c.Null(i) {
+			return append(words, 1, 0)
+		}
+		words = append(words, 0)
+	}
+	key := expr.OrderKey(c.typ, c.Raw(i))
+	if desc {
+		key = ^key
+	}
+	return append(words, key)
+}
+
 // rawValue converts stored bits into a typed value.
 func (c *Column) rawValue(raw uint64) expr.Value {
 	switch {

@@ -20,7 +20,7 @@ type DictColumn struct {
 	name     string
 	typ      expr.Type
 	n        int
-	dict     []expr.Value // sorted ascending
+	dict     []expr.Value // sorted in the value order (expr.OrderKey)
 	codeBits int          // bits per packed code (>= 1)
 	packed   []uint64     // bit-packed codes, little-endian within words
 	base     uint64
@@ -35,15 +35,20 @@ func Encode(space *mach.AddrSpace, c *Column) *DictColumn {
 	}
 	n := c.Len()
 	seen := make(map[uint64]struct{})
-	var dict []expr.Value
+	var distinct []expr.Value
+	var keys []uint64
 	for i := 0; i < n; i++ {
 		raw := c.Raw(i)
 		if _, ok := seen[raw]; !ok {
 			seen[raw] = struct{}{}
-			dict = append(dict, c.Value(i))
+			distinct = append(distinct, c.Value(i))
+			keys = append(keys, expr.OrderKey(c.Type(), raw))
 		}
 	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i].Compare(expr.Lt, dict[j]) })
+	dict := make([]expr.Value, len(distinct))
+	for code, i := range expr.RadixOrder(keys, 1, len(distinct)) {
+		dict[code] = distinct[i]
+	}
 
 	codeOf := make(map[uint64]uint32, len(dict))
 	for code, v := range dict {
@@ -128,9 +133,16 @@ func (d *DictColumn) CodePredicate(op expr.CmpOp, v expr.Value) (expr.CmpOp, uin
 	if v.Type != d.typ {
 		return 0, 0, false, fmt.Errorf("column %s: predicate type %s on %s column", d.name, v.Type, d.typ)
 	}
-	// lower = first index with dict[i] >= v
-	lower := sort.Search(len(d.dict), func(i int) bool { return d.dict[i].Compare(expr.Ge, v) })
-	exact := lower < len(d.dict) && d.dict[lower].Compare(expr.Eq, v)
+	if isNaN(v) {
+		if op == expr.Ne {
+			return expr.Ge, 0, true, nil // a NaN differs from every value
+		}
+		return 0, 0, false, nil
+	}
+	// lower = first index with dict[i] >= v in the value order
+	k := v.OrderKey()
+	lower := sort.Search(len(d.dict), func(i int) bool { return d.dict[i].OrderKey() >= k })
+	exact := lower < len(d.dict) && d.dict[lower].OrderKey() == k
 	switch op {
 	case expr.Eq:
 		if !exact {

@@ -168,50 +168,22 @@ func ValueKey(t expr.Type, v expr.Value) uint64 {
 	return RawToKey(t, raw)
 }
 
-// MinMaxRaw returns the stored bits of the smallest and largest valid
-// value across all chunks, and whether any valid row exists.
-func (p *Packed) MinMaxRaw() (minRaw, maxRaw uint64, ok bool) {
-	var minKey, maxKey uint64
-	for i := range p.chunks {
-		ch := &p.chunks[i]
-		if ch.ValidRows == 0 {
-			continue
-		}
-		if !ok {
-			minKey, maxKey = ch.Ref, ch.MaxKey
-			ok = true
-			continue
-		}
-		if ch.Ref < minKey {
-			minKey = ch.Ref
-		}
-		if ch.MaxKey > maxKey {
-			maxKey = ch.MaxKey
-		}
-	}
-	if !ok {
-		return 0, 0, false
-	}
-	return KeyToRaw(p.typ, minKey), KeyToRaw(p.typ, maxKey), true
-}
-
 // MinMaxKeys returns the key-space bounds over all valid rows.
 func (p *Packed) MinMaxKeys() (minKey, maxKey uint64, ok bool) {
-	for i := range p.chunks {
-		ch := &p.chunks[i]
-		if ch.ValidRows == 0 {
-			continue
-		}
-		if !ok {
-			minKey, maxKey = ch.Ref, ch.MaxKey
-			ok = true
-			continue
-		}
-		if ch.Ref < minKey {
-			minKey = ch.Ref
-		}
-		if ch.MaxKey > maxKey {
-			maxKey = ch.MaxKey
+	return chunkBounds(p.chunks)
+}
+
+// chunkBounds returns the key-space bounds over the valid rows of chunks,
+// from their metadata alone, and whether any chunk holds a valid row.
+func chunkBounds(chunks []PackedChunk) (minKey, maxKey uint64, ok bool) {
+	for i := range chunks {
+		ch := &chunks[i]
+		switch {
+		case ch.ValidRows == 0:
+		case !ok:
+			minKey, maxKey, ok = ch.Ref, ch.MaxKey, true
+		default:
+			minKey, maxKey = min(minKey, ch.Ref), max(maxKey, ch.MaxKey)
 		}
 	}
 	return minKey, maxKey, ok

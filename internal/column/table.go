@@ -129,14 +129,17 @@ type Stats struct {
 	Rows int
 	// NullFraction is the exact fraction of NULL rows.
 	NullFraction float64
-	// Min and Max are the exact bounds over all non-NULL rows. They must
+	// Min and Max are the exact bounds, in the value order (expr.OrderKey),
+	// over the non-NULL, non-NaN rows, as zone maps keep them. They must
 	// be exact, not sampled: the optimizer proves predicates unsatisfiable
 	// against them, and a strided sample can alias with periodic data and
 	// miss whole value classes (e.g. stride 9765 over values i % 7 sees
-	// only zeros). Undefined when every row is NULL.
+	// only zeros). Defined only when HasCmp is set: some row is neither
+	// NULL nor NaN.
 	Min, Max expr.Value
+	HasCmp   bool
 	// SampleSorted holds the sampled non-NaN values (canonical Bits),
-	// sorted by the column's comparison order, for selectivity estimation.
+	// sorted in the value order, for selectivity estimation.
 	// SampleNaN counts the sampled NaNs, kept out of the sorted part
 	// because they have no place in that order. The sample holds at most
 	// sampleCap values in all.
@@ -176,9 +179,9 @@ func ComputeStats(c *Column) Stats {
 		// copy is materialized. Only the selectivity sample reads lanes,
 		// and it decodes them one at a time.
 		valid := 0
-		if minRaw, maxRaw, ok := p.MinMaxRaw(); ok {
-			st.Min = c.rawValue(minRaw)
-			st.Max = c.rawValue(maxRaw)
+		if minKey, maxKey, ok := p.MinMaxKeys(); ok {
+			st.Min, st.Max = c.rawValue(KeyToRaw(st.Type, minKey)), c.rawValue(KeyToRaw(st.Type, maxKey))
+			st.HasCmp = true
 		}
 		for i := range p.Chunks() {
 			valid += p.Chunks()[i].ValidRows
@@ -193,26 +196,27 @@ func ComputeStats(c *Column) Stats {
 		st.sortSample()
 		return st
 	}
-	nulls, seen := 0, false
+	nulls := 0
+	var minKey, maxKey uint64
 	for i := 0; i < n; i++ {
 		if c.Null(i) {
 			nulls++
 			continue
 		}
-		v := c.Value(i)
-		if !seen {
-			st.Min, st.Max = v, v
-			seen = true
-		} else {
-			if v.Compare(expr.Lt, st.Min) {
-				st.Min = v
-			}
-			if v.Compare(expr.Gt, st.Max) {
-				st.Max = v
-			}
-		}
+		raw := c.Raw(i)
 		if i%step == 0 && st.sampled() < sampleCap {
-			st.addSample(v)
+			st.addSample(c.rawValue(raw))
+		}
+		if expr.IsNaNBits(st.Type, raw) {
+			continue
+		}
+		switch k := expr.OrderKey(st.Type, raw); {
+		case !st.HasCmp:
+			st.Min, st.Max, minKey, maxKey, st.HasCmp = c.rawValue(raw), c.rawValue(raw), k, k, true
+		case k < minKey:
+			st.Min, minKey = c.rawValue(raw), k
+		case k > maxKey:
+			st.Max, maxKey = c.rawValue(raw), k
 		}
 	}
 	st.sortSample()
@@ -231,9 +235,15 @@ func (st *Stats) addSample(v expr.Value) {
 }
 
 func (st *Stats) sortSample() {
-	sort.Slice(st.SampleSorted, func(i, j int) bool {
-		return st.SampleSorted[i].Compare(expr.Lt, st.SampleSorted[j])
-	})
+	s := st.SampleSorted
+	keys := make([]uint64, len(s))
+	for i, v := range s {
+		keys[i] = v.OrderKey()
+	}
+	st.SampleSorted = make([]expr.Value, len(s))
+	for o, i := range expr.RadixOrder(keys, 1, len(s)) {
+		st.SampleSorted[o] = s[i]
+	}
 }
 
 func isNaN(v expr.Value) bool { return v.Type.Float() && math.IsNaN(v.Float()) }
@@ -256,7 +266,8 @@ func (st *Stats) EstimateSelectivity(op expr.CmpOp, v expr.Value) float64 {
 
 // countMatches counts the sampled values s with "s op v" — the count a
 // linear walk with Value.Compare gives — by two binary searches over the
-// sorted part. A NaN, sampled or needle, satisfies only <>.
+// sorted part, which the value order and Value.Compare agree on. A NaN,
+// sampled or needle, satisfies only <>.
 func (st *Stats) countMatches(op expr.CmpOp, v expr.Value) int {
 	s := st.SampleSorted
 	n := len(s)
@@ -266,8 +277,9 @@ func (st *Stats) countMatches(op expr.CmpOp, v expr.Value) int {
 		}
 		return 0
 	}
-	lt := sort.Search(n, func(i int) bool { return !s[i].Compare(expr.Lt, v) })
-	le := lt + sort.Search(n-lt, func(i int) bool { return s[lt+i].Compare(expr.Gt, v) })
+	k := v.OrderKey()
+	lt := sort.Search(n, func(i int) bool { return s[i].OrderKey() >= k })
+	le := lt + sort.Search(n-lt, func(i int) bool { return s[lt+i].OrderKey() > k })
 	switch op {
 	case expr.Eq:
 		return le - lt

@@ -2,14 +2,14 @@ package column
 
 import (
 	"fmt"
-	"math"
 
 	"fusedscan/internal/expr"
 )
 
 // Zone summarizes one fixed-size row range of a column for data skipping —
 // Moerkotte's Small Materialized Aggregates. Min/Max hold stored bits
-// (Column.Raw representation) over the zone's non-NULL, non-NaN rows.
+// (Column.Raw representation) of the zone's least and greatest non-NULL,
+// non-NaN rows in the value order (expr.OrderKey).
 type Zone struct {
 	Min, Max uint64
 	HasCmp   bool // at least one non-NULL, non-NaN row (Min/Max defined)
@@ -71,31 +71,10 @@ func buildZoneMap(c *Column, rowsPerZone int) *ZoneMap {
 		for z := range zm.zones {
 			zone := &zm.zones[z]
 			begin := firstChunk + z*chunksPerZone
-			end := begin + chunksPerZone
-			if end > len(p.chunks) {
-				end = len(p.chunks)
-			}
-			var minKey, maxKey uint64
-			for ci := begin; ci < end; ci++ {
-				ch := &p.chunks[ci]
-				if ch.ValidRows == 0 {
-					continue
-				}
-				if !zone.HasCmp {
-					minKey, maxKey = ch.Ref, ch.MaxKey
-					zone.HasCmp, zone.HasValid = true, true
-					continue
-				}
-				if ch.Ref < minKey {
-					minKey = ch.Ref
-				}
-				if ch.MaxKey > maxKey {
-					maxKey = ch.MaxKey
-				}
-			}
-			if zone.HasCmp {
-				zone.Min = KeyToRaw(c.typ, minKey)
-				zone.Max = KeyToRaw(c.typ, maxKey)
+			minKey, maxKey, ok := chunkBounds(p.chunks[begin:min(begin+chunksPerZone, len(p.chunks))])
+			if ok {
+				zone.Min, zone.Max = KeyToRaw(c.typ, minKey), KeyToRaw(c.typ, maxKey)
+				zone.HasCmp, zone.HasValid = true, true
 			}
 		}
 		return zm
@@ -107,42 +86,28 @@ func buildZoneMap(c *Column, rowsPerZone int) *ZoneMap {
 			end = n
 		}
 		zone := &zm.zones[z]
+		var minKey, maxKey uint64
 		for i := begin; i < end; i++ {
 			if c.Null(i) {
 				continue
 			}
 			zone.HasValid = true
 			raw := c.Raw(i)
-			if isNaNRaw(c.typ, raw) {
+			if expr.IsNaNBits(c.typ, raw) {
 				zone.HasNaN = true
 				continue
 			}
-			if !zone.HasCmp {
-				zone.Min, zone.Max = raw, raw
-				zone.HasCmp = true
-				continue
-			}
-			if expr.CompareBits(c.typ, expr.Lt, raw, zone.Min) {
-				zone.Min = raw
-			}
-			if expr.CompareBits(c.typ, expr.Gt, raw, zone.Max) {
-				zone.Max = raw
+			switch k := expr.OrderKey(c.typ, raw); {
+			case !zone.HasCmp:
+				zone.Min, zone.Max, minKey, maxKey, zone.HasCmp = raw, raw, k, k, true
+			case k < minKey:
+				zone.Min, minKey = raw, k
+			case k > maxKey:
+				zone.Max, maxKey = raw, k
 			}
 		}
 	}
 	return zm
-}
-
-func isNaNRaw(t expr.Type, raw uint64) bool {
-	switch t {
-	case expr.Float32:
-		f := math.Float32frombits(uint32(raw))
-		return f != f
-	case expr.Float64:
-		f := math.Float64frombits(raw)
-		return f != f
-	}
-	return false
 }
 
 // MayMatch reports whether any row in [begin, end) can satisfy
@@ -170,7 +135,7 @@ func (zone *Zone) mayMatch(t expr.Type, op expr.CmpOp, needle uint64) bool {
 	if !zone.HasValid {
 		return false
 	}
-	if isNaNRaw(t, needle) {
+	if expr.IsNaNBits(t, needle) {
 		// Every comparison against a NaN needle is false except Ne, which
 		// is true for any value (including NaN).
 		return op == expr.Ne
@@ -181,23 +146,23 @@ func (zone *Zone) mayMatch(t expr.Type, op expr.CmpOp, needle uint64) bool {
 	if !zone.HasCmp {
 		return false // only NaN rows, and op is not Ne
 	}
+	// The bounds and the needle are not NaN, where the value order and the
+	// predicate's comparison agree (-0.0 and +0.0 are equal in both).
+	lo, hi, k := expr.OrderKey(t, zone.Min), expr.OrderKey(t, zone.Max), expr.OrderKey(t, needle)
 	switch op {
 	case expr.Eq:
-		return expr.CompareBits(t, expr.Le, zone.Min, needle) &&
-			expr.CompareBits(t, expr.Ge, zone.Max, needle)
+		return lo <= k && k <= hi
 	case expr.Ne:
-		// Unsatisfiable only when every value equals the needle. Compare by
-		// value, not bits: e.g. -0.0 and +0.0 are equal.
-		return !(expr.CompareBits(t, expr.Eq, zone.Min, needle) &&
-			expr.CompareBits(t, expr.Eq, zone.Max, needle))
+		// Unsatisfiable only when every value equals the needle.
+		return lo != k || hi != k
 	case expr.Lt:
-		return expr.CompareBits(t, expr.Lt, zone.Min, needle)
+		return lo < k
 	case expr.Le:
-		return expr.CompareBits(t, expr.Le, zone.Min, needle)
+		return lo <= k
 	case expr.Gt:
-		return expr.CompareBits(t, expr.Gt, zone.Max, needle)
+		return hi > k
 	case expr.Ge:
-		return expr.CompareBits(t, expr.Ge, zone.Max, needle)
+		return hi >= k
 	}
 	return true
 }

@@ -1,7 +1,7 @@
 // Package index implements sorted secondary indexes: the engine's second
 // access path next to the fused table scan. An index over one column is a
 // key-ordered run of (key, position) entries — keys are the column's
-// stored bit patterns ordered by value (expr.CompareBits), positions are
+// stored bit patterns in the value order (expr.OrderKey), positions are
 // row ids, duplicate keys keep their positions ascending — so a range
 // probe is two binary searches plus a copy, and the probe result is a
 // sorted position list that composes with other probes through the
@@ -29,8 +29,13 @@ import (
 )
 
 // entryBytes is the accounted in-memory footprint of one index entry:
-// an 8-byte key plus a 4-byte position.
-const entryBytes = 12
+// an 8-byte key plus a 4-byte position. sortScratchBytes is what Build's
+// sort holds beside it per entry while it runs: an 8-byte order word and
+// two 4-byte ids.
+const (
+	entryBytes       = 12
+	sortScratchBytes = 16
+)
 
 // Source is what Build indexes: any column-shaped value sequence. Both
 // *column.Column and dictionary-encoded columns satisfy it.
@@ -55,8 +60,8 @@ type Index struct {
 	rows  int // rows in the indexed table, NULL/NaN rows included
 
 	// keys[i] is the stored bit pattern (zero-extended, like Column.Raw)
-	// of the value at row pos[i]. Entries are sorted by value order
-	// (expr.CompareBits), duplicate keys by ascending position.
+	// of the value at row pos[i]. Entries are sorted in the value order
+	// (expr.OrderKey), duplicate keys by ascending position.
 	keys []uint64
 	pos  []uint32
 }
@@ -77,16 +82,17 @@ type Meta struct {
 }
 
 // Build sorts a column into an index. charge, when non-nil, is invoked
-// with the entry-array footprint before allocation (the govern
-// Accountant's Charge); a charge failure aborts the build with no
-// allocation. The index.build.alloc fault site fires at the same point.
+// with the footprint of the entry arrays and the sort's scratch before
+// allocation (the govern Accountant's Charge); a charge failure aborts the
+// build with no allocation. The index.build.alloc fault site fires at the
+// same point.
 func Build(table string, src Source, charge func(int64) error) (*Index, error) {
 	n := src.Len()
 	if err := faultinject.Hit(faultinject.SiteIndexBuildAlloc); err != nil {
 		return nil, fmt.Errorf("index: building %s.%s: %w", table, src.Name(), err)
 	}
 	if charge != nil {
-		if err := charge(int64(n) * entryBytes); err != nil {
+		if err := charge(int64(n) * (entryBytes + sortScratchBytes)); err != nil {
 			return nil, fmt.Errorf("index: building %s.%s: %w", table, src.Name(), err)
 		}
 	}
@@ -106,41 +112,36 @@ func Build(table string, src Source, charge func(int64) error) (*Index, error) {
 		if isNull(i) {
 			continue
 		}
-		v := src.Value(i)
-		if ix.typ.Float() {
-			f := v.Float()
-			if f != f {
-				continue // NaN satisfies no comparison the index serves
-			}
+		raw := column.StoredBits(src.Value(i))
+		if expr.IsNaNBits(ix.typ, raw) {
+			continue // NaN satisfies no comparison the index serves
 		}
-		ix.keys = append(ix.keys, column.StoredBits(v))
+		ix.keys = append(ix.keys, raw)
 		ix.pos = append(ix.pos, uint32(i))
 	}
 	ix.sortEntries()
 	return ix, nil
 }
 
-// sortEntries orders the parallel entry arrays by value then position.
+// sortEntries orders the parallel entry arrays by value then position:
+// a stable radix sort of the keys' order words over entries that Build
+// appended in position order. The order words' array, reused for the
+// sorted keys, and the sort's two id arrays are the scratch
+// sortScratchBytes charges.
 func (ix *Index) sortEntries() {
-	sort.Sort(byKey{ix})
-}
-
-type byKey struct{ ix *Index }
-
-func (s byKey) Len() int { return len(s.ix.keys) }
-func (s byKey) Swap(i, j int) {
-	s.ix.keys[i], s.ix.keys[j] = s.ix.keys[j], s.ix.keys[i]
-	s.ix.pos[i], s.ix.pos[j] = s.ix.pos[j], s.ix.pos[i]
-}
-func (s byKey) Less(i, j int) bool {
-	ki, kj := s.ix.keys[i], s.ix.keys[j]
-	if expr.CompareBits(s.ix.typ, expr.Lt, ki, kj) {
-		return true
+	words := make([]uint64, len(ix.keys))
+	for i, k := range ix.keys {
+		words[i] = expr.OrderKey(ix.typ, k)
 	}
-	if expr.CompareBits(s.ix.typ, expr.Gt, ki, kj) {
-		return false
+	ids := expr.RadixOrder(words, 1, len(words))
+	for o, i := range ids {
+		words[o] = ix.keys[i]
+		ids[o] = int32(ix.pos[i])
 	}
-	return s.ix.pos[i] < s.ix.pos[j]
+	ix.keys = words
+	for o, p := range ids {
+		ix.pos[o] = uint32(p)
+	}
 }
 
 // Table returns the indexed table's name.
@@ -187,22 +188,22 @@ func CanServe(op expr.CmpOp) bool {
 }
 
 // searchRange returns the half-open entry range [lo, hi) whose keys
-// satisfy "key op needle". needleRaw is the literal's stored bit pattern.
+// satisfy "key op needle". needleRaw is the literal's stored bit pattern;
+// a NaN needle matches no comparison the index serves.
 func (ix *Index) searchRange(op expr.CmpOp, needleRaw uint64) (lo, hi int) {
-	n := len(ix.keys)
+	if expr.IsNaNBits(ix.typ, needleRaw) {
+		return 0, 0
+	}
+	n, needle := len(ix.keys), expr.OrderKey(ix.typ, needleRaw)
 	// ge: first entry with key >= needle; gt: first entry with key > needle.
-	ge := sort.Search(n, func(i int) bool {
-		return expr.CompareBits(ix.typ, expr.Ge, ix.keys[i], needleRaw)
-	})
+	ge := sort.Search(n, func(i int) bool { return expr.OrderKey(ix.typ, ix.keys[i]) >= needle })
 	switch op {
 	case expr.Lt:
 		return 0, ge
 	case expr.Ge:
 		return ge, n
 	}
-	gt := sort.Search(n, func(i int) bool {
-		return expr.CompareBits(ix.typ, expr.Gt, ix.keys[i], needleRaw)
-	})
+	gt := ge + sort.Search(n-ge, func(i int) bool { return expr.OrderKey(ix.typ, ix.keys[ge+i]) > needle })
 	switch op {
 	case expr.Eq:
 		return ge, gt
@@ -217,15 +218,10 @@ func (ix *Index) searchRange(op expr.CmpOp, needleRaw uint64) (lo, hi int) {
 // CountRange returns the exact number of rows satisfying "col op v" in
 // O(log n), without materializing positions — the cost model's exact
 // selectivity source for bound predicates. Unservable probes (wrong
-// type, <>, NaN needle) report ok=false.
+// type, <>) report ok=false; a NaN needle counts 0.
 func (ix *Index) CountRange(op expr.CmpOp, v expr.Value) (count int, ok bool) {
 	if !CanServe(op) || v.Type != ix.typ {
 		return 0, false
-	}
-	if ix.typ.Float() {
-		if f := v.Float(); f != f {
-			return 0, true // NaN needle: no comparison matches
-		}
 	}
 	lo, hi := ix.searchRange(op, column.StoredBits(v))
 	return hi - lo, true
@@ -245,11 +241,6 @@ func (ix *Index) Probe(op expr.CmpOp, v expr.Value) ([]uint32, error) {
 	}
 	if v.Type != ix.typ {
 		return nil, fmt.Errorf("index: probing %s %s.%s with %s literal", ix.typ, ix.table, ix.col, v.Type)
-	}
-	if ix.typ.Float() {
-		if f := v.Float(); f != f {
-			return nil, nil
-		}
 	}
 	lo, hi := ix.searchRange(op, column.StoredBits(v))
 	if lo >= hi {

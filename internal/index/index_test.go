@@ -253,6 +253,40 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNaNKey: Build never writes a NaN key, so a snapshot
+// holding one is corrupt wherever the NaN sits — the value order puts it
+// above every number, so only the order check cannot be what rejects it.
+// Signed zeros, which Build does write, still decode.
+func TestDecodeRejectsNaNKey(t *testing.T) {
+	space := mach.NewAddrSpace()
+	c := column.New(space, "f", expr.Float64, 5)
+	for i, f := range []float64{1.5, -2.25, math.Copysign(0, -1), 3, 0} {
+		c.Set(i, expr.NewFloat(expr.Float64, f))
+	}
+	ix, err := Build("t", c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := ix.EncodeTable(space, "idx:t:f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeTable(enc, "t", "f", 5); err != nil {
+		t.Fatalf("DecodeTable rejected a snapshot with both signed zeros: %v", err)
+	}
+	for _, at := range []int{1, 4} { // between numbers, and last
+		enc, err := ix.EncodeTable(space, "idx:t:f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kc, _ := enc.Column("key")
+		kc.Set(at, expr.NewFloat(expr.Float64, math.NaN()))
+		if _, err := DecodeTable(enc, "t", "f", 5); err == nil {
+			t.Fatalf("DecodeTable accepted a NaN key at entry %d", at)
+		}
+	}
+}
+
 func TestBuildFaultSiteAndCharge(t *testing.T) {
 	c := intColumn(t, []int64{1, 2, 3}, nil)
 
@@ -269,8 +303,8 @@ func TestBuildFaultSiteAndCharge(t *testing.T) {
 	if !errors.Is(err, budget) {
 		t.Fatalf("Build with failing charge: err = %v, want wrapped budget error", err)
 	}
-	if charged != 3*entryBytes {
-		t.Fatalf("charge saw %d bytes, want %d", charged, 3*entryBytes)
+	if want := int64(3 * (entryBytes + sortScratchBytes)); charged != want {
+		t.Fatalf("charge saw %d bytes, want %d", charged, want)
 	}
 
 	faultinject.Arm(faultinject.SiteIndexProbe, 1, faultinject.ModeError)

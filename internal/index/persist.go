@@ -4,8 +4,9 @@
 // durability stack for free: per-block CRC32-C checksums, atomic
 // snapshot publication, WAL-logged DDL, scrubbing and quarantine. The
 // decode side re-validates the structural invariants (sortedness,
-// position bounds) that a checksum cannot express, so a logically
-// corrupt file quarantines the index instead of corrupting results.
+// position bounds, no NaN key) that a checksum cannot express, so a
+// logically corrupt file quarantines the index instead of corrupting
+// results.
 
 package index
 
@@ -45,10 +46,11 @@ func (ix *Index) EncodeTable(space *mach.AddrSpace, name string) (*column.Table,
 
 // DecodeTable rebuilds an index from its serialized form, validating
 // structure: the expected two columns, entry count within the table's
-// row count, positions in bounds and unique, keys in value order with
-// duplicate keys position-ordered. rows is the indexed table's current
-// row count; a snapshot that disagrees with it is stale and rejected
-// (the caller quarantines the index and falls back to scan).
+// row count, positions in bounds and unique, no NaN key, keys in the value
+// order (expr.OrderKey) with duplicate keys position-ordered. rows is the
+// indexed table's current row count; a snapshot that disagrees with it
+// is stale and rejected (the caller quarantines the index and falls back
+// to scan).
 func DecodeTable(t *column.Table, table, col string, rows int) (*Index, error) {
 	kc, err := t.Column(keyColumn)
 	if err != nil {
@@ -86,12 +88,15 @@ func DecodeTable(t *column.Table, table, col string, rows int) (*Index, error) {
 		seen[p] = true
 		ix.keys[i] = k
 		ix.pos[i] = uint32(p)
+		if expr.IsNaNBits(ix.typ, k) {
+			return nil, fmt.Errorf("index: snapshot for %s.%s: entry %d holds a NaN key", table, col, i)
+		}
 		if i > 0 {
-			prev := ix.keys[i-1]
-			if expr.CompareBits(ix.typ, expr.Gt, prev, k) {
+			prev, cur := expr.OrderKey(ix.typ, ix.keys[i-1]), expr.OrderKey(ix.typ, k)
+			if prev > cur {
 				return nil, fmt.Errorf("index: snapshot for %s.%s: keys out of order at entry %d", table, col, i)
 			}
-			if expr.CompareBits(ix.typ, expr.Eq, prev, k) && ix.pos[i-1] >= ix.pos[i] {
+			if prev == cur && ix.pos[i-1] >= ix.pos[i] {
 				return nil, fmt.Errorf("index: snapshot for %s.%s: duplicate-key positions out of order at entry %d", table, col, i)
 			}
 		}

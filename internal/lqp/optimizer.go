@@ -458,28 +458,38 @@ func (o *Optimizer) pruneUnsatisfiable(p *Plan) {
 		if !ok || st.Rows == 0 {
 			continue
 		}
-		if st.NullFraction == 1 {
-			// Every row is NULL: Min/Max are undefined and no comparison
-			// can match (the packed rewrite's no-valid-rows collapse, for
-			// plain columns).
-			replaceChild(p, n, &EmptyResult{
-				Reason: fmt.Sprintf("every row of %s is NULL", pred.Pred.Column),
-			})
+		if !st.HasCmp {
+			// No row holds a comparable value: every row is NULL, which no
+			// comparison matches (the packed rewrite's no-valid-rows
+			// collapse, for plain columns), or NULL or NaN, which only <>
+			// matches.
+			reason := fmt.Sprintf("every row of %s is NULL", pred.Pred.Column)
+			if st.NullFraction < 1 {
+				if pred.Pred.Op == expr.Ne {
+					continue
+				}
+				reason = fmt.Sprintf("every non-NULL row of %s is NaN", pred.Pred.Column)
+			}
+			replaceChild(p, n, &EmptyResult{Reason: reason})
 			p.AppliedRules = append(p.AppliedRules, "PruneUnsatisfiablePredicate")
 			return
 		}
+		// Min and Max bound the non-NaN rows in the value order, which
+		// agrees with the predicate's comparison on them; a NaN row
+		// matches none of = < <= > >=, and a NaN literal is above Max.
+		v, lo, hi := pred.Pred.Value.OrderKey(), st.Min.OrderKey(), st.Max.OrderKey()
 		unsat := false
 		switch pred.Pred.Op {
 		case expr.Eq:
-			unsat = pred.Pred.Value.Compare(expr.Lt, st.Min) || pred.Pred.Value.Compare(expr.Gt, st.Max)
+			unsat = v < lo || v > hi
 		case expr.Lt:
-			unsat = !st.Min.Compare(expr.Lt, pred.Pred.Value)
+			unsat = lo >= v
 		case expr.Le:
-			unsat = st.Min.Compare(expr.Gt, pred.Pred.Value)
+			unsat = lo > v
 		case expr.Gt:
-			unsat = !st.Max.Compare(expr.Gt, pred.Pred.Value)
+			unsat = hi <= v
 		case expr.Ge:
-			unsat = st.Max.Compare(expr.Lt, pred.Pred.Value)
+			unsat = hi < v
 		}
 		if unsat {
 			replaceChild(p, n, &EmptyResult{

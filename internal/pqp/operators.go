@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"fusedscan/internal/column"
@@ -984,14 +983,14 @@ func finishCell(kind lqp.AggKind, t expr.Type, c aggCell) (v expr.Value, null bo
 	}
 }
 
-// sortGroups orders the groups ascending by key, key by key: numbers by
-// value (-0 equal to +0), then NaN (above every number, as PostgreSQL
-// orders it), then NULL. Ties keep first-seen order, so the output is one
-// deterministic total order — the one the regression suite relies on.
+// sortGroups orders the groups ascending by key, key by key, in the value
+// order (expr.OrderKey), NULL last. Ties keep first-seen order, so the
+// output is one deterministic total order — the one the regression suite
+// relies on.
 func (op *groupOp) sortGroups() {
 	n, nk, stride := len(op.counts), len(op.keys), op.table.stride
 	// Sort words per group, most significant first: per key, a NULL flag
-	// (when the keys hold NULLs) then its order word.
+	// (when the keys hold NULLs) then its order key.
 	per := nk
 	if stride > nk {
 		per = 2 * nk
@@ -1003,10 +1002,10 @@ func (op *groupOp) sortGroups() {
 			if stride > nk {
 				sw = append(sw, key[nk+k/64]>>(k%64)&1)
 			}
-			sw = append(sw, orderWord(op.keys[k].col.Type(), key[k]))
+			sw = append(sw, expr.OrderKey(op.keys[k].col.Type(), key[k]))
 		}
 	}
-	op.ordered = radixOrder(sw, per, n)
+	op.ordered = expr.RadixOrder(sw, per, n)
 	chargeSort(op.cpu, n)
 }
 
@@ -1019,69 +1018,6 @@ func chargeSort(cpu *mach.CPU, n int) {
 			logN++
 		}
 		cpu.Scalar(2 * n * logN)
-	}
-}
-
-// radixOrder returns the ids 0..n-1 ordered by their rows of stride words
-// (most significant first), ties in id order. It is an LSD radix sort —
-// stable byte pass by byte pass — that skips the bytes every row shares.
-func radixOrder(words []uint64, stride, n int) []int32 {
-	ids, tmp := make([]int32, n), make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	for w := stride - 1; w >= 0 && n > 1; w-- {
-		for shift := 0; shift < 64; shift += 8 {
-			var at [256]int
-			for _, id := range ids {
-				at[byte(words[int(id)*stride+w]>>shift)]++
-			}
-			if at[byte(words[w]>>shift)] == n {
-				continue
-			}
-			sum := 0
-			for b, c := range at {
-				at[b] = sum
-				sum += c
-			}
-			for _, id := range ids {
-				b := byte(words[int(id)*stride+w] >> shift)
-				tmp[at[b]] = id
-				at[b]++
-			}
-			ids, tmp = tmp, ids
-		}
-	}
-	return ids
-}
-
-// orderWord maps a key word of type t (normalized stored bits) to a
-// uint64 whose unsigned order is the sink's key order: signed integers
-// with the sign bit flipped, floats by the IEEE total-order trick with -0
-// folded onto +0 and every NaN above +Inf.
-func orderWord(t expr.Type, w uint64) uint64 {
-	switch {
-	case t.Float():
-		f := math.Float64frombits(w)
-		if t == expr.Float32 {
-			f = float64(math.Float32frombits(uint32(w)))
-		}
-		switch {
-		case f != f:
-			return math.MaxUint64
-		case f == 0:
-			return 1 << 63
-		}
-		b := math.Float64bits(f)
-		if b>>63 != 0 {
-			return ^b
-		}
-		return b | 1<<63
-	case t.Signed():
-		sh := uint(64 - 8*t.Size())
-		return uint64(int64(w<<sh)>>sh) ^ 1<<63
-	default:
-		return w
 	}
 }
 
@@ -1173,13 +1109,14 @@ func (op *sortOp) Next() (Batch, error) {
 }
 
 // drain consumes the whole input, fetches sort keys and produces the
-// ordered position permutation.
+// ordered position permutation: rows in the value order, reversed for
+// DESC, NULLs last in both directions, ties in input order
+// (Column.AppendSortWords).
 func (op *sortOp) drain() error {
 	region := op.cpu.NewRandomRegion()
 	size := op.col.Type().Size()
 	var positions []uint32
-	var keys []expr.Value
-	var nulls []bool
+	var words []uint64
 	for {
 		in, err := op.input.Next()
 		if err == EOS {
@@ -1202,45 +1139,14 @@ func (op *sortOp) drain() error {
 			pos := int(in.Base) + int(rel)
 			op.cpu.Scalar(2)
 			op.cpu.RandomRead(region, op.col.Addr(pos), size)
-			isNull := op.col.Null(pos)
 			positions = append(positions, uint32(pos))
-			nulls = append(nulls, isNull)
-			if isNull {
-				keys = append(keys, expr.Value{})
-			} else {
-				keys = append(keys, op.col.Value(pos))
-			}
+			words = op.col.AppendSortWords(words, pos, op.desc)
 		}
 	}
-	idx := make([]int, len(positions))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortStableFunc(idx, func(i, j int) int {
-		// NULLs sort last, as in most engines' default.
-		switch {
-		case nulls[i] && nulls[j]:
-			return 0
-		case nulls[i]:
-			return 1
-		case nulls[j]:
-			return -1
-		}
-		c := 0
-		switch {
-		case keys[i].Compare(expr.Lt, keys[j]):
-			c = -1
-		case keys[i].Compare(expr.Gt, keys[j]):
-			c = 1
-		}
-		if op.desc {
-			return -c
-		}
-		return c
-	})
-	chargeSort(op.cpu, len(idx))
-	op.sorted = make([]uint32, len(idx))
-	for o, i := range idx {
+	ids := expr.RadixOrder(words, op.col.SortWords(), len(positions))
+	chargeSort(op.cpu, len(ids))
+	op.sorted = make([]uint32, len(ids))
+	for o, i := range ids {
 		op.sorted[o] = positions[i]
 	}
 	return nil

@@ -32,12 +32,13 @@ import (
 
 // Options configure physical plan generation.
 type Options struct {
-	// Native selects the native turbo path for predicate chains: generated
-	// SWAR kernels over the typed column bytes, no emulated instructions.
-	// It takes precedence over UseFused and is chosen by the engine whenever
+	// Native selects the native turbo path for predicate chains: native
+	// kernels over the typed column bytes, no emulated instructions. It
+	// takes precedence over UseFused and is chosen by the engine whenever
 	// the caller does not request simulated hardware counters
-	// (Config.Simulate == false); the engine then runs the plan with a nil
-	// *mach.CPU, so no operator builds or charges a machine model.
+	// (Config.Simulate == false). The plan then runs with a nil *mach.CPU,
+	// whatever CPU Run or RunTo is handed, so no operator builds or
+	// charges a machine model.
 	Native bool
 	// UseFused selects the JIT-generated Fused Table Scan for predicate
 	// chains; when false, chains run on the scalar SISD operator (the
@@ -145,6 +146,9 @@ type Plan struct {
 	// families are the plan's kernel families (see Kernels), consulted by
 	// Degraded.
 	families []*Family
+	// native records Options.Native: the plan runs with no machine model,
+	// whatever CPU its caller hands Run or RunTo.
+	native bool
 }
 
 // buildChilder is implemented by operators with a second (build-side)
@@ -178,13 +182,16 @@ func (p *Plan) Format() string {
 }
 
 // Run executes the plan: it drives the batch pipeline and assembles the
-// public QueryResult.
+// public QueryResult. A native plan ignores cpu and charges no model.
 func (p *Plan) Run(ctx context.Context, cpu *mach.CPU) (QueryResult, error) {
-	return DriveTo(ctx, p.Root, cpu, nil)
+	return p.RunTo(ctx, cpu, nil)
 }
 
 // RunTo executes the plan streaming row batches into sink (see DriveTo).
 func (p *Plan) RunTo(ctx context.Context, cpu *mach.CPU, sink BatchSink) (QueryResult, error) {
+	if p.native {
+		cpu = nil
+	}
 	return DriveTo(ctx, p.Root, cpu, sink)
 }
 
@@ -333,7 +340,7 @@ func Translate(lp *lqp.Plan, comp *jit.Compiler, opts Options) (*Plan, error) {
 	if !opts.Width.Valid() {
 		return nil, fmt.Errorf("pqp: invalid register width %d", int(opts.Width))
 	}
-	p := &Plan{}
+	p := &Plan{native: opts.Native}
 	root, err := translateNode(lp.Root, lp.Table, comp, opts, p)
 	if err != nil {
 		return nil, err

@@ -284,3 +284,47 @@ func mustVal(c *column.Column, s string) expr.Value {
 	}
 	return v
 }
+
+// TestNativePlanIgnoresMachineModel: a plan translated with Options.Native
+// charges no machine model, even when its caller hands Run or RunTo a CPU,
+// and returns what a nil-CPU run returns.
+func TestNativePlanIgnoresMachineModel(t *testing.T) {
+	cat, _ := nullFixture(t, 10007, 5)
+	opts := Options{Native: true, Width: DefaultOptions().Width, ISA: DefaultOptions().ISA}
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM t WHERE a = 5 AND b = 2",
+		"SELECT a, b FROM t WHERE a >= 3 ORDER BY b DESC LIMIT 9",
+		"SELECT a, SUM(b) FROM t WHERE b < 8 GROUP BY a",
+	} {
+		run := func(cpu *mach.CPU, stream bool) QueryResult {
+			pp, err := Translate(plan2(t, cat, sql, true), jit.NewCompiler(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res QueryResult
+			if stream {
+				res, err = pp.RunTo(context.Background(), cpu, func(Batch) error { return nil })
+			} else {
+				res, err = pp.Run(context.Background(), cpu)
+			}
+			if err != nil {
+				t.Fatalf("%q: %v", sql, err)
+			}
+			return res
+		}
+		want := renderResult(run(nil, false))
+		for _, stream := range []bool{false, true} {
+			cpu := mach.New(mach.Default())
+			got := run(cpu, stream)
+			if c := cpu.Counters(); c != (mach.Counters{}) {
+				t.Errorf("%q (stream=%v): native run charged the model: %+v", sql, stream, c)
+			}
+			if !stream && renderResult(got) != want {
+				t.Errorf("%q: with a CPU\n%swithout\n%s", sql, renderResult(got), want)
+			}
+			if stream && got.Count != run(nil, true).Count {
+				t.Errorf("%q: streamed count %d with a CPU, %d without", sql, got.Count, run(nil, true).Count)
+			}
+		}
+	}
+}

@@ -178,8 +178,15 @@ func TestInjectedWriteStallDropsStream(t *testing.T) {
 	}
 
 	waitForStats(t, eng, func(st fusedscan.EngineStats) bool { return st.Running == 0 })
-	if v := varz(t, ts.URL); v.Server.SlowClientDrops != 1 {
-		t.Fatalf("SlowClientDrops = %d, want 1", v.Server.SlowClientDrops)
+	// The handler counts the drop after its query returns, so the body can
+	// end before the counter moves: poll until it does.
+	drops := varz(t, ts.URL).Server.SlowClientDrops
+	for deadline := time.Now().Add(5 * time.Second); drops == 0 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		drops = varz(t, ts.URL).Server.SlowClientDrops
+	}
+	if drops != 1 {
+		t.Fatalf("SlowClientDrops = %d, want 1", drops)
 	}
 	// The admission slot came back.
 	if _, err := eng.Query("SELECT COUNT(*) FROM t WHERE a = 1"); err != nil {
