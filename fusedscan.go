@@ -159,8 +159,10 @@ func perfReport(r mach.Report, progs []*jit.Program, hits, cached int) PerfRepor
 // OperatorStats is one physical operator's runtime counters from the
 // batch pipeline: how many qualifying rows it pulled from its child, how
 // many it handed to its parent, how many batches it emitted, and the
-// wall-clock time spent in it (inclusive of children). Entries are
-// ordered root first, matching the physical plan tree.
+// wall-clock time spent in it (inclusive of children; for the scan and
+// join of an aggregation's window fragments, summed over the cores that
+// ran them — DESIGN §9). Entries are ordered root first, matching the
+// physical plan tree.
 type OperatorStats struct {
 	Name    string
 	RowsIn  int64
@@ -1082,6 +1084,9 @@ type ScanResult struct {
 	// plain lanes).
 	Encoding     string
 	BytesScanned int64
+	// Cores is how many cores scanned the chunks: 1, or up to Config.Cores
+	// when at least two chunks survive pruning.
+	Cores int
 	// Degraded is set when JIT compilation failed and the scan fell back
 	// to the scalar kernel; DegradedReason records why.
 	Degraded       bool
@@ -1188,6 +1193,7 @@ func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 		ChunksPruned:   int(st.ChunksPruned),
 		Encoding:       st.Encoding,
 		BytesScanned:   st.BytesScanned,
+		Cores:          st.Cores,
 		Degraded:       res.Degraded,
 		DegradedReason: res.DegradedReason,
 	}, nil

@@ -2,6 +2,7 @@ package fusedscan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,9 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+	"time"
+
+	"fusedscan/internal/faultinject"
 )
 
 // parallelRows spans four full 64 Ki-row chunks and a ragged fifth.
@@ -187,7 +191,8 @@ func TestParallelScansMatchSingleCore(t *testing.T) {
 // TestParallelScanAPIMatchesSingleCore runs one direct scan natively on
 // 1, 2 and 3 cores and on the simulated path: identical positions, and
 // the same pruned chunks, scanned bytes and encoding, since every leg runs
-// the same zone-map-pruned chunk windows.
+// the same zone-map-pruned chunk windows, on as many cores as were asked
+// for and have a chunk to scan.
 func TestParallelScanAPIMatchesSingleCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4)))
 	eng := buildParallelEngine(t)
@@ -208,10 +213,17 @@ func TestParallelScanAPIMatchesSingleCore(t *testing.T) {
 		t.Fatalf("simulated: count %d, pruned %d, encoding %q; want matches, 3 pruned, mixed",
 			want.Count, want.ChunksPruned, want.Encoding)
 	}
+	if want.Cores != 1 {
+		t.Errorf("simulated: ran on %d cores, want 1", want.Cores)
+	}
 	for _, cores := range []int{1, 2, 3} {
 		cfg := NativeConfig()
 		cfg.Cores = cores
 		got := run(cfg)
+		// Two chunks survive pruning: a third core has nothing to scan.
+		if wantCores := min(cores, 2); got.Cores != wantCores {
+			t.Errorf("%d cores: scan ran on %d, want %d", cores, got.Cores, wantCores)
+		}
 		if !slices.Equal(got.Positions, want.Positions) || got.Count != want.Count ||
 			got.ChunksPruned != want.ChunksPruned || got.BytesScanned != want.BytesScanned || got.Encoding != want.Encoding {
 			t.Errorf("%d cores: count %d pruned %d bytes %d %s, want %d pruned %d bytes %d %s (positions equal %v)",
@@ -246,5 +258,195 @@ func TestParallelScanCappedByExecutingQueries(t *testing.T) {
 	defer release()
 	if got := runParallelQuery(t, eng, sql, false, 4); got.maxCores != 1 {
 		t.Errorf("beside another query on 2 procs: scan ran on %d cores, want 1", got.maxCores)
+	}
+}
+
+// buildFragmentEngine registers a fact table t over five chunks for
+// aggregation fragments: key g spans exactly 64 Ki values (direct group
+// ids) and h one more (hashed, and more groups than a window has rows),
+// nk is a nullable key and nv a nullable value, fk a float key of NaN,
+// -0, +0 and other values, f a float value whose sums depend on fold
+// order, e a column whose third chunk keeps no row of e = 2 although its
+// zone map cannot prune it, and k a join key into the dimension d(k, v).
+func buildFragmentEngine(t *testing.T) *Engine {
+	t.Helper()
+	rng := rand.New(rand.NewSource(48))
+	g, h, nk, nv, e, k, a := make([]int32, parallelRows), make([]int32, parallelRows), make([]int32, parallelRows),
+		make([]int32, parallelRows), make([]int32, parallelRows), make([]int32, parallelRows), make([]int32, parallelRows)
+	f, fk := make([]float64, parallelRows), make([]float64, parallelRows)
+	keys := []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2, math.Inf(1)}
+	var nullKeys, nullVals []int
+	for i := range g {
+		g[i] = int32(i * 7 % (1 << 16))
+		h[i] = int32(i % (1<<16 + 1))
+		nk[i], nv[i] = rng.Int31n(10), rng.Int31n(1000)-500
+		if rng.Intn(10) == 0 {
+			nullKeys = append(nullKeys, i)
+		}
+		if rng.Intn(7) == 0 {
+			nullVals = append(nullVals, i)
+		}
+		e[i] = 2
+		if i>>16 == 2 {
+			e[i] = 1 + 2*int32(i%2)
+		}
+		k[i], a[i] = rng.Int31n(5000), rng.Int31n(10)
+		f[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-4))
+		fk[i] = keys[rng.Intn(len(keys))]
+	}
+	eng := NewEngine()
+	if err := eng.CreateTable("t").Int32("g", g).Int32("h", h).Int32("nk", nk).Int32("nv", nv).
+		Int32("e", e).Int32("k", k).Int32("a", a).Float64("f", f).Float64("fk", fk).
+		NullsAt("nk", nullKeys).NullsAt("nv", nullVals).Finish(); err != nil {
+		t.Fatal(err)
+	}
+	dk, dv := make([]int32, 5000), make([]int32, 5000)
+	for i := range dk {
+		dk[i], dv[i] = int32(i), rng.Int31n(10)
+	}
+	if err := eng.CreateTable("d").Int32("k", dk).Int32("v", dv).Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestParallelFragmentsMatchSingleCore runs aggregation fragments — scan,
+// join probe and fold of each window on the core that scanned it — on 1,
+// 2 and 3 cores over five windows, and requires bit-identical rows and
+// equal operator counters: rows in and out, batches, groups, probe rows,
+// Bloom checks and passes, pruned chunks and scanned bytes.
+func TestParallelFragmentsMatchSingleCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4)))
+	eng := buildFragmentEngine(t)
+	for _, tc := range []struct{ name, sql string }{
+		{"bloom-join", "SELECT d.v, COUNT(*), SUM(t.f), AVG(t.f), MIN(t.nv) FROM t JOIN d ON t.k = d.k WHERE t.a < 9 AND d.v < 3 GROUP BY d.v"},
+		{"unfiltered-join", "SELECT t.a, COUNT(*), SUM(d.v), MAX(t.f) FROM t JOIN d ON t.k = d.k WHERE t.e >= 0 GROUP BY t.a"},
+		{"span-64ki-direct", "SELECT g, COUNT(*), SUM(nv), AVG(f) FROM t WHERE a >= 0 GROUP BY g"},
+		{"span-64ki+1-hashed", "SELECT h, COUNT(*), SUM(nv), MIN(f) FROM t WHERE a >= 0 GROUP BY h"},
+		{"null-keys-values", "SELECT nk, COUNT(*), SUM(nv), MIN(nv), MAX(nv), AVG(nv) FROM t WHERE a < 8 GROUP BY nk"},
+		{"float-keys", "SELECT fk, COUNT(*), SUM(f), MIN(f), MAX(f) FROM t WHERE a < 9 GROUP BY fk"},
+		{"float-sum-avg", "SELECT SUM(f), AVG(f), MIN(f), MAX(f), SUM(nv), COUNT(*) FROM t WHERE a < 8"},
+		{"empty-window", "SELECT a, COUNT(*), SUM(f) FROM t WHERE e = 2 GROUP BY a"},
+		{"empty-window-zero-key", "SELECT COUNT(*), SUM(nv), MIN(fk) FROM t WHERE e = 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want fragmentOutcome
+			for _, cores := range []int{1, 2, 3} {
+				got := runFragmentQuery(t, eng, tc.sql, cores)
+				if got.maxCores != cores {
+					t.Errorf("%d cores: the scan ran on %d", cores, got.maxCores)
+				}
+				if cores == 1 {
+					if len(got.rows) == 0 || got.windows < 3 {
+						t.Fatalf("degenerate case: %d rows over %d windows", len(got.rows), got.windows)
+					}
+					want = got
+					continue
+				}
+				if fmt.Sprint(got.rows) != fmt.Sprint(want.rows) {
+					t.Errorf("%d cores: rows differ from 1 core's", cores)
+				}
+				if fmt.Sprint(got.counters) != fmt.Sprint(want.counters) {
+					t.Errorf("%d cores: counters differ:\ngot  %v\nwant %v", cores, got.counters, want.counters)
+				}
+			}
+		})
+	}
+}
+
+// fragmentOutcome is a query's rows and per-operator counters, with the
+// most cores a scan ran on and how many windows it kept.
+type fragmentOutcome struct {
+	rows              [][]string
+	counters          []string
+	maxCores, windows int
+}
+
+func runFragmentQuery(t *testing.T, eng *Engine, sql string, cores int) fragmentOutcome {
+	t.Helper()
+	cfg := NativeConfig()
+	cfg.Cores = cores
+	res, err := eng.QueryWith(context.Background(), sql, QueryOptions{Config: &cfg})
+	if err != nil {
+		t.Fatalf("%s on %d cores: %v", sql, cores, err)
+	}
+	out := fragmentOutcome{rows: res.Rows}
+	for _, op := range res.Operators {
+		out.counters = append(out.counters, fmt.Sprintf("%s in=%d out=%d batches=%d groups=%d probe=%d bloom=%d/%d pruned=%d bytes=%d",
+			op.Name, op.RowsIn, op.RowsOut, op.Batches, op.Groups, op.ProbeRows, op.BloomPass, op.BloomChecks, op.ChunksPruned, op.BytesScanned))
+		if op.Path != "" {
+			out.maxCores = max(out.maxCores, op.Cores)
+			out.windows = max(out.windows, int(op.Batches))
+		}
+	}
+	return out
+}
+
+// TestFailedFragmentLeavesNothingRunning fails aggregation fragments
+// while both cores run them — every window's partial over the memory
+// budget, a cancel mid-query, a panic injected into a morsel — and
+// requires the typed error each time and, before the next query, no
+// goroutine beyond those running before: execute joins every helper on
+// every path.
+func TestFailedFragmentLeavesNothingRunning(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	eng := buildFragmentEngine(t)
+	// Every window makes ~64 Ki hashed groups, so this query runs long
+	// enough to cancel mid-way and outgrows a small budget in every window.
+	const sql = "SELECT h, COUNT(*), SUM(nv), MIN(f) FROM t WHERE a >= 0 GROUP BY h"
+	cfg := NativeConfig()
+	cfg.Cores = 2
+	run := func(ctx context.Context) error {
+		_, err := eng.QueryWith(ctx, sql, QueryOptions{Config: &cfg})
+		return err
+	}
+	if err := run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%s: %d goroutines, %d before\n%s", what, runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	g := DefaultGovernance()
+	g.MemBudgetBytes = 4 << 20 // about 20 Ki groups
+	eng.SetGovernance(g)
+	var mbe *MemoryBudgetError
+	if err := run(context.Background()); !errors.As(err, &mbe) {
+		t.Errorf("over budget: err = %v, want *MemoryBudgetError", err)
+	}
+	settled("over budget")
+	eng.SetGovernance(DefaultGovernance())
+
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(time.Duration(i+1)*time.Millisecond, cancel)
+		if err := run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled after %d ms: err = %v, want context.Canceled", i+1, err)
+		}
+		cancel()
+		settled("cancelled")
+	}
+
+	for n := 1; n <= 5; n++ {
+		faultinject.Arm(faultinject.SiteParallelMorsel, n, faultinject.ModePanic)
+		var qe *QueryError
+		if err := run(context.Background()); !errors.As(err, &qe) {
+			t.Errorf("panic in morsel %d: err = %v, want *QueryError", n, err)
+		}
+		faultinject.Reset()
+		settled("morsel panic")
+	}
+	if err := run(context.Background()); err != nil {
+		t.Errorf("after the failures: %v", err)
 	}
 }

@@ -127,7 +127,11 @@ func ExtensionParallel(cfg Config) ExtensionParallelResult {
 // fixed-size windows on the given cores and returns the shared-socket
 // model's runtime over the cores' counters.
 func parallelRuntimeMs(params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morsel int) float64 {
-	s, err := parallel.NewStream(context.Background(), params, ch, build, cores, parallel.Windows(ch.Rows(), morsel), false)
+	job, err := parallel.ScanJob(ch, build, false)
+	if err != nil {
+		panic(err)
+	}
+	s, err := parallel.NewStream(context.Background(), params, job, cores, parallel.Windows(ch.Rows(), morsel))
 	if err != nil {
 		panic(err)
 	}

@@ -210,42 +210,71 @@ func TestDictCodePredicate(t *testing.T) {
 	d := Encode(space, c)
 
 	// Equality with a present value.
-	op, code, ok, err := d.CodePredicate(expr.Eq, expr.NewInt(expr.Int32, 20))
-	if err != nil || !ok || op != expr.Eq {
-		t.Fatalf("eq present: %v %v %v %v", op, code, ok, err)
+	codes, err := d.CodePredicate(expr.Eq, expr.NewInt(expr.Int32, 20))
+	if err != nil || codes.Empty() || !codes.Match(d.Code(1)) {
+		t.Fatalf("eq present: %+v %v", codes, err)
 	}
 	if d.Value(1).Int() != 20 {
 		t.Fatal("sanity")
 	}
 	// Equality with an absent value: no row can match.
-	_, _, ok, err = d.CodePredicate(expr.Eq, expr.NewInt(expr.Int32, 25))
-	if err != nil || ok {
+	codes, err = d.CodePredicate(expr.Eq, expr.NewInt(expr.Int32, 25))
+	if err != nil || !codes.Empty() {
 		t.Fatal("eq absent should be unsatisfiable")
 	}
 	// Range rewrites must agree with direct evaluation for every op and
 	// probe value, including absent ones.
+	var probes []expr.Value
+	for probe := int64(5); probe <= 45; probe += 5 {
+		probes = append(probes, expr.NewInt(expr.Int32, probe))
+	}
+	checkCodePredicate(t, c, d, probes)
+	// A float dictionary holding NaN and both zeros keeps IEEE semantics:
+	// NaN sorts last but satisfies only <>, and -0 and +0 hold two codes
+	// that = 0 must both select.
+	negZero := math.Copysign(0, -1)
+	f := FromFloat64s(space, "f", []float64{math.NaN(), 1, 2, negZero, 0})
+	fd := Encode(space, f)
+	probes = nil
+	for _, x := range []float64{math.NaN(), -1, negZero, 0, 0.5, 1, 1.5, 2, 3} {
+		probes = append(probes, expr.NewFloat(expr.Float64, x))
+	}
+	checkCodePredicate(t, f, fd, probes)
+	gt1, _ := fd.CodePredicate(expr.Gt, expr.NewFloat(expr.Float64, 1))
+	eq0, _ := fd.CodePredicate(expr.Eq, expr.NewFloat(expr.Float64, 0))
+	ne0, _ := fd.CodePredicate(expr.Ne, expr.NewFloat(expr.Float64, 0))
+	for i, want := range []struct{ gt1, eq0, ne0 bool }{
+		{false, false, true}, {false, false, true}, {true, false, true}, {false, true, false}, {false, true, false},
+	} {
+		code := fd.Code(i)
+		if gt1.Match(code) != want.gt1 || eq0.Match(code) != want.eq0 || ne0.Match(code) != want.ne0 {
+			t.Errorf("row %d (%s): f > 1 %v, f = 0 %v, f <> 0 %v; want %+v",
+				i, fd.Value(i), gt1.Match(code), eq0.Match(code), ne0.Match(code), want)
+		}
+	}
+	// Type mismatch errors.
+	if _, err := d.CodePredicate(expr.Eq, expr.NewInt(expr.Int64, 20)); err == nil {
+		t.Error("type mismatch accepted")
+	}
+}
+
+// checkCodePredicate requires every operator's code range to select
+// exactly the rows direct evaluation does, for each probe value.
+func checkCodePredicate(t *testing.T, c *Column, d *DictColumn, probes []expr.Value) {
+	t.Helper()
 	for _, op := range expr.AllCmpOps() {
-		for probe := int64(5); probe <= 45; probe += 5 {
-			v := expr.NewInt(expr.Int32, probe)
-			cop, ccode, ok, err := d.CodePredicate(op, v)
+		for _, v := range probes {
+			codes, err := d.CodePredicate(op, v)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < d.Len(); i++ {
 				want := c.Value(i).Compare(op, v)
-				got := false
-				if ok {
-					got = expr.CompareBits(expr.Uint32, cop, uint64(d.Code(i)), uint64(ccode))
-				}
-				if got != want {
-					t.Fatalf("op %s probe %d row %d: rewrite %v, direct %v", op, probe, i, got, want)
+				if got := codes.Match(d.Code(i)); got != want {
+					t.Fatalf("op %s probe %s row %d (%s): rewrite %v, direct %v", op, v, i, c.Value(i), got, want)
 				}
 			}
 		}
-	}
-	// Type mismatch errors.
-	if _, _, _, err := d.CodePredicate(expr.Eq, expr.NewInt(expr.Int64, 20)); err == nil {
-		t.Error("type mismatch accepted")
 	}
 }
 

@@ -125,66 +125,56 @@ func (d *DictColumn) PackedBytes() int { return (d.n*d.codeBits + 7) / 8 }
 // Value decodes row i.
 func (d *DictColumn) Value(i int) expr.Value { return d.dict[d.Code(i)] }
 
-// CodePredicate rewrites a value predicate into an equivalent predicate on
-// codes, exploiting the sorted dictionary. The returned bool is false when
-// no row can match (e.g. equality with a value absent from the dictionary),
-// in which case op/code are meaningless.
-func (d *DictColumn) CodePredicate(op expr.CmpOp, v expr.Value) (expr.CmpOp, uint32, bool, error) {
+// CodeRange is a predicate on dictionary codes: code c matches when
+// Lo <= c < Hi, or, with Out set, when it does not. Lo <= Hi always.
+type CodeRange struct {
+	Lo, Hi uint32
+	Out    bool
+}
+
+// Match reports whether code satisfies the range. As one unsigned
+// comparison: c - Lo < Hi - Lo.
+func (r CodeRange) Match(code uint32) bool { return (code-r.Lo < r.Hi-r.Lo) != r.Out }
+
+// Empty reports whether no code can match.
+func (r CodeRange) Empty() bool { return !r.Out && r.Lo == r.Hi }
+
+// CodePredicate rewrites a value predicate into an equivalent range of
+// codes, exploiting the sorted dictionary: the values a comparison selects
+// are contiguous in the value order, except that `<>` selects the rest.
+// Predicates keep IEEE semantics, which the value order alone does not
+// give: the NaNs sorted last satisfy only `<>`, and -0 and +0, two codes
+// of equal order, both satisfy `= 0`.
+func (d *DictColumn) CodePredicate(op expr.CmpOp, v expr.Value) (CodeRange, error) {
 	if v.Type != d.typ {
-		return 0, 0, false, fmt.Errorf("column %s: predicate type %s on %s column", d.name, v.Type, d.typ)
+		return CodeRange{}, fmt.Errorf("column %s: predicate type %s on %s column", d.name, v.Type, d.typ)
+	}
+	if !op.Valid() {
+		return CodeRange{}, fmt.Errorf("column %s: invalid operator", d.name)
 	}
 	if isNaN(v) {
-		if op == expr.Ne {
-			return expr.Ge, 0, true, nil // a NaN differs from every value
-		}
-		return 0, 0, false, nil
+		// A NaN differs from every value and orders against none.
+		return CodeRange{Out: op == expr.Ne}, nil
 	}
-	// lower = first index with dict[i] >= v in the value order
+	// The non-NaN codes are [0, nan); v's equals are [lower, upper).
+	nan := sort.Search(len(d.dict), func(i int) bool { return isNaN(d.dict[i]) })
 	k := v.OrderKey()
-	lower := sort.Search(len(d.dict), func(i int) bool { return d.dict[i].OrderKey() >= k })
-	exact := lower < len(d.dict) && d.dict[lower].OrderKey() == k
+	lower := uint32(sort.Search(nan, func(i int) bool { return d.dict[i].OrderKey() >= k }))
+	upper := uint32(sort.Search(nan, func(i int) bool { return d.dict[i].OrderKey() > k }))
 	switch op {
 	case expr.Eq:
-		if !exact {
-			return 0, 0, false, nil
-		}
-		return expr.Eq, uint32(lower), true, nil
+		return CodeRange{Lo: lower, Hi: upper}, nil
 	case expr.Ne:
-		if !exact {
-			// Everything matches; encode as code >= 0.
-			return expr.Ge, 0, true, nil
-		}
-		return expr.Ne, uint32(lower), true, nil
+		return CodeRange{Lo: lower, Hi: upper, Out: true}, nil
 	case expr.Lt:
-		if lower == 0 {
-			return 0, 0, false, nil
-		}
-		return expr.Lt, uint32(lower), true, nil
+		return CodeRange{Hi: lower}, nil
 	case expr.Le:
-		bound := lower
-		if exact {
-			bound++
-		}
-		if bound == 0 {
-			return 0, 0, false, nil
-		}
-		return expr.Lt, uint32(bound), true, nil
+		return CodeRange{Hi: upper}, nil
 	case expr.Gt:
-		bound := lower
-		if exact {
-			bound++
-		}
-		if bound >= len(d.dict) {
-			return 0, 0, false, nil
-		}
-		return expr.Ge, uint32(bound), true, nil
-	case expr.Ge:
-		if lower >= len(d.dict) {
-			return 0, 0, false, nil
-		}
-		return expr.Ge, uint32(lower), true, nil
+		return CodeRange{Lo: upper, Hi: uint32(nan)}, nil
+	default: // expr.Ge
+		return CodeRange{Lo: lower, Hi: uint32(nan)}, nil
 	}
-	return 0, 0, false, fmt.Errorf("column %s: invalid operator", d.name)
 }
 
 // UnpackCodes decodes the packed codes of rows [begin, end) into a uint32

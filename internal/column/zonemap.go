@@ -35,6 +35,9 @@ func (zm *ZoneMap) RowsPerZone() int { return zm.rowsPerZone }
 // Zones returns the number of zones.
 func (zm *ZoneMap) Zones() int { return len(zm.zones) }
 
+// Zone returns zone i, which covers rows [i*RowsPerZone, (i+1)*RowsPerZone).
+func (zm *ZoneMap) Zone(i int) Zone { return zm.zones[i] }
+
 // ZoneMap returns the column's zone map at the given granularity, building
 // and caching it on first use. Concurrency-safe.
 func (c *Column) ZoneMap(rowsPerZone int) *ZoneMap {

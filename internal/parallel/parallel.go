@@ -4,19 +4,21 @@
 // into chunks or morsels"). The paper's evaluation is single-core; this
 // package is an explicitly-labelled extension.
 //
-// Execution model: the scan runs over a list of row windows (morsels) —
+// Execution model: a stream runs over a list of row windows (morsels) —
 // fixed-size ones from Windows, the zone-map-surviving chunks in the batch
-// pipeline. The consuming goroutine and cores-1 helpers run the scan
-// kernel over zero-copy column views of them. Functional results are
-// merged in morsel order, so they are identical to a sequential scan.
-// Given machine parameters, each core simulates its own mach.CPU (own
-// caches, own branch predictor); given nil, as on the native path, none
-// builds one.
+// pipeline. The consuming goroutine and cores-1 helpers each run a
+// caller-supplied job per window: the scan kernel over zero-copy column
+// views first, then whatever the caller fuses behind it (the batch
+// pipeline's join probe and aggregate fold), so a window is finished on
+// the core that scanned it. Results are merged in morsel order, so they
+// are identical to a sequential loop over the windows. Given machine
+// parameters, each core simulates its own mach.CPU (own caches, own branch
+// predictor); given nil, as on the native path, none builds one.
 //
-// Failure model: a morsel whose kernel fails to build (or panics while
-// running) poisons only that morsel, not the process — every core recovers
-// panics, and Stream.Next returns each failed morsel's error in its place.
-// Context cancellation is checked between morsels, so a cancelled scan
+// Failure model: a morsel whose job fails (or panics while running)
+// poisons only that morsel, not the process — every core recovers panics,
+// and Stream.Next returns each failed morsel's error in its place.
+// Context cancellation is checked between morsels, so a cancelled stream
 // stops within one morsel's worth of work per core.
 //
 // Performance model: per-core compute is independent, but all cores share

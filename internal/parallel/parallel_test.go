@@ -43,7 +43,7 @@ type scanned struct {
 // rows as the batch pipeline consumes one: positions rebased to table row
 // ids, the first morsel error fatal.
 func runStream(ctx context.Context, params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, want bool) (*scanned, error) {
-	s, err := NewStream(ctx, params, ch, build, cores, Windows(ch.Rows(), morselRows), want)
+	s, err := newScanStream(ctx, params, ch, build, cores, Windows(ch.Rows(), morselRows), want)
 	if err != nil {
 		return nil, err
 	}
@@ -63,6 +63,15 @@ func runStream(ctx context.Context, params *mach.Params, ch scan.Chain, build fu
 			out.positions = append(out.positions, pos+uint32(m.Begin))
 		}
 	}
+}
+
+// newScanStream starts a stream whose job only scans.
+func newScanStream(ctx context.Context, params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores int, windows []Window, want bool) (*Stream[Morsel], error) {
+	job, err := ScanJob(ch, build, want)
+	if err != nil {
+		return nil, err
+	}
+	return NewStream(ctx, params, job, cores, windows)
 }
 
 // scanSim runs a simulated stream to the end and applies the shared-socket

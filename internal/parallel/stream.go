@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -30,8 +31,15 @@ func Windows(rows, size int) []Window {
 	return ws
 }
 
-// Morsel is one morsel's scan outcome, delivered by Stream.Next in morsel
-// (i.e. table) order. Res.Positions are relative to Begin.
+// Job is the work one morsel does: it runs window w on core (0 is the
+// consumer) against cpu — the core's simulated CPU, nil when the stream
+// does not simulate — and returns the morsel's result. A job touches no
+// state another core writes: anything it keeps between morsels is
+// per-core scratch, indexed by core.
+type Job[T any] func(core int, cpu *mach.CPU, w Window) (T, error)
+
+// Morsel is one morsel's scan outcome, the result of a ScanJob.
+// Res.Positions are relative to Begin.
 type Morsel struct {
 	// Begin is the table row id of the morsel's first row.
 	Begin int
@@ -43,22 +51,61 @@ type Morsel struct {
 	Res scan.Result
 }
 
+// ScanJob is the job of a stream that only scans: each morsel builds the
+// kernel for ch sliced to its window (build is e.g. a JIT compile hitting
+// the operator cache, or scan.NewNative) and runs it, in count-only mode
+// when wantPositions is false.
+func ScanJob(ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), wantPositions bool) (Job[Morsel], error) {
+	if err := ch.Validate(); err != nil {
+		return nil, err
+	}
+	return func(_ int, cpu *mach.CPU, w Window) (Morsel, error) {
+		sub := ch.Slice(w.Begin, w.End)
+		kern, err := build(sub)
+		if err != nil {
+			return Morsel{}, err
+		}
+		return Morsel{Begin: w.Begin, Rows: w.End - w.Begin, Chain: sub, Res: kern.Run(cpu, wantPositions)}, nil
+	}, nil
+}
+
+// PanicError is a morsel's recovered panic: its job panicked with Value on
+// one of the stream's cores, whose stack Stack records.
+type PanicError struct {
+	Morsel int
+	Value  any
+	Stack  string
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("parallel: morsel %d: panic: %v", e.Morsel, e.Value)
+}
+
+// Unwrap returns an error-typed panic value (e.g. *faultinject.Panic), so
+// errors.As still reaches it.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
 // streamItem is one morsel's result or failure, keyed by its window index.
-type streamItem struct {
+type streamItem[T any] struct {
 	idx int
-	sub scan.Chain
-	res scan.Result
+	val T
 	err error
 }
 
-// Stream is a morsel-driven parallel scan producing results incrementally.
-// The consuming goroutine is one of the cores: Next runs morsels itself
-// while it waits, and cores-1 helper goroutines run the rest, so a
-// stream on N cores occupies exactly N goroutines. Next hands the results
-// over one morsel at a time, merged back into window order with a reorder
-// buffer. This is how the batch pipeline consumes a parallel scan:
-// downstream operators see the exact stream a sequential scan would
-// produce, while production is parallel underneath.
+// Stream is a morsel-driven parallel stream producing results
+// incrementally: every window runs the caller's job, whose first step is
+// the scan kernel and whose later steps are whatever the caller fuses
+// behind it (the batch pipeline runs a window's join probe and aggregate
+// fold there). The consuming goroutine is one of the cores: Next runs
+// morsels itself while it waits, and cores-1 helper goroutines run the
+// rest, so a stream on N cores occupies exactly N goroutines. Next hands
+// the results over one morsel at a time, merged back into window order
+// with a reorder buffer, so the consumer sees the sequence a sequential
+// loop over the windows would produce while production is parallel
+// underneath.
 //
 // Assignment: a simulating stream (non-nil params) gives each core its own
 // mach.CPU and deals morsel i to core i % cores — the consumer is core 0 —
@@ -69,46 +116,37 @@ type streamItem struct {
 // while a helper's is late: on a ~1 ms packed scan that measured faster
 // than the fixed i % cores split (DESIGN §9).
 //
-// A morsel whose kernel fails to build (or panics while running) poisons
-// only that morsel: Next returns its error for that position and can be
-// called again for the remaining morsels (the pipeline treats the first
-// as fatal and Closes).
+// A morsel whose job fails (or panics) poisons only that morsel: Next
+// returns its error for that position and can be called again for the
+// remaining morsels (the pipeline treats the first as fatal and Closes).
 //
 // Close cancels morsels not yet started — the LIMIT short-circuit path —
 // and waits for in-flight ones, so no helper outlives the consumer.
-type Stream struct {
+type Stream[T any] struct {
 	parent  context.Context
 	ctx     context.Context // parent, also cancelled by Close
 	cancel  context.CancelFunc
-	chain   scan.Chain
-	build   func(scan.Chain) (scan.Kernel, error)
+	job     Job[T]
 	windows []Window
-	want    bool
 	cores   int
 	helpers int
 	// claimed is the next unclaimed morsel of a native stream.
 	claimed atomic.Int64
-	ch      chan streamItem
+	ch      chan streamItem[T]
 	wg      sync.WaitGroup
 	cpus    []*mach.CPU // all nil when the stream does not simulate
 
-	pending map[int]streamItem
+	pending map[int]streamItem[T]
 	next    int
 
 	finishOnce sync.Once
 	perCore    []mach.Counters
 }
 
-// NewStream validates the scan and starts the helpers over windows, which
-// must be ascending and disjoint. build constructs a kernel per morsel
-// (e.g. a JIT compile hitting the operator cache, or scan.NewNative);
-// wantPositions false runs the kernels in count-only mode. params, when
-// non-nil, gives each core a simulated CPU; nil runs the kernels with a
-// nil CPU.
-func NewStream(ctx context.Context, params *mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores int, windows []Window, wantPositions bool) (*Stream, error) {
-	if err := ch.Validate(); err != nil {
-		return nil, err
-	}
+// NewStream starts the helpers of a stream running job over windows, which
+// must be ascending and disjoint. params, when non-nil, gives each core a
+// simulated CPU; nil runs every job with a nil CPU.
+func NewStream[T any](ctx context.Context, params *mach.Params, job Job[T], cores int, windows []Window) (*Stream[T], error) {
 	if cores < 1 {
 		return nil, fmt.Errorf("parallel: cores must be >= 1, got %d", cores)
 	}
@@ -116,9 +154,9 @@ func NewStream(ctx context.Context, params *mach.Params, ch scan.Chain, build fu
 		return nil, err
 	}
 	wctx, cancel := context.WithCancel(ctx)
-	s := &Stream{
+	s := &Stream[T]{
 		parent: ctx, ctx: wctx, cancel: cancel,
-		chain: ch, build: build, windows: windows, want: wantPositions,
+		job: job, windows: windows,
 		cores: cores,
 		// A core with no morsel to run is not started.
 		helpers: max(min(cores, len(windows))-1, 0),
@@ -127,9 +165,9 @@ func NewStream(ctx context.Context, params *mach.Params, ch scan.Chain, build fu
 		// in-flight results O(cores), not O(table) — and makes Close
 		// actually stop upstream work instead of letting helpers race to
 		// the end of the table.
-		ch:      make(chan streamItem, 2*cores),
+		ch:      make(chan streamItem[T], 2*cores),
 		cpus:    make([]*mach.CPU, cores),
-		pending: make(map[int]streamItem),
+		pending: make(map[int]streamItem[T]),
 	}
 	if params != nil {
 		for c := range s.cpus {
@@ -145,15 +183,15 @@ func NewStream(ctx context.Context, params *mach.Params, ch scan.Chain, build fu
 
 // Helpers reports how many helper goroutines the stream started: its
 // cores less the consumer, and never more than there are other morsels.
-func (s *Stream) Helpers() int { return s.helpers }
+func (s *Stream[T]) Helpers() int { return s.helpers }
 
 // simulated reports whether morsels are dealt round-robin to simulated
 // CPUs rather than claimed from the shared counter.
-func (s *Stream) simulated() bool { return s.cpus[0] != nil }
+func (s *Stream[T]) simulated() bool { return s.cpus[0] != nil }
 
 // claim returns the morsel core runs after prev (-1 for its first), or a
 // value >= len(windows) when none remains.
-func (s *Stream) claim(core, prev int) int {
+func (s *Stream[T]) claim(core, prev int) int {
 	if s.simulated() {
 		if prev < 0 {
 			return core
@@ -164,7 +202,7 @@ func (s *Stream) claim(core, prev int) int {
 }
 
 // help is one helper core's loop: claim, run, hand the result over.
-func (s *Stream) help(core int) {
+func (s *Stream[T]) help(core int) {
 	defer s.wg.Done()
 	for i := s.claim(core, -1); i < len(s.windows); i = s.claim(core, i) {
 		if s.ctx.Err() != nil {
@@ -178,58 +216,45 @@ func (s *Stream) help(core int) {
 	}
 }
 
-// run builds and runs morsel i's kernel on core's CPU, converting a panic
-// in either into an error: a poisoned morsel must fail that morsel, not
-// the process (helper goroutines are outside any caller's recover).
-func (s *Stream) run(core, i int) (item streamItem) {
+// run runs morsel i's job on core's CPU, converting a panic into a
+// *PanicError: a poisoned morsel must fail that morsel, not the process
+// (helper goroutines are outside any caller's recover).
+func (s *Stream[T]) run(core, i int) (item streamItem[T]) {
 	item.idx = i
 	defer func() {
 		if r := recover(); r != nil {
-			// An error-typed panic value (e.g. *faultinject.Panic) is
-			// wrapped so errors.As still reaches it.
-			if cause, ok := r.(error); ok {
-				item.err = fmt.Errorf("parallel: morsel %d: panic: %w", i, cause)
-			} else {
-				item.err = fmt.Errorf("parallel: morsel %d: panic: %v", i, r)
-			}
+			item.err = &PanicError{Morsel: i, Value: r, Stack: string(debug.Stack())}
 		}
 	}()
 	if err := faultinject.Hit(faultinject.SiteParallelMorsel); err != nil {
 		item.err = fmt.Errorf("parallel: morsel %d: %w", i, err)
 		return item
 	}
-	w := s.windows[i]
-	item.sub = s.chain.Slice(w.Begin, w.End)
-	kern, err := s.build(item.sub)
-	if err != nil {
+	var err error
+	if item.val, err = s.job(core, s.cpus[core], s.windows[i]); err != nil {
 		item.err = fmt.Errorf("parallel: morsel %d: %w", i, err)
-		return item
 	}
-	item.res = kern.Run(s.cpus[core], s.want)
 	return item
 }
 
-// Next returns the next morsel in window order, EOS when the scan is
-// complete, the context's error when it was cancelled, or the morsel's own
-// failure (Next may be called again afterwards to receive the remaining
-// morsels). While the next morsel is not ready, Next runs one of the
-// consumer's own.
-func (s *Stream) Next() (Morsel, error) {
+// Next returns the next morsel's result in window order, EOS when every
+// morsel has been delivered, the context's error when it was cancelled, or
+// the morsel's own failure together with whatever its job returned (Next
+// may be called again afterwards to receive the remaining morsels). While
+// the next morsel is not ready, Next runs one of the consumer's own.
+func (s *Stream[T]) Next() (T, error) {
+	var zero T
 	for {
 		if err := s.parent.Err(); err != nil {
-			return Morsel{}, err
+			return zero, err
 		}
 		if s.next >= len(s.windows) {
-			return Morsel{}, EOS
+			return zero, EOS
 		}
 		if item, ok := s.pending[s.next]; ok {
 			delete(s.pending, s.next)
 			s.next++
-			if item.err != nil {
-				return Morsel{}, item.err
-			}
-			w := s.windows[item.idx]
-			return Morsel{Begin: w.Begin, Rows: w.End - w.Begin, Chain: item.sub, Res: item.res}, nil
+			return item.val, item.err
 		}
 		if s.simulated() {
 			if s.next%s.cores == 0 {
@@ -258,23 +283,23 @@ func (s *Stream) Next() (Morsel, error) {
 		case <-s.ctx.Done():
 			// Close ran, or the parent was cancelled (checked above).
 			if err := s.parent.Err(); err != nil {
-				return Morsel{}, err
+				return zero, err
 			}
-			return Morsel{}, EOS
+			return zero, EOS
 		}
 	}
 }
 
 // Close cancels morsels not yet started and waits for in-flight ones. It
-// is safe to call at any point, including before EOS.
-func (s *Stream) Close() {
+// is safe to call at any point, including before EOS, and more than once.
+func (s *Stream[T]) Close() {
 	s.cancel()
 	s.wg.Wait()
 }
 
 // PerCore waits for the helpers and returns each core's counters (nil
 // when the stream does not simulate). Call after EOS or Close.
-func (s *Stream) PerCore() []mach.Counters {
+func (s *Stream[T]) PerCore() []mach.Counters {
 	s.finishOnce.Do(func() {
 		s.wg.Wait()
 		for _, cpu := range s.cpus {

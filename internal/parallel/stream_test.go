@@ -13,7 +13,7 @@ func TestStreamOrderedMergeMatchesReference(t *testing.T) {
 	want := scan.Reference(ch, true)
 	for _, cores := range []int{1, 2, 4} {
 		for _, morsel := range []int{999, 8192} {
-			s, err := NewStream(context.Background(), simParams(), ch, scan.ImplAVX512Fused512.Build, cores, Windows(ch.Rows(), morsel), true)
+			s, err := newScanStream(context.Background(), simParams(), ch, scan.ImplAVX512Fused512.Build, cores, Windows(ch.Rows(), morsel), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestStreamOrderedMergeMatchesReference(t *testing.T) {
 
 func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 	ch := makeChain(t, 1_000_000, 0.5, 4)
-	s, err := NewStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, Windows(ch.Rows(), 10_000), true)
+	s, err := newScanStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, Windows(ch.Rows(), 10_000), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 	// The workers must have stopped early: the rows they processed (visible
 	// in per-core scalar instruction counts) stay far below a full scan's.
 	var full, did uint64
-	fs, err := NewStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, Windows(ch.Rows(), 10_000), true)
+	fs, err := newScanStream(context.Background(), simParams(), ch, scan.ImplSISD.Build, 2, Windows(ch.Rows(), 10_000), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 func TestStreamContextCancellation(t *testing.T) {
 	ch := makeChain(t, 200_000, 0.5, 5)
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := NewStream(ctx, simParams(), ch, scan.ImplSISD.Build, 2, Windows(ch.Rows(), 5_000), true)
+	s, err := newScanStream(ctx, simParams(), ch, scan.ImplSISD.Build, 2, Windows(ch.Rows(), 5_000), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestNativeStreamOverSparseWindows(t *testing.T) {
 	}{
 		{1, windows, 0}, {2, windows, 1}, {4, windows, 3}, {4, windows[:2], 1}, {3, nil, 0},
 	} {
-		s, err := NewStream(context.Background(), nil, ch, native, tc.cores, tc.windows, true)
+		s, err := newScanStream(context.Background(), nil, ch, native, tc.cores, tc.windows, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"fusedscan/internal/expr"
@@ -103,7 +104,10 @@ type OperatorStats struct {
 	RowsOut int64
 	// Batches counts batches emitted.
 	Batches int64
-	// WallNs is wall-clock time spent in Next, inclusive of children.
+	// WallNs is wall-clock time spent in Next, inclusive of children. In
+	// a window's fragment (DESIGN §9) each operator adds the time from the
+	// window's start to the end of its own step, so it stays inclusive of
+	// the steps below it and, on several cores, sums them.
 	WallNs int64
 	// ChunksPruned counts scan chunks skipped by zone-map pruning (scan
 	// leaves only; pruned chunks do not count toward RowsIn).
@@ -211,29 +215,36 @@ func FormatStats(stats []OperatorStats) string {
 }
 
 // opStats is the embedded counter block every operator updates as batches
-// flow through it.
+// flow through it. The counters are atomic: the operators of a window's
+// fragment (scan, join probe, fold) update them from whichever core runs
+// the window.
 type opStats struct {
-	rowsIn  int64
-	rowsOut int64
-	batches int64
-	ns      int64
+	rowsIn  atomic.Int64
+	rowsOut atomic.Int64
+	batches atomic.Int64
+	ns      atomic.Int64
 }
 
 // timed starts an inclusive wall-clock measurement of one Next call;
 // invoke the returned func on exit.
 func (s *opStats) timed() func() {
 	start := time.Now()
-	return func() { s.ns += time.Since(start).Nanoseconds() }
+	return func() { s.addSince(start) }
 }
 
-func (s *opStats) noteIn(b Batch)  { s.rowsIn += int64(b.Count) }
-func (s *opStats) noteOut(b Batch) { s.rowsOut += int64(b.Count); s.batches++ }
+// addSince adds the time since start: a fragment's operators each add the
+// time from the window's start to the end of their own step, so times stay
+// inclusive of the steps below.
+func (s *opStats) addSince(start time.Time) { s.ns.Add(time.Since(start).Nanoseconds()) }
+
+func (s *opStats) noteIn(b Batch)  { s.rowsIn.Add(int64(b.Count)) }
+func (s *opStats) noteOut(b Batch) { s.rowsOut.Add(int64(b.Count)); s.batches.Add(1) }
 
 // noteScanned records table rows consumed by a scan leaf (its RowsIn).
-func (s *opStats) noteScanned(n int) { s.rowsIn += int64(n) }
+func (s *opStats) noteScanned(n int) { s.rowsIn.Add(int64(n)) }
 
 func (s *opStats) snapshot(name string) OperatorStats {
-	return OperatorStats{Name: name, RowsIn: s.rowsIn, RowsOut: s.rowsOut, Batches: s.batches, WallNs: s.ns}
+	return OperatorStats{Name: name, RowsIn: s.rowsIn.Load(), RowsOut: s.rowsOut.Load(), Batches: s.batches.Load(), WallNs: s.ns.Load()}
 }
 
 // batchCharger charges the query's memory accountant for transient batch

@@ -300,6 +300,74 @@ func TestGroupByMixedKeys(t *testing.T) {
 	}
 }
 
+// TestGroupByDirectIdsAtKeySpan runs a one-key GROUP BY over three
+// windows whose key spans 64 Ki values, which gets direct-indexed group
+// ids, and one that spans 64 Ki + 1, which stays hashed, against the
+// reference, on one and two cores and simulated. A one-window input keeps
+// the hash table whatever its key span.
+func TestGroupByDirectIdsAtKeySpan(t *testing.T) {
+	const n = 3 << 16
+	space := mach.NewAddrSpace()
+	k64, k65, w, vs := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+	rng := rand.New(rand.NewSource(9))
+	for i := range vs {
+		w[i] = int32(i >> 16)
+		k64[i] = int32(i*7%(1<<16)) - 1000
+		k65[i] = int32(i % (1<<16 + 1))
+		vs[i] = int32(rng.Intn(2000) - 1000)
+	}
+	tbl := column.NewTable(space, "t")
+	tbl.MustAddColumn(column.FromInt32s(space, "k64", k64))
+	tbl.MustAddColumn(column.FromInt32s(space, "k65", k65))
+	tbl.MustAddColumn(column.FromInt32s(space, "w", w))
+	v := column.FromInt32s(space, "v", vs)
+	for i := 0; i < n; i += 5 {
+		v.SetNull(i)
+	}
+	tbl.MustAddColumn(v)
+	cat := testCatalog{"t": tbl}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	two := nativeOptions()
+	two.Cores = 2
+	for _, tc := range []struct {
+		key, where string
+		direct     bool
+	}{
+		{"k64", "k64 >= -1000", true},
+		{"k65", "k65 >= 0", false},
+		{"k64", "w = 1", false}, // the zone maps keep one window
+	} {
+		rows := all
+		if !tc.direct && tc.key == "k64" {
+			rows = all[1<<16 : 2<<16]
+		}
+		want := referenceGroupBy(tbl, []string{tc.key}, "v", rows)
+		sql := fmt.Sprintf("SELECT %s, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM t WHERE %s GROUP BY %[1]s", tc.key, tc.where)
+		for name, run := range map[string]struct {
+			opts Options
+			cpu  *mach.CPU
+		}{
+			"native":    {nativeOptions(), nil},
+			"two-cores": {two, nil},
+			"simulated": {DefaultOptions(), mach.New(mach.Default())},
+		} {
+			pp, res, err := runGroupSQL(t, context.Background(), cat, sql, run.opts, run.cpu)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, sql, err)
+			}
+			if got := renderRows(res); got != want {
+				t.Errorf("%s %s: rows differ from the reference (%d vs %d bytes)", name, sql, len(got), len(want))
+			}
+			if g := pp.Root.(*groupOp); g.direct != tc.direct {
+				t.Errorf("%s %s: direct ids %v, want %v", name, sql, g.direct, tc.direct)
+			}
+		}
+	}
+}
+
 // TestGroupByMemoryBudgetAtGroupCount pins where ErrMemoryBudget fires: a
 // budget that holds the scan's one in-flight batch plus k groups admits
 // exactly k groups, and the k+1-th group's charge is the one refused.
@@ -399,47 +467,71 @@ func TestPollSpanMatchesPerRowPolls(t *testing.T) {
 }
 
 // BenchmarkGroupBySink times the aggregation sink on the native path over
-// 256 Ki int32 rows that all qualify, at zero keys, 100 and 16 Ki groups.
+// 256 Ki int32 rows (four windows) that all qualify, at zero keys, 100 and
+// 16 Ki groups, over a value column with and without NULLs (1 % NULL), and
+// grouped over a hash join to a 16 Ki-row dimension, on 1 and 2 cores.
 // sink_ns/row is the sink's own time (its WallNs minus its input's) per
-// input row.
+// input row; on 2 cores the input's time sums both cores, so read
+// query_ns/row there, the whole plan's wall-clock time per input row.
 func BenchmarkGroupBySink(b *testing.B) {
-	const n = 256 << 10
+	const n, m = 256 << 10, 16 << 10
 	rng := rand.New(rand.NewSource(1))
 	space := mach.NewAddrSpace()
 	tbl := column.NewTable(space, "t")
 	for _, c := range []struct {
 		name string
 		max  int
-	}{{"a", 1000}, {"g", 100}, {"h", 16 << 10}, {"v", 1000}} {
+	}{{"a", 1000}, {"g", 100}, {"h", m}, {"v", 1000}, {"vn", 1000}, {"fk", m}} {
 		vals := make([]int32, n)
 		for i := range vals {
 			vals[i] = int32(rng.Intn(c.max))
 		}
-		tbl.MustAddColumn(column.FromInt32s(space, c.name, vals))
-	}
-	cat := testCatalog{"t": tbl}
-	for _, q := range []struct{ name, sql string }{
-		{"sum", "SELECT SUM(v) FROM t WHERE a >= 0"},
-		{"g100_sum_count", "SELECT g, SUM(v), COUNT(*) FROM t WHERE a >= 0 GROUP BY g"},
-		{"g100_min_count", "SELECT g, MIN(v), COUNT(*) FROM t WHERE a >= 0 GROUP BY g"},
-		{"g16k_sum", "SELECT h, SUM(v) FROM t WHERE a >= 0 GROUP BY h"},
-		{"g16k_max", "SELECT h, MAX(v) FROM t WHERE a >= 0 GROUP BY h"},
-	} {
-		b.Run(q.name, func(b *testing.B) {
-			pp, err := Translate(plan2(b, cat, q.sql, true), jit.NewCompiler(), nativeOptions())
-			if err != nil {
-				b.Fatal(err)
+		col := column.FromInt32s(space, c.name, vals)
+		if c.name == "vn" {
+			for i := 0; i < n; i += 100 {
+				col.SetNull(i)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pp.Run(context.Background(), nil); err != nil {
+		}
+		tbl.MustAddColumn(col)
+	}
+	dim := column.NewTable(space, "d")
+	dk, w := make([]int32, m), make([]int32, m)
+	for i, p := range rng.Perm(m) {
+		dk[i], w[i] = int32(p), int32(rng.Intn(1000))
+	}
+	dim.MustAddColumn(column.FromInt32s(space, "dk", dk))
+	dim.MustAddColumn(column.FromInt32s(space, "w", w))
+	cat := testCatalog{"t": tbl, "d": dim}
+	for _, cores := range []int{1, 2} {
+		opts := nativeOptions()
+		opts.Cores = cores
+		for _, q := range []struct{ name, sql string }{
+			{"sum", "SELECT SUM(v) FROM t WHERE a >= 0"},
+			{"sum_null", "SELECT SUM(vn) FROM t WHERE a >= 0"},
+			{"g100_sum_count", "SELECT g, SUM(v), COUNT(*) FROM t WHERE a >= 0 GROUP BY g"},
+			{"g100_sum_null", "SELECT g, SUM(vn), COUNT(*) FROM t WHERE a >= 0 GROUP BY g"},
+			{"g100_min_count", "SELECT g, MIN(v), COUNT(*) FROM t WHERE a >= 0 GROUP BY g"},
+			{"g16k_sum", "SELECT h, SUM(v) FROM t WHERE a >= 0 GROUP BY h"},
+			{"g16k_max", "SELECT h, MAX(v) FROM t WHERE a >= 0 GROUP BY h"},
+			{"join_g100_sum", "SELECT t.g, SUM(d.w) FROM t JOIN d ON t.fk = d.dk WHERE t.a >= 0 GROUP BY t.g"},
+		} {
+			b.Run(fmt.Sprintf("cores=%d/%s", cores, q.name), func(b *testing.B) {
+				pp, err := Translate(plan2(b, cat, q.sql, true), jit.NewCompiler(), opts)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			st := pp.OperatorStats()
-			b.ReportMetric(float64(st[0].WallNs-st[1].WallNs)/float64(b.N)/n, "sink_ns/row")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := pp.Run(context.Background(), nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				st := pp.OperatorStats()
+				b.ReportMetric(float64(st[0].WallNs-st[1].WallNs)/float64(b.N)/n, "sink_ns/row")
+				b.ReportMetric(float64(st[0].WallNs)/float64(b.N)/n, "query_ns/row")
+			})
+		}
 	}
 }
 

@@ -11,10 +11,13 @@ package pqp
 // key's dense id indexes a CSR layout: starts[id]:starts[id+1] is its span
 // of one positions array, in build-stream (ascending) order. No payload is
 // copied; everything downstream reads the build table's columns by
-// position. Next resolves each probe batch aggBlock entries at a time, so a
-// probe row's matches are emitted in ascending build position and pairs
-// keep probe order. When the optimizer marked predicate transfer, the
-// table's key words also fill a Bloom filter. Open tests it on up to
+// position. The probe step resolves each probe batch aggBlock entries at a
+// time, so a probe row's matches are emitted in ascending build position
+// and pairs keep probe order. The table is read-only once Open returns, so
+// under an aggregation sink the step runs in each window's fragment, on
+// whichever core scanned the window, with that core's scratch. When the
+// optimizer marked predicate transfer, the table's key words also fill a
+// Bloom filter. Open tests it on up to
 // bloomSamples evenly spaced probe keys and injects it into the probe
 // side's scan chain, before the probe scan opens, only if it rejects more
 // than 5 % of them: then probe rows without a possible partner die inside
@@ -29,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
@@ -61,10 +65,25 @@ type joinResidual struct {
 	op       expr.CmpOp
 }
 
+// joinScratch is one core's probe scratch: a block's key words, dead-key
+// flags and resolved ids, the pair vectors it emits (reused from batch to
+// batch), its in-flight batch charge and its poll count.
+type joinScratch struct {
+	keyBuf         [aggBlock]uint64
+	deadBuf        [aggBlock]bool
+	idBuf          [aggBlock]int32
+	pairsP, pairsB []uint32
+	charger        batchCharger
+	rowIdx         int
+}
+
 // joinOp is the inner hash equi-join. Open drains the build side into the
-// key table (and Bloom filter); Next pulls probe batches, looks up
-// candidate pairs and filters them through the residual comparators,
-// emitting pair batches (Sel = probe-relative, BuildSel = build-absolute).
+// key table (and Bloom filter); each probe batch then goes through step,
+// which looks up candidate pairs and filters them through the residual
+// comparators, emitting a pair batch (Sel = probe-relative, BuildSel =
+// build-absolute). Next pulls the probe batch and steps it on the
+// consumer; under an aggregation sink the window's fragment steps it on
+// the core that scanned it.
 type joinOp struct {
 	probe positionStream
 	build positionStream
@@ -103,16 +122,14 @@ type joinOp struct {
 	bloomSkipped bool
 	scalarBloom  bool
 	buildRows    int64
-	probeRows    int64
+	probeRows    atomic.Int64
 	probeOpened  bool
 	buildClosed  bool
 	empty        bool
-	charger      batchCharger
 	rowIdx       int
-	// Per-block scratch: key words, dead-key flags and resolved ids.
-	keyBuf  [aggBlock]uint64
-	deadBuf [aggBlock]bool
-	idBuf   [aggBlock]int32
+	// scratch is per core; one backs it on a single core.
+	scratch []joinScratch
+	one     [1]joinScratch
 	stats   opStats
 }
 
@@ -127,7 +144,7 @@ func (op *joinOp) Describe() string {
 func (op *joinOp) Stats() OperatorStats {
 	st := op.stats.snapshot(op.Describe())
 	st.BuildRows = op.buildRows
-	st.ProbeRows = op.probeRows
+	st.ProbeRows = op.probeRows.Load()
 	st.BloomSkipped = op.bloomSkipped
 	if op.bloomStats != nil {
 		st.BloomChecks = op.bloomStats.Checks.Load()
@@ -153,8 +170,10 @@ func (op *joinOp) setCountOnly(bool) {}
 func (op *joinOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	defer op.stats.timed()()
 	op.ctx, op.cpu, op.acct = ctx, cpu, govern.AccountantFrom(ctx)
-	op.charger = batchCharger{acct: op.acct}
-	op.buildRows, op.probeRows, op.rowIdx = 0, 0, 0
+	op.one[0] = joinScratch{charger: batchCharger{acct: op.acct}}
+	op.scratch = op.one[:]
+	op.buildRows, op.rowIdx = 0, 0
+	op.probeRows.Store(0)
 	op.probeOpened, op.buildClosed, op.empty = false, false, false
 	op.bloom, op.bloomStats, op.bloomSkipped, op.scalarBloom = nil, nil, false, false
 	if op.probeScan != nil {
@@ -240,7 +259,7 @@ func (op *joinOp) drainBuild() error {
 			m := min(aggBlock, n-lo)
 			at := len(keys)
 			block := keys[at : at+m]
-			dead := op.deadBuf[:m]
+			dead := op.one[0].deadBuf[:m]
 			anyDead := joinKeys(&key, op.keyType, &b, lo, block, dead)
 			for i, k := range block {
 				if !anyDead || !dead[i] {
@@ -387,6 +406,18 @@ func (op *joinOp) bloomFilters(bl *scan.Bloom) bool {
 	return 20*passed < 19*tested
 }
 
+// setCores gives each of n cores its own probe scratch, before any window
+// runs.
+func (op *joinOp) setCores(n int) {
+	if n <= len(op.scratch) {
+		return
+	}
+	op.scratch = make([]joinScratch, n)
+	for i := range op.scratch {
+		op.scratch[i].charger.acct = op.acct
+	}
+}
+
 func (op *joinOp) Next() (Batch, error) {
 	defer op.stats.timed()()
 	if op.empty {
@@ -396,21 +427,29 @@ func (op *joinOp) Next() (Batch, error) {
 	if err != nil {
 		return Batch{}, err
 	}
+	return op.step(0, in)
+}
+
+// step joins one probe batch on core: it resolves the batch's keys block by
+// block, expands the matches into pairs, applies the residuals and emits
+// the pair batch, whose vectors core reuses at its next step.
+func (op *joinOp) step(core int, in Batch) (Batch, error) {
 	if err := faultinject.Hit(faultinject.SiteJoinProbeBatch); err != nil {
 		return Batch{}, fmt.Errorf("pqp: hash join probe: %w", err)
 	}
+	sc := &op.scratch[core]
 	op.stats.noteIn(in)
-	op.probeRows += int64(in.Count)
+	op.probeRows.Add(int64(in.Count))
 	n := len(in.Sel)
-	pairsP, pairsB := make([]uint32, 0, n), make([]uint32, 0, n)
+	pairsP, pairsB := sc.pairsP[:0], sc.pairsB[:0]
 	for lo := 0; lo < n; lo += aggBlock {
 		m := min(aggBlock, n-lo)
-		if err := pollSpan(op.ctx, op.rowIdx, m); err != nil {
+		if err := pollSpan(op.ctx, sc.rowIdx, m); err != nil {
 			return Batch{}, err
 		}
-		op.rowIdx += m
-		ids := op.idBuf[:m]
-		op.resolveProbe(&in, lo, ids)
+		sc.rowIdx += m
+		ids := sc.idBuf[:m]
+		op.resolveProbe(sc, &in, lo, ids)
 		if op.cpu != nil {
 			op.chargeProbe(&in, lo, ids)
 		}
@@ -425,14 +464,16 @@ func (op *joinOp) Next() (Batch, error) {
 			}
 		}
 	}
+	sc.pairsP, sc.pairsB = pairsP, pairsB
 	if len(op.residuals) > 0 && len(pairsP) > 0 {
-		pairsP, pairsB, err = op.applyResiduals(in.Base, pairsP, pairsB)
+		var err error
+		pairsP, pairsB, err = op.applyResiduals(sc, in.Base, pairsP, pairsB)
 		if err != nil {
 			return Batch{}, err
 		}
 	}
 	out := Batch{Base: in.Base, Sel: pairsP, BuildSel: pairsB, Count: len(pairsP)}
-	if err := op.charger.swap(int64(len(pairsP)) * 2 * bytesPerPosition); err != nil {
+	if err := sc.charger.swap(int64(len(pairsP)) * 2 * bytesPerPosition); err != nil {
 		return Batch{}, err
 	}
 	op.stats.noteOut(out)
@@ -442,8 +483,8 @@ func (op *joinOp) Next() (Batch, error) {
 // resolveProbe sets ids to the build key ids of entries [lo, lo+len(ids))
 // of in: -1 for no match, idDeadKey for a NULL or NaN key, idFiltered for
 // a key the join-side Bloom test rejected.
-func (op *joinOp) resolveProbe(in *Batch, lo int, ids []int32) {
-	keys, dead := op.keyBuf[:len(ids)], op.deadBuf[:len(ids)]
+func (op *joinOp) resolveProbe(sc *joinScratch, in *Batch, lo int, ids []int32) {
+	keys, dead := sc.keyBuf[:len(ids)], sc.deadBuf[:len(ids)]
 	anyDead := joinKeys(&sideCol{col: op.probeKey}, op.keyType, in, lo, keys, dead)
 	var checks, filtered int64
 	for i, k := range keys {
@@ -494,7 +535,7 @@ func (op *joinOp) chargeProbe(in *Batch, lo int, ids []int32) {
 // pairs: both sides' values are gathered into temporary row-aligned
 // columns (real random reads) and the column-vs-column chain runs through
 // the configured kernel — the same comparator family a fused scan uses.
-func (op *joinOp) applyResiduals(base uint32, pairsP, pairsB []uint32) ([]uint32, []uint32, error) {
+func (op *joinOp) applyResiduals(sc *joinScratch, base uint32, pairsP, pairsB []uint32) ([]uint32, []uint32, error) {
 	n := len(pairsP)
 	ch := make(scan.Chain, len(op.residuals))
 	for ri, r := range op.residuals {
@@ -503,10 +544,10 @@ func (op *joinOp) applyResiduals(base uint32, pairsP, pairsB []uint32) ([]uint32
 		tmpP := column.New(op.space, fmt.Sprintf("join$p%d", ri), r.probeCol.Type(), n)
 		tmpB := column.New(op.space, fmt.Sprintf("join$b%d", ri), r.buildCol.Type(), n)
 		for i := 0; i < n; i++ {
-			if err := pollCtx(op.ctx, op.rowIdx); err != nil {
+			if err := pollCtx(op.ctx, sc.rowIdx); err != nil {
 				return nil, nil, err
 			}
-			op.rowIdx++
+			sc.rowIdx++
 			ppos := int(base) + int(pairsP[i])
 			bpos := int(pairsB[i])
 			if op.cpu != nil {
@@ -541,18 +582,23 @@ func (op *joinOp) applyResiduals(base uint32, pairsP, pairsB []uint32) ([]uint32
 	return keepP, keepB, nil
 }
 
+// Close closes the probe side first, which joins any helper still running
+// a probe step, before it drops the table the steps read.
 func (op *joinOp) Close() error {
-	op.charger.done()
-	op.table, op.starts, op.positions, op.bloom = keyTable{}, nil, nil, nil
 	var err error
+	if op.probeOpened {
+		err = op.probe.Close()
+	}
 	if !op.buildClosed {
-		err = op.build.Close()
+		if berr := op.build.Close(); err == nil {
+			err = berr
+		}
 		op.buildClosed = true
 	}
-	if op.probeOpened {
-		if perr := op.probe.Close(); err == nil {
-			err = perr
-		}
+	for i := range op.scratch {
+		op.scratch[i].charger.done()
 	}
+	op.scratch, op.one = nil, [1]joinScratch{}
+	op.table, op.starts, op.positions, op.bloom = keyTable{}, nil, nil, nil
 	return err
 }

@@ -54,6 +54,12 @@ func newKeyTable(stride, hint int) keyTable {
 	}
 }
 
+// reset empties the table, keeping its memory.
+func (t *keyTable) reset() {
+	clear(t.slots)
+	t.words = t.words[:0]
+}
+
 // size returns how many keys the table holds.
 func (t *keyTable) size() int { return len(t.words) / t.stride }
 

@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
+	"time"
 
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
 	"fusedscan/internal/govern"
-	"fusedscan/internal/lqp"
 	"fusedscan/internal/mach"
 	"fusedscan/internal/parallel"
 	"fusedscan/internal/scan"
@@ -148,6 +149,9 @@ func (op *fullScanOp) Close() error {
 // simulated CPU when the plan runs against one), merged back in window
 // order, so downstream operators consume an identical ordered stream and
 // the scan reports the same pruning and byte counts on any core count.
+// Below an aggregation sink the scan is the leaf of each window's
+// fragment: on the native path the core that scanned a window runs the
+// rest of it (the sink's finish) before handing the window over.
 type scanOp struct {
 	tbl       *column.Table
 	chain     scan.Chain
@@ -164,6 +168,9 @@ type scanOp struct {
 	// estSel is the optimizer's selectivity estimate for the whole chain,
 	// used to pre-size per-chunk position lists (0 = no estimate).
 	estSel float64
+	// sink, set by an aggregation sink above, finishes each window's
+	// fragment.
+	sink *groupOp
 
 	ctx context.Context
 	cpu *mach.CPU
@@ -171,19 +178,30 @@ type scanOp struct {
 	// next one to emit.
 	windows []parallel.Window
 	next    int
-	emitted int
-	stream  *parallel.Stream
-	// ran is how many cores produced the windows (1 + the stream's
+	emitted atomic.Int64
+	stream  *parallel.Stream[frag]
+	// ran is how many cores produce the windows (1 + the stream's
 	// helpers).
-	ran     int
-	perCore []mach.Counters
-	charger batchCharger
+	ran      int
+	counters []mach.Counters
+	// perCore holds each core's in-flight batch charge and position list;
+	// one backs it on a single core.
+	perCore []scanCore
+	one     [1]scanCore
 	// pruned counts the chunks the zone maps skipped.
 	pruned int64
 	// bytes totals the stored value bytes the chain's predicate columns
 	// covered across non-pruned windows (OperatorStats.BytesScanned).
-	bytes int64
+	bytes atomic.Int64
 	stats opStats
+}
+
+// scanCore is one core's state in a scan: its in-flight batch charge and,
+// when each window's fragment finishes before the core's next window, the
+// position list the kernel reuses.
+type scanCore struct {
+	charger   batchCharger
+	positions []uint32
 }
 
 func (op *scanOp) Describe() string { return fmt.Sprintf("%s on %s", op.kernels.Name, op.tbl.Name()) }
@@ -195,7 +213,7 @@ func (op *scanOp) Stats() OperatorStats {
 	// scan.Chain.Encoding matches the EncodingPlain/EncodingPacked/
 	// EncodingMixed labels.
 	st.Encoding = op.chain.Encoding()
-	st.BytesScanned = op.bytes
+	st.BytesScanned = op.bytes.Load()
 	st.Cores = op.ran
 	return st
 }
@@ -218,10 +236,10 @@ func (op *scanOp) setCountOnly(v bool) { op.countOnly = v }
 
 func (op *scanOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	op.ctx, op.cpu = ctx, cpu
-	op.next, op.emitted = 0, 0
-	op.pruned, op.bytes = 0, 0
-	op.stream, op.ran, op.perCore = nil, 1, nil
-	op.charger = batchCharger{acct: govern.AccountantFrom(ctx)}
+	op.next, op.pruned = 0, 0
+	op.emitted.Store(0)
+	op.bytes.Store(0)
+	op.stream, op.ran, op.counters = nil, 1, nil
 	// Zone maps are built lazily per column and cached, so the first
 	// query over a table pays one stats pass per predicate column and
 	// later queries prune for free.
@@ -236,20 +254,20 @@ func (op *scanOp) Open(ctx context.Context, cpu *mach.CPU) error {
 		op.windows = append(op.windows, parallel.Window{Begin: begin, End: end})
 	}
 	// A LIMIT scan usually stops within its first windows, and a single
-	// window leaves a helper nothing to do: both stay on this core.
+	// window leaves a helper nothing to do: both stay on this core. The
+	// stream starts at the first window pulled, once a sink above has had
+	// the chance to fuse the rest of the fragment.
 	if op.cores > 1 && len(op.windows) > 1 && op.stopAfter == 0 {
-		// Cores simulate exactly when the driver does.
-		var params *mach.Params
-		if cpu != nil {
-			params = &op.params
+		op.ran = min(op.cores, len(op.windows))
+	}
+	acct := govern.AccountantFrom(ctx)
+	op.one[0] = scanCore{charger: batchCharger{acct: acct}}
+	op.perCore = op.one[:]
+	if op.ran > 1 {
+		op.perCore = make([]scanCore, op.ran)
+		for i := range op.perCore {
+			op.perCore[i].charger.acct = acct
 		}
-		estSel := op.sizeHint()
-		build := func(sub scan.Chain) (scan.Kernel, error) { return buildWindow(op.kernels.Build, sub, estSel) }
-		st, err := parallel.NewStream(ctx, params, op.chain, build, op.cores, op.windows, !op.countOnly)
-		if err != nil {
-			return err
-		}
-		op.stream, op.ran = st, 1+st.Helpers()
 	}
 	return ctx.Err()
 }
@@ -264,65 +282,107 @@ func (op *scanOp) sizeHint() float64 {
 }
 
 func (op *scanOp) Next() (Batch, error) {
-	defer op.stats.timed()()
-	if op.stopAfter > 0 && op.emitted >= op.stopAfter {
-		return Batch{}, EOS
+	f, err := op.nextFrag()
+	return f.b, err
+}
+
+// nextFrag returns the next window's outcome, in window order: from the
+// stream on several cores, run here on one.
+func (op *scanOp) nextFrag() (frag, error) {
+	if op.stopAfter > 0 && op.emitted.Load() >= int64(op.stopAfter) {
+		return frag{}, EOS
 	}
 	if err := op.ctx.Err(); err != nil {
-		return Batch{}, err
+		return frag{}, err
 	}
 	if op.next == len(op.windows) {
-		if op.stream != nil && op.perCore == nil {
-			op.perCore = op.stream.PerCore()
+		if op.stream != nil && op.counters == nil {
+			op.counters = op.stream.PerCore()
 		}
-		return Batch{}, EOS
+		return frag{}, EOS
 	}
 	w := op.windows[op.next]
 	op.next++
-	var sub scan.Chain
-	var res scan.Result
-	if op.stream != nil {
-		m, err := op.stream.Next()
-		if err != nil {
-			return Batch{}, err
+	if op.ran == 1 {
+		return op.window(0, op.cpu, w)
+	}
+	if op.stream == nil {
+		// Cores simulate exactly when the driver does.
+		var params *mach.Params
+		if op.cpu != nil {
+			params = &op.params
 		}
-		sub, res = m.Chain, m.Res
-	} else {
-		sub = op.chain.Slice(w.Begin, w.End)
-		kern, err := buildWindow(op.kernels.Build, sub, op.sizeHint())
+		st, err := parallel.NewStream(op.ctx, params, op.window, op.cores, op.windows)
 		if err != nil {
-			return Batch{}, fmt.Errorf("pqp: scan chunk [%d, %d): %w", w.Begin, w.End, err)
+			return frag{}, err
 		}
-		res = kern.Run(op.cpu, !op.countOnly)
+		op.stream = st
+	}
+	return op.stream.Next()
+}
+
+// window is a window's job: it runs the kernel over window w on core,
+// against cpu, and emits the window's batch — or, under an aggregation
+// sink on the native path, runs the rest of the window's fragment on the
+// same core and returns the partial it folded into. A simulated window
+// returns its batch, and the consumer finishes it in window order, so the
+// machine model's charges keep their order.
+func (op *scanOp) window(core int, cpu *mach.CPU, w parallel.Window) (frag, error) {
+	start := time.Now()
+	sc := &op.perCore[core]
+	sub := op.chain.Slice(w.Begin, w.End)
+	kern, err := buildWindow(op.kernels.Build, sub, op.sizeHint())
+	if err != nil {
+		return frag{}, fmt.Errorf("pqp: scan chunk [%d, %d): %w", w.Begin, w.End, err)
+	}
+	// The fragment is done with a window's positions before this core scans
+	// its next one when it finishes here, or on the consumer of a scan
+	// that runs on one core.
+	reuse := op.sink != nil && (cpu == nil || op.ran == 1)
+	if pb, ok := kern.(scan.PositionBuffer); ok && reuse {
+		pb.SetPositionBuffer(sc.positions)
+	}
+	res := kern.Run(cpu, !op.countOnly)
+	if reuse {
+		sc.positions = res.Positions
 	}
 	op.stats.noteScanned(w.End - w.Begin)
-	op.bytes += sub.ScanBytes()
+	op.bytes.Add(sub.ScanBytes())
 	b := Batch{Base: uint32(w.Begin), Sel: res.Positions, Count: res.Count}
-	if err := op.charger.swap(int64(len(b.Sel)) * bytesPerPosition); err != nil {
-		return Batch{}, err
+	if err := sc.charger.swap(int64(len(b.Sel)) * bytesPerPosition); err != nil {
+		return frag{}, err
 	}
-	op.emitted += b.Count
+	op.emitted.Add(int64(b.Count))
 	op.stats.noteOut(b)
-	return b, nil
+	op.stats.addSince(start)
+	if op.sink == nil || cpu != nil {
+		return frag{b: b}, nil
+	}
+	p, err := op.sink.finish(core, b, start)
+	return frag{p: p}, err
 }
 
 func (op *scanOp) Close() error {
-	op.charger.done()
 	if op.stream != nil {
 		// Close cancels morsels not yet started — the early-exit path when
-		// the consumer stops pulling. It must run before PerCore, which
-		// waits for the helpers to wind down.
+		// the consumer stops pulling — and joins every helper. It must run
+		// before PerCore, which waits for the helpers to wind down, and
+		// before the per-core state is released.
 		op.stream.Close()
-		if op.perCore == nil {
-			op.perCore = op.stream.PerCore()
+		if op.counters == nil {
+			op.counters = op.stream.PerCore()
 		}
 	}
+	for i := range op.perCore {
+		op.perCore[i].charger.done()
+	}
+	op.perCore, op.one = nil, [1]scanCore{}
 	return nil
 }
 
 // perCoreCounters exposes the parallel scan's simulated per-core counters
 // to the plan-level report (nil for single-core or native execution).
-func (op *scanOp) perCoreCounters() []mach.Counters { return op.perCore }
+func (op *scanOp) perCoreCounters() []mach.Counters { return op.counters }
 
 // filterOp applies one predicate to incoming position batches — the
 // "regular query plan" of Figure 8, where every σ consumes and produces
@@ -410,19 +470,6 @@ func (op *filterOp) Close() error {
 	return op.input.Close()
 }
 
-// Group memory-accounting estimates: one group holds its key words, first
-// row, count and aggregate cells, plus its share of the slot array and of
-// slice growth slack.
-const (
-	bytesPerGroupBase = 96
-	bytesPerGroupCell = 48
-)
-
-// aggBlock is how many entries of a batch the aggregation sink resolves
-// and folds at a time. Its scratch (group ids, key and value words) stays
-// cache-resident, and its size, not the batch's, bounds that scratch.
-const aggBlock = 256
-
 // sideCol is one side-resolved column an operator reads per input row:
 // probe-side (or single-table) columns at Base+Sel[i], a hash join's build
 // columns at BuildSel[i]. region is the column's random-access region in
@@ -490,13 +537,48 @@ func (c *sideCol) load(in *Batch, lo int, dst []uint64) {
 	}
 }
 
+// loadValues fills dst like load, in the expr.Value Bits encoding
+// valueBits gives: plain signed columns narrower than 64 bits sign-extend
+// in the same pass that reads them.
+func (c *sideCol) loadValues(in *Batch, lo int, dst []uint64) {
+	t, col := c.col.Type(), c.col
+	if col.IsPacked() || !t.Signed() || t.Size() == 8 {
+		c.load(in, lo, dst)
+		valueBits(t, dst)
+		return
+	}
+	base, sel := c.span(in, lo, len(dst))
+	d := col.Data()
+	switch t.Size() {
+	case 1:
+		for i, p := range sel {
+			dst[i] = uint64(int64(int8(d[base+int(p)])))
+		}
+	case 2:
+		for i, p := range sel {
+			dst[i] = uint64(int64(int16(binary.LittleEndian.Uint16(d[2*(base+int(p)):]))))
+		}
+	default:
+		for i, p := range sel {
+			dst[i] = uint64(int64(int32(binary.LittleEndian.Uint32(d[4*(base+int(p)):]))))
+		}
+	}
+}
+
+// validity returns the column's validity bitmap words and, for entries
+// [lo, lo+n) of in, where to read them: entry i is non-NULL when bit
+// off+sel[i] of words is set. The column must have a bitmap.
+func (c *sideCol) validity(in *Batch, lo, n int) (words []uint64, off int, sel []uint32) {
+	base, sel := c.span(in, lo, n)
+	words, off = c.col.Validity()
+	return words, off + base, sel
+}
+
 // loadNulls sets dst[i] when the column is NULL at entry lo+i of in,
 // reading the validity bitmap words directly. The column must have a
 // bitmap.
 func (c *sideCol) loadNulls(in *Batch, lo int, dst []bool) {
-	base, sel := c.span(in, lo, len(dst))
-	words, off := c.col.Validity()
-	off += base
+	words, off, sel := c.validity(in, lo, len(dst))
 	for i, p := range sel {
 		bit := off + int(p)
 		dst[i] = words[bit>>6]&(1<<(bit&63)) == 0
@@ -520,495 +602,6 @@ func valueBits(t expr.Type, w []uint64) {
 	}
 }
 
-// groupAgg is one aggregate bound to its column (nil for COUNT(*)).
-type groupAgg struct {
-	kind lqp.AggKind
-	sideCol
-}
-
-// aggCell is one aggregate's running state in one group. acc holds the
-// integer sum (two's complement, wrapping), the float sum's bits, or the
-// MIN/MAX value in expr.Value.Bits encoding; n counts the non-NULL values
-// folded.
-type aggCell struct {
-	acc uint64
-	n   int64
-}
-
-// foldIntSum adds integer values (signed or unsigned: the same wrapping
-// addition on value bits) into each entry's group.
-func foldIntSum(cells []aggCell, gids []int32, vals []uint64) {
-	for i, v := range vals {
-		c := &cells[gids[i]]
-		c.acc += v
-		c.n++
-	}
-}
-
-// foldFloatSum adds float values into each entry's group, in entry order.
-func foldFloatSum(cells []aggCell, gids []int32, vals []uint64) {
-	for i, v := range vals {
-		c := &cells[gids[i]]
-		c.acc = math.Float64bits(math.Float64frombits(c.acc) + math.Float64frombits(v))
-		c.n++
-	}
-}
-
-// extremeMask is the XOR mask that turns MIN or MAX over integers of type
-// t into an unsigned "less than": flipping the sign bit orders signed
-// values as unsigned ones, and flipping every bit reverses the order.
-func extremeMask(t expr.Type, max bool) uint64 {
-	var m uint64
-	if t.Signed() {
-		m = 1 << 63
-	}
-	if max {
-		m = ^m
-	}
-	return m
-}
-
-// foldIntExtreme keeps each group's first value and replaces it by every
-// later value that orders strictly before it under mask (see extremeMask).
-func foldIntExtreme(cells []aggCell, gids []int32, vals []uint64, mask uint64) {
-	for i, v := range vals {
-		c := &cells[gids[i]]
-		if c.n == 0 || v^mask < c.acc^mask {
-			c.acc = v
-		}
-		c.n++
-	}
-}
-
-// foldFloatExtreme is foldIntExtreme for floats under expr.Value.Compare
-// semantics: a NaN never replaces and is never replaced, and -0 and +0
-// keep whichever came first.
-func foldFloatExtreme(cells []aggCell, gids []int32, vals []uint64, max bool) {
-	for i, v := range vals {
-		c := &cells[gids[i]]
-		x, cur := math.Float64frombits(v), math.Float64frombits(c.acc)
-		if c.n == 0 || (!max && x < cur) || (max && x > cur) {
-			c.acc = v
-		}
-		c.n++
-	}
-}
-
-// groupRow is a group's first input row: its probe-side position and, over
-// a join, its build-side one. The group's key values are rendered from it.
-type groupRow struct{ probe, build uint32 }
-
-// groupOp is the aggregation sink. It folds its whole input
-// batch-at-a-time, reading each key and aggregate column probe- or
-// build-side, so it consumes join pair batches as well as plain position
-// streams. Each block of aggBlock entries is first resolved to group ids —
-// every row's keys become a stride of uint64 words (scan.NormKeyBits per
-// key, plus NULL-flag words when a key column holds NULLs) looked up in the
-// keyTable — then each aggregate folds its column into flat per-group
-// cells with a loop specialised by the column's type class. With zero keys
-// every entry belongs to the one group: the plain aggregate, emitted as a
-// single final batch of aggregate values. With keys the groups are emitted
-// as rows in ascending key order (NULL keys last, ties in first-seen
-// order). NULL values are ignored, per SQL; an aggregate over no non-NULL
-// input is NULL. Under the machine model the sink charges one gathered
-// read per row for each key and each non-COUNT item, in row order.
-type groupOp struct {
-	input     positionStream
-	keys      []sideCol
-	keyNames  []string
-	items     []groupAgg
-	labels    []string
-	batchRows int
-
-	ctx     context.Context
-	cpu     *mach.CPU
-	acct    *govern.Accountant
-	table   keyTable
-	first   []groupRow  // per group
-	counts  []int64     // rows per group
-	cells   [][]aggCell // per item, then per group; nil for COUNT(*) items
-	ordered []int32     // group ids in output order, once drained
-	// Per-block scratch: group ids, their NULL-dropped copy, key words
-	// (stride per entry) and one column's values.
-	gids, liveGids []int32
-	keyWords, vals []uint64
-	total          int
-	drained        bool
-	cursor         int
-	rowIdx         int
-	stats          opStats
-}
-
-func (op *groupOp) Describe() string { return lqp.FormatGroupBy(op.keyNames, op.labels) }
-
-func (op *groupOp) Stats() OperatorStats {
-	st := op.stats.snapshot(op.Describe())
-	if len(op.keys) > 0 {
-		st.Groups = int64(len(op.counts))
-	}
-	return st
-}
-
-func (op *groupOp) child() Operator { return op.input }
-
-// shape pre-sets the result frame so even an empty input is labelled:
-// grouped output is a row result under key-then-aggregate headers, the
-// zero-key form one aggregate row.
-func (op *groupOp) shape(qr *QueryResult) {
-	if len(op.keys) == 0 {
-		qr.IsAggregate = true
-		qr.AggLabels = op.labels
-		return
-	}
-	qr.Columns = append(append([]string{}, op.keyNames...), op.labels...)
-}
-
-func (op *groupOp) Open(ctx context.Context, cpu *mach.CPU) error {
-	if err := op.input.Open(ctx, cpu); err != nil {
-		return err
-	}
-	op.ctx, op.cpu, op.acct = ctx, cpu, govern.AccountantFrom(ctx)
-	// One random region per gathered column: each key, then each
-	// non-COUNT item.
-	for i := range op.keys {
-		op.keys[i].region = cpu.NewRandomRegion()
-	}
-	for i := range op.items {
-		if op.items[i].col != nil {
-			op.items[i].region = cpu.NewRandomRegion()
-		}
-	}
-	op.first, op.counts, op.ordered = nil, nil, nil
-	op.cells = make([][]aggCell, len(op.items))
-	if len(op.keys) == 0 {
-		op.addGroup()
-	} else {
-		stride := len(op.keys)
-		for _, kc := range op.keys {
-			if kc.col != nil && kc.col.HasNulls() {
-				stride += (len(op.keys) + 63) / 64
-				break
-			}
-		}
-		op.table = newKeyTable(stride, 0)
-	}
-	op.total, op.cursor, op.rowIdx = 0, 0, 0
-	op.drained = false
-	return nil
-}
-
-// addGroup appends a zeroed count and aggregate cells for a new group.
-func (op *groupOp) addGroup() {
-	op.counts = append(op.counts, 0)
-	for i := range op.items {
-		if op.items[i].kind != lqp.AggCount {
-			op.cells[i] = append(op.cells[i], aggCell{})
-		}
-	}
-}
-
-func (op *groupOp) Next() (Batch, error) {
-	defer op.stats.timed()()
-	if !op.drained {
-		if err := op.drain(); err != nil {
-			return Batch{}, err
-		}
-		op.drained = true
-		if len(op.keys) == 0 {
-			op.counts[0] = int64(op.total)
-			vals := make([]expr.Value, len(op.items))
-			var nulls []bool
-			for j := range op.items {
-				var null bool
-				if vals[j], null = op.finishItem(j, 0); null {
-					if nulls == nil {
-						nulls = make([]bool, len(op.items))
-					}
-					nulls[j] = true
-				}
-			}
-			out := Batch{Count: op.total, Aggregates: vals, AggNulls: nulls}
-			op.stats.noteOut(out)
-			return out, nil
-		}
-		op.sortGroups()
-	}
-	if op.cursor >= len(op.ordered) {
-		return Batch{}, EOS
-	}
-	begin := op.cursor
-	end := min(begin+op.batchRows, len(op.ordered))
-	op.cursor = end
-	ids := op.ordered[begin:end]
-	n, nk := len(ids), len(op.keys)
-	out := Batch{Count: n, Cols: make([]Vec, nk+len(op.items))}
-	bits := make([]uint64, n*len(out.Cols))
-	// Keys render from each group's first row, read like an input batch.
-	first := Batch{Sel: make([]uint32, n), BuildSel: make([]uint32, n)}
-	for i, g := range ids {
-		first.Sel[i], first.BuildSel[i] = op.first[g].probe, op.first[g].build
-	}
-	for k := range op.keys {
-		kc := &op.keys[k]
-		v := Vec{Type: kc.col.Type(), Bits: bits[k*n : (k+1)*n : (k+1)*n]}
-		kc.load(&first, 0, v.Bits)
-		valueBits(v.Type, v.Bits)
-		if kc.col.HasNulls() {
-			// SQL groups all NULL keys together.
-			v.Nulls = make([]bool, n)
-			kc.loadNulls(&first, 0, v.Nulls)
-		}
-		out.Cols[k] = v
-	}
-	for j := range op.items {
-		c := nk + j
-		v := Vec{Type: op.itemType(j), Bits: bits[c*n : (c+1)*n : (c+1)*n]}
-		for i, g := range ids {
-			val, null := op.finishItem(j, g)
-			v.Bits[i] = val.Bits
-			if null {
-				if v.Nulls == nil {
-					v.Nulls = make([]bool, n)
-				}
-				v.Nulls[i] = true
-			}
-		}
-		out.Cols[c] = v
-	}
-	op.stats.noteOut(out)
-	return out, nil
-}
-
-// drain consumes the whole input, folding every entry into its group,
-// block by block. In count-only mode (zero keys, every item COUNT(*))
-// batches carry no positions and only the total moves.
-func (op *groupOp) drain() error {
-	for {
-		in, err := op.input.Next()
-		if err == EOS {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		op.stats.noteIn(in)
-		op.total += in.Count
-		n := len(in.Sel)
-		if err := pollSpan(op.ctx, op.rowIdx, n); err != nil {
-			return err
-		}
-		op.rowIdx += n
-		if op.cpu != nil {
-			op.replayGathers(&in)
-		}
-		if n == 0 {
-			continue
-		}
-		if block := min(n, aggBlock); cap(op.gids) < block {
-			op.gids, op.liveGids = make([]int32, block), make([]int32, block)
-			op.keyWords, op.vals = make([]uint64, block*op.table.stride), make([]uint64, block)
-		}
-		for lo := 0; lo < n; lo += aggBlock {
-			gids := op.gids[:min(aggBlock, n-lo)]
-			if len(op.keys) > 0 {
-				if err := op.resolve(&in, lo, gids); err != nil {
-					return err
-				}
-			}
-			op.fold(&in, lo, gids)
-		}
-	}
-}
-
-// replayGathers charges the machine model for the sink's reads of in: per
-// entry, one gathered read for each key, then for each non-COUNT item.
-func (op *groupOp) replayGathers(in *Batch) {
-	for i := range in.Sel {
-		for k := range op.keys {
-			kc := &op.keys[k]
-			kc.gather(op.cpu, kc.pos(in, i))
-		}
-		for j := range op.items {
-			if it := &op.items[j]; it.col != nil {
-				it.gather(op.cpu, it.pos(in, i))
-			}
-		}
-	}
-}
-
-// resolve sets gids to the group ids of entries [lo, lo+len(gids)) of in,
-// creating groups on first sight — each charged to the memory accountant
-// as it is created — and counting rows per group.
-func (op *groupOp) resolve(in *Batch, lo int, gids []int32) error {
-	n, stride, nk := len(gids), op.table.stride, len(op.keys)
-	words := op.keyWords[:n*stride]
-	if stride > nk {
-		for i := range n {
-			clear(words[i*stride+nk : (i+1)*stride])
-		}
-	}
-	raw := op.vals[:n]
-	for k := range op.keys {
-		kc := &op.keys[k]
-		kc.load(in, lo, raw)
-		if t := kc.col.Type(); t.Float() {
-			for i, r := range raw {
-				raw[i] = scan.NormKeyBits(t, r)
-			}
-		}
-		if kc.col.HasNulls() {
-			flag, bit := nk+k/64, uint64(1)<<(k%64)
-			for i := range raw {
-				if kc.col.Null(kc.pos(in, lo+i)) {
-					raw[i] = 0
-					words[i*stride+flag] |= bit
-				}
-			}
-		}
-		for i, r := range raw {
-			words[i*stride+k] = r
-		}
-	}
-	cost := int64(bytesPerGroupBase + (nk+len(op.items))*bytesPerGroupCell)
-	for i := range gids {
-		key := words[i*stride : (i+1)*stride]
-		g, slot := op.table.find(key)
-		if g < 0 {
-			if err := op.acct.Charge(cost); err != nil {
-				return err
-			}
-			g = op.table.insert(key, slot)
-			first := groupRow{probe: in.Base + in.Sel[lo+i]}
-			if in.BuildSel != nil {
-				first.build = in.BuildSel[lo+i]
-			}
-			op.first = append(op.first, first)
-			op.addGroup()
-		}
-		gids[i] = g
-		op.counts[g]++
-	}
-	return nil
-}
-
-// fold folds entries [lo, lo+len(gids)) of in into their groups' cells,
-// one aggregate column at a time.
-func (op *groupOp) fold(in *Batch, lo int, gids []int32) {
-	for j := range op.items {
-		it := &op.items[j]
-		if it.col == nil {
-			continue
-		}
-		vals, live := op.vals[:len(gids)], gids
-		it.load(in, lo, vals)
-		if it.col.HasNulls() {
-			live = op.liveGids[:0]
-			for i, v := range vals {
-				if !it.col.Null(it.pos(in, lo+i)) {
-					vals[len(live)] = v
-					live = append(live, gids[i])
-				}
-			}
-			vals = vals[:len(live)]
-		}
-		t := it.col.Type()
-		valueBits(t, vals)
-		cells := op.cells[j]
-		switch sum := it.kind == lqp.AggSum || it.kind == lqp.AggAvg; {
-		case sum && t.Float():
-			foldFloatSum(cells, live, vals)
-		case sum:
-			foldIntSum(cells, live, vals)
-		case t.Float():
-			foldFloatExtreme(cells, live, vals, it.kind == lqp.AggMax)
-		default:
-			foldIntExtreme(cells, live, vals, extremeMask(t, it.kind == lqp.AggMax))
-		}
-	}
-}
-
-// finishItem returns aggregate j's value in group g and whether it is
-// NULL. COUNT(*) is the group's row count. A SUM, MIN, MAX or AVG over no
-// non-NULL input is NULL, which SQL defines, and its value the result
-// type's zero.
-func (op *groupOp) finishItem(j int, g int32) (expr.Value, bool) {
-	it := &op.items[j]
-	switch {
-	case it.kind == lqp.AggCount:
-		return expr.NewInt(expr.Int64, op.counts[g]), false
-	case it.col == nil: // a join proved empty: nothing was folded
-		return finishCell(it.kind, 0, op.cells[j][g])
-	}
-	return finishCell(it.kind, it.col.Type(), op.cells[j][g])
-}
-
-// itemType is aggregate j's result type, the one finishItem gives its
-// non-NULL values: Float64 for every AVG and float SUM, Int64 for COUNT and
-// integer SUM, the column's own type for MIN/MAX.
-func (op *groupOp) itemType(j int) expr.Type {
-	it := &op.items[j]
-	switch {
-	case it.kind == lqp.AggAvg:
-		return expr.Float64
-	case it.kind == lqp.AggCount || it.col == nil:
-		return expr.Int64
-	case it.kind == lqp.AggSum && it.col.Type().Float():
-		return expr.Float64
-	case it.kind == lqp.AggSum:
-		return expr.Int64
-	}
-	return it.col.Type()
-}
-
-// finishCell renders a SUM, MIN, MAX or AVG cell over values of type t.
-func finishCell(kind lqp.AggKind, t expr.Type, c aggCell) (v expr.Value, null bool) {
-	empty := c.n == 0
-	switch {
-	case kind == lqp.AggAvg:
-		total := float64(int64(c.acc))
-		if t.Float() {
-			total = math.Float64frombits(c.acc)
-		}
-		if !empty {
-			total /= float64(c.n)
-		}
-		return expr.NewFloat(expr.Float64, total), empty
-	case kind == lqp.AggSum || empty:
-		if t.Float() {
-			return expr.NewFloat(expr.Float64, math.Float64frombits(c.acc)), empty
-		}
-		return expr.NewInt(expr.Int64, int64(c.acc)), empty
-	default: // MIN / MAX
-		return expr.Value{Type: t, Bits: c.acc}, false
-	}
-}
-
-// sortGroups orders the groups ascending by key, key by key, in the value
-// order (expr.OrderKey), NULL last. Ties keep first-seen order, so the
-// output is one deterministic total order — the one the regression suite
-// relies on.
-func (op *groupOp) sortGroups() {
-	n, nk, stride := len(op.counts), len(op.keys), op.table.stride
-	// Sort words per group, most significant first: per key, a NULL flag
-	// (when the keys hold NULLs) then its order key.
-	per := nk
-	if stride > nk {
-		per = 2 * nk
-	}
-	sw := make([]uint64, 0, n*per)
-	for g := range n {
-		key := op.table.words[g*stride:][:stride]
-		for k := range op.keys {
-			if stride > nk {
-				sw = append(sw, key[nk+k/64]>>(k%64)&1)
-			}
-			sw = append(sw, expr.OrderKey(op.keys[k].col.Type(), key[k]))
-		}
-	}
-	op.ordered = expr.RadixOrder(sw, per, n)
-	chargeSort(op.cpu, n)
-}
-
 // chargeSort charges the model for sorting n entries: ~n log2 n
 // comparisons at two instructions each.
 func chargeSort(cpu *mach.CPU, n int) {
@@ -1019,14 +612,6 @@ func chargeSort(cpu *mach.CPU, n int) {
 		}
 		cpu.Scalar(2 * n * logN)
 	}
-}
-
-// Close releases the group table, cells and scratch; counts and ordered
-// stay for Stats.
-func (op *groupOp) Close() error {
-	op.table, op.first, op.cells = keyTable{}, nil, nil
-	op.gids, op.liveGids, op.keyWords, op.vals = nil, nil, nil, nil
-	return op.input.Close()
 }
 
 // sortOp orders the qualifying positions by one column's values (ORDER
@@ -1293,8 +878,7 @@ func (op *projectOp) fill(in *Batch, n int) []Vec {
 	for ci := range op.cols {
 		c := &op.cols[ci]
 		v := Vec{Type: c.col.Type(), Bits: op.bits[ci*n : (ci+1)*n : (ci+1)*n]}
-		c.load(in, 0, v.Bits)
-		valueBits(v.Type, v.Bits)
+		c.loadValues(in, 0, v.Bits)
 		if c.col.HasNulls() {
 			v.Nulls = op.nulls[ci*n : (ci+1)*n : (ci+1)*n]
 			c.loadNulls(in, 0, v.Nulls)

@@ -53,7 +53,8 @@ type Options struct {
 	// when at least two windows survive and the scan has no LIMIT hint;
 	// each core simulates its own CPU, built from Params, when the plan
 	// runs against one. Downstream operators still consume one ordered
-	// stream.
+	// stream; under an aggregation sink each window's join probe and fold
+	// run natively on the core that scanned the window (DESIGN §9).
 	Cores int
 	// Params is the machine calibration for parallel workers' CPUs.
 	Params mach.Params

@@ -20,9 +20,7 @@ import (
 // unchanged fused compare/compress sequence.
 type DictScan struct {
 	dict  *column.DictColumn
-	op    expr.CmpOp
-	code  uint32
-	sat   bool // satisfiable (false => empty result without scanning)
+	codes column.CodeRange
 	width vec.Width
 }
 
@@ -31,11 +29,11 @@ func NewDictScan(d *column.DictColumn, op expr.CmpOp, value expr.Value, w vec.Wi
 	if !w.Valid() {
 		return nil, fmt.Errorf("scan: invalid register width %d", int(w))
 	}
-	cop, code, sat, err := d.CodePredicate(op, value)
+	codes, err := d.CodePredicate(op, value)
 	if err != nil {
 		return nil, err
 	}
-	return &DictScan{dict: d, op: cop, code: code, sat: sat, width: w}, nil
+	return &DictScan{dict: d, codes: codes, width: w}, nil
 }
 
 // Name implements Kernel.
@@ -51,7 +49,7 @@ const unpackOpsPerBlock = 4
 // Run executes the dictionary scan.
 func (s *DictScan) Run(cpu *mach.CPU, wantPositions bool) Result {
 	var res Result
-	if !s.sat {
+	if s.codes.Empty() {
 		return res
 	}
 	d := s.dict
@@ -59,7 +57,13 @@ func (s *DictScan) Run(cpu *mach.CPU, wantPositions bool) Result {
 	n := d.Len()
 	lanes := w.Lanes(4) // codes are compared as uint32 lanes
 	stream := cpu.NewStream()
-	needle := vec.Set1(w, 4, uint64(s.code))
+	// The unpack rebases each code on the range's low end, so one unsigned
+	// compare decides the range: code - Lo < Hi - Lo, or >= when Out.
+	op := expr.Lt
+	if s.codes.Out {
+		op = expr.Ge
+	}
+	needle := vec.Set1(w, 4, uint64(s.codes.Hi-s.codes.Lo))
 	cpu.Vec(vec.IsaAVX512, vec.OpSet1, w)
 
 	for b := 0; b < n; b += lanes {
@@ -79,13 +83,13 @@ func (s *DictScan) Run(cpu *mach.CPU, wantPositions bool) Result {
 		// pipeline), then the usual compare / compress-to-positions steps.
 		var reg vec.Reg
 		for l := 0; l < rows; l++ {
-			reg.SetLane(4, l, uint64(d.Code(b+l)))
+			reg.SetLane(4, l, uint64(d.Code(b+l)-s.codes.Lo))
 		}
 		for i := 0; i < unpackOpsPerBlock; i++ {
 			cpu.Vec(vec.IsaAVX512, vec.OpAdd, w)
 		}
 
-		m := vec.CmpMask(w, expr.Uint32, s.op, reg, needle)
+		m := vec.CmpMask(w, expr.Uint32, op, reg, needle)
 		cpu.Vec(vec.IsaAVX512, vec.OpCmpMask, w)
 		m &= vec.FirstN(rows)
 		cpu.Vec(vec.IsaAVX512, vec.OpKMov, w)

@@ -23,6 +23,15 @@ type SizeHinter interface {
 	SetSizeHint(rows int)
 }
 
+// PositionBuffer is implemented by kernels that can append their position
+// list to a caller's buffer instead of allocating one: Run then returns
+// buf[:0] extended, growing it only when it is too small. A caller that is
+// done with one run's positions before the next passes the previous list
+// back, and the kernel allocates once per caller, not once per run.
+type PositionBuffer interface {
+	SetPositionBuffer(buf []uint32)
+}
+
 // Impl names a benchmark configuration (the legend entries of Figures 4-7).
 type Impl uint8
 

@@ -34,6 +34,7 @@ type Native struct {
 	ch       Chain
 	steps    []blockStep
 	sizeHint int
+	buf      []uint32
 }
 
 // blockStep ANDs one predicate into the chain mask m of the block of cnt
@@ -187,14 +188,20 @@ func (k *Native) Name() string { return "Native (SWAR)" }
 // qualifying positions, used to pre-size the position list.
 func (k *Native) SetSizeHint(rows int) { k.sizeHint = rows }
 
+// SetPositionBuffer implements PositionBuffer.
+func (k *Native) SetPositionBuffer(buf []uint32) { k.buf = buf }
+
 // Run implements Kernel. The machine model is not consulted; cpu may be
 // nil. A count-only run performs zero heap allocations.
 func (k *Native) Run(cpu *mach.CPU, wantPositions bool) Result {
 	faultinject.MaybePanic(faultinject.SiteKernelRun)
 	n := k.ch.Rows()
 	var res Result
-	if wantPositions && k.sizeHint > 0 {
-		res.Positions = make([]uint32, 0, k.sizeHint)
+	if wantPositions {
+		res.Positions = k.buf[:0]
+		if cap(res.Positions) < k.sizeHint {
+			res.Positions = make([]uint32, 0, k.sizeHint)
+		}
 	}
 	for b := 0; b < n; b += 64 {
 		cnt := min(n-b, 64)

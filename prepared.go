@@ -20,6 +20,7 @@ package fusedscan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -434,6 +435,11 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 	}
 	qres, err := phys.RunTo(ctx, cpu, sink)
 	if err != nil {
+		if pe := (*parallel.PanicError)(nil); errors.As(err, &pe) {
+			// A panic recovered on a helper core fails the query as one on
+			// this goroutine does.
+			return nil, &QueryError{Stage: stage, Query: sql, Err: err, Panicked: true, Stack: pe.Stack}
+		}
 		return nil, err
 	}
 	res = &Result{
