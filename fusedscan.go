@@ -65,16 +65,16 @@ type Config struct {
 	// AVX2 selects the paper's AVX2 backport dialect (requires
 	// RegisterWidth 128).
 	AVX2 bool
-	// Cores > 1 lets a predicate-chain scan run on up to that many cores
+	// Cores > 1 lets a table scan run on up to that many cores
 	// — simulated ones under Simulate (see internal/parallel) — feeding one
 	// ordered batch stream into the rest of the plan. Its morsels are the
 	// 64 Ki-row chunks that zone-map pruning keeps; the querying goroutine
 	// runs its share and at most Cores-1 helpers run the rest. A scan
-	// stays on one core when fewer than two chunks survive pruning or a
-	// LIMIT bounds it, and natively the engine lowers the count while
-	// other queries execute (GOMAXPROCS less the others). 0 or 1 means
-	// single-core, the paper's evaluation setting; NativeConfig sets
-	// GOMAXPROCS.
+	// stays on one core when fewer than two chunks survive pruning, a
+	// LIMIT bounds it or it only counts every row, and natively the
+	// engine lowers the count while other queries execute (GOMAXPROCS
+	// less the others). 0 or 1 means single-core, the paper's evaluation
+	// setting; NativeConfig sets GOMAXPROCS.
 	Cores int
 }
 

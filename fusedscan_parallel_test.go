@@ -63,9 +63,11 @@ type parallelOutcome struct {
 	rows                   [][]string
 	pruned, bytes          int64
 	bloomChecks, bloomPass int64
-	scans                  int
-	maxCores               int
-	encodings              []string
+	// scanned totals the scans' RowsIn.
+	scanned   int64
+	scans     int
+	maxCores  int
+	encodings []string
 }
 
 func runParallelQuery(t *testing.T, eng *Engine, sql string, stream bool, cores int) parallelOutcome {
@@ -91,10 +93,12 @@ func runParallelQuery(t *testing.T, eng *Engine, sql string, stream bool, cores 
 	for _, op := range res.Operators {
 		out.bloomChecks += op.BloomChecks
 		out.bloomPass += op.BloomPass
-		if op.Path == "" {
+		// Only a scan leaf reports the cores it ran on.
+		if op.Cores == 0 {
 			continue
 		}
 		out.scans++
+		out.scanned += op.RowsIn
 		out.pruned += op.ChunksPruned
 		out.bytes += op.BytesScanned
 		out.maxCores = max(out.maxCores, op.Cores)
@@ -107,8 +111,8 @@ func runParallelQuery(t *testing.T, eng *Engine, sql string, stream bool, cores 
 // cores and requires identical rows (float aggregates compared as bits),
 // pruning, scanned bytes and Bloom counters. A scan with at least two
 // surviving chunks and no LIMIT must run on every core asked for, up to
-// one per chunk; a scan with one surviving chunk, or a LIMIT hint, must
-// start no helper.
+// one per chunk; a scan with one surviving chunk, or a LIMIT hint, or an
+// unfiltered count-only scan must start no helper.
 func TestParallelScansMatchSingleCore(t *testing.T) {
 	// The engine caps a native scan's cores at GOMAXPROCS; raise it so
 	// three cores are available on any machine.
@@ -152,6 +156,17 @@ func TestParallelScansMatchSingleCore(t *testing.T) {
 				}
 			}},
 		{name: "limit", sql: "SELECT a, b FROM t WHERE a = 3 LIMIT 10"},
+		// With no WHERE the projection's LIMIT hint reaches the scan, which
+		// stops after its first window.
+		{name: "limit-unfiltered", sql: "SELECT a, b FROM t LIMIT 5",
+			check: func(t *testing.T, o parallelOutcome) {
+				if o.scanned > 1<<16 {
+					t.Errorf("scanned %d rows, want at most one window", o.scanned)
+				}
+			}},
+		// Counting every row leaves a helper no per-window work.
+		{name: "count-unfiltered", sql: "SELECT COUNT(*) FROM t"},
+		{name: "group-by-unfiltered", sql: "SELECT a, COUNT(*), SUM(b) FROM t GROUP BY a", usable: 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -314,18 +329,26 @@ func buildFragmentEngine(t *testing.T) *Engine {
 // join probe and fold of each window on the core that scanned it — on 1,
 // 2 and 3 cores over five windows, and requires bit-identical rows and
 // equal operator counters: rows in and out, batches, groups, probe rows,
-// Bloom checks and passes, pruned chunks and scanned bytes.
+// Bloom checks and passes, pruned chunks and scanned bytes. Every scan,
+// filtered or not, runs on as many cores as were asked for and it has
+// windows.
 func TestParallelFragmentsMatchSingleCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4)))
 	eng := buildFragmentEngine(t)
 	for _, tc := range []struct{ name, sql string }{
 		{"bloom-join", "SELECT d.v, COUNT(*), SUM(t.f), AVG(t.f), MIN(t.nv) FROM t JOIN d ON t.k = d.k WHERE t.a < 9 AND d.v < 3 GROUP BY d.v"},
 		{"unfiltered-join", "SELECT t.a, COUNT(*), SUM(d.v), MAX(t.f) FROM t JOIN d ON t.k = d.k WHERE t.e >= 0 GROUP BY t.a"},
+		{"no-where-join", "SELECT t.a, COUNT(*), SUM(d.v), MAX(t.f) FROM t JOIN d ON t.k = d.k GROUP BY t.a"},
+		{"build-where-join", "SELECT t.a, COUNT(*), SUM(d.v), MAX(t.f) FROM t JOIN d ON t.k = d.k WHERE d.v < 3 GROUP BY t.a"},
+		{"null-probe-keys", "SELECT d.v, COUNT(*), SUM(t.nv), MIN(t.f) FROM t JOIN d ON t.nk = d.k WHERE d.v < 5 GROUP BY d.v"},
 		{"span-64ki-direct", "SELECT g, COUNT(*), SUM(nv), AVG(f) FROM t WHERE a >= 0 GROUP BY g"},
+		{"span-64ki-direct-no-where", "SELECT g, COUNT(*), SUM(nv), AVG(f) FROM t GROUP BY g"},
 		{"span-64ki+1-hashed", "SELECT h, COUNT(*), SUM(nv), MIN(f) FROM t WHERE a >= 0 GROUP BY h"},
+		{"span-64ki+1-hashed-no-where", "SELECT h, COUNT(*), SUM(nv), MIN(f) FROM t GROUP BY h"},
 		{"null-keys-values", "SELECT nk, COUNT(*), SUM(nv), MIN(nv), MAX(nv), AVG(nv) FROM t WHERE a < 8 GROUP BY nk"},
 		{"float-keys", "SELECT fk, COUNT(*), SUM(f), MIN(f), MAX(f) FROM t WHERE a < 9 GROUP BY fk"},
 		{"float-sum-avg", "SELECT SUM(f), AVG(f), MIN(f), MAX(f), SUM(nv), COUNT(*) FROM t WHERE a < 8"},
+		{"zero-key-no-where", "SELECT SUM(f), AVG(f), SUM(nv), COUNT(*) FROM t"},
 		{"empty-window", "SELECT a, COUNT(*), SUM(f) FROM t WHERE e = 2 GROUP BY a"},
 		{"empty-window-zero-key", "SELECT COUNT(*), SUM(nv), MIN(fk) FROM t WHERE e = 2"},
 	} {
@@ -333,12 +356,16 @@ func TestParallelFragmentsMatchSingleCore(t *testing.T) {
 			var want fragmentOutcome
 			for _, cores := range []int{1, 2, 3} {
 				got := runFragmentQuery(t, eng, tc.sql, cores)
-				if got.maxCores != cores {
-					t.Errorf("%d cores: the scan ran on %d", cores, got.maxCores)
+				windows := 0
+				for _, sc := range got.scans {
+					windows = max(windows, int(sc.Batches))
+					if want := min(cores, int(sc.Batches)); sc.Cores != want {
+						t.Errorf("%d cores: %s ran on %d, want %d", cores, sc.Name, sc.Cores, want)
+					}
 				}
 				if cores == 1 {
-					if len(got.rows) == 0 || got.windows < 3 {
-						t.Fatalf("degenerate case: %d rows over %d windows", len(got.rows), got.windows)
+					if len(got.rows) == 0 || windows < 3 {
+						t.Fatalf("degenerate case: %d rows over %d windows", len(got.rows), windows)
 					}
 					want = got
 					continue
@@ -354,12 +381,12 @@ func TestParallelFragmentsMatchSingleCore(t *testing.T) {
 	}
 }
 
-// fragmentOutcome is a query's rows and per-operator counters, with the
-// most cores a scan ran on and how many windows it kept.
+// fragmentOutcome is a query's rows and per-operator counters, with its
+// scans' stats.
 type fragmentOutcome struct {
-	rows              [][]string
-	counters          []string
-	maxCores, windows int
+	rows     [][]string
+	counters []string
+	scans    []OperatorStats
 }
 
 func runFragmentQuery(t *testing.T, eng *Engine, sql string, cores int) fragmentOutcome {
@@ -374,9 +401,9 @@ func runFragmentQuery(t *testing.T, eng *Engine, sql string, cores int) fragment
 	for _, op := range res.Operators {
 		out.counters = append(out.counters, fmt.Sprintf("%s in=%d out=%d batches=%d groups=%d probe=%d bloom=%d/%d pruned=%d bytes=%d",
 			op.Name, op.RowsIn, op.RowsOut, op.Batches, op.Groups, op.ProbeRows, op.BloomPass, op.BloomChecks, op.ChunksPruned, op.BytesScanned))
-		if op.Path != "" {
-			out.maxCores = max(out.maxCores, op.Cores)
-			out.windows = max(out.windows, int(op.Batches))
+		// Only a scan leaf reports the cores it ran on.
+		if op.Cores > 0 {
+			out.scans = append(out.scans, op)
 		}
 	}
 	return out

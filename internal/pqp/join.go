@@ -51,12 +51,9 @@ const bytesPerBuildRow = 8 + 4
 // probe row and saves next to nothing, so it is not injected.
 const bloomSamples = 1024
 
-// Probe-block ids below the keyTable's -1 (no build match): the key is
-// NULL or NaN, or the join's own Bloom test rejected it.
-const (
-	idDeadKey  = -3
-	idFiltered = -2
-)
+// idDeadKey is the probe-block id, below the keyTable's -1 (no build
+// match), of a NULL or NaN key.
+const idDeadKey = -2
 
 // joinResidual is one bound residual ON comparison (probe OP build).
 type joinResidual struct {
@@ -87,19 +84,17 @@ type joinScratch struct {
 type joinOp struct {
 	probe positionStream
 	build positionStream
-	// probeScan, when non-nil, is the probe-side scan whose chain receives
-	// the Bloom prefilter at Open (before the scan opens). Nil when the
-	// probe side is not a chain scan; the filter then runs inside the join
-	// loop instead.
+	// probeScan is the probe-side scan, whose chain receives the Bloom
+	// prefilter at Open (before the scan opens). Each Open resets its
+	// chain to its translated predicates, so reruns of the plan add at
+	// most one Bloom step. Only an unoptimized plan's probe side is not a
+	// scan, and such a plan transfers no filter.
 	probeScan *scanOp
-	// probeChain is probeScan's own chain; each Open resets the scan's
-	// chain to it, so reruns of the plan add at most one Bloom step.
-	probeChain scan.Chain
-	probeKey   *column.Column
-	buildKey   *column.Column
-	keyType    expr.Type
-	residuals  []joinResidual
-	transfer   bool
+	probeKey  *column.Column
+	buildKey  *column.Column
+	keyType   expr.Type
+	residuals []joinResidual
+	transfer  bool
 	// kernBuild constructs the kernel that evaluates residual
 	// column-vs-column chains over the gathered pair columns.
 	kernBuild func(scan.Chain) (scan.Kernel, error)
@@ -117,10 +112,8 @@ type joinOp struct {
 	table        keyTable
 	starts       []uint32
 	positions    []uint32
-	bloom        *scan.Bloom
 	bloomStats   *scan.BloomStats
 	bloomSkipped bool
-	scalarBloom  bool
 	buildRows    int64
 	probeRows    atomic.Int64
 	probeOpened  bool
@@ -175,9 +168,9 @@ func (op *joinOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	op.buildRows, op.rowIdx = 0, 0
 	op.probeRows.Store(0)
 	op.probeOpened, op.buildClosed, op.empty = false, false, false
-	op.bloom, op.bloomStats, op.bloomSkipped, op.scalarBloom = nil, nil, false, false
+	op.bloomStats, op.bloomSkipped = nil, false
 	if op.probeScan != nil {
-		op.probeScan.chain = slices.Clip(op.probeChain)
+		op.probeScan.chain = slices.Clip(op.probeScan.preds)
 	}
 	op.regionB = cpu.NewRandomRegion()
 	op.regionP = cpu.NewRandomRegion()
@@ -356,8 +349,8 @@ func isNaNKey(t expr.Type, raw uint64) bool {
 
 // transferBloom fills a Bloom filter from the table's key words and, when
 // it filters (see bloomFilters), injects it as the last step of the probe
-// scan's chain — the probe's own, already selectivity-ordered predicates
-// run first — or, without a chain scan, tests it in the probe loop. A
+// scan's chain: the probe's own, already selectivity-ordered predicates
+// run first, and a probe with none gets a chain of this one step. A
 // filter that does not filter is dropped and reported as skipped.
 func (op *joinOp) transferBloom() error {
 	bl := scan.NewBloom(op.keyType, op.table.size())
@@ -372,14 +365,10 @@ func (op *joinOp) transferBloom() error {
 		op.bloomSkipped = true
 		return nil
 	}
-	op.bloom, op.bloomStats = bl, &scan.BloomStats{}
-	if op.probeScan != nil {
-		op.probeScan.chain = append(op.probeScan.chain, scan.Pred{
-			Col: op.probeKey, Bloom: bl, Stats: op.bloomStats,
-		})
-	} else {
-		op.scalarBloom = true
-	}
+	op.bloomStats = &scan.BloomStats{}
+	op.probeScan.chain = append(op.probeScan.chain, scan.Pred{
+		Col: op.probeKey, Bloom: bl, Stats: op.bloomStats,
+	})
 	return nil
 }
 
@@ -481,53 +470,30 @@ func (op *joinOp) step(core int, in Batch) (Batch, error) {
 }
 
 // resolveProbe sets ids to the build key ids of entries [lo, lo+len(ids))
-// of in: -1 for no match, idDeadKey for a NULL or NaN key, idFiltered for
-// a key the join-side Bloom test rejected.
+// of in: -1 for no match, idDeadKey for a NULL or NaN key.
 func (op *joinOp) resolveProbe(sc *joinScratch, in *Batch, lo int, ids []int32) {
 	keys, dead := sc.keyBuf[:len(ids)], sc.deadBuf[:len(ids)]
 	anyDead := joinKeys(&sideCol{col: op.probeKey}, op.keyType, in, lo, keys, dead)
-	var checks, filtered int64
 	for i, k := range keys {
 		if anyDead && dead[i] {
 			ids[i] = idDeadKey
 			continue
 		}
-		if op.scalarBloom {
-			// The probe side is not a chain scan, so the transferred filter
-			// runs here — still ahead of the table lookup and residuals.
-			checks++
-			if !op.bloom.Test(k) {
-				ids[i] = idFiltered
-				filtered++
-				continue
-			}
-		}
 		ids[i], _ = op.table.find1(k)
-	}
-	if checks > 0 {
-		op.bloomStats.Checks.Add(checks)
-		op.bloomStats.Pass.Add(checks - filtered)
 	}
 }
 
 // chargeProbe charges the machine model for entries [lo, lo+len(ids)) of
-// in, row by row: the probe key's address computation and random read,
-// the join-side Bloom test, and the match branch.
+// in, row by row: the probe key's address computation and random read, and
+// the match branch.
 func (op *joinOp) chargeProbe(in *Batch, lo int, ids []int32) {
 	size := op.probeKey.Type().Size()
 	for i, id := range ids {
 		op.cpu.Scalar(2)
 		op.cpu.RandomRead(op.regionP, op.probeKey.Addr(int(in.Base)+int(in.Sel[lo+i])), size)
-		if id == idDeadKey {
-			continue
+		if id != idDeadKey {
+			op.cpu.Branch(0xA00+uint32(op.regionP), id >= 0)
 		}
-		if op.scalarBloom {
-			op.cpu.Scalar(4)
-			if id == idFiltered {
-				continue
-			}
-		}
-		op.cpu.Branch(0xA00+uint32(op.regionP), id >= 0)
 	}
 }
 
@@ -599,6 +565,6 @@ func (op *joinOp) Close() error {
 		op.scratch[i].charger.done()
 	}
 	op.scratch, op.one = nil, [1]joinScratch{}
-	op.table, op.starts, op.positions, op.bloom = keyTable{}, nil, nil, nil
+	op.table, op.starts, op.positions = keyTable{}, nil, nil
 	return err
 }

@@ -284,18 +284,24 @@ func TestJoinBloomPrefilterReducesProbeRows(t *testing.T) {
 
 // TestJoinPlanRerunKeepsOneBloomStep runs one translated join plan three
 // times: every run must leave the probe chain at its own length plus one
-// Bloom step and report the same count and Bloom counters. When the build
-// side covers every probe key, the filter would pass every row: every run
-// must then skip it, leaving the chain at its own length with no checks.
+// Bloom step and report the same count and Bloom counters. A probe with
+// no WHERE of its own goes from no step to that one. Every f row reaches
+// the step, so it checks them all, NULL keys included, and passes the
+// non-NULL keys the filter holds. When the build side covers every probe
+// key, the filter would pass every row: every run must then skip it,
+// leaving the chain at its own length with no checks.
 func TestJoinPlanRerunKeepsOneBloomStep(t *testing.T) {
-	cat, _ := joinFixture(t)
+	cat, jd := joinFixture(t)
 	cases := []struct {
 		name, sql string
 		skipped   bool
+		// bare marks a probe side with no predicates of its own.
+		bare bool
 	}{
-		{"bloom", "SELECT COUNT(*) FROM f JOIN d ON f.k = d.k WHERE f.x >= 0 AND d.v = 3", false},
+		{"bloom", "SELECT COUNT(*) FROM f JOIN d ON f.k = d.k WHERE f.x >= 0 AND d.v = 3", false, false},
+		{"unfiltered-probe", "SELECT COUNT(*) FROM f JOIN d ON f.k = d.k WHERE d.v = 3", false, true},
 		// f's keys span 0..149 and cover each of d's 0..119.
-		{"skipped", "SELECT COUNT(*) FROM d JOIN f ON d.k = f.k WHERE d.v >= 0", true},
+		{"skipped", "SELECT COUNT(*) FROM d JOIN f ON d.k = f.k WHERE d.v >= 0", true, false},
 	}
 	for name, opts := range map[string]Options{
 		"fused":  DefaultOptions(),
@@ -311,7 +317,10 @@ func TestJoinPlanRerunKeepsOneBloomStep(t *testing.T) {
 				for op := pp.Root; jo == nil; op = op.(interface{ child() Operator }).child() {
 					jo, _ = op.(*joinOp)
 				}
-				wantLen := len(jo.probeChain) + 1
+				if c.bare != (len(jo.probeScan.preds) == 0) {
+					t.Fatalf("%s: probe scan translated with %d predicates", c.name, len(jo.probeScan.preds))
+				}
+				wantLen := len(jo.probeScan.preds) + 1
 				if c.skipped {
 					wantLen--
 				}
@@ -332,7 +341,24 @@ func TestJoinPlanRerunKeepsOneBloomStep(t *testing.T) {
 						t.Fatalf("%s run %d: skipped=%v, got checks=%d BloomSkipped=%v:\n%s", c.name, run, c.skipped, join.BloomChecks, join.BloomSkipped, rendered)
 					}
 					if n := len(jo.probeScan.chain); n != wantLen {
-						t.Errorf("%s run %d: probe chain has %d steps, want %d", c.name, run, n, wantLen)
+						t.Fatalf("%s run %d: probe chain has %d steps, want %d", c.name, run, n, wantLen)
+					}
+					// EXPLAIN names the scan by its own predicates, not by
+					// the Bloom step the join added.
+					if got := jo.probeScan.Describe(); c.bare != (got == "TableScan(f, all rows)") {
+						t.Errorf("%s run %d: probe scan described as %q", c.name, run, got)
+					}
+					if !c.skipped {
+						bl := jo.probeScan.chain[wantLen-1].Bloom
+						pass := 0
+						for i, k := range jd.fk {
+							if !jd.fkNull[i] && bl.Test(uint64(uint32(k))) {
+								pass++
+							}
+						}
+						if join.BloomChecks != int64(len(jd.fk)) || join.BloomPass != int64(pass) {
+							t.Errorf("%s run %d: bloom %d/%d, want %d/%d", c.name, run, join.BloomPass, join.BloomChecks, pass, len(jd.fk))
+						}
 					}
 					got := []int64{res.Aggregates[0].Int(), join.BloomChecks, join.BloomPass}
 					if run == 0 {
@@ -343,6 +369,93 @@ func TestJoinPlanRerunKeepsOneBloomStep(t *testing.T) {
 						t.Errorf("%s run %d: count/checks/pass %v, run 0 had %v", c.name, run, got, want)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestJoinBloomStepOnNullAndNaNProbeKeys joins an unfiltered float probe
+// side holding NULL, NaN and -0 keys to a filtered build side, so the
+// transferred Bloom filter is the probe scan's only step, on the
+// simulated, native and two-core native paths: NULL and NaN keys join
+// nothing and -0 joins 0; every probe row reaches the step, which passes
+// exactly the non-NULL keys the filter holds.
+func TestJoinBloomStepOnNullAndNaNProbeKeys(t *testing.T) {
+	const n, m = 5000, 50
+	space := mach.NewAddrSpace()
+	pk := make([]float64, n)
+	var nulls []int
+	for i := range pk {
+		switch i % 11 {
+		case 3:
+			pk[i] = math.NaN()
+		case 7:
+			pk[i] = math.Copysign(0, -1)
+		default:
+			pk[i] = float64(i % m)
+		}
+		if i%13 == 5 {
+			nulls = append(nulls, i)
+		}
+	}
+	probe := column.NewTable(space, "p")
+	pkCol := column.FromFloat64s(space, "k", pk)
+	for _, i := range nulls {
+		pkCol.SetNull(i)
+	}
+	probe.MustAddColumn(pkCol)
+	bk, bv := make([]float64, m), make([]int32, m)
+	for i := range bk {
+		bk[i] = float64(i)
+		if i%5 == 0 {
+			bv[i] = 1
+		}
+	}
+	build := column.NewTable(space, "b")
+	build.MustAddColumn(column.FromFloat64s(space, "k", bk))
+	build.MustAddColumn(column.FromInt32s(space, "v", bv))
+	cat := testCatalog{"p": probe, "b": build}
+
+	want := 0
+	for i, k := range pk {
+		// b.v = 1 keeps the build keys 0, 5, ..., 45; -0 equals 0.
+		if !pkCol.Null(i) && k == k && int(k)%5 == 0 {
+			want++
+		}
+	}
+	const sql = "SELECT COUNT(*) FROM p JOIN b ON p.k = b.k WHERE b.v = 1"
+	native2 := nativeOptions()
+	native2.Cores, native2.BatchRows = 2, 1024
+	for name, opts := range map[string]Options{"fused": DefaultOptions(), "native": nativeOptions(), "native-2-cores": native2} {
+		t.Run(name, func(t *testing.T) {
+			var cpu *mach.CPU
+			if !opts.Native {
+				cpu = mach.New(mach.Default())
+			}
+			pp, res, err := runGroupSQL(t, context.Background(), cat, sql, opts, cpu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Aggregates[0].Int(); got != int64(want) {
+				t.Errorf("count %d, want %d", got, want)
+			}
+			var jo *joinOp
+			for op := pp.Root; jo == nil; op = op.(interface{ child() Operator }).child() {
+				jo, _ = op.(*joinOp)
+			}
+			if len(jo.probeScan.preds) != 0 || len(jo.probeScan.chain) != 1 {
+				t.Fatalf("probe chain %d steps from %d predicates, want 1 from 0", len(jo.probeScan.chain), len(jo.probeScan.preds))
+			}
+			bl := jo.probeScan.chain[0].Bloom
+			pass := 0
+			for i := range pk {
+				if !pkCol.Null(i) && bl.Test(pkCol.Raw(i)) {
+					pass++
+				}
+			}
+			st := jo.Stats()
+			if st.BloomChecks != n || st.BloomPass != int64(pass) || st.ProbeRows != int64(pass) {
+				t.Errorf("bloom %d/%d, probe rows %d; want %d/%d, %d", st.BloomPass, st.BloomChecks, st.ProbeRows, pass, n, pass)
 			}
 		})
 	}

@@ -71,78 +71,14 @@ type positionStream interface {
 	setCountOnly(bool)
 }
 
-// fullScanOp produces every row of a table (a scan with no predicates),
-// one batch per chunk window.
-type fullScanOp struct {
-	tbl       *column.Table
-	batchRows int
-	countOnly bool
-
-	ctx     context.Context
-	cpu     *mach.CPU
-	cursor  int
-	charger batchCharger
-	stats   opStats
-}
-
-func newFullScan(tbl *column.Table, batchRows int) *fullScanOp {
-	return &fullScanOp{tbl: tbl, batchRows: batchRows}
-}
-
-func (op *fullScanOp) Describe() string { return fmt.Sprintf("TableScan(%s, all rows)", op.tbl.Name()) }
-
-func (op *fullScanOp) Stats() OperatorStats { return op.stats.snapshot(op.Describe()) }
-
-func (op *fullScanOp) setCountOnly(v bool) { op.countOnly = v }
-
-func (op *fullScanOp) Open(ctx context.Context, cpu *mach.CPU) error {
-	op.ctx, op.cpu = ctx, cpu
-	op.cursor = 0
-	op.charger = batchCharger{acct: govern.AccountantFrom(ctx)}
-	return ctx.Err()
-}
-
-func (op *fullScanOp) Next() (Batch, error) {
-	defer op.stats.timed()()
-	n := op.tbl.Rows()
-	if op.cursor >= n {
-		return Batch{}, EOS
-	}
-	if err := op.ctx.Err(); err != nil {
-		return Batch{}, err
-	}
-	begin := op.cursor
-	end := begin + op.batchRows
-	if end > n {
-		end = n
-	}
-	op.cursor = end
-	op.stats.noteScanned(end - begin)
-	b := Batch{Base: uint32(begin), Count: end - begin}
-	if !op.countOnly {
-		if err := op.charger.swap(int64(b.Count) * bytesPerPosition); err != nil {
-			return Batch{}, err
-		}
-		b.Sel = make([]uint32, b.Count)
-		for i := range b.Sel {
-			b.Sel[i] = uint32(i)
-		}
-		op.cpu.Scalar(b.Count)
-	}
-	op.stats.noteOut(b)
-	return b, nil
-}
-
-func (op *fullScanOp) Close() error {
-	op.charger.done()
-	return nil
-}
-
-// scanOp evaluates a predicate chain with a kernel pass per chunk window,
-// on the kernel family Kernels picked (native, fused or scalar
-// short-circuit), emitting each chunk's chunk-relative position list as one
-// batch — the kernel's position lists feed the pipeline directly, never
-// widening into a whole-table position list. Open lists the windows the
+// scanOp is the one table scan leaf. It evaluates a predicate chain with a
+// kernel pass per chunk window, on the kernel family Kernels picked
+// (native, fused or scalar short-circuit), emitting each chunk's
+// chunk-relative position list as one batch — the kernel's position lists
+// feed the pipeline directly, never widening into a whole-table position
+// list. A table read with no predicates is the same scan over an empty
+// chain: its windows emit every row without a kernel, and a hash join may
+// give it one step, the transferred Bloom filter. Open lists the windows the
 // zone maps do not prune, once; both execution modes walk that list. With
 // Cores > 1, at least two surviving windows and no LIMIT hint, the windows
 // become the morsels of a parallel stream (each core with its own
@@ -153,8 +89,14 @@ func (op *fullScanOp) Close() error {
 // fragment: on the native path the core that scanned a window runs the
 // rest of it (the sink's finish) before handing the window over.
 type scanOp struct {
-	tbl       *column.Table
-	chain     scan.Chain
+	tbl *column.Table
+	// preds is the chain as translated; chain is the one the windows run,
+	// which a hash join above resets to preds plus its Bloom step at each
+	// Open.
+	preds, chain scan.Chain
+	// kernels builds the chain's kernels; nil for a scan translated with
+	// no predicates, until a join hands it the family its Bloom step runs
+	// on.
 	kernels   *Family
 	batchRows int
 	// stopAfter, when > 0, is the optimizer's LIMIT pushdown hint: stop
@@ -204,17 +146,28 @@ type scanCore struct {
 	positions []uint32
 }
 
-func (op *scanOp) Describe() string { return fmt.Sprintf("%s on %s", op.kernels.Name, op.tbl.Name()) }
+// Describe names the scan by its translated chain, so a Bloom step a join
+// adds at Open does not change EXPLAIN.
+func (op *scanOp) Describe() string {
+	if len(op.preds) == 0 {
+		return fmt.Sprintf("TableScan(%s, all rows)", op.tbl.Name())
+	}
+	return fmt.Sprintf("%s on %s", op.kernels.Name, op.tbl.Name())
+}
 
+// Stats reports the kernel path, encoding and bytes only for a scan whose
+// chain ran kernels.
 func (op *scanOp) Stats() OperatorStats {
 	st := op.stats.snapshot(op.Describe())
 	st.ChunksPruned = op.pruned
-	st.Path = op.kernels.Path
-	// scan.Chain.Encoding matches the EncodingPlain/EncodingPacked/
-	// EncodingMixed labels.
-	st.Encoding = op.chain.Encoding()
-	st.BytesScanned = op.bytes.Load()
 	st.Cores = op.ran
+	if len(op.chain) > 0 {
+		st.Path = op.kernels.Path
+		// scan.Chain.Encoding matches the EncodingPlain/EncodingPacked/
+		// EncodingMixed labels.
+		st.Encoding = op.chain.Encoding()
+		st.BytesScanned = op.bytes.Load()
+	}
 	return st
 }
 
@@ -245,7 +198,7 @@ func (op *scanOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	// later queries prune for free.
 	pruner := scan.NewPruner(op.chain, op.batchRows)
 	op.windows = op.windows[:0]
-	for begin, n := 0, op.chain.Rows(); begin < n; begin += op.batchRows {
+	for begin, n := 0, op.tbl.Rows(); begin < n; begin += op.batchRows {
 		end := min(begin+op.batchRows, n)
 		if pruner.Prune(begin, end) {
 			op.pruned++
@@ -254,10 +207,12 @@ func (op *scanOp) Open(ctx context.Context, cpu *mach.CPU) error {
 		op.windows = append(op.windows, parallel.Window{Begin: begin, End: end})
 	}
 	// A LIMIT scan usually stops within its first windows, and a single
-	// window leaves a helper nothing to do: both stay on this core. The
-	// stream starts at the first window pulled, once a sink above has had
-	// the chance to fuse the rest of the fragment.
-	if op.cores > 1 && len(op.windows) > 1 && op.stopAfter == 0 {
+	// window leaves a helper nothing to do, nor does a count-only scan
+	// with no predicates: all stay on this core. The stream starts at the
+	// first window pulled, once a sink above has had the chance to fuse
+	// the rest of the fragment.
+	work := len(op.chain) > 0 || !op.countOnly
+	if op.cores > 1 && len(op.windows) > 1 && op.stopAfter == 0 && work {
 		op.ran = min(op.cores, len(op.windows))
 	}
 	acct := govern.AccountantFrom(ctx)
@@ -331,18 +286,18 @@ func (op *scanOp) window(core int, cpu *mach.CPU, w parallel.Window) (frag, erro
 	start := time.Now()
 	sc := &op.perCore[core]
 	sub := op.chain.Slice(w.Begin, w.End)
-	kern, err := buildWindow(op.kernels.Build, sub, op.sizeHint())
-	if err != nil {
-		return frag{}, fmt.Errorf("pqp: scan chunk [%d, %d): %w", w.Begin, w.End, err)
-	}
 	// The fragment is done with a window's positions before this core scans
 	// its next one when it finishes here, or on the consumer of a scan
 	// that runs on one core.
 	reuse := op.sink != nil && (cpu == nil || op.ran == 1)
-	if pb, ok := kern.(scan.PositionBuffer); ok && reuse {
-		pb.SetPositionBuffer(sc.positions)
+	var buf []uint32
+	if reuse {
+		buf = sc.positions
 	}
-	res := kern.Run(cpu, !op.countOnly)
+	res, err := op.run(sub, cpu, w.End-w.Begin, buf)
+	if err != nil {
+		return frag{}, fmt.Errorf("pqp: scan chunk [%d, %d): %w", w.Begin, w.End, err)
+	}
 	if reuse {
 		sc.positions = res.Positions
 	}
@@ -360,6 +315,34 @@ func (op *scanOp) window(core int, cpu *mach.CPU, w parallel.Window) (frag, erro
 	}
 	p, err := op.sink.finish(core, b, start)
 	return frag{p: p}, err
+}
+
+// run scans one window of n rows against cpu, its positions written into
+// buf when it has room: the chain's kernel or, with an empty chain, every
+// row, charged as one scalar instruction per position.
+func (op *scanOp) run(sub scan.Chain, cpu *mach.CPU, n int, buf []uint32) (scan.Result, error) {
+	if len(sub) == 0 {
+		res := scan.Result{Count: n}
+		if !op.countOnly {
+			if cap(buf) < n {
+				buf = make([]uint32, n)
+			}
+			res.Positions = buf[:n]
+			for i := range res.Positions {
+				res.Positions[i] = uint32(i)
+			}
+			cpu.Scalar(n)
+		}
+		return res, nil
+	}
+	kern, err := buildWindow(op.kernels.Build, sub, op.sizeHint())
+	if err != nil {
+		return scan.Result{}, err
+	}
+	if pb, ok := kern.(scan.PositionBuffer); ok {
+		pb.SetPositionBuffer(buf)
+	}
+	return kern.Run(cpu, !op.countOnly), nil
 }
 
 func (op *scanOp) Close() error {
@@ -802,10 +785,15 @@ func (op *projectOp) child() Operator { return op.input }
 // header.
 func (op *projectOp) shape(qr *QueryResult) { qr.Columns = op.names }
 
-// capAt tightens the materialization cap (LIMIT pushdown).
+// capAt tightens the materialization cap (LIMIT pushdown). A scan that
+// feeds the projection directly takes it as its stop-after hint, so it
+// stays on one core and scans no further than the cap needs.
 func (op *projectOp) capAt(n int) {
 	if op.capRows == 0 || n < op.capRows {
 		op.capRows = n
+	}
+	if s, ok := op.input.(*scanOp); ok && (s.stopAfter == 0 || n < s.stopAfter) {
+		s.stopAfter = n
 	}
 }
 

@@ -48,9 +48,10 @@ type Options struct {
 	Width vec.Width
 	// ISA is the instruction-set dialect for fused operators.
 	ISA vec.ISA
-	// Cores > 1 lets a predicate-chain scan run its zone-map-surviving
-	// chunk windows as morsels on that many cores (see internal/parallel)
-	// when at least two windows survive and the scan has no LIMIT hint;
+	// Cores > 1 lets a table scan run its zone-map-surviving chunk windows
+	// as morsels on that many cores (see internal/parallel) when at least
+	// two windows survive, the scan has no LIMIT hint and it has work per
+	// window (predicates, or positions to emit);
 	// each core simulates its own CPU, built from Params, when the plan
 	// runs against one. Downstream operators still consume one ordered
 	// stream; under an aggregation sink each window's join probe and fold
@@ -352,18 +353,11 @@ func Translate(lp *lqp.Plan, comp *jit.Compiler, opts Options) (*Plan, error) {
 
 func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
 	switch t := n.(type) {
-	case *lqp.StoredTable:
-		return newFullScan(t.Table, opts.batchRows()), nil
+	case *lqp.StoredTable, *lqp.FusedChain:
+		return translateScan(t, tbl, comp, opts, p)
 
 	case *lqp.EmptyResult:
 		return &emptyOp{reason: t.Reason}, nil
-
-	case *lqp.FusedChain:
-		op, err := translateChainScan(t, tbl, comp, opts, p)
-		if err != nil {
-			return nil, err
-		}
-		return op, nil
 
 	case *lqp.IndexScan:
 		return translateIndexScan(t, tbl, opts, p)
@@ -461,11 +455,18 @@ func findJoin(n lqp.Node) *lqp.Join {
 	return nil
 }
 
-// translateChainScan lowers a fused predicate chain over a stored table to
-// a chunked scan leaf on the kernel family Kernels picks. A nil comp builds
-// fused kernels directly: a join's probe chain is mutated at Open (Bloom
-// injection), so a cached program could never be reused.
-func translateChainScan(fc *lqp.FusedChain, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (*scanOp, error) {
+// translateScan lowers a stored table, alone or under a fused predicate
+// chain, to the chunked scan leaf: with predicates on the kernel family
+// Kernels picks, without any as the same scan over an empty chain. A nil
+// comp builds fused kernels directly: a join's probe chain is mutated at
+// Open (Bloom injection), so a cached program could never be reused.
+func translateScan(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (*scanOp, error) {
+	op := &scanOp{tbl: tbl, batchRows: opts.batchRows(), cores: opts.Cores, params: opts.Params}
+	fc, ok := n.(*lqp.FusedChain)
+	if !ok {
+		op.tbl = n.(*lqp.StoredTable).Table
+		return op, nil
+	}
 	if _, ok := fc.Input.(*lqp.StoredTable); !ok {
 		return nil, fmt.Errorf("pqp: fused chain must sit directly on a stored table, found %T", fc.Input)
 	}
@@ -473,15 +474,11 @@ func translateChainScan(fc *lqp.FusedChain, tbl *column.Table, comp *jit.Compile
 	if err != nil {
 		return nil, err
 	}
-	f, err := p.kernels(ch, comp, opts)
-	if err != nil {
+	if op.kernels, err = p.kernels(ch, comp, opts); err != nil {
 		return nil, err
 	}
-	return &scanOp{
-		tbl: tbl, chain: ch, kernels: f, estSel: fc.EstSel,
-		batchRows: opts.batchRows(), stopAfter: fc.StopAfter,
-		cores: opts.Cores, params: opts.Params,
-	}, nil
+	op.preds, op.chain, op.estSel, op.stopAfter = ch, ch, fc.EstSel, fc.StopAfter
+	return op, nil
 }
 
 // translateJoin lowers a Join node: the build side translates against the
@@ -493,14 +490,7 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	var psrc positionStream
-	var probeScan *scanOp
-	if fc, ok := t.Input.(*lqp.FusedChain); ok {
-		probeScan, err = translateChainScan(fc, tbl, nil, opts, p)
-		psrc = probeScan
-	} else {
-		psrc, err = positionalInput(t.Input, "join probe side", tbl, comp, opts, p)
-	}
+	psrc, err := positionalInput(t.Input, "join probe side", tbl, nil, opts, p)
 	if err != nil {
 		return nil, err
 	}
@@ -526,6 +516,13 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 	}
 	rf, _ := Kernels(nil, nil, opts) // without a chain to build, Kernels cannot fail
 	p.families = append(p.families, rf)
+	// The probe side of an optimized plan is a scan, which runs the
+	// transferred Bloom filter as its last step; a scan with no predicates
+	// of its own runs that step on the residuals' family.
+	probeScan, _ := psrc.(*scanOp)
+	if probeScan != nil && probeScan.kernels == nil {
+		probeScan.kernels = rf
+	}
 	label := t.KeyLabel
 	for _, r := range t.Residuals {
 		label += " AND " + r.Label
@@ -533,11 +530,8 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 	op := &joinOp{
 		probe: psrc, build: bsrc, probeScan: probeScan,
 		probeKey: probeKey, buildKey: buildKey, keyType: t.KeyType,
-		residuals: residuals, transfer: t.Transfer,
+		residuals: residuals, transfer: t.Transfer && probeScan != nil,
 		kernBuild: rf.Build, space: tbl.Space(), label: label,
-	}
-	if probeScan != nil {
-		op.probeChain = probeScan.chain
 	}
 	return op, nil
 }
@@ -642,7 +636,10 @@ func translateProjection(t *lqp.Projection, tbl *column.Table, comp *jit.Compile
 		return nil, err
 	}
 	s := sidesOf(t.Input, tbl)
-	op := &projectOp{input: src, names: t.Columns, capRows: t.MaxRows, unbounded: opts.UnboundedRows}
+	op := &projectOp{input: src, names: t.Columns, unbounded: opts.UnboundedRows}
+	if t.MaxRows > 0 {
+		op.capAt(t.MaxRows)
+	}
 	switch {
 	case t.Star && s.join == nil:
 		op.names = tbl.ColumnNames()

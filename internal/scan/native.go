@@ -31,10 +31,20 @@ import (
 // satisfy Kernel and ignored, so results carry no simulated PerfReport
 // (the Config.Simulate contract in the public API).
 type Native struct {
-	ch       Chain
-	steps    []blockStep
+	ch    Chain
+	steps []blockStep
+	// tallies are the Bloom steps' counts, added to their shared stats
+	// once per Run: per block, cores scanning windows in parallel would
+	// contend on the atomic counters.
+	tallies  []*bloomTally
 	sizeHint int
 	buf      []uint32
+}
+
+// bloomTally is one Bloom step's checks and passes over a kernel run.
+type bloomTally struct {
+	pred         *Pred
+	checks, pass int64
 }
 
 // blockStep ANDs one predicate into the chain mask m of the block of cnt
@@ -49,16 +59,16 @@ func NewNative(ch Chain) (*Native, error) {
 	}
 	k := &Native{ch: ch, steps: make([]blockStep, 0, len(ch))}
 	for i := range ch {
-		if s := nativeStep(&ch[i], ch.Rows()); s != nil {
+		if s := k.step(&ch[i], ch.Rows()); s != nil {
 			k.steps = append(k.steps, s)
 		}
 	}
 	return k, nil
 }
 
-// nativeStep lowers one predicate over a window of n rows to its block
-// step; nil means the predicate holds for every row of the window.
-func nativeStep(p *Pred, n int) blockStep {
+// step lowers one predicate over a window of n rows to its block step;
+// nil means the predicate holds for every row of the window.
+func (k *Native) step(p *Pred, n int) blockStep {
 	switch {
 	case p.Kind != expr.PredCompare:
 		// NULL test: the block mask is the validity polarity.
@@ -66,8 +76,10 @@ func nativeStep(p *Pred, n int) blockStep {
 	case p.IsBloom():
 		// Bloom prefilter: probe the filter for the surviving rows, then
 		// mask out NULL keys.
+		t := &bloomTally{pred: p}
+		k.tallies = append(k.tallies, t)
 		return func(b, cnt int, m uint64) uint64 {
-			checks := int64(bits.OnesCount64(m))
+			t.checks += int64(bits.OnesCount64(m))
 			for r := m; r != 0; r &= r - 1 {
 				i := bits.TrailingZeros64(r)
 				if !p.Bloom.Test(p.Col.Raw(b + i)) {
@@ -77,10 +89,7 @@ func nativeStep(p *Pred, n int) blockStep {
 			if p.Col.HasNulls() {
 				m &= p.Col.ValidMask(b, cnt)
 			}
-			if p.Stats != nil {
-				p.Stats.Checks.Add(checks)
-				p.Stats.Pass.Add(int64(bits.OnesCount64(m)))
-			}
+			t.pass += int64(bits.OnesCount64(m))
 			return m
 		}
 	case p.IsColCol() && (p.Col.IsPacked() || p.Col2.IsPacked()):
@@ -220,6 +229,13 @@ func (k *Native) Run(cpu *mach.CPU, wantPositions bool) Result {
 				res.Positions = append(res.Positions, uint32(b+bits.TrailingZeros64(r)))
 			}
 		}
+	}
+	for _, t := range k.tallies {
+		if st := t.pred.Stats; st != nil {
+			st.Checks.Add(t.checks)
+			st.Pass.Add(t.pass)
+		}
+		t.checks, t.pass = 0, 0
 	}
 	return res
 }
