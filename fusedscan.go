@@ -68,10 +68,12 @@ type Config struct {
 	// Cores > 1 lets a table scan run on up to that many cores
 	// — simulated ones under Simulate (see internal/parallel) — feeding one
 	// ordered batch stream into the rest of the plan. Its morsels are the
-	// 64 Ki-row chunks that zone-map pruning keeps; the querying goroutine
-	// runs its share and at most Cores-1 helpers run the rest. A scan
-	// stays on one core when fewer than two chunks survive pruning, a
-	// LIMIT bounds it or it only counts every row, and natively the
+	// 64 Ki-row chunks that zone-map pruning keeps (on the index access
+	// path, those holding a candidate row); the querying goroutine runs
+	// its share and at most Cores-1 helpers run the rest. A scan stays on
+	// one core when fewer than two chunks survive pruning, a LIMIT bounds
+	// it or it only counts rows with no predicate to run per chunk (every
+	// row, or an index's candidates with no residual), and natively the
 	// engine lowers the count while other queries execute (GOMAXPROCS
 	// less the others). 0 or 1 means single-core, the paper's evaluation
 	// setting; NativeConfig sets GOMAXPROCS.

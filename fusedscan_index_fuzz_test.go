@@ -1,9 +1,11 @@
 package fusedscan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 )
@@ -11,14 +13,19 @@ import (
 // TestFuzzIndexDifferential is the index subsystem's differential fuzzer:
 // random comparison predicates over indexed and unindexed int columns —
 // with NULLs and heavy key duplication — run three ways (forced index,
-// hint-suppressed fused scan, unhinted cost-based choice) under both the
-// default emulated config and the native SWAR config, and every variant's
-// row positions must be bit-identical to a scalar oracle evaluated
-// directly over the source arrays.
+// hint-suppressed fused scan, unhinted cost-based choice) under the
+// default emulated config, the native SWAR config and a native config on
+// three cores, and every variant's row positions, count and SUM(rid) must
+// match a scalar oracle evaluated directly over the source arrays. Every
+// sixth round's table spans two or three 64 Ki windows, so index scans
+// cross window boundaries and run their windows in parallel.
 //
 // The default round count keeps `go test` fast; `make fuzz-index` raises
 // it via FUSEDSCAN_FUZZ_INDEX_ROUNDS.
 func TestFuzzIndexDifferential(t *testing.T) {
+	// The engine caps a native scan's cores at GOMAXPROCS; raise it so
+	// three cores are available on any machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4)))
 	rounds := 12
 	if s := os.Getenv("FUSEDSCAN_FUZZ_INDEX_ROUNDS"); s != "" {
 		n, err := strconv.Atoi(s)
@@ -29,9 +36,16 @@ func TestFuzzIndexDifferential(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20260808))
 	ops := []string{"=", "<", "<=", ">", ">="}
+	threeCores := NativeConfig()
+	threeCores.Cores = 3
+	configs := []Config{DefaultConfig(), NativeConfig(), threeCores}
+	parallelIndex := false
 
 	for round := 0; round < rounds; round++ {
 		n := 1<<12 + rng.Intn(1<<15)
+		if round%6 == 5 {
+			n = 1<<16 + 1 + rng.Intn(1<<17)
+		}
 		card := 1 + rng.Intn(64) // small cardinality: heavy duplicate keys
 		nullFrac := rng.Float64() * 0.2
 
@@ -82,6 +96,7 @@ func TestFuzzIndexDifferential(t *testing.T) {
 
 			// Scalar oracle over the raw arrays; NULL satisfies nothing.
 			var want []string
+			sum := 0
 			for i := 0; i < n; i++ {
 				if aNull[i] || !cmpInt32(av[i], opA, la) {
 					continue
@@ -90,35 +105,55 @@ func TestFuzzIndexDifferential(t *testing.T) {
 					continue
 				}
 				want = append(want, strconv.Itoa(i))
+				sum += i
+			}
+			wantAgg := fmt.Sprintf("[[%d %d]]", len(want), sum)
+			if len(want) == 0 {
+				wantAgg = "[[0 NULL]]"
 			}
 
-			variants := []string{
-				fmt.Sprintf("SELECT /*+ INDEX(f a) */ rid FROM f WHERE %s", where),
-				fmt.Sprintf("SELECT /*+ NO_INDEX */ rid FROM f WHERE %s", where),
-				fmt.Sprintf("SELECT rid FROM f WHERE %s", where),
-			}
-			for _, cfg := range []Config{DefaultConfig(), NativeConfig()} {
+			for _, cfg := range configs {
 				if err := eng.SetConfig(cfg); err != nil {
 					t.Fatal(err)
 				}
-				for _, q := range variants {
-					res, err := eng.Query(q)
+				for _, hint := range []string{"/*+ INDEX(f a) */ ", "/*+ NO_INDEX */ ", ""} {
+					// Streamed, so no materialization cap hides a row.
+					q := fmt.Sprintf("SELECT %srid FROM f WHERE %s", hint, where)
+					var rows [][]string
+					res, err := eng.QueryWith(context.Background(), q, QueryOptions{Stream: func(_ []string, rs [][]string) error {
+						rows = append(rows, rs...)
+						return nil
+					}})
 					if err != nil {
 						t.Fatalf("round %d: %s: %v", round, q, err)
 					}
-					if len(res.Rows) != len(want) {
-						t.Fatalf("round %d: %s (simulate=%v): %d rows, oracle %d",
-							round, q, cfg.Simulate, len(res.Rows), len(want))
+					if len(rows) != len(want) {
+						t.Fatalf("round %d: %s (simulate=%v cores=%d): %d rows, oracle %d",
+							round, q, cfg.Simulate, cfg.Cores, len(rows), len(want))
 					}
 					for i := range want {
-						if res.Rows[i][0] != want[i] {
-							t.Fatalf("round %d: %s (simulate=%v): row %d = %s, oracle %s",
-								round, q, cfg.Simulate, i, res.Rows[i][0], want[i])
+						if rows[i][0] != want[i] {
+							t.Fatalf("round %d: %s (simulate=%v cores=%d): row %d = %s, oracle %s",
+								round, q, cfg.Simulate, cfg.Cores, i, rows[i][0], want[i])
 						}
+					}
+					if st, ok := indexScanStats(res); ok && st.Cores > 1 {
+						parallelIndex = true
+					}
+					q = fmt.Sprintf("SELECT %sCOUNT(*), SUM(rid) FROM f WHERE %s", hint, where)
+					if res, err = eng.Query(q); err != nil {
+						t.Fatalf("round %d: %s: %v", round, q, err)
+					}
+					if got := fmt.Sprint(res.Rows); got != wantAgg {
+						t.Fatalf("round %d: %s (simulate=%v cores=%d): %s, oracle %s",
+							round, q, cfg.Simulate, cfg.Cores, got, wantAgg)
 					}
 				}
 			}
 		}
+	}
+	if rounds > 5 && !parallelIndex {
+		t.Error("no index scan ran its windows on more than one core")
 	}
 }
 

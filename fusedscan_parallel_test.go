@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,8 +21,9 @@ const parallelRows = 4<<16 + 12345
 
 // buildParallelEngine registers a fact table t over five chunks — random
 // int columns a and b, float f with mixed magnitudes (so float sums depend
-// on fold order), packed p, sorted s (zone maps prune it) and join key k —
-// and a dimension table d(k, v).
+// on fold order), packed p, sorted s (zone maps prune it), join key k and
+// r, a shuffled row number with a secondary index — and a dimension table
+// d(k, v).
 func buildParallelEngine(t *testing.T) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
@@ -31,6 +33,7 @@ func buildParallelEngine(t *testing.T) *Engine {
 	p := make([]int32, parallelRows)
 	s := make([]int32, parallelRows)
 	k := make([]int32, parallelRows)
+	r := shuffledRows(rng)
 	for i := range a {
 		a[i] = rng.Int31n(10)
 		b[i] = rng.Int31n(100)
@@ -41,7 +44,7 @@ func buildParallelEngine(t *testing.T) *Engine {
 	}
 	eng := NewEngine()
 	if err := eng.CreateTable("t").Int32("a", a).Int32("b", b).Float64("f", f).
-		Int32("p", p).Int32("s", s).Int32("k", k).Pack("p").Finish(); err != nil {
+		Int32("p", p).Int32("s", s).Int32("k", k).Int32("r", r).Pack("p").Index("r").Finish(); err != nil {
 		t.Fatal(err)
 	}
 	dk := make([]int32, 5000)
@@ -56,6 +59,16 @@ func buildParallelEngine(t *testing.T) *Engine {
 	return eng
 }
 
+// shuffledRows returns a random permutation of 0..parallelRows-1: an
+// indexed range over it keeps candidates in every window.
+func shuffledRows(rng *rand.Rand) []int32 {
+	r := make([]int32, parallelRows)
+	for i, v := range rng.Perm(parallelRows) {
+		r[i] = int32(v)
+	}
+	return r
+}
+
 // parallelOutcome is everything a query must reproduce on any core count.
 type parallelOutcome struct {
 	count                  int64
@@ -63,6 +76,7 @@ type parallelOutcome struct {
 	rows                   [][]string
 	pruned, bytes          int64
 	bloomChecks, bloomPass int64
+	probes, indexRows      int64
 	// scanned totals the scans' RowsIn.
 	scanned   int64
 	scans     int
@@ -93,6 +107,8 @@ func runParallelQuery(t *testing.T, eng *Engine, sql string, stream bool, cores 
 	for _, op := range res.Operators {
 		out.bloomChecks += op.BloomChecks
 		out.bloomPass += op.BloomPass
+		out.probes += op.IndexProbes
+		out.indexRows += op.IndexRows
 		// Only a scan leaf reports the cores it ran on.
 		if op.Cores == 0 {
 			continue
@@ -109,10 +125,11 @@ func runParallelQuery(t *testing.T, eng *Engine, sql string, stream bool, cores 
 
 // TestParallelScansMatchSingleCore runs each query shape on 1, 2 and 3
 // cores and requires identical rows (float aggregates compared as bits),
-// pruning, scanned bytes and Bloom counters. A scan with at least two
-// surviving chunks and no LIMIT must run on every core asked for, up to
-// one per chunk; a scan with one surviving chunk, or a LIMIT hint, or an
-// unfiltered count-only scan must start no helper.
+// pruning, scanned bytes, Bloom and index counters. A scan with at least
+// two surviving chunks and no LIMIT must run on every core asked for, up
+// to one per chunk; a scan with one surviving chunk, or a LIMIT hint, or
+// a count-only scan with no predicate to run per window (unfiltered, or on
+// the index path with no residual) must start no helper.
 func TestParallelScansMatchSingleCore(t *testing.T) {
 	// The engine caps a native scan's cores at GOMAXPROCS; raise it so
 	// three cores are available on any machine.
@@ -167,6 +184,14 @@ func TestParallelScansMatchSingleCore(t *testing.T) {
 		// Counting every row leaves a helper no per-window work.
 		{name: "count-unfiltered", sql: "SELECT COUNT(*) FROM t"},
 		{name: "group-by-unfiltered", sql: "SELECT a, COUNT(*), SUM(b) FROM t GROUP BY a", usable: 5},
+		// The index path: a point lookup has one window, a LIMIT stops
+		// early and a count with no residual has no work per window; a
+		// residual or positions to emit spread the windows over the cores.
+		{name: "index-point", sql: "SELECT COUNT(*), SUM(b) FROM t WHERE r = 123456", check: wantIndexScan},
+		{name: "index-limit", sql: "SELECT /*+ INDEX(t r) */ a, b FROM t WHERE r < 200000 LIMIT 10", check: wantIndexScan},
+		{name: "index-count", sql: "SELECT /*+ INDEX(t r) */ COUNT(*) FROM t WHERE r < 200000", check: wantIndexScan},
+		{name: "index-count-residual", sql: "SELECT /*+ INDEX(t r) */ COUNT(*) FROM t WHERE r < 200000 AND a < 7", usable: 5, check: wantIndexScan},
+		{name: "index-streamed-projection", sql: "SELECT /*+ INDEX(t r) */ r, a, f FROM t WHERE r < 5000", stream: true, usable: 5, check: wantIndexScan},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +225,14 @@ func TestParallelScansMatchSingleCore(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// wantIndexScan checks that a query ran on the index access path.
+func wantIndexScan(t *testing.T, o parallelOutcome) {
+	t.Helper()
+	if o.probes != 1 || o.indexRows == 0 {
+		t.Errorf("%d index probes materialized %d rows, want one probe", o.probes, o.indexRows)
 	}
 }
 
@@ -282,7 +315,8 @@ func TestParallelScanCappedByExecutingQueries(t *testing.T) {
 // nk is a nullable key and nv a nullable value, fk a float key of NaN,
 // -0, +0 and other values, f a float value whose sums depend on fold
 // order, e a column whose third chunk keeps no row of e = 2 although its
-// zone map cannot prune it, and k a join key into the dimension d(k, v).
+// zone map cannot prune it, k a join key into the dimension d(k, v) and r
+// a shuffled row number with a secondary index.
 func buildFragmentEngine(t *testing.T) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(48))
@@ -290,6 +324,7 @@ func buildFragmentEngine(t *testing.T) *Engine {
 		make([]int32, parallelRows), make([]int32, parallelRows), make([]int32, parallelRows), make([]int32, parallelRows)
 	f, fk := make([]float64, parallelRows), make([]float64, parallelRows)
 	keys := []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2, math.Inf(1)}
+	r := shuffledRows(rng)
 	var nullKeys, nullVals []int
 	for i := range g {
 		g[i] = int32(i * 7 % (1 << 16))
@@ -311,8 +346,8 @@ func buildFragmentEngine(t *testing.T) *Engine {
 	}
 	eng := NewEngine()
 	if err := eng.CreateTable("t").Int32("g", g).Int32("h", h).Int32("nk", nk).Int32("nv", nv).
-		Int32("e", e).Int32("k", k).Int32("a", a).Float64("f", f).Float64("fk", fk).
-		NullsAt("nk", nullKeys).NullsAt("nv", nullVals).Finish(); err != nil {
+		Int32("e", e).Int32("k", k).Int32("a", a).Int32("r", r).Float64("f", f).Float64("fk", fk).
+		NullsAt("nk", nullKeys).NullsAt("nv", nullVals).Index("r").Finish(); err != nil {
 		t.Fatal(err)
 	}
 	dk, dv := make([]int32, 5000), make([]int32, 5000)
@@ -329,9 +364,9 @@ func buildFragmentEngine(t *testing.T) *Engine {
 // join probe and fold of each window on the core that scanned it — on 1,
 // 2 and 3 cores over five windows, and requires bit-identical rows and
 // equal operator counters: rows in and out, batches, groups, probe rows,
-// Bloom checks and passes, pruned chunks and scanned bytes. Every scan,
-// filtered or not, runs on as many cores as were asked for and it has
-// windows.
+// Bloom checks and passes, pruned chunks, scanned bytes and index probes.
+// Every scan, filtered, unfiltered or on the index path, runs on as many
+// cores as were asked for and it has windows.
 func TestParallelFragmentsMatchSingleCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4)))
 	eng := buildFragmentEngine(t)
@@ -351,17 +386,26 @@ func TestParallelFragmentsMatchSingleCore(t *testing.T) {
 		{"zero-key-no-where", "SELECT SUM(f), AVG(f), SUM(nv), COUNT(*) FROM t"},
 		{"empty-window", "SELECT a, COUNT(*), SUM(f) FROM t WHERE e = 2 GROUP BY a"},
 		{"empty-window-zero-key", "SELECT COUNT(*), SUM(nv), MIN(fk) FROM t WHERE e = 2"},
+		{"index-direct", "SELECT /*+ INDEX(t r) */ g, COUNT(*), SUM(nv), AVG(f) FROM t WHERE r < 150000 GROUP BY g"},
+		{"index-hashed", "SELECT /*+ INDEX(t r) */ h, COUNT(*), SUM(nv), MIN(f) FROM t WHERE r < 150000 AND a < 8 GROUP BY h"},
+		{"index-float-sum", "SELECT /*+ INDEX(t r) */ SUM(f), AVG(f), MIN(nv), COUNT(*) FROM t WHERE r < 150000"},
+		{"index-count", "SELECT /*+ INDEX(t r) */ COUNT(*) FROM t WHERE r < 150000 AND a < 8"},
+		{"index-projection", "SELECT /*+ INDEX(t r) */ r, nv, f FROM t WHERE r < 20000 AND a < 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want fragmentOutcome
 			for _, cores := range []int{1, 2, 3} {
 				got := runFragmentQuery(t, eng, tc.sql, cores)
-				windows := 0
+				windows, indexed := 0, false
 				for _, sc := range got.scans {
+					indexed = indexed || sc.IndexProbes > 0
 					windows = max(windows, int(sc.Batches))
 					if want := min(cores, int(sc.Batches)); sc.Cores != want {
 						t.Errorf("%d cores: %s ran on %d, want %d", cores, sc.Name, sc.Cores, want)
 					}
+				}
+				if indexed != strings.HasPrefix(tc.name, "index-") {
+					t.Errorf("%d cores: index path taken = %v", cores, indexed)
 				}
 				if cores == 1 {
 					if len(got.rows) == 0 || windows < 3 {
@@ -399,8 +443,9 @@ func runFragmentQuery(t *testing.T, eng *Engine, sql string, cores int) fragment
 	}
 	out := fragmentOutcome{rows: res.Rows}
 	for _, op := range res.Operators {
-		out.counters = append(out.counters, fmt.Sprintf("%s in=%d out=%d batches=%d groups=%d probe=%d bloom=%d/%d pruned=%d bytes=%d",
-			op.Name, op.RowsIn, op.RowsOut, op.Batches, op.Groups, op.ProbeRows, op.BloomPass, op.BloomChecks, op.ChunksPruned, op.BytesScanned))
+		out.counters = append(out.counters, fmt.Sprintf("%s in=%d out=%d batches=%d groups=%d probe=%d bloom=%d/%d pruned=%d bytes=%d probes=%d idxrows=%d",
+			op.Name, op.RowsIn, op.RowsOut, op.Batches, op.Groups, op.ProbeRows, op.BloomPass, op.BloomChecks, op.ChunksPruned, op.BytesScanned,
+			op.IndexProbes, op.IndexRows))
 		// Only a scan leaf reports the cores it ran on.
 		if op.Cores > 0 {
 			out.scans = append(out.scans, op)
@@ -411,7 +456,8 @@ func runFragmentQuery(t *testing.T, eng *Engine, sql string, cores int) fragment
 
 // TestFailedFragmentLeavesNothingRunning fails aggregation fragments
 // while both cores run them — every window's partial over the memory
-// budget, a cancel mid-query, a panic injected into a morsel — and
+// budget, a cancel mid-query, a panic injected into a morsel, a failed
+// index probe and a panic in an index scan's window — and
 // requires the typed error each time and, before the next query, no
 // goroutine beyond those running before: execute joins every helper on
 // every path.
@@ -473,7 +519,32 @@ func TestFailedFragmentLeavesNothingRunning(t *testing.T) {
 		faultinject.Reset()
 		settled("morsel panic")
 	}
-	if err := run(context.Background()); err != nil {
-		t.Errorf("after the failures: %v", err)
+	// The index path at Cores 2: a failed probe at Open, then a panic in
+	// each of its windows, those the helper runs included.
+	const indexSQL = "SELECT /*+ INDEX(t r) */ h, COUNT(*), SUM(nv) FROM t WHERE r < 150000 AND a < 8 GROUP BY h"
+	runIndex := func() error {
+		_, err := eng.QueryWith(context.Background(), indexSQL, QueryOptions{Config: &cfg})
+		return err
+	}
+	faultinject.Arm(faultinject.SiteIndexProbe, 1, faultinject.ModeError)
+	var fe *faultinject.Error
+	if err := runIndex(); !errors.As(err, &fe) || fe.Site != faultinject.SiteIndexProbe {
+		t.Errorf("failed index probe: err = %v, want injected index.probe failure", err)
+	}
+	faultinject.Reset()
+	settled("index probe")
+	for n := 1; n <= 5; n++ {
+		faultinject.Arm(faultinject.SiteParallelMorsel, n, faultinject.ModePanic)
+		var qe *QueryError
+		if err := runIndex(); !errors.As(err, &qe) {
+			t.Errorf("panic in index window %d: err = %v, want *QueryError", n, err)
+		}
+		faultinject.Reset()
+		settled("index window panic")
+	}
+	for _, sql := range []string{sql, indexSQL} {
+		if _, err := eng.QueryWith(context.Background(), sql, QueryOptions{Config: &cfg}); err != nil {
+			t.Errorf("after the failures: %s: %v", sql, err)
+		}
 	}
 }

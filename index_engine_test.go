@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -495,5 +496,59 @@ func TestClusterByRejectsPacked(t *testing.T) {
 	err := eng.CreateTable("t").Int32("a", vals).Pack("a").ClusterBy("a").Finish()
 	if err == nil || !strings.Contains(err.Error(), "before Pack") {
 		t.Fatalf("err = %v, want CLUSTER BY-before-Pack rejection", err)
+	}
+}
+
+// TestIndexScanPrunesCandidateWindows: on a CLUSTER BY table, the index
+// path skips a window that holds candidates but that the residual's zone
+// maps rule out, and counts it in ChunksPruned; a window with no candidate
+// is not counted. The rows match the scan's on every config.
+func TestIndexScanPrunesCandidateWindows(t *testing.T) {
+	const n = 5 << 16
+	rng := rand.New(rand.NewSource(50))
+	s, k, v := make([]int32, n), make([]int32, n), make([]int32, n)
+	for i := range s {
+		s[i] = int32(rng.Intn(1000))
+		k[i], v[i] = s[i], int32(rng.Intn(1000))
+	}
+	eng := NewEngine()
+	if err := eng.CreateTable("t").Int32("s", s).Int32("k", k).Int32("v", v).
+		ClusterBy("s").Index("k").Finish(); err != nil {
+		t.Fatal(err)
+	}
+	// Clustered, window w holds s (and k) of about [200w, 200w+200): window
+	// 0 has no candidate for k >= 300, and s < 500 rules out windows 3 and 4.
+	const where = "FROM t WHERE k >= 300 AND s < 500"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
+	var configs []Config
+	for _, cores := range []int{1, 2} {
+		sim, native := DefaultConfig(), NativeConfig()
+		sim.Cores, native.Cores = cores, cores
+		configs = append(configs, sim, native)
+	}
+	for _, cfg := range configs {
+		if err := eng.SetConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.Query("SELECT /*+ NO_INDEX */ COUNT(*), SUM(v) " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Query("SELECT /*+ INDEX(t k) */ COUNT(*), SUM(v) " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, ok := indexScanStats(got)
+		if !ok {
+			t.Fatal("forced query did not run an IndexScan")
+		}
+		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || want.Count == 0 {
+			t.Errorf("simulate=%v cores %d: index rows %v, scan rows %v", cfg.Simulate, cfg.Cores, got.Rows, want.Rows)
+		}
+		// Simulated or native, the two kept windows are dealt to the cores.
+		if st.ChunksPruned != 2 || st.Batches != 2 || st.Cores != cfg.Cores {
+			t.Errorf("simulate=%v cores %d: index scan pruned %d windows and emitted %d on %d cores, want 2 and 2",
+				cfg.Simulate, cfg.Cores, st.ChunksPruned, st.Batches, st.Cores)
+		}
 	}
 }

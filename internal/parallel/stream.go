@@ -17,9 +17,12 @@ import (
 // delivered. Like io.EOF it signals normal termination, not failure.
 var EOS = errors.New("parallel: end of stream")
 
-// Window is one morsel: the table rows [Begin, End).
+// Window is one morsel: the table rows [Begin, End) and, when the caller
+// keeps a sorted list of row ids in them (an index scan's candidates),
+// their entries [Lo, Hi) of it.
 type Window struct {
 	Begin, End int
+	Lo, Hi     int
 }
 
 // Windows splits rows into consecutive windows of at most size rows.

@@ -450,9 +450,10 @@ func (op *groupOp) Next() (Batch, error) {
 // run drives every window of the input through its fragment and merges
 // the partials in window order. The fragment's leaf is the scan under the
 // sink, or under the join below it: a table scan, with or without
-// predicates, runs the rest of each fragment itself (finish), on whichever
-// core scanned the window; any other input (an index scan, a filter) is
-// pulled here and finished on this core.
+// predicates or on the index path, runs the rest of each fragment itself
+// (finish), on whichever core scanned the window; any other input (a
+// filter, left only by an unoptimized plan) is pulled here and finished on
+// this core.
 func (op *groupOp) run() error {
 	src := op.input
 	if j, ok := src.(*joinOp); ok && !j.empty {

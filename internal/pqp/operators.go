@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
 	"fusedscan/internal/govern"
+	"fusedscan/internal/lqp"
 	"fusedscan/internal/mach"
 	"fusedscan/internal/parallel"
 	"fusedscan/internal/scan"
@@ -78,11 +80,14 @@ type positionStream interface {
 // feed the pipeline directly, never widening into a whole-table position
 // list. A table read with no predicates is the same scan over an empty
 // chain: its windows emit every row without a kernel, and a hash join may
-// give it one step, the transferred Bloom filter. Open lists the windows the
-// zone maps do not prune, once; both execution modes walk that list. With
-// Cores > 1, at least two surviving windows and no LIMIT hint, the windows
-// become the morsels of a parallel stream (each core with its own
-// simulated CPU when the plan runs against one), merged back in window
+// give it one step, the transferred Bloom filter. The index access path is
+// the same scan once more: Open probes the indexes, keeps only the chunks
+// holding a candidate row, and each window emits its candidates, refined by
+// the chain of residual predicates when there is one. Open lists the
+// windows the zone maps do not prune, once; both execution modes walk that
+// list. With Cores > 1, at least two surviving windows and no LIMIT hint,
+// the windows become the morsels of a parallel stream (each core with its
+// own simulated CPU when the plan runs against one), merged back in window
 // order, so downstream operators consume an identical ordered stream and
 // the scan reports the same pruning and byte counts on any core count.
 // Below an aggregation sink the scan is the leaf of each window's
@@ -94,10 +99,14 @@ type scanOp struct {
 	// which a hash join above resets to preds plus its Bloom step at each
 	// Open.
 	preds, chain scan.Chain
-	// kernels builds the chain's kernels; nil for a scan translated with
-	// no predicates, until a join hands it the family its Bloom step runs
-	// on.
-	kernels   *Family
+	// kernels builds the chain's kernels; nil for a table scan translated
+	// with no predicates, until a join hands it the family its Bloom step
+	// runs on.
+	kernels *Family
+	// probes, when set, make the scan an index scan: Open probes each
+	// index and intersects the lists into cands, the candidate rows
+	// (absolute row ids, ascending), and preds is the residual chain.
+	probes    []lqp.IndexProbe
 	batchRows int
 	// stopAfter, when > 0, is the optimizer's LIMIT pushdown hint: stop
 	// producing once this many matches have been emitted (rounded up to a
@@ -116,8 +125,9 @@ type scanOp struct {
 
 	ctx context.Context
 	cpu *mach.CPU
-	// windows are the chunks zone-map pruning kept; next indexes the
-	// next one to emit.
+	// windows are the chunks zone-map pruning kept (on the index path,
+	// those of them holding a candidate, whose entries of cands each
+	// window's Lo and Hi bound); next indexes the next one to emit.
 	windows []parallel.Window
 	next    int
 	emitted atomic.Int64
@@ -135,7 +145,13 @@ type scanOp struct {
 	// bytes totals the stored value bytes the chain's predicate columns
 	// covered across non-pruned windows (OperatorStats.BytesScanned).
 	bytes atomic.Int64
-	stats opStats
+	// cands holds the index path's candidates from Open to Close, charged
+	// to the query's memory budget by retained; probeCount and probeRows
+	// count the probes and the positions they materialized.
+	cands                 []uint32
+	retained              batchCharger
+	probeCount, probeRows int64
+	stats                 opStats
 }
 
 // scanCore is one core's state in a scan: its in-flight batch charge and,
@@ -149,20 +165,34 @@ type scanCore struct {
 // Describe names the scan by its translated chain, so a Bloom step a join
 // adds at Open does not change EXPLAIN.
 func (op *scanOp) Describe() string {
+	if op.probes != nil {
+		cols := make([]string, len(op.probes))
+		for i, pr := range op.probes {
+			cols[i] = pr.Index.Column()
+		}
+		d := fmt.Sprintf("IndexScan[%s] on %s", strings.Join(cols, ","), op.tbl.Name())
+		if len(op.preds) > 0 {
+			d += " + residual " + op.kernels.Name
+		}
+		return d
+	}
 	if len(op.preds) == 0 {
 		return fmt.Sprintf("TableScan(%s, all rows)", op.tbl.Name())
 	}
 	return fmt.Sprintf("%s on %s", op.kernels.Name, op.tbl.Name())
 }
 
-// Stats reports the kernel path, encoding and bytes only for a scan whose
-// chain ran kernels.
+// Stats reports the kernel path for a scan whose chain ran kernels or that
+// probed an index, and the encoding and bytes only when kernels ran.
 func (op *scanOp) Stats() OperatorStats {
 	st := op.stats.snapshot(op.Describe())
 	st.ChunksPruned = op.pruned
 	st.Cores = op.ran
-	if len(op.chain) > 0 {
+	st.IndexProbes, st.IndexRows = op.probeCount, op.probeRows
+	if len(op.chain) > 0 || op.probes != nil {
 		st.Path = op.kernels.Path
+	}
+	if len(op.chain) > 0 {
 		// scan.Chain.Encoding matches the EncodingPlain/EncodingPacked/
 		// EncodingMixed labels.
 		st.Encoding = op.chain.Encoding()
@@ -193,29 +223,48 @@ func (op *scanOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	op.emitted.Store(0)
 	op.bytes.Store(0)
 	op.stream, op.ran, op.counters = nil, 1, nil
+	acct := govern.AccountantFrom(ctx)
+	if op.probes != nil {
+		if err := op.probe(cpu, acct); err != nil {
+			return err
+		}
+	}
 	// Zone maps are built lazily per column and cached, so the first
 	// query over a table pays one stats pass per predicate column and
-	// later queries prune for free.
+	// later queries prune for free. An index scan visits only the chunks
+	// holding a candidate, and counts as pruned only those of them the
+	// residual chain's zone maps rule out.
 	pruner := scan.NewPruner(op.chain, op.batchRows)
 	op.windows = op.windows[:0]
-	for begin, n := 0, op.tbl.Rows(); begin < n; begin += op.batchRows {
+	for begin, lo, n := 0, 0, op.tbl.Rows(); begin < n; begin += op.batchRows {
+		if op.probes != nil {
+			if lo == len(op.cands) {
+				break
+			}
+			begin = int(op.cands[lo]) / op.batchRows * op.batchRows
+		}
 		end := min(begin+op.batchRows, n)
+		w := parallel.Window{Begin: begin, End: end}
+		if op.probes != nil {
+			hi, _ := slices.BinarySearch(op.cands[lo:], uint32(end))
+			w.Lo, w.Hi, lo = lo, lo+hi, lo+hi
+		}
 		if pruner.Prune(begin, end) {
 			op.pruned++
 			continue
 		}
-		op.windows = append(op.windows, parallel.Window{Begin: begin, End: end})
+		op.windows = append(op.windows, w)
 	}
 	// A LIMIT scan usually stops within its first windows, and a single
 	// window leaves a helper nothing to do, nor does a count-only scan
-	// with no predicates: all stay on this core. The stream starts at the
+	// with no predicate to run per window (counting every row, or an
+	// index's candidates): all stay on this core. The stream starts at the
 	// first window pulled, once a sink above has had the chance to fuse
 	// the rest of the fragment.
 	work := len(op.chain) > 0 || !op.countOnly
 	if op.cores > 1 && len(op.windows) > 1 && op.stopAfter == 0 && work {
 		op.ran = min(op.cores, len(op.windows))
 	}
-	acct := govern.AccountantFrom(ctx)
 	op.one[0] = scanCore{charger: batchCharger{acct: acct}}
 	op.perCore = op.one[:]
 	if op.ran > 1 {
@@ -225,6 +274,42 @@ func (op *scanOp) Open(ctx context.Context, cpu *mach.CPU) error {
 		}
 	}
 	return ctx.Err()
+}
+
+// probe is the index path's probe phase: each index binary-searches its
+// key run (log2 cost on the machine model) and materializes an ascending
+// absolute position list; the lists then intersect smallest-first (the
+// optimizer already ordered the probes by ascending selectivity) into
+// cands, which is charged to the memory budget until Close.
+func (op *scanOp) probe(cpu *mach.CPU, acct *govern.Accountant) error {
+	op.probeCount, op.probeRows = 0, 0
+	op.retained = batchCharger{acct: acct}
+	region := cpu.NewRandomRegion()
+	lists := make([][]uint32, 0, len(op.probes))
+	for _, pr := range op.probes {
+		list, err := pr.Index.Probe(pr.Pred.Op, pr.Pred.Value)
+		if err != nil {
+			return fmt.Errorf("pqp: index probe %s: %w", pr.Pred, err)
+		}
+		op.probeCount++
+		op.probeRows += int64(len(list))
+		// Machine-model accounting: the binary search's pointer chase plus
+		// one sequential copy per materialized position.
+		levels := 1
+		for n := pr.Index.Entries(); n > 1; n >>= 1 {
+			levels++
+		}
+		cpu.Scalar(levels)
+		cpu.RandomRead(region, 0, levels)
+		cpu.Scalar(len(list))
+		lists = append(lists, list)
+	}
+	if len(lists) == 1 {
+		op.cands = lists[0]
+	} else {
+		op.cands = scan.IntersectMany(lists...)
+	}
+	return op.retained.swap(int64(len(op.cands)) * bytesPerPosition)
 }
 
 // sizeHint is the selectivity estimate that pre-sizes position lists (0
@@ -294,16 +379,24 @@ func (op *scanOp) window(core int, cpu *mach.CPU, w parallel.Window) (frag, erro
 	if reuse {
 		buf = sc.positions
 	}
-	res, err := op.run(sub, cpu, w.End-w.Begin, buf)
+	res, err := op.run(sub, cpu, w, buf)
 	if err != nil {
 		return frag{}, fmt.Errorf("pqp: scan chunk [%d, %d): %w", w.Begin, w.End, err)
 	}
 	if reuse {
 		sc.positions = res.Positions
 	}
-	op.stats.noteScanned(w.End - w.Begin)
+	scanned := w.End - w.Begin
+	if op.probes != nil {
+		// An index window reads its candidates, not the window's rows.
+		scanned = w.Hi - w.Lo
+	}
+	op.stats.noteScanned(scanned)
 	op.bytes.Add(sub.ScanBytes())
-	b := Batch{Base: uint32(w.Begin), Sel: res.Positions, Count: res.Count}
+	b := Batch{Base: uint32(w.Begin), Count: res.Count}
+	if !op.countOnly {
+		b.Sel = res.Positions
+	}
 	if err := sc.charger.swap(int64(len(b.Sel)) * bytesPerPosition); err != nil {
 		return frag{}, err
 	}
@@ -317,10 +410,37 @@ func (op *scanOp) window(core int, cpu *mach.CPU, w parallel.Window) (frag, erro
 	return frag{p: p}, err
 }
 
-// run scans one window of n rows against cpu, its positions written into
-// buf when it has room: the chain's kernel or, with an empty chain, every
-// row, charged as one scalar instruction per position.
-func (op *scanOp) run(sub scan.Chain, cpu *mach.CPU, n int, buf []uint32) (scan.Result, error) {
+// run scans one window against cpu, its positions written into buf when
+// it has room: on the index path the window's candidates, relative to its
+// first row and refined by the chain when it has steps; otherwise the
+// chain's kernel or, with an empty chain, every row, charged as one scalar
+// instruction per position.
+func (op *scanOp) run(sub scan.Chain, cpu *mach.CPU, w parallel.Window, buf []uint32) (scan.Result, error) {
+	if op.probes != nil {
+		cand := op.cands[w.Lo:w.Hi]
+		if len(sub) == 0 && op.countOnly {
+			return scan.Result{Count: len(cand)}, nil
+		}
+		if cap(buf) < len(cand) {
+			buf = make([]uint32, len(cand))
+		}
+		rel := buf[:len(cand)]
+		for i, p := range cand {
+			rel[i] = p - uint32(w.Begin)
+		}
+		if len(sub) > 0 {
+			kern, err := buildWindow(op.kernels.Build, sub, op.estSel)
+			if err != nil {
+				return scan.Result{}, err
+			}
+			// The kernel's positions are needed even in count-only mode:
+			// the count is the size of their intersection with the
+			// candidates, taken in place.
+			rel = scan.IntersectPositions(rel, rel, kern.Run(cpu, true).Positions)
+		}
+		return scan.Result{Positions: rel, Count: len(rel)}, nil
+	}
+	n := w.End - w.Begin
 	if len(sub) == 0 {
 		res := scan.Result{Count: n}
 		if !op.countOnly {
@@ -360,6 +480,8 @@ func (op *scanOp) Close() error {
 		op.perCore[i].charger.done()
 	}
 	op.perCore, op.one = nil, [1]scanCore{}
+	op.retained.done()
+	op.cands = nil
 	return nil
 }
 

@@ -48,10 +48,11 @@ type Options struct {
 	Width vec.Width
 	// ISA is the instruction-set dialect for fused operators.
 	ISA vec.ISA
-	// Cores > 1 lets a table scan run its zone-map-surviving chunk windows
-	// as morsels on that many cores (see internal/parallel) when at least
-	// two windows survive, the scan has no LIMIT hint and it has work per
-	// window (predicates, or positions to emit);
+	// Cores > 1 lets a table scan — unfiltered, filtered or on the index
+	// path — run its zone-map-surviving chunk windows as morsels on that
+	// many cores (see internal/parallel) when at least two windows
+	// survive, the scan has no LIMIT hint and it has work per window
+	// (predicates, or positions to emit);
 	// each core simulates its own CPU, built from Params, when the plan
 	// runs against one. Downstream operators still consume one ordered
 	// stream; under an aggregation sink each window's join probe and fold
@@ -353,14 +354,11 @@ func Translate(lp *lqp.Plan, comp *jit.Compiler, opts Options) (*Plan, error) {
 
 func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
 	switch t := n.(type) {
-	case *lqp.StoredTable, *lqp.FusedChain:
+	case *lqp.StoredTable, *lqp.FusedChain, *lqp.IndexScan:
 		return translateScan(t, tbl, comp, opts, p)
 
 	case *lqp.EmptyResult:
 		return &emptyOp{reason: t.Reason}, nil
-
-	case *lqp.IndexScan:
-		return translateIndexScan(t, tbl, opts, p)
 
 	case *lqp.Join:
 		return translateJoin(t, tbl, comp, opts, p)
@@ -455,29 +453,42 @@ func findJoin(n lqp.Node) *lqp.Join {
 	return nil
 }
 
-// translateScan lowers a stored table, alone or under a fused predicate
-// chain, to the chunked scan leaf: with predicates on the kernel family
-// Kernels picks, without any as the same scan over an empty chain. A nil
-// comp builds fused kernels directly: a join's probe chain is mutated at
-// Open (Bloom injection), so a cached program could never be reused.
+// translateScan lowers a stored table, alone, under a fused predicate
+// chain or on the index access path, to the chunked scan leaf: with
+// predicates on the kernel family Kernels picks, without any as the same
+// scan over an empty chain. A nil comp builds fused kernels directly: a
+// join's probe chain is mutated at Open (Bloom injection), and an index
+// scan's residual runs over per-window slices, so a cached program could
+// never be reused.
 func translateScan(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (*scanOp, error) {
 	op := &scanOp{tbl: tbl, batchRows: opts.batchRows(), cores: opts.Cores, params: opts.Params}
-	fc, ok := n.(*lqp.FusedChain)
-	if !ok {
-		op.tbl = n.(*lqp.StoredTable).Table
+	var preds []expr.Predicate
+	switch t := n.(type) {
+	case *lqp.StoredTable:
+		op.tbl = t.Table
 		return op, nil
+	case *lqp.FusedChain:
+		if _, ok := t.Input.(*lqp.StoredTable); !ok {
+			return nil, fmt.Errorf("pqp: fused chain must sit directly on a stored table, found %T", t.Input)
+		}
+		preds, op.estSel, op.stopAfter = t.Preds, t.EstSel, t.StopAfter
+	case *lqp.IndexScan:
+		preds, op.estSel, op.stopAfter = t.Residual, t.EstSel, t.StopAfter
+		op.tbl, op.probes, comp = t.Table, t.Probes, nil
 	}
-	if _, ok := fc.Input.(*lqp.StoredTable); !ok {
-		return nil, fmt.Errorf("pqp: fused chain must sit directly on a stored table, found %T", fc.Input)
+	// An index scan's residual may be empty; a fused chain's may not.
+	var ch scan.Chain
+	if op.probes == nil || len(preds) > 0 {
+		var err error
+		if ch, err = buildChain(tbl, preds); err != nil {
+			return nil, err
+		}
 	}
-	ch, err := buildChain(tbl, fc.Preds)
+	f, err := p.kernels(ch, comp, opts)
 	if err != nil {
 		return nil, err
 	}
-	if op.kernels, err = p.kernels(ch, comp, opts); err != nil {
-		return nil, err
-	}
-	op.preds, op.chain, op.estSel, op.stopAfter = ch, ch, fc.EstSel, fc.StopAfter
+	op.kernels, op.preds, op.chain = f, ch, ch
 	return op, nil
 }
 

@@ -27,8 +27,9 @@ import (
 const gallopRatio = 8
 
 // IntersectPositions intersects two ascending position lists into dst
-// (reused if it has capacity; pass nil to allocate). The result is
-// ascending. Inputs must be strictly ascending, as scan kernels emit them.
+// (reused if it has capacity; pass nil to allocate). dst may alias a or b:
+// no entry is written before it has been read. The result is ascending.
+// Inputs must be strictly ascending, as scan kernels emit them.
 func IntersectPositions(dst, a, b []uint32) []uint32 {
 	if len(a) > len(b) {
 		a, b = b, a

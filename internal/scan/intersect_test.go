@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -64,10 +65,21 @@ func TestIntersectPositionsDifferential(t *testing.T) {
 				t.Fatalf("trial %d: element %d: got %d, want %d", trial, i, got[i], want[i])
 			}
 		}
-		// Buffer reuse must not change the result.
+		// Buffer reuse must not change the result, nor must writing over
+		// either input.
 		reused := IntersectPositions(got[:0], a, b)
 		if len(reused) != len(want) {
 			t.Fatalf("trial %d: reuse changed the result", trial)
+		}
+		for side, in := range [][]uint32{a, b} {
+			cp := append([]uint32(nil), in...)
+			x, y := cp, b
+			if side == 1 {
+				x, y = a, cp
+			}
+			if got := IntersectPositions(cp[:0], x, y); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d: in place over input %d: got %v, want %v", trial, side, got, want)
+			}
 		}
 	}
 }
