@@ -8,8 +8,10 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -441,6 +443,10 @@ type fuzzJoinQuery struct {
 	residualOp string // "", "<", "<=", ">", ">=": f.u OP d.v in the ON clause
 	probeMin   int32  // f.u >= probeMin in WHERE (-1: absent)
 	buildMax   int32  // d.v <= buildMax in WHERE (-1: absent)
+	// probeDead and buildDead add, after that side's satisfiable bound, a
+	// bound outside the column's range (f.x = 77, d.y > 5000): the
+	// optimizer prunes the side's whole run and collapses the join.
+	probeDead, buildDead bool
 }
 
 func genFuzzJoinQuery(rng *rand.Rand) fuzzJoinQuery {
@@ -451,6 +457,18 @@ func genFuzzJoinQuery(rng *rand.Rand) fuzzJoinQuery {
 	}
 	if rng.Intn(2) == 0 {
 		q.buildMax = int32(rng.Intn(8))
+	}
+	switch rng.Intn(5) {
+	case 0:
+		q.probeDead = true
+		if q.probeMin < 0 {
+			q.probeMin = int32(rng.Intn(5))
+		}
+	case 1:
+		q.buildDead = true
+		if q.buildMax < 0 {
+			q.buildMax = int32(rng.Intn(8))
+		}
 	}
 	return q
 }
@@ -468,14 +486,17 @@ func (q fuzzJoinQuery) sql() string {
 	if q.probeMin >= 0 {
 		where = append(where, fmt.Sprintf("f.u >= %d", q.probeMin))
 	}
+	if q.probeDead {
+		where = append(where, "f.x = 77")
+	}
 	if q.buildMax >= 0 {
 		where = append(where, fmt.Sprintf("d.v <= %d", q.buildMax))
 	}
+	if q.buildDead {
+		where = append(where, "d.y > 5000")
+	}
 	if len(where) > 0 {
-		sel += " WHERE " + where[0]
-		if len(where) == 2 {
-			sel += " AND " + where[1]
-		}
+		sel += " WHERE " + strings.Join(where, " AND ")
 	}
 	return sel + group
 }
@@ -500,11 +521,11 @@ func (q fuzzJoinQuery) oracle(ft *fuzzJoinTables) (count int64, rows [][]string)
 	sums := map[int32]int64{}
 	var total int64
 	for i := range ft.fKey {
-		if ft.fNull[i] || (q.probeMin >= 0 && ft.fu[i] < q.probeMin) {
+		if ft.fNull[i] || (q.probeMin >= 0 && ft.fu[i] < q.probeMin) || (q.probeDead && ft.fx[i] != 77) {
 			continue
 		}
 		for j := range ft.dKey {
-			if ft.dNull[j] || (q.buildMax >= 0 && ft.dv[j] > q.buildMax) {
+			if ft.dNull[j] || (q.buildMax >= 0 && ft.dv[j] > q.buildMax) || (q.buildDead && ft.dy[j] <= 5000) {
 				continue
 			}
 			// NaN == NaN is false, so NaN keys never match — as in SQL.
@@ -559,6 +580,7 @@ func TestFuzzJoinGroupByDifferential(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(1234))
 	native := NativeConfig()
+	collapsed := 0
 	for round := 0; round < rounds; round++ {
 		factRows := factSizes[rng.Intn(len(factSizes))]
 		dimRows := dimSizes[rng.Intn(len(dimSizes))]
@@ -569,6 +591,18 @@ func TestFuzzJoinGroupByDifferential(t *testing.T) {
 
 		eng := NewEngine()
 		ft.register(t, eng)
+		if q.probeDead || (q.buildDead && dimRows > 0) {
+			// The dead bound's side has rows, so its statistics prove it
+			// empty: its whole run goes, and the join with it.
+			ex, err := eng.ExplainQuery(sql)
+			if err != nil {
+				t.Fatalf("round %d: explain %q: %v", round, sql, err)
+			}
+			if !slices.Contains(ex.AppliedRules, "CollapseEmptyJoin") {
+				t.Fatalf("round %d: %q did not collapse the join:\n%s", round, sql, ex.OptimizedPlan)
+			}
+			collapsed++
+		}
 		for _, tc := range []struct {
 			name string
 			cfg  *Config
@@ -587,5 +621,8 @@ func TestFuzzJoinGroupByDifferential(t *testing.T) {
 					round, tc.name, sql, factRows, dimRows, ft.keyKind, res.Count, wantCount)
 			}
 		}
+	}
+	if collapsed == 0 {
+		t.Errorf("no round of %d planned a join collapsed by a pruned predicate run", rounds)
 	}
 }

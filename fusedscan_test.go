@@ -1,6 +1,7 @@
 package fusedscan
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -159,6 +160,51 @@ func TestQueryUnsatisfiablePredicatePruned(t *testing.T) {
 	}
 	if !strings.Contains(ex.OptimizedPlan, "EmptyResult") {
 		t.Errorf("unsatisfiable predicate not pruned:\n%s", ex.OptimizedPlan)
+	}
+}
+
+// TestPrunedRunTakesItsSiblings: one unsatisfiable conjunct empties its
+// whole predicate run, wherever it sits in it, so the plan is a bare
+// EmptyResult under the aggregate — on a plain column, a packed one, and on
+// a join's probe side, where the join collapses with it.
+func TestPrunedRunTakesItsSiblings(t *testing.T) {
+	const n = 5000
+	a, b, k := make([]int32, n), make([]int32, n), make([]int32, n)
+	for i := range n {
+		a[i], b[i], k[i] = int32(i%100), int32(i%7), int32(i%50)
+	}
+	eng := NewEngine()
+	if err := eng.CreateTable("f").Int32("a", a).Int32("b", b).Int32("k", k).
+		Int32("p", slices.Clone(a)).Pack("p").Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CreateTable("d").Int32("k", []int32{1, 2, 3}).Finish(); err != nil {
+		t.Fatal(err)
+	}
+	native := NativeConfig()
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM f WHERE a = 777 AND b = 3",
+		"SELECT COUNT(*) FROM f WHERE p = 777 AND b = 3",
+		"SELECT COUNT(*) FROM f JOIN d ON f.k = d.k WHERE f.b = 3 AND f.a = 777",
+		"SELECT COUNT(*) FROM f JOIN d ON f.k = d.k WHERE f.a = 777 AND f.b = 3",
+	} {
+		ex, err := eng.ExplainQuery(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(ex.PhysicalPlan), "\n")
+		if len(lines) != 2 || !strings.HasPrefix(strings.TrimSpace(lines[1]), "EmptyResult(") {
+			t.Errorf("%s: physical plan is not a bare EmptyResult:\n%s", sql, ex.PhysicalPlan)
+		}
+		for _, cfg := range []*Config{nil, &native} {
+			res, err := eng.QueryWith(context.Background(), sql, QueryOptions{Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != 0 || !reflect.DeepEqual(res.Rows, [][]string{{"0"}}) {
+				t.Errorf("%s (native %v): count %d, rows %v; want 0, [[0]]", sql, cfg != nil, res.Count, res.Rows)
+			}
+		}
 	}
 }
 

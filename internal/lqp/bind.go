@@ -63,8 +63,6 @@ func cloneNode(n Node) Node {
 	case *Join:
 		c := *t
 		c.Residuals = append([]JoinResidual(nil), t.Residuals...)
-		c.ProbeCols = append([]string(nil), t.ProbeCols...)
-		c.BuildCols = append([]string(nil), t.BuildCols...)
 		c.Input = cloneNode(t.Input)
 		c.Build = cloneNode(t.Build)
 		return &c

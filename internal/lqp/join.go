@@ -50,11 +50,6 @@ type Join struct {
 	// prefilter stage into the probe side's fused scan chain, unless a
 	// sample of probe keys shows it would pass nearly every row.
 	Transfer bool
-	// ProbeCols/BuildCols, when non-nil, are the pruned per-side column
-	// sets actually consumed at or above the join (nil means all columns
-	// are needed, e.g. under SELECT *).
-	ProbeCols []string
-	BuildCols []string
 }
 
 // Child implements Node: the probe side continues the plan spine.
@@ -71,9 +66,6 @@ func (n *Join) String() string {
 	sb.WriteString("]")
 	if n.Transfer {
 		sb.WriteString(" (bloom transfer)")
-	}
-	if n.BuildCols != nil {
-		fmt.Fprintf(&sb, " (build cols: %s)", strings.Join(n.BuildCols, ", "))
 	}
 	return sb.String()
 }

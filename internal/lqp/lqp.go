@@ -165,14 +165,15 @@ func (*EmptyResult) Child() Node { return nil }
 
 func (n *EmptyResult) String() string { return fmt.Sprintf("EmptyResult(%s)", n.Reason) }
 
-// Projection selects output columns (Star selects all).
+// Projection selects output columns. Star marks SELECT *, which Build
+// expands into Columns and Refs (every probe column, then over a join every
+// build column, qualified by table); it only labels the node.
 type Projection struct {
 	Input   Node
 	Star    bool
 	Columns []string
-	// Refs carries the side-resolved form of Columns (same order); nil
-	// when Star is set. Two-table plans need the side to locate each
-	// output column.
+	// Refs carries the side-resolved form of Columns (same order).
+	// Two-table plans need the side to locate each output column.
 	Refs []ColRef
 	// MaxRows, when > 0, is the LIMIT pushdown hint: at most this many
 	// rows will ever be delivered, so materialization may stop there.
@@ -527,7 +528,23 @@ func Build(sel *sqlparse.Select, cat Catalog) (*Plan, error) {
 		}
 		node = g
 	case sel.Star:
-		node = &Projection{Input: node, Star: true}
+		proj := &Projection{Input: node, Star: true}
+		star := func(tbl *column.Table, build bool) {
+			for _, col := range tbl.ColumnNames() {
+				name := col
+				if join != nil {
+					// Qualified, so same-named columns stay distinguishable.
+					name = tbl.Name() + "." + col
+				}
+				proj.Columns = append(proj.Columns, name)
+				proj.Refs = append(proj.Refs, ColRef{Build: build, Col: col, Name: name})
+			}
+		}
+		star(tbl, false)
+		if join != nil {
+			star(plan.BuildTable, true)
+		}
+		node = proj
 	default:
 		proj := &Projection{Input: node, Columns: sel.Columns}
 		for _, c := range sel.Columns {

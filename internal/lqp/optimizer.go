@@ -24,9 +24,11 @@ func NewOptimizer() *Optimizer { return &Optimizer{} }
 
 // Optimize rewrites the plan in place: join predicate pushdown, per-side
 // selectivity estimation, unsatisfiable-predicate pruning,
-// selectivity-based predicate reordering, fused-chain detection,
-// predicate transfer and join column pruning. The applied rules are
-// recorded on the plan.
+// selectivity-based predicate reordering, fused-chain detection and
+// predicate transfer. The applied rules are recorded on the plan. Every
+// predicate of an optimized plan is inside a scan leaf (a FusedChain or an
+// IndexScan's residual), or its whole run was pruned to EmptyResult; the
+// translator accepts no other predicate.
 func (o *Optimizer) Optimize(p *Plan) {
 	o.pushJoinPredicates(p)
 	if join := findJoin(p); join != nil {
@@ -37,7 +39,6 @@ func (o *Optimizer) Optimize(p *Plan) {
 		join.Build = sub.Root
 		p.AppliedRules = append(p.AppliedRules, sub.AppliedRules...)
 		o.markPredicateTransfer(p, join)
-		o.pruneJoinColumns(p, join)
 	}
 	o.optimizeSpine(p)
 	if join := findJoin(p); join != nil {
@@ -122,66 +123,6 @@ func (o *Optimizer) markPredicateTransfer(p *Plan, join *Join) {
 	p.AppliedRules = append(p.AppliedRules, "PredicateTransferBloom")
 }
 
-// pruneJoinColumns annotates the join with the per-side column sets
-// consumed at or above it (keys, residuals, group keys, aggregate inputs,
-// projections), so the executor materializes only those. SELECT * defeats
-// pruning (all columns are needed).
-func (o *Optimizer) pruneJoinColumns(p *Plan, join *Join) {
-	probe := map[string]bool{join.ProbeKey: true}
-	build := map[string]bool{join.BuildKey: true}
-	for _, r := range join.Residuals {
-		probe[r.Probe] = true
-		build[r.Build] = true
-	}
-	add := func(ref ColRef) {
-		if ref.Build {
-			build[ref.Col] = true
-		} else {
-			probe[ref.Col] = true
-		}
-	}
-	for n := p.Root; n != nil && n != Node(join); n = n.Child() {
-		switch t := n.(type) {
-		case *Projection:
-			if t.Star {
-				return
-			}
-			for _, ref := range t.Refs {
-				add(ref)
-			}
-		case *GroupBy:
-			for _, k := range t.Keys {
-				add(k)
-			}
-			for _, it := range t.Items {
-				if it.Kind != AggCount {
-					add(it.Col)
-				}
-			}
-		case *Sort:
-			probe[t.Col] = true
-		case *Predicate:
-			if t.OnBuild {
-				build[t.Pred.Column] = true
-			} else {
-				probe[t.Pred.Column] = true
-			}
-		}
-	}
-	join.ProbeCols = sortedKeys(probe)
-	join.BuildCols = sortedKeys(build)
-	p.AppliedRules = append(p.AppliedRules, "PruneJoinInputColumns")
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // collapseEmptyJoin replaces the join with EmptyResult when either side
 // was proven empty (an inner join over an empty input produces nothing).
 func (o *Optimizer) collapseEmptyJoin(p *Plan, join *Join) {
@@ -226,7 +167,7 @@ func (o *Optimizer) pushLimitHints(p *Plan) {
 
 // pruneContradictions detects conjunctions on one column that no value can
 // satisfy — "a = 5 AND a = 6", "a < 3 AND a > 7", "a IS NULL AND a = 5" —
-// and replaces the plan with EmptyResult. It works on the predicate run
+// and replaces the predicate run with EmptyResult. It works on the run
 // before reordering, interval-intersecting the comparison bounds per
 // column.
 func (o *Optimizer) pruneContradictions(p *Plan) {
@@ -304,8 +245,7 @@ func (o *Optimizer) pruneContradictions(p *Plan) {
 		}
 	}
 	if contradiction != "" {
-		replaceChild(p, run[0], &EmptyResult{Reason: "contradiction: " + contradiction})
-		p.AppliedRules = append(p.AppliedRules, "PruneContradictoryPredicates")
+		pruneRun(p, "PruneContradictoryPredicates", "contradiction: "+contradiction)
 	}
 }
 
@@ -356,9 +296,9 @@ func (o *Optimizer) estimateSelectivities(p *Plan) {
 // code-space rewrite): the literal is mapped through column.ValueKey and
 // tested against the packed representation's exact key bounds — chunk
 // metadata, no data touched. A literal provably outside every chunk's
-// range collapses the plan to EmptyResult; a predicate every valid row
-// satisfies is dropped entirely (or weakened to IS NOT NULL when the
-// column is nullable, because a comparison also filters NULLs). In-range
+// range collapses the predicate run to EmptyResult; a predicate every
+// valid row satisfies is dropped entirely (or weakened to IS NOT NULL when
+// the column is nullable, because a comparison also filters NULLs). In-range
 // predicates stay as they are — the scan kernels complete the rewrite per
 // chunk in delta space (scan/packed.go), and the collapse outcome is
 // observable in the plan's applied-rules trace.
@@ -383,20 +323,16 @@ func (o *Optimizer) rewritePackedPredicates(p *Plan) {
 		if !any {
 			// Every row is NULL (or the column is empty): no comparison
 			// can match.
-			replaceChild(p, n, &EmptyResult{
-				Reason: fmt.Sprintf("packed rewrite: %s has no non-NULL rows", pred.Pred.Column),
-			})
-			p.AppliedRules = append(p.AppliedRules, "PackedRewriteAlwaysFalse")
+			pruneRun(p, "PackedRewriteAlwaysFalse",
+				fmt.Sprintf("packed rewrite: %s has no non-NULL rows", pred.Pred.Column))
 			return
 		}
 		c := column.ValueKey(col.Type(), pred.Pred.Value)
 		alwaysFalse, alwaysTrue := packedCollapse(pred.Pred.Op, c, minKey, maxKey)
 		switch {
 		case alwaysFalse:
-			replaceChild(p, n, &EmptyResult{
-				Reason: fmt.Sprintf("packed rewrite: %s is outside the stored key range", pred.Pred),
-			})
-			p.AppliedRules = append(p.AppliedRules, "PackedRewriteAlwaysFalse")
+			pruneRun(p, "PackedRewriteAlwaysFalse",
+				fmt.Sprintf("packed rewrite: %s is outside the stored key range", pred.Pred))
 			return
 		case alwaysTrue && col.HasNulls():
 			// Keep only the comparison's implicit NULL filter.
@@ -440,14 +376,12 @@ func packedCollapse(op expr.CmpOp, c, minKey, maxKey uint64) (alwaysFalse, alway
 	return false, false
 }
 
-// pruneUnsatisfiable replaces a predicate run with EmptyResult when a
-// predicate cannot match any row (literal outside the column's [min, max]).
+// pruneUnsatisfiable replaces the predicate run with EmptyResult when one
+// of its predicates cannot match any row (literal outside the column's
+// [min, max]).
 func (o *Optimizer) pruneUnsatisfiable(p *Plan) {
-	for n := p.Root; n != nil; n = n.Child() {
-		pred, ok := n.(*Predicate)
-		if !ok {
-			continue
-		}
+	run, _ := predicateRun(p)
+	for _, pred := range run {
 		if pred.Pred.Kind != expr.PredCompare {
 			continue // NULL tests are never pruned by min/max bounds
 		}
@@ -470,8 +404,7 @@ func (o *Optimizer) pruneUnsatisfiable(p *Plan) {
 				}
 				reason = fmt.Sprintf("every non-NULL row of %s is NaN", pred.Pred.Column)
 			}
-			replaceChild(p, n, &EmptyResult{Reason: reason})
-			p.AppliedRules = append(p.AppliedRules, "PruneUnsatisfiablePredicate")
+			pruneRun(p, "PruneUnsatisfiablePredicate", reason)
 			return
 		}
 		// Min and Max bound the non-NaN rows in the value order, which
@@ -492,10 +425,8 @@ func (o *Optimizer) pruneUnsatisfiable(p *Plan) {
 			unsat = hi < v
 		}
 		if unsat {
-			replaceChild(p, n, &EmptyResult{
-				Reason: fmt.Sprintf("%s is outside [%s, %s]", pred.Pred, st.Min, st.Max),
-			})
-			p.AppliedRules = append(p.AppliedRules, "PruneUnsatisfiablePredicate")
+			pruneRun(p, "PruneUnsatisfiablePredicate",
+				fmt.Sprintf("%s is outside [%s, %s]", pred.Pred, st.Min, st.Max))
 			return
 		}
 	}
@@ -546,11 +477,6 @@ func (o *Optimizer) fuseChains(p *Plan) {
 	if len(run) == 0 {
 		return
 	}
-	if _, ok := run[len(run)-1].Input.(*StoredTable); !ok {
-		// Only chains sitting directly on a stored table are fusable
-		// (e.g. a pruned plan leaves predicates over an EmptyResult).
-		return
-	}
 	fc := &FusedChain{Input: run[len(run)-1].Input, EstSel: 1}
 	// The chain lists predicates in evaluation order: innermost (deepest σ,
 	// applied first) leads, so it drives the sequential block scan.
@@ -582,6 +508,15 @@ func predicateRun(p *Plan) ([]*Predicate, Node) {
 		parent = n
 	}
 	return nil, nil
+}
+
+// pruneRun replaces the predicate run, with the table under it, by
+// EmptyResult and records rule: one conjunct that no row satisfies empties
+// the whole run, so none of its siblings is left to evaluate.
+func pruneRun(p *Plan, rule, reason string) {
+	_, parent := predicateRun(p)
+	setChild(p, parent, &EmptyResult{Reason: reason})
+	p.AppliedRules = append(p.AppliedRules, rule)
 }
 
 // setChild replaces parent's child (or the plan root when parent is nil).

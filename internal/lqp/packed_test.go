@@ -75,16 +75,23 @@ func TestPackedRewriteAlwaysFalse(t *testing.T) {
 		t.Fatalf("no EmptyResult in plan:\n%s", plan.Format())
 	}
 
-	// The other collapse direction: > max, < min, <= below min, >= above max.
+	// The other collapse direction: > max, < min, <= below min, >= above
+	// max; and a satisfiable sibling on either side, which goes with the
+	// run.
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM t WHERE a > 199",
 		"SELECT COUNT(*) FROM t WHERE a < 100",
 		"SELECT COUNT(*) FROM t WHERE a <= 99",
 		"SELECT COUNT(*) FROM t WHERE a >= 200",
+		"SELECT COUNT(*) FROM t WHERE b = 3 AND a = 50",
+		"SELECT COUNT(*) FROM t WHERE a = 50 AND b = 3",
 	} {
 		plan := optimizePacked(t, cat, sql)
 		if !hasRule(plan, "PackedRewriteAlwaysFalse") {
 			t.Fatalf("%s: rules = %v", sql, plan.AppliedRules)
+		}
+		if !bareEmpty(plan) {
+			t.Errorf("%s: not pruned to a bare EmptyResult:\n%s", sql, plan.Format())
 		}
 	}
 }
@@ -150,7 +157,8 @@ func TestPackedRewriteInRangePredicateKept(t *testing.T) {
 // TestAllNullColumnCollapses: a comparison over a column whose every row
 // is NULL collapses to EmptyResult for plain and packed encodings alike
 // (stats Min/Max are undefined there; found by the packed differential
-// fuzzer as an optimizer panic on the plain path).
+// fuzzer as an optimizer panic on the plain path), and takes a
+// satisfiable sibling on either side with it.
 func TestAllNullColumnCollapses(t *testing.T) {
 	space := mach.NewAddrSpace()
 	for _, pack := range []bool{false, true} {
@@ -161,14 +169,21 @@ func TestAllNullColumnCollapses(t *testing.T) {
 			a.SetNull(i)
 		}
 		tbl.MustAddColumn(a)
+		tbl.MustAddColumn(column.FromInt32s(space, "b", []int32{0, 1, 2, 3, 4, 5, 6, 7}))
 		if pack {
 			if err := tbl.PackColumn("a"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		plan := optimizePacked(t, testCatalog{"t": tbl}, "SELECT COUNT(*) FROM t WHERE a < 9223372036854775807")
-		if _, ok := plan.Root.Child().(*EmptyResult); !ok {
-			t.Errorf("pack=%v: plan did not collapse to EmptyResult:\n%s", pack, plan.Format())
+		for _, where := range []string{
+			"a < 9223372036854775807",
+			"b = 3 AND a < 9223372036854775807",
+			"a < 9223372036854775807 AND b = 3",
+		} {
+			plan := optimizePacked(t, testCatalog{"t": tbl}, "SELECT COUNT(*) FROM t WHERE "+where)
+			if _, ok := plan.Root.Child().(*EmptyResult); !ok {
+				t.Errorf("pack=%v, %s: plan did not collapse to EmptyResult:\n%s", pack, where, plan.Format())
+			}
 		}
 	}
 }

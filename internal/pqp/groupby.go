@@ -451,15 +451,15 @@ func (op *groupOp) Next() (Batch, error) {
 // the partials in window order. The fragment's leaf is the scan under the
 // sink, or under the join below it: a table scan, with or without
 // predicates or on the index path, runs the rest of each fragment itself
-// (finish), on whichever core scanned the window; any other input (a
-// filter, left only by an unoptimized plan) is pulled here and finished on
-// this core.
+// (finish), on whichever core scanned the window. An input with no scan to
+// drive — a pruned EmptyResult, or a join whose build side came out empty —
+// is pulled here and ends at once.
 func (op *groupOp) run() error {
 	src := op.input
-	if j, ok := src.(*joinOp); ok && !j.empty {
-		op.join, src = j, j.probe
-	}
 	leaf, _ := src.(*scanOp)
+	if j, ok := src.(*joinOp); ok && !j.empty {
+		op.join, leaf = j, j.probe
+	}
 	cores := 1
 	if leaf != nil {
 		cores = leaf.ran

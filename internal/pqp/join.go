@@ -82,14 +82,12 @@ type joinScratch struct {
 // consumer; under an aggregation sink the window's fragment steps it on
 // the core that scanned it.
 type joinOp struct {
-	probe positionStream
-	build positionStream
-	// probeScan is the probe-side scan, whose chain receives the Bloom
+	// probe is the probe-side scan, whose chain receives the Bloom
 	// prefilter at Open (before the scan opens). Each Open resets its
 	// chain to its translated predicates, so reruns of the plan add at
-	// most one Bloom step. Only an unoptimized plan's probe side is not a
-	// scan, and such a plan transfers no filter.
-	probeScan *scanOp
+	// most one Bloom step.
+	probe     *scanOp
+	build     positionStream
 	probeKey  *column.Column
 	buildKey  *column.Column
 	keyType   expr.Type
@@ -169,9 +167,7 @@ func (op *joinOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	op.probeRows.Store(0)
 	op.probeOpened, op.buildClosed, op.empty = false, false, false
 	op.bloomStats, op.bloomSkipped = nil, false
-	if op.probeScan != nil {
-		op.probeScan.chain = slices.Clip(op.probeScan.preds)
-	}
+	op.probe.chain = slices.Clip(op.probe.preds)
 	op.regionB = cpu.NewRandomRegion()
 	op.regionP = cpu.NewRandomRegion()
 	op.regionG = cpu.NewRandomRegion()
@@ -366,7 +362,7 @@ func (op *joinOp) transferBloom() error {
 		return nil
 	}
 	op.bloomStats = &scan.BloomStats{}
-	op.probeScan.chain = append(op.probeScan.chain, scan.Pred{
+	op.probe.chain = append(op.probe.chain, scan.Pred{
 		Col: op.probeKey, Bloom: bl, Stats: op.bloomStats,
 	})
 	return nil

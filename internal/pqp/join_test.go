@@ -317,10 +317,10 @@ func TestJoinPlanRerunKeepsOneBloomStep(t *testing.T) {
 				for op := pp.Root; jo == nil; op = op.(interface{ child() Operator }).child() {
 					jo, _ = op.(*joinOp)
 				}
-				if c.bare != (len(jo.probeScan.preds) == 0) {
-					t.Fatalf("%s: probe scan translated with %d predicates", c.name, len(jo.probeScan.preds))
+				if c.bare != (len(jo.probe.preds) == 0) {
+					t.Fatalf("%s: probe scan translated with %d predicates", c.name, len(jo.probe.preds))
 				}
-				wantLen := len(jo.probeScan.preds) + 1
+				wantLen := len(jo.probe.preds) + 1
 				if c.skipped {
 					wantLen--
 				}
@@ -340,16 +340,16 @@ func TestJoinPlanRerunKeepsOneBloomStep(t *testing.T) {
 						strings.Contains(rendered, "bloom=skipped") != c.skipped {
 						t.Fatalf("%s run %d: skipped=%v, got checks=%d BloomSkipped=%v:\n%s", c.name, run, c.skipped, join.BloomChecks, join.BloomSkipped, rendered)
 					}
-					if n := len(jo.probeScan.chain); n != wantLen {
+					if n := len(jo.probe.chain); n != wantLen {
 						t.Fatalf("%s run %d: probe chain has %d steps, want %d", c.name, run, n, wantLen)
 					}
 					// EXPLAIN names the scan by its own predicates, not by
 					// the Bloom step the join added.
-					if got := jo.probeScan.Describe(); c.bare != (got == "TableScan(f, all rows)") {
+					if got := jo.probe.Describe(); c.bare != (got == "TableScan(f, all rows)") {
 						t.Errorf("%s run %d: probe scan described as %q", c.name, run, got)
 					}
 					if !c.skipped {
-						bl := jo.probeScan.chain[wantLen-1].Bloom
+						bl := jo.probe.chain[wantLen-1].Bloom
 						pass := 0
 						for i, k := range jd.fk {
 							if !jd.fkNull[i] && bl.Test(uint64(uint32(k))) {
@@ -443,10 +443,10 @@ func TestJoinBloomStepOnNullAndNaNProbeKeys(t *testing.T) {
 			for op := pp.Root; jo == nil; op = op.(interface{ child() Operator }).child() {
 				jo, _ = op.(*joinOp)
 			}
-			if len(jo.probeScan.preds) != 0 || len(jo.probeScan.chain) != 1 {
-				t.Fatalf("probe chain %d steps from %d predicates, want 1 from 0", len(jo.probeScan.chain), len(jo.probeScan.preds))
+			if len(jo.probe.preds) != 0 || len(jo.probe.chain) != 1 {
+				t.Fatalf("probe chain %d steps from %d predicates, want 1 from 0", len(jo.probe.chain), len(jo.probe.preds))
 			}
-			bl := jo.probeScan.chain[0].Bloom
+			bl := jo.probe.chain[0].Bloom
 			pass := 0
 			for i := range pk {
 				if !pkCol.Null(i) && bl.Test(pkCol.Raw(i)) {
@@ -616,8 +616,8 @@ func TestJoinCancellation(t *testing.T) {
 
 func TestJoinSelectStarQualifiesColumns(t *testing.T) {
 	cat, _ := joinFixture(t)
-	res, _ := runPlan(t, plan(t, cat, "SELECT * FROM f JOIN d ON f.k = d.k LIMIT 5", true), DefaultOptions())
 	want := []string{"f.k", "f.u", "f.x", "d.k", "d.v", "d.y"}
+	res, _ := runPlan(t, plan(t, cat, "SELECT * FROM f JOIN d ON f.k = d.k LIMIT 5", true), DefaultOptions())
 	if strings.Join(res.Columns, ",") != strings.Join(want, ",") {
 		t.Fatalf("columns = %v, want %v", res.Columns, want)
 	}
@@ -627,6 +627,21 @@ func TestJoinSelectStarQualifiesColumns(t *testing.T) {
 	for _, row := range res.Rows {
 		if row[0].Int() != row[3].Int() {
 			t.Fatalf("join key mismatch in row: %v", row)
+		}
+	}
+	// A join the optimizer proved empty keeps the same header, whichever
+	// side collapsed: d.v is in [0, 10] and f.u in [0, 6].
+	for _, sql := range []string{
+		"SELECT * FROM f JOIN d ON f.k = d.k WHERE d.v = 77",
+		"SELECT * FROM f JOIN d ON f.k = d.k WHERE f.u = 77",
+	} {
+		lp := plan(t, cat, sql, true)
+		if !strings.Contains(strings.Join(lp.AppliedRules, ","), "CollapseEmptyJoin") {
+			t.Fatalf("%s: join not collapsed:\n%s", sql, lp.Format())
+		}
+		res, _ := runPlan(t, lp, DefaultOptions())
+		if strings.Join(res.Columns, ",") != strings.Join(want, ",") || len(res.Rows) != 0 {
+			t.Errorf("%s: columns = %v, %d rows; want %v, none", sql, res.Columns, len(res.Rows), want)
 		}
 	}
 }

@@ -25,8 +25,9 @@ import (
 const maxMaterializedRows = 100000
 
 // pollEvery is how many per-position iterations pass between context
-// checks in the per-position operator loops (filter, aggregate fold, sort
-// keys, projection). A power of two so the check is a mask test.
+// checks in the per-position operator loops (join build and probe,
+// aggregate fold, sort keys, projection). A power of two so the check is a
+// mask test.
 const pollEvery = 1 << 13
 
 // pollCtx returns ctx.Err() every pollEvery-th iteration i (and on i == 0),
@@ -489,92 +490,6 @@ func (op *scanOp) Close() error {
 // to the plan-level report (nil for single-core or native execution).
 func (op *scanOp) perCoreCounters() []mach.Counters { return op.counters }
 
-// filterOp applies one predicate to incoming position batches — the
-// "regular query plan" of Figure 8, where every σ consumes and produces
-// position lists. The lists now stay batch-sized and chunk-relative
-// instead of materializing per operator; this execution style remains what
-// the fused operator replaces.
-type filterOp struct {
-	input     positionStream
-	pred      scan.Pred
-	countOnly bool
-
-	ctx     context.Context
-	cpu     *mach.CPU
-	region  int
-	rowIdx  int
-	charger batchCharger
-	stats   opStats
-}
-
-func (op *filterOp) Describe() string {
-	return fmt.Sprintf("Filter[%s] (batched position stream)", op.pred)
-}
-
-func (op *filterOp) Stats() OperatorStats { return op.stats.snapshot(op.Describe()) }
-
-func (op *filterOp) child() Operator { return op.input }
-
-// setCountOnly affects only the filter's own output; its input always
-// carries full positions (the filter needs them to evaluate).
-func (op *filterOp) setCountOnly(v bool) { op.countOnly = v }
-
-func (op *filterOp) Open(ctx context.Context, cpu *mach.CPU) error {
-	if err := op.input.Open(ctx, cpu); err != nil {
-		return err
-	}
-	op.ctx, op.cpu = ctx, cpu
-	op.region = cpu.NewRandomRegion()
-	op.rowIdx = 0
-	op.charger = batchCharger{acct: govern.AccountantFrom(ctx)}
-	return nil
-}
-
-func (op *filterOp) Next() (Batch, error) {
-	defer op.stats.timed()()
-	in, err := op.input.Next()
-	if err != nil {
-		return Batch{}, err
-	}
-	op.stats.noteIn(in)
-	col := op.pred.Col
-	size := col.Type().Size()
-	needle := op.pred.StoredBits()
-	out := Batch{Base: in.Base}
-	for i, rel := range in.Sel {
-		if err := pollCtx(op.ctx, op.rowIdx); err != nil {
-			return Batch{}, err
-		}
-		op.rowIdx++
-		pos := int(in.Base) + int(rel)
-		op.cpu.Scalar(2)
-		op.cpu.RandomRead(op.region, col.Addr(pos), size)
-		match := expr.CompareBits(col.Type(), op.pred.Op, col.Raw(pos), needle)
-		op.cpu.Branch(0x900+uint32(op.region), match)
-		if match {
-			out.Count++
-			if !op.countOnly {
-				out.Sel = append(out.Sel, rel)
-				if in.BuildSel != nil {
-					// Preserve join pair alignment through the filter.
-					out.BuildSel = append(out.BuildSel, in.BuildSel[i])
-				}
-			}
-			op.cpu.Scalar(1)
-		}
-	}
-	if err := op.charger.swap(int64(len(out.Sel)) * bytesPerPosition); err != nil {
-		return Batch{}, err
-	}
-	op.stats.noteOut(out)
-	return out, nil
-}
-
-func (op *filterOp) Close() error {
-	op.charger.done()
-	return op.input.Close()
-}
-
 // sideCol is one side-resolved column an operator reads per input row:
 // probe-side (or single-table) columns at Base+Sel[i], a hash join's build
 // columns at BuildSel[i]. region is the column's random-access region in
@@ -723,14 +638,12 @@ func chargeSort(cpu *mach.CPU, n int) {
 // BY). Sorting is a pipeline barrier: the sink folds its input
 // batch-at-a-time into retained sort state (keys fetched with real random
 // reads, charged to the memory accountant), sorts once, then streams the
-// ordered positions back out in batches. In count-only mode it passes
-// batches straight through — counting needs no order.
+// ordered positions back out in batches.
 type sortOp struct {
 	input     positionStream
 	col       *column.Column
 	desc      bool
 	batchRows int
-	countOnly bool
 
 	ctx     context.Context
 	cpu     *mach.CPU
@@ -753,10 +666,9 @@ func (op *sortOp) Stats() OperatorStats { return op.stats.snapshot(op.Describe()
 
 func (op *sortOp) child() Operator { return op.input }
 
-func (op *sortOp) setCountOnly(v bool) {
-	op.countOnly = v
-	op.input.setCountOnly(v)
-}
+// setCountOnly is a no-op: no aggregation sink sits above a sort (the
+// parser rejects ORDER BY with aggregates).
+func (op *sortOp) setCountOnly(bool) {}
 
 func (op *sortOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	if err := op.input.Open(ctx, cpu); err != nil {
@@ -769,15 +681,6 @@ func (op *sortOp) Open(ctx context.Context, cpu *mach.CPU) error {
 
 func (op *sortOp) Next() (Batch, error) {
 	defer op.stats.timed()()
-	if op.countOnly {
-		b, err := op.input.Next()
-		if err != nil {
-			return Batch{}, err
-		}
-		op.stats.noteIn(b)
-		op.stats.noteOut(b)
-		return b, nil
-	}
 	if !op.drained {
 		if err := op.drain(); err != nil {
 			return Batch{}, err

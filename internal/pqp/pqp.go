@@ -367,31 +367,9 @@ func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 		return translateGroupBy(t, tbl, comp, opts, p)
 
 	case *lqp.Predicate:
-		// An untagged predicate (optimizer not run): a filter over the
-		// position stream of whatever sits below — the regular query plan
-		// the fused operator replaces, now exchanging bounded batches.
-		if t.OnBuild {
-			// A build-side predicate still on the spine can only be
-			// evaluated after PushPredicatesThroughJoin moves it into the
-			// build subtree; the engine always optimizes before translating.
-			return nil, fmt.Errorf("pqp: build-side predicate %s above the join; optimize the plan before translating", t.Pred)
-		}
-		src, err := positionalInput(t.Input, "predicate", tbl, comp, opts, p)
-		if err != nil {
-			return nil, err
-		}
-		if !t.Pred.Bound() {
-			return nil, fmt.Errorf("pqp: predicate %s has an unbound parameter; bind the plan before translating", t.Pred)
-		}
-		col, err := tbl.Column(t.Pred.Column)
-		if err != nil {
-			return nil, err
-		}
-		pred := scan.Pred{Col: col, Kind: t.Pred.Kind, Op: t.Pred.Op, Value: t.Pred.Value}
-		if err := (scan.Chain{pred}).Validate(); err != nil {
-			return nil, err
-		}
-		return &filterOp{input: src, pred: pred}, nil
+		// The optimizer fuses every predicate run into a scan leaf or prunes
+		// it whole; a bare predicate means the plan skipped it.
+		return nil, fmt.Errorf("pqp: predicate %s is not fused into a scan; optimize the plan before translating", t.Pred)
 
 	case *lqp.Projection:
 		return translateProjection(t, tbl, comp, opts, p)
@@ -420,10 +398,8 @@ func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 		lim := &limitOp{input: child, n: t.N}
 		switch c := child.(type) {
 		case *projectOp:
+			// The projection caps itself at the optimizer's MaxRows hint.
 			lim.overRows = true
-			// Unoptimized plans carry no MaxRows hint; cap the projection
-			// here so it stops materializing at the limit either way.
-			c.capAt(t.N)
 		case *groupOp:
 			// Grouped output streams materialized rows; the zero-key form
 			// emits a single aggregate batch and needs no row counting.
@@ -493,7 +469,8 @@ func translateScan(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 }
 
 // translateJoin lowers a Join node: the build side translates against the
-// build table (static chains keep the JIT path), the probe side and the
+// build table (static chains keep the JIT path), the probe side — a scan,
+// which runs the transferred Bloom filter as its last step — and the
 // residual chains build fused kernels directly, and key/residual
 // references resolve per side.
 func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
@@ -501,9 +478,13 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	psrc, err := positionalInput(t.Input, "join probe side", tbl, nil, opts, p)
+	probe, err := translateNode(t.Input, tbl, nil, opts, p)
 	if err != nil {
 		return nil, err
+	}
+	probeScan, ok := probe.(*scanOp)
+	if !ok {
+		return nil, fmt.Errorf("pqp: join probe side is %T, not a scan", probe)
 	}
 	probeKey, err := tbl.Column(t.ProbeKey)
 	if err != nil {
@@ -527,11 +508,9 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 	}
 	rf, _ := Kernels(nil, nil, opts) // without a chain to build, Kernels cannot fail
 	p.families = append(p.families, rf)
-	// The probe side of an optimized plan is a scan, which runs the
-	// transferred Bloom filter as its last step; a scan with no predicates
-	// of its own runs that step on the residuals' family.
-	probeScan, _ := psrc.(*scanOp)
-	if probeScan != nil && probeScan.kernels == nil {
+	// A probe scan with no predicates of its own runs the Bloom step on the
+	// residuals' family.
+	if probeScan.kernels == nil {
 		probeScan.kernels = rf
 	}
 	label := t.KeyLabel
@@ -539,9 +518,9 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 		label += " AND " + r.Label
 	}
 	op := &joinOp{
-		probe: psrc, build: bsrc, probeScan: probeScan,
+		probe: probeScan, build: bsrc,
 		probeKey: probeKey, buildKey: buildKey, keyType: t.KeyType,
-		residuals: residuals, transfer: t.Transfer && probeScan != nil,
+		residuals: residuals, transfer: t.Transfer,
 		kernBuild: rf.Build, space: tbl.Space(), label: label,
 	}
 	return op, nil
@@ -639,8 +618,7 @@ func translateGroupBy(t *lqp.GroupBy, tbl *column.Table, comp *jit.Compiler, opt
 }
 
 // translateProjection lowers a projection. Every output column is
-// side-resolved; SELECT * over a join takes all probe columns then all
-// build columns, qualified so same-named columns stay distinguishable.
+// side-resolved (lqp.Build expanded SELECT * into its columns).
 func translateProjection(t *lqp.Projection, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
 	src, err := positionalInput(t.Input, "projection", tbl, comp, opts, p)
 	if err != nil {
@@ -651,30 +629,13 @@ func translateProjection(t *lqp.Projection, tbl *column.Table, comp *jit.Compile
 	if t.MaxRows > 0 {
 		op.capAt(t.MaxRows)
 	}
-	switch {
-	case t.Star && s.join == nil:
-		op.names = tbl.ColumnNames()
-		op.cols = make([]sideCol, len(op.names))
-		for i, c := range tbl.Columns() {
-			op.cols[i].col = c
-		}
-	case t.Star:
-		qualified := func(side *column.Table, build bool) {
-			for _, c := range side.Columns() {
-				op.cols = append(op.cols, sideCol{col: c, build: build})
-				op.names = append(op.names, side.Name()+"."+c.Name())
-			}
-		}
-		qualified(tbl, false)
-		qualified(s.join.BuildTable, true)
-	case len(t.Refs) != len(t.Columns):
+	if len(t.Refs) != len(t.Columns) {
 		return nil, fmt.Errorf("pqp: projection lacks side-resolved column refs")
-	default:
-		op.cols = make([]sideCol, len(t.Refs))
-		for i, ref := range t.Refs {
-			if op.cols[i], err = s.col(ref); err != nil {
-				return nil, err
-			}
+	}
+	op.cols = make([]sideCol, len(t.Refs))
+	for i, ref := range t.Refs {
+		if op.cols[i], err = s.col(ref); err != nil {
+			return nil, err
 		}
 	}
 	for _, c := range op.cols {

@@ -115,49 +115,25 @@ func TestTranslateUnfusedOption(t *testing.T) {
 	}
 }
 
-func TestUnoptimizedPlanUsesMaterializedFilters(t *testing.T) {
-	// Without the optimizer, stacked predicates become filter operators
-	// over materialized position lists — the paper's "regular query plan".
-	cat, _, want := fixture(t, 4000)
-	lp := plan(t, cat, "SELECT COUNT(*) FROM t WHERE a = 5 AND b = 2", false)
-	pp, err := Translate(lp, jit.NewCompiler(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := pp.Format()
-	if strings.Count(f, "Filter[") != 2 {
-		t.Fatalf("expected two filters:\n%s", f)
-	}
-	res, err := pp.Run(context.Background(), mach.New(mach.Default()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != int64(want) {
-		t.Fatalf("count = %d, want %d", res.Count, want)
-	}
-}
-
-func TestMaterializedPlanIsSlowerThanFused(t *testing.T) {
-	cat, _, _ := fixture(t, 200000)
-	comp := jit.NewCompiler()
-	p := mach.Default()
-
-	run := func(optimize bool) float64 {
-		lp := plan(t, cat, "SELECT COUNT(*) FROM t WHERE a = 5 AND b = 2", optimize)
-		pp, err := Translate(lp, comp, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
+func TestTranslateRejectsUnfusedPredicates(t *testing.T) {
+	// Only optimized plans reach the executor: the optimizer fuses every
+	// predicate run into a scan leaf or prunes it whole, so a bare
+	// predicate — a plan that skipped it — is a translate error, on a
+	// single table, on a join's probe side and above a join.
+	cat, _, _ := fixture(t, 4000)
+	space := mach.NewAddrSpace()
+	dim := column.NewTable(space, "d")
+	dim.MustAddColumn(column.FromInt32s(space, "k", []int32{1, 2, 5}))
+	cat["d"] = dim
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM t WHERE a = 5 AND b = 2",
+		"SELECT COUNT(*) FROM t JOIN d ON t.a = d.k AND t.b = 2",
+		"SELECT COUNT(*) FROM t JOIN d ON t.a = d.k WHERE d.k = 2",
+	} {
+		_, err := Translate(plan(t, cat, sql, false), jit.NewCompiler(), DefaultOptions())
+		if err == nil || !strings.Contains(err.Error(), "is not fused into a scan; optimize the plan before translating") {
+			t.Errorf("%s: err = %v, want the unfused-predicate error", sql, err)
 		}
-		cpu := mach.New(p)
-		if _, err := pp.Run(context.Background(), cpu); err != nil {
-			t.Fatal(err)
-		}
-		return cpu.Finish().Report(&p).RuntimeMs
-	}
-	fused := run(true)
-	materialized := run(false)
-	if fused >= materialized {
-		t.Errorf("fused %.3f ms not faster than materialized %.3f ms", fused, materialized)
 	}
 }
 
