@@ -106,13 +106,13 @@ bench-quick:
 
 # Wall-clock benchmarks of the native turbo path: Go micro-benchmarks for
 # the generic block kernels (every type, BenchmarkNativeMask) and the
-# packed kernels, for the hash join and aggregation sink, plus the
-# end-to-end native-vs-emulated comparison.
+# packed kernels, for the hash join, aggregation sink and projection
+# sink, plus the end-to-end native-vs-emulated comparison.
 # Regenerate the checked-in baseline with
 # `go run ./cmd/fusedscan-smoke -native -out BENCH_NATIVE.json`.
 bench-native:
 	$(GO) test -run=NONE -bench='Native|Emulated' -benchmem ./internal/scan
-	$(GO) test -run=NONE -bench='HashJoin|GroupBySink' -benchmem ./internal/pqp
+	$(GO) test -run=NONE -bench='HashJoin|GroupBySink|ProjectionSink' -benchmem ./internal/pqp
 	$(GO) run ./cmd/fusedscan-smoke -native
 
 # Regression gate over BENCH_NATIVE.json, one run for three axes. Counts

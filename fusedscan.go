@@ -1173,7 +1173,7 @@ func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 		return nil, s.err
 	}
 	var positions []uint32
-	sink := func(b pqp.Batch) error {
+	sink := func(b pqp.Batch, _ [][]string) error {
 		for _, rel := range b.Sel {
 			positions = append(positions, b.Base+rel)
 		}

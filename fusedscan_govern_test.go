@@ -150,6 +150,50 @@ func TestQueryMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestStreamedProjectionHoldsOneWindow: a streamed projection is charged
+// for the windows in flight, not for every row it ever produced, so a
+// result far larger than the budget streams in full on both execution
+// paths, while a query that keeps its rows is still charged for all of
+// them.
+func TestStreamedProjectionHoldsOneWindow(t *testing.T) {
+	const n = 1 << 20
+	a, b := make([]int32, n), make([]int32, n)
+	for i := range n {
+		a[i], b[i] = int32(i%4), int32(i)
+	}
+	eng := NewEngine()
+	if err := eng.CreateTable("t").Int32("a", a).Int32("b", b).Finish(); err != nil {
+		t.Fatal(err)
+	}
+	g := DefaultGovernance()
+	g.MemBudgetBytes = 16 << 20 // 96 B a row: about 175 000 kept rows
+	eng.SetGovernance(g)
+	native := NativeConfig()
+	native.Cores = 2
+	for _, cfg := range []Config{DefaultConfig(), native} {
+		rows := 0
+		res, err := eng.QueryWith(context.Background(), "SELECT a, b FROM t WHERE a = 1", QueryOptions{Config: &cfg,
+			Stream: func(_ []string, r [][]string) error {
+				rows += len(r)
+				return nil
+			}})
+		if err != nil {
+			t.Fatalf("simulate=%v: streamed %d rows, then %v", cfg.Simulate, rows, err)
+		}
+		if rows != n/4 || res.Count != n/4 {
+			t.Errorf("simulate=%v: streamed %d rows, count %d; want %d", cfg.Simulate, rows, res.Count, n/4)
+		}
+	}
+	// Kept, the 100 000 rows of the materialization cap outgrow half the
+	// budget.
+	g.MemBudgetBytes = 8 << 20
+	eng.SetGovernance(g)
+	_, err := eng.QueryWith(context.Background(), "SELECT a, b FROM t WHERE a = 1", QueryOptions{Config: &native})
+	if !errors.Is(err, ErrMemoryBudget) {
+		t.Errorf("materialized 100000 rows: err = %v, want ErrMemoryBudget", err)
+	}
+}
+
 // TestScanMemoryBudget checks the direct-scan path charges position lists.
 func TestScanMemoryBudget(t *testing.T) {
 	eng, want := buildTestEngine(t, 20000, 0.5, 0.5)

@@ -315,13 +315,16 @@ func TestParallelScanCappedByExecutingQueries(t *testing.T) {
 // nk is a nullable key and nv a nullable value, fk a float key of NaN,
 // -0, +0 and other values, f a float value whose sums depend on fold
 // order, e a column whose third chunk keeps no row of e = 2 although its
-// zone map cannot prune it, k a join key into the dimension d(k, v) and r
-// a shuffled row number with a secondary index.
+// zone map cannot prune it, k a join key into the dimension d(k, v) and
+// into m(k, w), which repeats its keys, r a shuffled row number with a
+// secondary index and s the row number over 1000, sorted, so its zone maps
+// prune.
 func buildFragmentEngine(t *testing.T) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(48))
 	g, h, nk, nv, e, k, a := make([]int32, parallelRows), make([]int32, parallelRows), make([]int32, parallelRows),
 		make([]int32, parallelRows), make([]int32, parallelRows), make([]int32, parallelRows), make([]int32, parallelRows)
+	srt := make([]int32, parallelRows)
 	f, fk := make([]float64, parallelRows), make([]float64, parallelRows)
 	keys := []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2, math.Inf(1)}
 	r := shuffledRows(rng)
@@ -343,10 +346,11 @@ func buildFragmentEngine(t *testing.T) *Engine {
 		k[i], a[i] = rng.Int31n(5000), rng.Int31n(10)
 		f[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-4))
 		fk[i] = keys[rng.Intn(len(keys))]
+		srt[i] = int32(i / 1000)
 	}
 	eng := NewEngine()
 	if err := eng.CreateTable("t").Int32("g", g).Int32("h", h).Int32("nk", nk).Int32("nv", nv).
-		Int32("e", e).Int32("k", k).Int32("a", a).Int32("r", r).Float64("f", f).Float64("fk", fk).
+		Int32("e", e).Int32("k", k).Int32("a", a).Int32("r", r).Int32("s", srt).Float64("f", f).Float64("fk", fk).
 		NullsAt("nk", nullKeys).NullsAt("nv", nullVals).Index("r").Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -355,6 +359,16 @@ func buildFragmentEngine(t *testing.T) *Engine {
 		dk[i], dv[i] = int32(i), rng.Int31n(10)
 	}
 	if err := eng.CreateTable("d").Int32("k", dk).Int32("v", dv).Finish(); err != nil {
+		t.Fatal(err)
+	}
+	// m(k, w) holds each of the keys 0..2499 from zero to three times.
+	var mk, mw []int32
+	for k := range int32(2500) {
+		for range rng.Intn(4) {
+			mk, mw = append(mk, k), append(mw, rng.Int31n(1000))
+		}
+	}
+	if err := eng.CreateTable("m").Int32("k", mk).Int32("w", mw).Finish(); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -454,10 +468,178 @@ func runFragmentQuery(t *testing.T, eng *Engine, sql string, cores int) fragment
 	return out
 }
 
+// projectionOutcome is what a projection must reproduce on any core count
+// and execution path: its rows kept and streamed, batch by batch, the
+// count, and the counters of the projection and its scan.
+type projectionOutcome struct {
+	count           int64
+	rows            [][]string
+	streamed        [][][]string
+	projIn, projOut int64
+	// pruned, windows and cores are the (probe) scan's.
+	pruned, windows  int64
+	cores            int
+	streamedCount    int64
+	streamedProjRows int64
+}
+
+func runProjection(t *testing.T, eng *Engine, sql string, cfg Config) projectionOutcome {
+	t.Helper()
+	var out projectionOutcome
+	res, err := eng.QueryWith(context.Background(), sql, QueryOptions{Config: &cfg})
+	if err != nil {
+		t.Fatalf("%s (simulate=%v, %d cores): %v", sql, cfg.Simulate, cfg.Cores, err)
+	}
+	out.count, out.rows = res.Count, res.Rows
+	for _, op := range res.Operators {
+		if strings.HasPrefix(op.Name, "Projection[") {
+			out.projIn, out.projOut = op.RowsIn, op.RowsOut
+		}
+		if op.Cores > 0 {
+			out.pruned, out.windows, out.cores = op.ChunksPruned, op.Batches, op.Cores
+		}
+	}
+	res, err = eng.QueryWith(context.Background(), sql, QueryOptions{Config: &cfg,
+		Stream: func(_ []string, rows [][]string) error {
+			out.streamed = append(out.streamed, rows)
+			return nil
+		}})
+	if err != nil {
+		t.Fatalf("%s streamed (simulate=%v, %d cores): %v", sql, cfg.Simulate, cfg.Cores, err)
+	}
+	out.streamedCount = res.Count
+	for _, op := range res.Operators {
+		if strings.HasPrefix(op.Name, "Projection[") {
+			out.streamedProjRows = op.RowsOut
+		}
+	}
+	return out
+}
+
+// TestParallelProjectionFragmentsMatchSingleCore runs projection fragments
+// — scan, join probe, gather and rendering of each window on the core that
+// scanned it — natively on 1, 2 and 3 cores and on the simulated path, kept
+// and streamed, and requires identical rows in identical order, the same
+// streamed batches (one per window that has rows), an exact count and the
+// projection's RowsOut at its cap: no window is handed on past it.
+func TestParallelProjectionFragmentsMatchSingleCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4)))
+	eng := buildFragmentEngine(t)
+	cases := []struct {
+		name, sql string
+		// kept is the cap on the rows a kept result holds; 0 keeps them
+		// all.
+		kept int64
+		// runsAhead marks a LIMIT that leaves a parallel scan: its helpers
+		// may scan windows the consumer never takes.
+		runsAhead bool
+		check     func(t *testing.T, o projectionOutcome)
+	}{
+		{name: "cap-mid-window", sql: "SELECT g, nv, f FROM t WHERE a < 5",
+			kept: 100_000,
+			check: func(t *testing.T, o projectionOutcome) {
+				end := 0
+				for _, b := range o.streamed {
+					if end += len(b); end == 100_000 {
+						t.Error("the cap falls on a window boundary")
+					}
+				}
+			}},
+		{name: "join-duplicate-keys", sql: "SELECT t.g, m.w, t.nv, m.k FROM t JOIN m ON t.k = m.k WHERE t.a < 3"},
+		{name: "join-limit", sql: "SELECT t.g, m.w, t.f FROM t JOIN m ON t.k = m.k WHERE t.a < 5 LIMIT 7000",
+			kept: 7000, runsAhead: true},
+		{name: "nulls", sql: "SELECT nk, nv, fk FROM t WHERE a < 2"},
+		{name: "empty-window", sql: "SELECT a, nv FROM t WHERE e = 2 AND a < 3",
+			check: func(t *testing.T, o projectionOutcome) {
+				if o.windows != 5 || len(o.streamed) != 4 {
+					t.Errorf("%d windows streamed %d batches, want 5 and 4", o.windows, len(o.streamed))
+				}
+			}},
+		{name: "pruned-windows", sql: "SELECT s, nv FROM t WHERE s >= 100 AND s < 140",
+			check: func(t *testing.T, o projectionOutcome) {
+				if o.pruned != 3 || len(o.streamed) != 2 {
+					t.Errorf("pruned %d windows, streamed %d batches; want 3 and 2", o.pruned, len(o.streamed))
+				}
+			}},
+		{name: "limit", sql: "SELECT g, nv FROM t WHERE a < 5 LIMIT 10",
+			kept: 10,
+			check: func(t *testing.T, o projectionOutcome) {
+				if o.cores != 1 {
+					t.Errorf("a LIMIT scan ran on %d cores", o.cores)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want projectionOutcome
+			sim := DefaultConfig()
+			for i, cfg := range []Config{NativeConfig(), NativeConfig(), NativeConfig(), sim} {
+				if !cfg.Simulate {
+					cfg.Cores = i + 1
+				}
+				got := runProjection(t, eng, tc.sql, cfg)
+				kept := got.count
+				if tc.kept > 0 {
+					kept = tc.kept
+				}
+				if int64(len(got.rows)) != kept || got.projOut != kept {
+					t.Errorf("simulate=%v, %d cores: %d rows kept, RowsOut %d; want %d",
+						cfg.Simulate, cfg.Cores, len(got.rows), got.projOut, kept)
+				}
+				var streamed [][]string
+				for _, b := range got.streamed {
+					streamed = append(streamed, b...)
+				}
+				if int64(len(streamed)) != got.streamedProjRows || got.streamedCount != got.count {
+					t.Errorf("simulate=%v, %d cores: streamed %d rows, RowsOut %d, count %d; want count %d",
+						cfg.Simulate, cfg.Cores, len(streamed), got.streamedProjRows, got.streamedCount, got.count)
+				}
+				if len(streamed) < len(got.rows) || !slices.EqualFunc(got.rows, streamed[:len(got.rows)], slices.Equal) {
+					t.Errorf("simulate=%v, %d cores: kept rows are not the stream's first rows", cfg.Simulate, cfg.Cores)
+				}
+				if tc.check != nil {
+					tc.check(t, got)
+				}
+				if i == 0 {
+					if got.count == 0 {
+						t.Fatal("degenerate case: no rows")
+					}
+					want = got
+					continue
+				}
+				got.cores = want.cores
+				if tc.runsAhead {
+					got.windows = want.windows
+				}
+				if fmt.Sprint(got.rows, got.streamed) != fmt.Sprint(want.rows, want.streamed) {
+					t.Errorf("simulate=%v, %d cores: rows or streamed batches differ from one native core's", cfg.Simulate, cfg.Cores)
+				}
+				got.rows, got.streamed = want.rows, want.streamed
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("simulate=%v, %d cores: count or counters differ from one native core's", cfg.Simulate, cfg.Cores)
+				}
+			}
+		})
+	}
+	// On one core a LIMIT projection renders, and charges, its LIMIT rows
+	// only: a window's worth would outgrow this budget.
+	g := DefaultGovernance()
+	g.MemBudgetBytes = 1 << 20
+	eng.SetGovernance(g)
+	defer eng.SetGovernance(DefaultGovernance())
+	for _, cfg := range []Config{NativeConfig(), DefaultConfig()} {
+		if got := runProjection(t, eng, "SELECT g, nv FROM t WHERE a < 5 LIMIT 10", cfg); len(got.rows) != 10 {
+			t.Errorf("simulate=%v: %d rows under LIMIT 10", cfg.Simulate, len(got.rows))
+		}
+	}
+}
+
 // TestFailedFragmentLeavesNothingRunning fails aggregation fragments
 // while both cores run them — every window's partial over the memory
 // budget, a cancel mid-query, a panic injected into a morsel, a failed
-// index probe and a panic in an index scan's window — and
+// index probe and a panic in an index scan's window — then projection
+// fragments — rows over the budget, a panic in a morsel, and a panic and
+// an error injected into the join probe of a projection over a join — and
 // requires the typed error each time and, before the next query, no
 // goroutine beyond those running before: execute joins every helper on
 // every path.
@@ -542,7 +724,43 @@ func TestFailedFragmentLeavesNothingRunning(t *testing.T) {
 		faultinject.Reset()
 		settled("index window panic")
 	}
-	for _, sql := range []string{sql, indexSQL} {
+	// Projection fragments at Cores 2: a projection, and one over a join,
+	// whose windows the helper gathers and renders.
+	const projSQL = "SELECT h, nv, f FROM t WHERE a >= 0"
+	const projJoinSQL = "SELECT t.h, d.v, t.f FROM t JOIN d ON t.k = d.k WHERE t.a < 8"
+	runProj := func(sql string) error {
+		_, err := eng.QueryWith(context.Background(), sql, QueryOptions{Config: &cfg})
+		return err
+	}
+	g.MemBudgetBytes = 4 << 20 // about 40 000 rows
+	eng.SetGovernance(g)
+	if err := runProj(projSQL); !errors.As(err, &mbe) {
+		t.Errorf("projection over budget: err = %v, want *MemoryBudgetError", err)
+	}
+	settled("projection over budget")
+	eng.SetGovernance(DefaultGovernance())
+	for n := 1; n <= 5; n++ {
+		faultinject.Arm(faultinject.SiteParallelMorsel, n, faultinject.ModePanic)
+		var qe *QueryError
+		if err := runProj(projSQL); !errors.As(err, &qe) {
+			t.Errorf("panic in projection morsel %d: err = %v, want *QueryError", n, err)
+		}
+		faultinject.Reset()
+		settled("projection morsel panic")
+		faultinject.Arm(faultinject.SiteJoinProbeBatch, n, faultinject.ModePanic)
+		if err := runProj(projJoinSQL); !errors.As(err, &qe) {
+			t.Errorf("panic in the join probe of projection window %d: err = %v, want *QueryError", n, err)
+		}
+		faultinject.Reset()
+		settled("projection join probe panic")
+		faultinject.Arm(faultinject.SiteJoinProbeBatch, n, faultinject.ModeError)
+		if err := runProj(projJoinSQL); !errors.As(err, &fe) || fe.Site != faultinject.SiteJoinProbeBatch {
+			t.Errorf("failed join probe of projection window %d: err = %v, want injected join.probe.batch failure", n, err)
+		}
+		faultinject.Reset()
+		settled("projection join probe failure")
+	}
+	for _, sql := range []string{sql, indexSQL, projSQL, projJoinSQL} {
 		if _, err := eng.QueryWith(context.Background(), sql, QueryOptions{Config: &cfg}); err != nil {
 			t.Errorf("after the failures: %s: %v", sql, err)
 		}

@@ -25,9 +25,10 @@ const defaultBatchRows = 1 << 16
 // Batch is the unit of dataflow between pipelined operators: a window of a
 // table's rows plus the selection vector of qualifying positions inside
 // it. It doubles as the streaming form of QueryResult — operators above
-// the projection carry materialized output as typed column vectors, and the
-// aggregate sink delivers its fold in a final batch — so the driver can
-// assemble the public result by concatenation alone.
+// the projection carry materialized output as typed column vectors or, in
+// a drive with a sink, as rows already rendered to text, and the aggregate
+// sink delivers its fold in a final batch — so the driver can assemble the
+// public result by concatenation alone.
 type Batch struct {
 	// Base is the table row id of the source chunk window's first row;
 	// the absolute position of Sel[i] is Base + Sel[i].
@@ -49,21 +50,44 @@ type Batch struct {
 	// Cols carries materialized output (projection and grouped aggregation
 	// onward) column-major: one typed vector per output column, all of the
 	// same length. The producer may reuse the vectors' memory once its Next
-	// is called again, so a consumer that keeps rows copies them first.
+	// is called again, so a consumer that keeps rows copies them first. A
+	// projection window rendered in its fragment carries no Cols.
 	Cols []Vec
 	// Aggregates is set on the single final batch a zero-key aggregation
 	// sink emits. AggNulls, when non-nil, marks the items that are NULL (an
 	// aggregate over no non-NULL input).
 	Aggregates []expr.Value
 	AggNulls   []bool
+	// text holds the rows a projection fragment rendered, in place of
+	// Cols: the vectors they came from were the fragment core's scratch.
+	// The driver hands them to its sink.
+	text [][]string
 }
 
 // Rows returns how many materialized rows the batch carries.
 func (b *Batch) Rows() int {
-	if len(b.Cols) == 0 {
+	switch {
+	case b.text != nil:
+		return len(b.text)
+	case len(b.Cols) == 0:
 		return 0
 	}
 	return len(b.Cols[0].Bits)
+}
+
+// truncate cuts the batch to its first n rows, in fresh headers: it never
+// writes into the vectors or rows it was handed.
+func (b *Batch) truncate(n int) {
+	if b.text != nil {
+		b.text = b.text[:n:n]
+	}
+	if len(b.Cols) > 0 {
+		cols := make([]Vec, len(b.Cols))
+		for i, v := range b.Cols {
+			cols[i] = v.truncate(n)
+		}
+		b.Cols = cols
+	}
 }
 
 // Vec is one typed output column of a batch. Bits[i] is row i's value in
@@ -251,8 +275,9 @@ func (s *opStats) snapshot(name string) OperatorStats {
 // memory: each operator keeps at most one batch in flight, so the charge
 // for the previous batch is released when the next one is produced. Peak
 // accounted memory for the pipeline is therefore O(operators x batch
-// capacity), not O(qualifying rows). Retained memory (sort state,
-// projected result rows) is charged separately without release.
+// capacity), not O(qualifying rows). Retained memory (sort state, the rows
+// a projection keeps for the result) is charged separately without
+// release.
 type batchCharger struct {
 	acct     *govern.Accountant
 	inflight int64

@@ -455,11 +455,8 @@ func (op *groupOp) Next() (Batch, error) {
 // drive — a pruned EmptyResult, or a join whose build side came out empty —
 // is pulled here and ends at once.
 func (op *groupOp) run() error {
-	src := op.input
-	leaf, _ := src.(*scanOp)
-	if j, ok := src.(*joinOp); ok && !j.empty {
-		op.join, leaf = j, j.probe
-	}
+	leaf, join := fragmentLeaf(op.input)
+	op.join = join
 	cores := 1
 	if leaf != nil {
 		cores = leaf.ran
@@ -474,17 +471,7 @@ func (op *groupOp) run() error {
 		op.join.setCores(cores)
 	}
 	for {
-		var f frag
-		var err error
-		start := time.Now()
-		if leaf != nil {
-			f, err = leaf.nextFrag()
-		} else {
-			f.b, err = src.Next()
-		}
-		if err == nil && f.p == nil {
-			f.p, err = op.finish(0, f.b, start)
-		}
+		f, err := nextWindow(op, leaf, op.input)
 		if err == EOS {
 			break
 		}
@@ -556,26 +543,17 @@ func (op *groupOp) sizeDirect(leaf *scanOp) {
 	op.mask = ^uint64(0) >> (64 - 8*t.Size())
 }
 
-// frag is one window's outcome: the scan's batch or, once the rest of the
-// window's fragment has run, the partial it folded into.
-type frag struct {
-	b Batch
-	p *groupState
-}
-
 // finish runs the part of a window's fragment after the scan, on core: the
 // join probe, when the sink sits on a join, then the fold into a
 // window-local partial. start is when the window's scan began, so each
 // operator's time stays inclusive of its input's.
-func (op *groupOp) finish(core int, b Batch, start time.Time) (*groupState, error) {
-	if j := op.join; j != nil {
-		var err error
-		if b, err = j.step(core, b); err != nil {
-			return nil, err
-		}
-		j.stats.addSince(start)
+func (op *groupOp) finish(core int, b Batch, start time.Time) (frag, error) {
+	b, err := stepJoin(op.join, core, b, start)
+	if err != nil {
+		return frag{}, err
 	}
-	return op.foldWindow(core, b)
+	p, err := op.foldWindow(core, b)
+	return frag{p: p, done: true}, err
 }
 
 // partial returns an empty partial: the operator's own first, then a

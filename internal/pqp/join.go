@@ -14,7 +14,7 @@ package pqp
 // position. The probe step resolves each probe batch aggBlock entries at a
 // time, so a probe row's matches are emitted in ascending build position
 // and pairs keep probe order. The table is read-only once Open returns, so
-// under an aggregation sink the step runs in each window's fragment, on
+// under a fragment sink the step runs in each window's fragment, on
 // whichever core scanned the window, with that core's scratch. When the
 // optimizer marked predicate transfer, the table's key words also fill a
 // Bloom filter. Open tests it on up to
@@ -33,6 +33,7 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
@@ -79,8 +80,8 @@ type joinScratch struct {
 // which looks up candidate pairs and filters them through the residual
 // comparators, emitting a pair batch (Sel = probe-relative, BuildSel =
 // build-absolute). Next pulls the probe batch and steps it on the
-// consumer; under an aggregation sink the window's fragment steps it on
-// the core that scanned it.
+// consumer; under a fragment sink (aggregation or projection) the window's
+// fragment steps it on the core that scanned it.
 type joinOp struct {
 	// probe is the probe-side scan, whose chain receives the Bloom
 	// prefilter at Open (before the scan opens). Each Open resets its
@@ -401,6 +402,20 @@ func (op *joinOp) setCores(n int) {
 	for i := range op.scratch {
 		op.scratch[i].charger.acct = op.acct
 	}
+}
+
+// stepJoin is a fragment's join step: j's probe of window batch b on core,
+// its time counted from start, when the window's scan began. Without a
+// join the batch passes as it is.
+func stepJoin(j *joinOp, core int, b Batch, start time.Time) (Batch, error) {
+	if j == nil {
+		return b, nil
+	}
+	b, err := j.step(core, b)
+	if err == nil {
+		j.stats.addSince(start)
+	}
+	return b, err
 }
 
 func (op *joinOp) Next() (Batch, error) {

@@ -55,10 +55,12 @@ func pollSpan(ctx context.Context, from, n int) error {
 // carried in the query context) is charged per in-flight batch for
 // transient position memory (released as the pipeline advances) and
 // without release for retained state: sort keys live until the sort
-// drains, and projected rows live in the final QueryResult. The estimates
-// cover the dominant allocations: position entries are 4 B, sort state
-// holds a key value, a null flag and two index/position words, and each
-// projected row holds one expr.Value per column plus slice headers.
+// drains, and projected rows live in the final result — unless the drive
+// streams them, when a window's rows are released once the sink has taken
+// them. The estimates cover the dominant allocations: position entries are
+// 4 B, sort state holds a key value, a null flag and two index/position
+// words, and each projected row holds its row slice header plus one string
+// header and its text per cell.
 const (
 	bytesPerPosition = 4
 	bytesPerSortKey  = 48
@@ -91,9 +93,10 @@ type positionStream interface {
 // own simulated CPU when the plan runs against one), merged back in window
 // order, so downstream operators consume an identical ordered stream and
 // the scan reports the same pruning and byte counts on any core count.
-// Below an aggregation sink the scan is the leaf of each window's
-// fragment: on the native path the core that scanned a window runs the
-// rest of it (the sink's finish) before handing the window over.
+// Below a fragment sink (aggregation or projection) the scan is the leaf of
+// each window's fragment: on the native path the core that scanned a
+// window runs the rest of it (the sink's finish) before handing the window
+// over.
 type scanOp struct {
 	tbl *column.Table
 	// preds is the chain as translated; chain is the one the windows run,
@@ -120,9 +123,8 @@ type scanOp struct {
 	// estSel is the optimizer's selectivity estimate for the whole chain,
 	// used to pre-size per-chunk position lists (0 = no estimate).
 	estSel float64
-	// sink, set by an aggregation sink above, finishes each window's
-	// fragment.
-	sink *groupOp
+	// sink, set by a fragment sink above, finishes each window's fragment.
+	sink fragSink
 
 	ctx context.Context
 	cpu *mach.CPU
@@ -363,11 +365,11 @@ func (op *scanOp) nextFrag() (frag, error) {
 }
 
 // window is a window's job: it runs the kernel over window w on core,
-// against cpu, and emits the window's batch — or, under an aggregation
-// sink on the native path, runs the rest of the window's fragment on the
-// same core and returns the partial it folded into. A simulated window
-// returns its batch, and the consumer finishes it in window order, so the
-// machine model's charges keep their order.
+// against cpu, and emits the window's batch — or, under a fragment sink on
+// the native path, runs the rest of the window's fragment on the same core
+// and returns what the sink made of it. A simulated window returns its
+// batch, and the consumer finishes it in window order, so the machine
+// model's charges keep their order.
 func (op *scanOp) window(core int, cpu *mach.CPU, w parallel.Window) (frag, error) {
 	start := time.Now()
 	sc := &op.perCore[core]
@@ -407,8 +409,59 @@ func (op *scanOp) window(core int, cpu *mach.CPU, w parallel.Window) (frag, erro
 	if op.sink == nil || cpu != nil {
 		return frag{b: b}, nil
 	}
-	p, err := op.sink.finish(core, b, start)
-	return frag{p: p}, err
+	return op.sink.finish(core, b, start)
+}
+
+// frag is one window's outcome: the scan's batch or, once the rest of the
+// window's fragment has run (done), what the sink made of it — an
+// aggregation partial p, or a projection's finished window b.
+type frag struct {
+	b    Batch
+	p    *groupState
+	done bool
+}
+
+// fragSink is an operator whose input runs as window fragments (DESIGN §9):
+// the aggregation sink and the projection. finish runs the part of a
+// window's fragment after the scan on core; start is when the window's scan
+// began.
+type fragSink interface {
+	finish(core int, b Batch, start time.Time) (frag, error)
+}
+
+// fragmentLeaf returns the scan whose windows run a fragment sink's
+// fragments over input src, and the hash join between them when there is
+// one. Both are nil for an input with no scan to drive — a sort, a pruned
+// EmptyResult, or a join whose build side came out empty — which the sink
+// pulls instead.
+func fragmentLeaf(src Operator) (*scanOp, *joinOp) {
+	switch t := src.(type) {
+	case *scanOp:
+		return t, nil
+	case *joinOp:
+		if !t.empty {
+			return t.probe, t
+		}
+	}
+	return nil, nil
+}
+
+// nextWindow returns sink's next window in window order, finished: from
+// leaf, whose cores may have finished it, or pulled from src when there is
+// no leaf; a window not yet finished is finished here, on the consumer.
+func nextWindow(sink fragSink, leaf *scanOp, src Operator) (frag, error) {
+	start := time.Now()
+	var f frag
+	var err error
+	if leaf != nil {
+		f, err = leaf.nextFrag()
+	} else {
+		f.b, err = src.Next()
+	}
+	if err == nil && !f.done {
+		f, err = sink.finish(0, f.b, start)
+	}
+	return f, err
 }
 
 // run scans one window against cpu, its positions written into buf when
@@ -766,12 +819,18 @@ func (op *emptyOp) Next() (Batch, error) { return Batch{}, EOS }
 
 func (op *emptyOp) Close() error { return nil }
 
-// projectOp materializes the output columns for qualifying positions,
-// batch-at-a-time, up to its materialization cap (the LIMIT pushdown hint
-// or maxMaterializedRows). Its columns are side-resolved, so it reads a
-// join's pair batches as well as single-table position streams. Count
-// passes through uncapped so the qualifying total stays exact for the
-// batches it consumes.
+// projectOp materializes the output columns for qualifying positions, up
+// to its materialization cap (the LIMIT pushdown hint or
+// maxMaterializedRows). It is the second fragment sink beside groupOp
+// (DESIGN §9): a window's fragment is the scan, the join probe when the
+// projection sits on a join, the gather of the window's rows into per-core
+// vectors and, in a drive with a sink, their rendering to text, all on the
+// core that scanned the window; the consumer hands the finished windows on
+// in window order. Simulated runs, and a sink-less drive, which takes the
+// vectors, finish every window on the consumer with the same finish. Its
+// columns are side-resolved, so it reads a join's pair batches as well as
+// single-table position streams. Count passes through uncapped so the
+// qualifying total stays exact; RowsOut counts the rows handed on.
 type projectOp struct {
 	input   positionStream
 	cols    []sideCol
@@ -784,18 +843,41 @@ type projectOp struct {
 	// anyNullable is set when some output column holds NULLs; only then
 	// do rows carry RowNulls.
 	anyNullable bool
+	// render is set by DriveTo for a drive with a sink: windows leave as
+	// rendered rows.
+	render bool
 
-	ctx       context.Context
-	cpu       *mach.CPU
-	acct      *govern.Accountant
-	remaining int
-	rowIdx    int
-	// Per-batch output, reused from batch to batch: the vectors, their bits
-	// and their NULL flags.
-	vecs  []Vec
-	bits  []uint64
-	nulls []bool
-	stats opStats
+	ctx  context.Context
+	cpu  *mach.CPU
+	acct *govern.Accountant
+	// limit is the effective cap. delivered counts the rows handed on; a
+	// fragment on any core renders at most limit less delivered, and the
+	// consumer cuts each window at the cap, in window order.
+	limit     int
+	delivered atomic.Int64
+	// leaf and join are the fragments' scan and join (fragmentLeaf), wired
+	// at the first Next.
+	leaf    *scanOp
+	join    *joinOp
+	started bool
+	// inflight is a streaming drive's charge for the window the sink is
+	// handed; it is released when the next window is pulled.
+	inflight int64
+	// scratch is per core; one backs it on a single core.
+	scratch []projScratch
+	one     [1]projScratch
+	stats   opStats
+}
+
+// projScratch is one core's projection scratch, reused from window to
+// window: the vectors, their bits and NULL flags, the renderer's buffers
+// and the core's poll count.
+type projScratch struct {
+	vecs     []Vec
+	bits     []uint64
+	nulls    []bool
+	renderer batchRenderer
+	rowIdx   int
 }
 
 func (op *projectOp) Describe() string {
@@ -822,6 +904,11 @@ func (op *projectOp) capAt(n int) {
 	}
 }
 
+// rowBytes is what one materialized row charges the accountant.
+func (op *projectOp) rowBytes() int64 {
+	return int64(bytesPerRowBase + len(op.cols)*bytesPerRowCell)
+}
+
 func (op *projectOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	if err := op.input.Open(ctx, cpu); err != nil {
 		return err
@@ -830,78 +917,161 @@ func (op *projectOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	for i := range op.cols {
 		op.cols[i].region = cpu.NewRandomRegion()
 	}
-	op.vecs = make([]Vec, len(op.cols))
-	op.remaining = op.capRows
-	if op.remaining <= 0 || (!op.unbounded && op.remaining > maxMaterializedRows) {
-		op.remaining = maxMaterializedRows
+	op.limit = op.capRows
+	if op.limit <= 0 || (!op.unbounded && op.limit > maxMaterializedRows) {
+		op.limit = maxMaterializedRows
 		if op.unbounded {
-			op.remaining = math.MaxInt
+			op.limit = math.MaxInt
 		}
 	}
-	op.rowIdx = 0
+	op.delivered.Store(0)
+	op.leaf, op.join, op.started, op.inflight = nil, nil, false, 0
 	return nil
+}
+
+// start wires the fragments once Open has opened the input, and a join
+// below has run its build: a native drive with a sink finishes each window
+// on the core that scanned it, so the leaf takes the projection as its sink
+// and every core gets scratch.
+func (op *projectOp) start() {
+	op.started = true
+	op.leaf, op.join = fragmentLeaf(op.input)
+	cores := 1
+	if op.leaf != nil {
+		cores = op.leaf.ran
+		op.leaf.sink = nil
+		if op.render {
+			op.leaf.sink = op
+		}
+	}
+	op.scratch = op.one[:]
+	if cores > 1 {
+		op.scratch = make([]projScratch, cores)
+	}
+	if op.join != nil {
+		op.join.setCores(cores)
+	}
 }
 
 func (op *projectOp) Next() (Batch, error) {
 	defer op.stats.timed()()
-	in, err := op.input.Next()
+	if !op.started {
+		op.start()
+	}
+	// A stream's sink has taken the last window by now.
+	op.acct.Release(op.inflight)
+	op.inflight = 0
+	f, err := nextWindow(op, op.leaf, op.input)
 	if err != nil {
 		return Batch{}, err
 	}
-	op.stats.noteIn(in)
+	return op.deliver(f.b), nil
+}
+
+// finish runs the part of a window's fragment after the scan, on core: the
+// join probe, when the projection sits on a join, then the gather.
+func (op *projectOp) finish(core int, b Batch, start time.Time) (frag, error) {
+	b, err := stepJoin(op.join, core, b, start)
+	if err != nil {
+		return frag{}, err
+	}
+	out, err := op.gather(core, &b)
+	return frag{b: out, done: true}, err
+}
+
+// gather materializes the window's rows on core, at most the cap less the
+// rows already delivered: into the core's vectors, rendered to text when
+// the drive renders. The rows are charged to the accountant in one charge,
+// after one poll of the context over them.
+func (op *projectOp) gather(core int, in *Batch) (Batch, error) {
+	sc := &op.scratch[core]
 	out := Batch{Base: in.Base, Count: in.Count}
-	n := min(len(in.Sel), max(op.remaining, 0))
-	rowBytes := int64(bytesPerRowBase + len(op.cols)*bytesPerRowCell)
-	for i := range n {
-		if err := pollCtx(op.ctx, op.rowIdx); err != nil {
-			return Batch{}, err
-		}
-		op.rowIdx++
-		// Projected rows are retained in the final result: charge without
-		// release.
-		if err := op.acct.Charge(rowBytes); err != nil {
-			return Batch{}, err
-		}
-		if op.cpu != nil {
+	n := min(len(in.Sel), max(op.limit-int(op.delivered.Load()), 0))
+	if err := pollSpan(op.ctx, sc.rowIdx, n); err != nil {
+		return Batch{}, err
+	}
+	sc.rowIdx += n
+	if n == 0 {
+		return out, nil
+	}
+	if err := op.acct.Charge(int64(n) * op.rowBytes()); err != nil {
+		return Batch{}, err
+	}
+	if op.cpu != nil {
+		for i := range n {
 			for ci := range op.cols {
 				c := &op.cols[ci]
-				c.gather(op.cpu, c.pos(&in, i))
+				c.gather(op.cpu, c.pos(in, i))
 			}
 		}
 	}
-	op.remaining -= n
-	if n > 0 {
-		out.Cols = op.fill(&in, n)
+	cols := op.fill(sc, in, n)
+	if op.render {
+		out.text = sc.renderer.render(cols)
+	} else {
+		out.Cols = cols
 	}
-	op.stats.noteOut(out)
 	return out, nil
 }
 
-// fill materializes the first n entries of in, one column at a time: the
-// values through the block loaders, the NULL flags from the validity
-// bitmap of the columns that have one.
-func (op *projectOp) fill(in *Batch, n int) []Vec {
+// fill materializes the first n entries of in into sc's vectors, one
+// column at a time: the values through the block loaders, the NULL flags
+// from the validity bitmap of the columns that have one.
+func (op *projectOp) fill(sc *projScratch, in *Batch, n int) []Vec {
 	w := len(op.cols)
-	if cap(op.bits) < n*w {
-		op.bits = make([]uint64, n*w)
+	if cap(sc.bits) < n*w {
+		sc.bits = make([]uint64, n*w)
 	}
-	if op.anyNullable && cap(op.nulls) < n*w {
-		op.nulls = make([]bool, n*w)
+	if op.anyNullable && cap(sc.nulls) < n*w {
+		sc.nulls = make([]bool, n*w)
+	}
+	if sc.vecs == nil {
+		sc.vecs = make([]Vec, w)
 	}
 	for ci := range op.cols {
 		c := &op.cols[ci]
-		v := Vec{Type: c.col.Type(), Bits: op.bits[ci*n : (ci+1)*n : (ci+1)*n]}
+		v := Vec{Type: c.col.Type(), Bits: sc.bits[ci*n : (ci+1)*n : (ci+1)*n]}
 		c.loadValues(in, 0, v.Bits)
 		if c.col.HasNulls() {
-			v.Nulls = op.nulls[ci*n : (ci+1)*n : (ci+1)*n]
+			v.Nulls = sc.nulls[ci*n : (ci+1)*n : (ci+1)*n]
 			c.loadNulls(in, 0, v.Nulls)
 		}
-		op.vecs[ci] = v
+		sc.vecs[ci] = v
 	}
-	return op.vecs
+	return sc.vecs
 }
 
-func (op *projectOp) Close() error { return op.input.Close() }
+// deliver hands a finished window on, in window order: it cuts the rows
+// past the cap, releasing their charge, and counts the rest as delivered.
+// A streaming drive holds the window's charge until the next Next. The
+// window counts toward RowsIn here, so a window a helper finished but the
+// consumer never took (under a LIMIT) is not counted.
+func (op *projectOp) deliver(b Batch) Batch {
+	rows, room := b.Rows(), op.limit-int(op.delivered.Load())
+	if rows > room {
+		b.truncate(room)
+		op.acct.Release(int64(rows-room) * op.rowBytes())
+		rows = room
+	}
+	op.delivered.Add(int64(rows))
+	op.stats.noteIn(b)
+	if op.unbounded {
+		op.inflight = int64(rows) * op.rowBytes()
+	}
+	op.stats.rowsOut.Add(int64(rows))
+	op.stats.batches.Add(1)
+	return b
+}
+
+// Close closes the input first, which joins any helper still running a
+// fragment, then releases a stream's last charge and drops the scratch.
+func (op *projectOp) Close() error {
+	err := op.input.Close()
+	op.acct.Release(op.inflight)
+	op.inflight = 0
+	op.scratch, op.one = nil, [1]projScratch{}
+	return err
+}
 
 // limitOp caps a row stream at n rows and — the pipelined executor's whole
 // point — stops pulling from its child once satisfied, so upstream scan
@@ -951,11 +1121,7 @@ func (op *limitOp) Next() (Batch, error) {
 	op.stats.noteIn(b)
 	if op.overRows {
 		if take := max(op.n-op.emitted, 0); b.Rows() > take {
-			cols := make([]Vec, len(b.Cols))
-			for i, v := range b.Cols {
-				cols[i] = v.truncate(take)
-			}
-			b.Cols = cols
+			b.truncate(take)
 		}
 		op.emitted += b.Rows()
 		// Under a LIMIT the delivered count is the rows handed out.

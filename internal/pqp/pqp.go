@@ -55,8 +55,9 @@ type Options struct {
 	// (predicates, or positions to emit);
 	// each core simulates its own CPU, built from Params, when the plan
 	// runs against one. Downstream operators still consume one ordered
-	// stream; under an aggregation sink each window's join probe and fold
-	// run natively on the core that scanned the window (DESIGN §9).
+	// stream; under an aggregation sink each window's join probe and fold,
+	// and under a projection its join probe, gather and rendering, run
+	// natively on the core that scanned the window (DESIGN §9).
 	Cores int
 	// Params is the machine calibration for parallel workers' CPUs.
 	Params mach.Params
@@ -104,9 +105,9 @@ type QueryResult struct {
 	IsAggregate bool
 	// Columns names the projected columns (empty for aggregate queries).
 	Columns []string
-	// Rows holds materialized output (empty for aggregate queries),
-	// capped by LIMIT. RowNulls, when non-nil, marks NULL cells (same
-	// shape as Rows).
+	// Rows holds materialized output of a sink-less drive (empty for
+	// aggregate queries), capped by LIMIT. RowNulls, when non-nil, marks
+	// NULL cells (same shape as Rows).
 	Rows     []Row
 	RowNulls [][]bool
 }
@@ -251,30 +252,46 @@ func (p *Plan) PerCore() []mach.Counters {
 }
 
 // BatchSink receives each batch as it leaves the plan root during a
-// streaming drive. A batch is only valid for the duration of the call; a
-// non-nil return aborts the drive with that error (after closing the tree,
-// which cancels outstanding upstream work).
-type BatchSink func(Batch) error
+// streaming drive, with its rows rendered to text (nil for a batch without
+// rows; the zero-key aggregate's one row). A batch is only valid for the
+// duration of the call, its rendered rows stay valid; a non-nil return
+// aborts the drive with that error (after closing the tree, which cancels
+// outstanding upstream work).
+type BatchSink func(b Batch, rows [][]string) error
 
 // DriveTo is the thin driver at the top of the pipeline: it opens the root,
 // drains batches until EOS, concatenates them into a QueryResult and
 // closes the tree (which cancels any upstream work still outstanding).
-// When sink is non-nil, every batch is handed to the sink as it arrives
-// instead of being accumulated in the QueryResult — the returned result
-// then carries the exact Count, columns and aggregates but no Rows, and
-// peak memory stays O(one batch) no matter how large the result set is.
-// The engine always drives with a sink; only a sink-less drive converts the
-// batches' column vectors into Rows.
+// When sink is non-nil, every batch is handed to the sink as it arrives,
+// with its rows rendered, instead of being accumulated in the QueryResult —
+// the returned result then carries the exact Count, columns and aggregates
+// but no Rows, and peak memory stays O(one batch) no matter how large the
+// result set is. A projection renders its windows in their fragments; the
+// driver renders grouped rows and the aggregate row. The engine always
+// drives with a sink; only a sink-less drive converts the batches' column
+// vectors into Rows.
 func DriveTo(ctx context.Context, root Operator, cpu *mach.CPU, sink BatchSink) (QueryResult, error) {
 	var qr QueryResult
 	if s, ok := root.(resultShaper); ok {
 		s.shape(&qr)
+	}
+	for op := root; op != nil; {
+		if p, ok := op.(*projectOp); ok {
+			p.render = sink != nil
+			break
+		}
+		c, ok := op.(interface{ child() Operator })
+		if !ok {
+			break
+		}
+		op = c.child()
 	}
 	if err := root.Open(ctx, cpu); err != nil {
 		root.Close()
 		return QueryResult{}, err
 	}
 	defer root.Close()
+	var r batchRenderer
 	for {
 		b, err := root.Next()
 		if err == EOS {
@@ -287,13 +304,20 @@ func DriveTo(ctx context.Context, root Operator, cpu *mach.CPU, sink BatchSink) 
 		if b.Aggregates != nil {
 			qr.Aggregates, qr.AggNulls = b.Aggregates, b.AggNulls
 		}
-		if sink != nil {
-			if err := sink(b); err != nil {
-				return QueryResult{}, err
-			}
+		if sink == nil {
+			qr.appendRows(&b)
 			continue
 		}
-		qr.appendRows(&b)
+		rows := b.text
+		switch {
+		case b.Aggregates != nil:
+			rows = [][]string{renderAggregates(b.Aggregates, b.AggNulls)}
+		case rows == nil:
+			rows = r.render(b.Cols)
+		}
+		if err := sink(b, rows); err != nil {
+			return QueryResult{}, err
+		}
 	}
 	return qr, nil
 }

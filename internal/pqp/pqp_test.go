@@ -279,7 +279,7 @@ func TestNativePlanIgnoresMachineModel(t *testing.T) {
 			}
 			var res QueryResult
 			if stream {
-				res, err = pp.RunTo(context.Background(), cpu, func(Batch) error { return nil })
+				res, err = pp.RunTo(context.Background(), cpu, func(Batch, [][]string) error { return nil })
 			} else {
 				res, err = pp.Run(context.Background(), cpu)
 			}

@@ -22,12 +22,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"strconv"
 	"strings"
 
-	"fusedscan/internal/expr"
 	"fusedscan/internal/govern"
 	"fusedscan/internal/lqp"
 	"fusedscan/internal/mach"
@@ -246,99 +243,6 @@ func (p *Prepared) ExecuteWith(ctx context.Context, qo QueryOptions) (*Result, e
 	return p.eng.execute(ctx, p.sqlText, makePlan, execOpts{config: qo.Config, stream: qo.Stream, session: qo.Session, cheap: true})
 }
 
-// batchRenderer renders column vectors as rows of strings, keeping its
-// scratch buffers from batch to batch.
-type batchRenderer struct {
-	buf  []byte
-	ends []int // column-major: cell (i, c) ends at ends[c*n+i]
-}
-
-// render renders one batch's vectors. Each column is formatted in one pass
-// into one shared buffer, switching on its type once, and every cell is a
-// substring of one string. A NULL cell renders as "NULL", every other cell
-// exactly as its expr.Value.String(). A batch without rows renders as nil.
-func (r *batchRenderer) render(cols []pqp.Vec) [][]string {
-	w := len(cols)
-	if w == 0 || len(cols[0].Bits) == 0 {
-		return nil
-	}
-	n := len(cols[0].Bits)
-	if cap(r.ends) < n*w {
-		r.ends = make([]int, n*w)
-	}
-	ends, buf := r.ends[:n*w], r.buf[:0]
-	for c := range cols {
-		buf = appendColumn(buf, &cols[c], ends[c*n:(c+1)*n])
-	}
-	r.buf = buf
-	text := string(buf)
-	cells, rows := make([]string, n*w), make([][]string, n)
-	start := 0
-	for c := range w {
-		for i := range n {
-			cells[i*w+c] = text[start:ends[c*n+i]]
-			start = ends[c*n+i]
-		}
-	}
-	for i := range rows {
-		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
-	}
-	return rows
-}
-
-// appendColumn appends every cell of v to buf, recording where each ends.
-func appendColumn(buf []byte, v *pqp.Vec, ends []int) []byte {
-	const null = "NULL"
-	switch t := v.Type; {
-	case t.Float():
-		for i, b := range v.Bits {
-			if v.Null(i) {
-				buf = append(buf, null...)
-			} else {
-				buf = strconv.AppendFloat(buf, math.Float64frombits(b), 'g', -1, 64)
-			}
-			ends[i] = len(buf)
-		}
-	case t.Signed():
-		for i, b := range v.Bits {
-			if v.Null(i) {
-				buf = append(buf, null...)
-			} else {
-				buf = strconv.AppendInt(buf, int64(b), 10)
-			}
-			ends[i] = len(buf)
-		}
-	default:
-		mask := ^uint64(0) >> (64 - 8*t.Size()) // expr.Value.Uint's width mask
-		for i, b := range v.Bits {
-			if v.Null(i) {
-				buf = append(buf, null...)
-			} else {
-				buf = strconv.AppendUint(buf, b&mask, 10)
-			}
-			ends[i] = len(buf)
-		}
-	}
-	return buf
-}
-
-// renderAggregates renders an aggregate result's one row through the same
-// renderer, one single-cell vector per item.
-func renderAggregates(vals []expr.Value, nulls []bool) []string {
-	cols := make([]pqp.Vec, len(vals))
-	for i, v := range vals {
-		cols[i] = pqp.Vec{Type: v.Type, Bits: []uint64{v.Bits}}
-		if nulls != nil {
-			cols[i].Nulls = nulls[i : i+1]
-		}
-	}
-	var r batchRenderer
-	if rows := r.render(cols); rows != nil {
-		return rows[0]
-	}
-	return []string{}
-}
-
 // execute is the one governed execution path under QueryContext, QueryWith,
 // Prepared.Execute* and Scan.Run*: admission control, default deadline, memory
 // accounting, stage-tracked panic recovery, translation, the batch
@@ -409,28 +313,31 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 	if cfg.Simulate {
 		cpu = mach.New(e.params)
 	}
-	// Every materialized batch is rendered as it leaves the plan: streamed
-	// to the caller, or appended to the result.
-	var rows [][]string
-	var renderer batchRenderer
+	// Every batch leaves the plan with its rows rendered: streamed to the
+	// caller, or kept per batch and copied into Result.Rows once, at its
+	// final length.
+	var batches [][][]string
+	var aggRow []string
+	nrows := 0
 	cols := phys.Shape().Columns
-	sink := func(b pqp.Batch) error {
-		if eo.sink != nil {
+	sink := func(b pqp.Batch, r [][]string) error {
+		switch {
+		case eo.sink != nil:
 			// A raw sink keeps the positions it is handed: charge them as
 			// retained memory, as the projection charges its rows.
 			if err := acct.Charge(int64(len(b.Sel)) * 4); err != nil {
 				return err
 			}
-			return eo.sink(b)
-		}
-		r := renderer.render(b.Cols)
-		switch {
-		case r == nil:
-			return nil
+			return eo.sink(b, r)
+		case b.Aggregates != nil:
+			aggRow = r[0]
+		case len(r) == 0:
 		case eo.stream != nil:
 			return eo.stream(cols, r)
+		default:
+			batches = append(batches, r)
+			nrows += len(r)
 		}
-		rows = append(rows, r...)
 		return nil
 	}
 	qres, err := phys.RunTo(ctx, cpu, sink)
@@ -498,15 +405,21 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 		// Sum keeps the single-SUM convenience value.
 		res.Aggregate = true
 		res.Columns = qres.AggLabels
-		row := renderAggregates(qres.Aggregates, qres.AggNulls)
+		if aggRow == nil {
+			aggRow = []string{}
+		}
 		for i, label := range qres.AggLabels {
 			if strings.HasPrefix(label, "sum(") && res.Sum == "" {
-				res.Sum = row[i]
+				res.Sum = aggRow[i]
 			}
 		}
-		res.Rows = [][]string{row}
+		res.Rows = [][]string{aggRow}
+	} else if nrows > 0 {
+		res.Rows = make([][]string, 0, nrows)
+		for _, r := range batches {
+			res.Rows = append(res.Rows, r...)
+		}
 	}
-	res.Rows = append(res.Rows, rows...)
 	if eo.stream != nil && res.Aggregate {
 		// Aggregate results flow through the same streaming callback so the
 		// caller sees every row arrive one way.

@@ -3,7 +3,6 @@ package fusedscan
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"strconv"
 	"testing"
@@ -29,77 +28,6 @@ var extremeValues = map[expr.Type][]string{
 	expr.Uint64:  {"0", "18446744073709551615", "1", "9223372036854775808", "9223372036854775807"},
 	expr.Float32: {"NaN", "+Inf", "-Inf", "-0", "0", "1e-45", "1.1754942e-38", "3.4028235e+38", "0.1", "16777217"},
 	expr.Float64: {"NaN", "+Inf", "-Inf", "-0", "0", "5e-324", "2.225073858507201e-308", "1.7976931348623157e+308", "0.1", "1e+21"},
-}
-
-// TestRenderBatchMatchesValueString: for every column type, the batch
-// renderer writes each cell exactly as expr.Value.String does, and a NULL
-// cell as "NULL"; the aggregate row goes through the same renderer.
-func TestRenderBatchMatchesValueString(t *testing.T) {
-	var cols []pqp.Vec
-	var want [][]string
-	rows := 0
-	for _, typ := range expr.AllTypes() {
-		rows = max(rows, len(extremeValues[typ])+1)
-	}
-	want = make([][]string, rows)
-	for i := range want {
-		want[i] = make([]string, expr.NumTypes)
-	}
-	for c, typ := range expr.AllTypes() {
-		v := pqp.Vec{Type: typ, Bits: make([]uint64, rows), Nulls: make([]bool, rows)}
-		for i := range rows {
-			lit := "0"
-			if i < len(extremeValues[typ]) {
-				lit = extremeValues[typ][i]
-			}
-			val, err := expr.ParseValue(typ, lit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v.Bits[i] = val.Bits
-			want[i][c] = val.String()
-			if i == rows-1 {
-				v.Nulls[i], want[i][c] = true, "NULL"
-			}
-		}
-		cols = append(cols, v)
-	}
-	var r batchRenderer
-	if got := r.render(cols); !reflect.DeepEqual(got, want) {
-		t.Fatalf("render:\n got %q\nwant %q", got, want)
-	}
-	// Scratch reuse must not leak into an earlier batch's strings.
-	first := r.render(cols[:1])
-	r.render(cols[1:2])
-	for i, row := range first {
-		if row[0] != want[i][0] {
-			t.Fatalf("row %d of an earlier batch changed to %q", i, row[0])
-		}
-	}
-	// The float spellings Value.String defines.
-	for _, s := range []string{"NaN", "+Inf", "-Inf", "-0", "5e-324"} {
-		if !slicesContain(want, s) {
-			t.Errorf("no cell rendered as %q", s)
-		}
-	}
-	aggs := []expr.Value{expr.NewInt(expr.Int64, -5), expr.NewFloat(expr.Float64, math.Inf(-1)), {Type: expr.Uint64, Bits: math.MaxUint64}}
-	if got, want := renderAggregates(aggs, []bool{false, false, true}), []string{"-5", "-Inf", "NULL"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("renderAggregates = %q, want %q", got, want)
-	}
-	if r.render(nil) != nil || r.render([]pqp.Vec{{Type: expr.Int32}}) != nil {
-		t.Error("an empty batch renders rows")
-	}
-}
-
-func slicesContain(rows [][]string, s string) bool {
-	for _, r := range rows {
-		for _, c := range r {
-			if c == s {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // planRunRows plans sql like the engine does and runs it with Plan.Run,
@@ -308,29 +236,3 @@ func TestStreamedProjectionAllocsPerBatch(t *testing.T) {
 	}
 	t.Logf("%.0f allocations for %d streamed rows", allocs, rows)
 }
-
-// BenchmarkRenderBatch renders one 20 000-row batch of three int32
-// columns, one with NULLs: the shape of a streamed projection.
-func BenchmarkRenderBatch(b *testing.B) {
-	const n = 20_000
-	cols := make([]pqp.Vec, 3)
-	for c := range cols {
-		cols[c] = pqp.Vec{Type: expr.Int32, Bits: make([]uint64, n)}
-		for i := range n {
-			cols[c].Bits[i] = uint64(int64(i*7919%1_000_003 - 1000))
-		}
-	}
-	cols[2].Nulls = make([]bool, n)
-	for i := 0; i < n; i += 100 {
-		cols[2].Nulls[i] = true
-	}
-	var r batchRenderer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		renderedRows = r.render(cols)
-	}
-}
-
-// renderedRows keeps BenchmarkRenderBatch's result alive.
-var renderedRows [][]string
