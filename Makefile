@@ -3,25 +3,23 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-quick bench-native bench-native-check serve-check bench-serve bench-serve-check crash-check vuln clean
+.PHONY: check fmt build test race soak fuzz fuzz-storage fuzz-diff bench bench-smoke bench-quick bench-native bench-native-check serve-check bench-serve bench-serve-check crash-check vuln clean
 
-check: fmt build vet race soak fuzz-join fuzz-packed fuzz-index bench-smoke bench-quick bench-native-check serve-check bench-serve-check crash-check vuln
+check: fmt build race soak fuzz-diff bench-smoke bench-quick bench-native-check serve-check bench-serve-check crash-check vuln
 
 # Fails when any tracked Go file is not gofmt-formatted (lists them).
 fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "fmt: gofmt -w these files:"; echo "$$out"; exit 1; fi
 
-# Also vets a 32-bit (int is 32 bits) and a big-endian (column.View
-# decodes a typed copy) build; neither needs an emulator, and neither can
-# run its tests here.
+# Builds and vets the host build, then vets a 32-bit (int is 32 bits) and
+# a big-endian (column.View decodes a typed copy) build; neither needs an
+# emulator, and neither can run its tests here.
 build:
 	$(GO) build ./...
+	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=s390x $(GO) vet ./...
-
-vet:
-	$(GO) vet ./...
 
 # Plain test run (the seed's tier-1 gate).
 test:
@@ -42,34 +40,28 @@ soak:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse
 
-# Differential fuzz of the multi-table pipeline: randomized join +
-# GROUP BY queries (int32/int64/float64 keys incl. NaN, NULL keys,
-# duplicate keys, residual col-vs-col predicates, row counts crossing
-# the 64Ki batch boundary) run on both the default and native configs
-# and checked against an independent scalar nested-loop oracle. A short
-# 8-round pass also runs inside the plain test suite.
-fuzz-join:
-	FUSEDSCAN_FUZZ_JOIN_ROUNDS=48 $(GO) test -race -run TestFuzzJoinGroupByDifferential -count=1 .
-
-# Differential fuzz of scan-on-compressed storage (DESIGN.md §15): every
-# round runs the same randomized multi-predicate aggregate over a packed
-# table and its plain twin under the default and native configs, checked
-# against a scalar key-space oracle. Sweeps all eight integer types,
-# packed widths 1..64, NULL densities, 64Ki chunk-boundary row counts and
-# frame-of-reference frames anchored at the type extremes. A short
-# 10-round pass also runs inside the plain test suite.
-fuzz-packed:
-	FUSEDSCAN_FUZZ_PACKED_ROUNDS=64 $(GO) test -race -run TestFuzzPackedDifferential -count=1 .
-
-# Differential fuzz of the secondary-index access path (DESIGN.md §16):
-# random comparison predicates over indexed and unindexed int columns —
-# NULLs, negative keys, heavy duplication — run as forced-index,
-# hint-suppressed scan and unhinted cost-based plans under both the
-# default and native configs, with every variant's row positions checked
-# bit-identical against a scalar oracle. A short 12-round pass also runs
-# inside the plain test suite.
-fuzz-index:
-	FUSEDSCAN_FUZZ_INDEX_ROUNDS=64 $(GO) test -race -run TestFuzzIndexDifferential -count=1 .
+# Differential fuzz, three bespoke fuzzers in one race-detector run, each
+# checked against an independent scalar oracle under both the default and
+# native configs:
+# - the multi-table pipeline: randomized join + GROUP BY queries
+#   (int32/int64/float64 keys incl. NaN, NULL keys, duplicate keys,
+#   residual col-vs-col predicates, row counts crossing the 64Ki batch
+#   boundary) against a nested-loop oracle;
+# - scan-on-compressed storage (DESIGN.md §15): the same randomized
+#   multi-predicate aggregate over a packed table and its plain twin,
+#   sweeping all eight integer types, packed widths 1..64, NULL densities,
+#   64Ki chunk-boundary row counts and frame-of-reference frames anchored
+#   at the type extremes, against a key-space oracle;
+# - the secondary-index access path (DESIGN.md §16): random comparison
+#   predicates over indexed and unindexed int columns — NULLs, negative
+#   keys, heavy duplication — run as forced-index, hint-suppressed scan and
+#   unhinted cost-based plans, with every variant's row positions checked
+#   bit-identical against the oracle.
+# A short pass of each (8, 10 and 12 rounds) also runs inside the plain
+# test suite.
+fuzz-diff:
+	FUSEDSCAN_FUZZ_JOIN_ROUNDS=48 FUSEDSCAN_FUZZ_PACKED_ROUNDS=64 FUSEDSCAN_FUZZ_INDEX_ROUNDS=64 \
+		$(GO) test -race -count=1 -run 'TestFuzzJoinGroupByDifferential|TestFuzzPackedDifferential|TestFuzzIndexDifferential' .
 
 # Coverage-guided fuzz of the binary table decoder and the streaming
 # checksum verifier (hostile-input hardening; see DESIGN.md §12).

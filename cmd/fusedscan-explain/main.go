@@ -1,7 +1,8 @@
 // Command fusedscan-explain shows the paper's Figure 8/9 pipeline for a
-// query: the logical plan before and after optimization (predicate
-// reordering, fused-chain tagging), the physical plan with the fused
-// operator, and the C++ source the JIT compiler generates for it.
+// query: the logical plan before and after optimization — the table's
+// conjunction is one fused-scan node from the SQL translator on, and the
+// optimizer estimates, prunes and reorders it — the physical plan with the
+// fused operator, and the C++ source the JIT compiler generates for it.
 //
 //	fusedscan-explain "SELECT COUNT(*) FROM demo WHERE a = 5 AND c = 5"
 //	fusedscan-explain -jit=false "..."   # hide the generated source

@@ -1020,7 +1020,7 @@ type Explain struct {
 	JITSources    []string
 	JITKeys       []string
 	// AccessPath is the cost-based access-path decision: "index(col)
-	// est=… cost=… vs scan=…" when an IndexScan was chosen, or a
+	// est=… cost=… vs scan=…" when index probes were chosen, or a
 	// "scan …" string recording why not. Empty for plans the rule does
 	// not apply to (joins, plans without a scan).
 	AccessPath string
@@ -1172,6 +1172,9 @@ func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
+	if len(s.preds) == 0 {
+		return nil, fmt.Errorf("fusedscan: scan of %s has an empty predicate chain", s.tbl.Name())
+	}
 	var positions []uint32
 	sink := func(b pqp.Batch, _ [][]string) error {
 		for _, rel := range b.Sel {
@@ -1181,7 +1184,7 @@ func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 	}
 	// The plan is not optimized, so the chain keeps the caller's order.
 	makePlan := func(*string) (*lqp.Plan, *Result, error) {
-		return &lqp.Plan{Root: &lqp.FusedChain{Input: &lqp.StoredTable{Table: s.tbl}, Preds: s.preds}, Table: s.tbl}, nil, nil
+		return &lqp.Plan{Root: &lqp.Scan{Table: s.tbl, Preds: s.preds}, Table: s.tbl}, nil, nil
 	}
 	res, err := s.eng.execute(ctx, s.text(), makePlan, execOpts{sink: sink})
 	if err != nil {

@@ -20,7 +20,7 @@ import (
 // sixth round's table spans two or three 64 Ki windows, so index scans
 // cross window boundaries and run their windows in parallel.
 //
-// The default round count keeps `go test` fast; `make fuzz-index` raises
+// The default round count keeps `go test` fast; `make fuzz-diff` raises
 // it via FUSEDSCAN_FUZZ_INDEX_ROUNDS.
 func TestFuzzIndexDifferential(t *testing.T) {
 	// The engine caps a native scan's cores at GOMAXPROCS; raise it so

@@ -562,7 +562,7 @@ func (q fuzzJoinQuery) oracle(ft *fuzzJoinTables) (count int64, rows [][]string)
 // match), duplicate keys, random query shapes (residual ops, per-side
 // filters, grouped vs zero-key aggregates) and row counts spanning batch
 // boundaries, each run on BOTH the default and native configs and
-// checked against a scalar nested-loop oracle. `make fuzz-join` raises
+// checked against a scalar nested-loop oracle. `make fuzz-diff` raises
 // the round count via FUSEDSCAN_FUZZ_JOIN_ROUNDS, which also unlocks
 // probe sizes beyond one pipeline batch (64Ki rows).
 func TestFuzzJoinGroupByDifferential(t *testing.T) {

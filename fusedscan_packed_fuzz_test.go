@@ -21,7 +21,7 @@ import (
 // drawn to land inside, below, and above the stored range so the packed
 // plan-time collapse (always-false / always-true) is exercised too.
 //
-// `make fuzz-packed` raises the round count via
+// `make fuzz-diff` raises the round count via
 // FUSEDSCAN_FUZZ_PACKED_ROUNDS, which also unlocks the row counts that
 // cross the 64Ki pack-chunk boundary.
 

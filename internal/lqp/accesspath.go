@@ -48,8 +48,8 @@ const (
 )
 
 // predSel estimates one predicate's selectivity from column statistics
-// (1 when unknown or parameterized) — the same estimate the reorder rule
-// uses, reused here for the short-circuit discount in the scan cost.
+// (1 when unknown or parameterized): the estimate the reorder rule sorts by,
+// and the short-circuit discount in the scan cost.
 func (o *Optimizer) predSel(tbl *column.Table, pr expr.Predicate) float64 {
 	st, ok := o.colStats(tbl, pr.Column)
 	if !ok {
@@ -71,60 +71,46 @@ func (o *Optimizer) predSel(tbl *column.Table, pr expr.Predicate) float64 {
 type indexCand struct {
 	ix      *index.Index
 	pred    expr.Predicate
-	predIdx int // position in the fused chain
+	predIdx int // position in the scan's conjunction
 	sel     float64
 	k       int // exact matching rows, from CountRange
 }
 
 // ChooseAccessPath is the cost-based access-path rule: on a single-table
-// plan whose predicate chain sits directly on the stored table, it weighs
-// probing secondary indexes (exact selectivity via CountRange, per-row
-// lookup cost, windowed residual refinement) against the fused table scan
-// (bytes scanned with a short-circuit discount) and, when the index side
-// wins, replaces the FusedChain with an IndexScan leaf.
+// plan's scan, it weighs probing secondary indexes (exact selectivity via
+// CountRange, per-row lookup cost, windowed residual refinement) against
+// the fused table scan (bytes scanned with a short-circuit discount) and,
+// when the index side wins, turns the scan into the index path: the chosen
+// conjuncts become its Probes, the rest its residual.
 //
 // Optimize runs the rule as its last single-table pass. It is exported
 // for callers that optimize a parameterized plan — where predicates with
 // unbound parameters are never index candidates — and re-cost its bound
 // clones.
 func (o *Optimizer) ChooseAccessPath(p *Plan) {
-	if o.indexes == nil || findJoin(p) != nil || p.AccessPath != "" {
+	if o.indexes == nil || p.AccessPath != "" {
 		return
 	}
-	var parent Node
-	var fc *FusedChain
-	for n := p.Root; n != nil; n = n.Child() {
-		if _, ok := n.(*IndexScan); ok {
-			return // already chosen
-		}
-		if f, ok := n.(*FusedChain); ok {
-			fc = f
-			break
-		}
-		parent = n
-	}
-	if fc == nil {
-		return
-	}
-	st, ok := fc.Input.(*StoredTable)
-	if !ok {
-		return
+	s, ok := (*spineSlot(p)).(*Scan)
+	if !ok || s.Probes != nil || len(s.Preds) == 0 {
+		return // a join, an emptied plan, no conjunct, or already chosen
 	}
 	if p.Hint != nil && p.Hint.NoIndex {
 		o.decideScan(p, "scan (hint=no_index)")
 		return
 	}
-	rows := st.Table.Rows()
+	tbl := s.Table
+	rows := tbl.Rows()
 	if rows == 0 {
 		return
 	}
 
 	var cands []indexCand
-	for i, pr := range fc.Preds {
+	for i, pr := range s.Preds {
 		if pr.Kind != expr.PredCompare || pr.Param != 0 || !index.CanServe(pr.Op) {
 			continue
 		}
-		ix := o.indexes.LookupIndex(st.Table.Name(), pr.Column)
+		ix := o.indexes.LookupIndex(tbl.Name(), pr.Column)
 		if ix == nil || ix.Rows() != rows || ix.Type() != pr.Value.Type {
 			continue
 		}
@@ -144,7 +130,7 @@ func (o *Optimizer) ChooseAccessPath(p *Plan) {
 	// Selectivity-first probe order (Kim/Ileri/Madden): the most selective
 	// probe leads, so the intersection narrows as early as possible.
 	forced := false
-	if h := p.Hint; h != nil && h.Table == st.Table.Name() {
+	if h := p.Hint; h != nil && h.Table == tbl.Name() {
 		var hinted []indexCand
 		for _, c := range cands {
 			if c.pred.Column == h.Column {
@@ -191,31 +177,31 @@ func (o *Optimizer) ChooseAccessPath(p *Plan) {
 	windows := math.Ceil(float64(rows) / accessPathWindowRows)
 	frac := 1 - math.Exp(-kEst/windows)
 	resSel, estSel := 1.0, selIdx
-	for i, pr := range fc.Preds {
+	for i, pr := range s.Preds {
 		if isProbe[i] {
 			continue
 		}
 		residual = append(residual, pr)
-		col, err := st.Table.Column(pr.Column)
+		col, err := tbl.Column(pr.Column)
 		if err != nil {
 			return
 		}
 		costIndex += frac * float64(col.ScanBytes()) * resSel
-		s := o.predSel(st.Table, pr)
-		resSel *= s
-		estSel *= s
+		sel := o.predSel(tbl, pr)
+		resSel *= sel
+		estSel *= sel
 	}
 
 	// Fused-scan cost: bytes touched per predicate column, discounted by
 	// the short-circuit product of the predicates evaluated before it.
 	costScan, prod := 0.0, 1.0
-	for _, pr := range fc.Preds {
-		col, err := st.Table.Column(pr.Column)
+	for _, pr := range s.Preds {
+		col, err := tbl.Column(pr.Column)
 		if err != nil {
 			return
 		}
 		costScan += float64(col.ScanBytes()) * prod
-		prod *= o.predSel(st.Table, pr)
+		prod *= o.predSel(tbl, pr)
 	}
 
 	cols := make([]string, len(chosen))
@@ -228,19 +214,10 @@ func (o *Optimizer) ChooseAccessPath(p *Plan) {
 		return
 	}
 
-	isc := &IndexScan{
-		Table:     st.Table,
-		Residual:  residual,
-		StopAfter: fc.StopAfter,
-		EstSel:    estSel,
-		CostIndex: costIndex,
-		CostScan:  costScan,
-		Forced:    forced,
-	}
+	s.Preds, s.EstSel, s.CostIndex, s.CostScan, s.Forced = residual, estSel, costIndex, costScan, forced
 	for _, c := range chosen {
-		isc.Probes = append(isc.Probes, IndexProbe{Index: c.ix, Pred: c.pred, EstSel: c.sel})
+		s.Probes = append(s.Probes, IndexProbe{Index: c.ix, Pred: c.pred, EstSel: c.sel})
 	}
-	setChild(p, parent, isc)
 	p.AccessPath = fmt.Sprintf("index(%s) est=%.4g cost=%.4g vs scan=%.4g",
 		strings.Join(cols, ","), estSel, costIndex, costScan)
 	if forced {

@@ -8,12 +8,11 @@ import (
 
 // Clone deep-copies the plan tree so a cached skeleton can be bound and
 // executed without mutating the shared copy. The spine is linear; a Join
-// node adds a build subtree that is deep-copied as well. The
-// *column.Table leaves are shared — registered tables are immutable.
+// node adds a build scan that is deep-copied as well. The *column.Table
+// leaves are shared — registered tables are immutable.
 func (p *Plan) Clone() *Plan {
 	out := &Plan{
 		Table:        p.Table,
-		BuildTable:   p.BuildTable,
 		AppliedRules: append([]string(nil), p.AppliedRules...),
 		Hint:         p.Hint,
 		AccessPath:   p.AccessPath,
@@ -23,29 +22,21 @@ func (p *Plan) Clone() *Plan {
 	return out
 }
 
+func cloneScan(s *Scan) *Scan {
+	c := *s
+	c.Preds = append([]expr.Predicate(nil), s.Preds...)
+	c.Probes = append([]IndexProbe(nil), s.Probes...)
+	return &c
+}
+
 func cloneNode(n Node) Node {
 	switch t := n.(type) {
 	case nil:
 		return nil
-	case *StoredTable:
-		c := *t
-		return &c
+	case *Scan:
+		return cloneScan(t)
 	case *EmptyResult:
 		c := *t
-		return &c
-	case *Predicate:
-		c := *t
-		c.Input = cloneNode(t.Input)
-		return &c
-	case *FusedChain:
-		c := *t
-		c.Preds = append([]expr.Predicate(nil), t.Preds...)
-		c.Input = cloneNode(t.Input)
-		return &c
-	case *IndexScan:
-		c := *t
-		c.Probes = append([]IndexProbe(nil), t.Probes...)
-		c.Residual = append([]expr.Predicate(nil), t.Residual...)
 		return &c
 	case *Projection:
 		c := *t
@@ -63,8 +54,7 @@ func cloneNode(n Node) Node {
 	case *Join:
 		c := *t
 		c.Residuals = append([]JoinResidual(nil), t.Residuals...)
-		c.Input = cloneNode(t.Input)
-		c.Build = cloneNode(t.Build)
+		c.Input, c.Build = cloneScan(t.Input), cloneScan(t.Build)
 		return &c
 	case *GroupBy:
 		c := *t
@@ -78,76 +68,36 @@ func cloneNode(n Node) Node {
 }
 
 // Bind fills every $n parameter slot in the plan with the corresponding
-// argument literal, parsed against the predicate column's type. args[i]
-// binds $i+1. After a successful Bind the plan carries no parameter slots
-// and is ready for translation. Bind mutates the plan — bind a Clone of a
-// cached skeleton, never the skeleton itself.
+// argument literal, parsed against the type of the predicate's column in
+// its scan's table. args[i] binds $i+1. After a successful Bind the plan
+// carries no parameter slots and is ready for translation. Bind mutates
+// the plan — bind a Clone of a cached skeleton, never the skeleton itself.
 func (p *Plan) Bind(args []string) error {
 	if len(args) != p.NumParams {
 		return fmt.Errorf("lqp: plan wants %d parameter(s), got %d", p.NumParams, len(args))
 	}
-	bind := func(pred *expr.Predicate, onBuild bool) error {
-		if pred.Kind != expr.PredCompare || pred.Param == 0 {
-			return nil
-		}
-		if pred.Param > len(args) {
-			return fmt.Errorf("lqp: plan references $%d but only %d argument(s) were bound", pred.Param, len(args))
-		}
-		tbl := p.Table
-		if onBuild {
-			tbl = p.BuildTable
-		}
-		col, err := tbl.Column(pred.Column)
-		if err != nil {
-			return err
-		}
-		v, err := expr.ParseValue(col.Type(), args[pred.Param-1])
-		if err != nil {
-			// The slot may hold a literal of the statement text or a
-			// caller argument; the column names both.
-			return fmt.Errorf("predicate on %q: %v", pred.Column, err)
-		}
-		pred.Value = v
-		pred.Param = 0
-		return nil
-	}
-	// The walk descends the spine and, at a Join, the build subtree too;
-	// inside the build subtree every predicate binds against BuildTable
-	// (a not-yet-pushed-down build-side predicate on the spine is marked
-	// OnBuild instead).
-	var walk func(n Node, onBuild bool) error
-	walk = func(n Node, onBuild bool) error {
-		for ; n != nil; n = n.Child() {
-			switch t := n.(type) {
-			case *Predicate:
-				if err := bind(&t.Pred, onBuild || t.OnBuild); err != nil {
-					return err
-				}
-			case *FusedChain:
-				for i := range t.Preds {
-					if err := bind(&t.Preds[i], onBuild); err != nil {
-						return err
-					}
-				}
-			case *IndexScan:
-				// Probe predicates are bound by construction; only the
-				// residual may carry parameter slots (it never does today —
-				// skeletons hold no IndexScan — but keep Bind total).
-				for i := range t.Residual {
-					if err := bind(&t.Residual[i], onBuild); err != nil {
-						return err
-					}
-				}
-			case *Join:
-				if err := walk(t.Build, true); err != nil {
-					return err
-				}
+	for _, s := range p.scans() {
+		for i := range s.Preds {
+			pred := &s.Preds[i]
+			if pred.Kind != expr.PredCompare || pred.Param == 0 {
+				continue
 			}
+			if pred.Param > len(args) {
+				return fmt.Errorf("lqp: plan references $%d but only %d argument(s) were bound", pred.Param, len(args))
+			}
+			col, err := s.Table.Column(pred.Column)
+			if err != nil {
+				return err
+			}
+			v, err := expr.ParseValue(col.Type(), args[pred.Param-1])
+			if err != nil {
+				// The slot may hold a literal of the statement text or a
+				// caller argument; the column names both.
+				return fmt.Errorf("predicate on %q: %v", pred.Column, err)
+			}
+			pred.Value = v
+			pred.Param = 0
 		}
-		return nil
-	}
-	if err := walk(p.Root, false); err != nil {
-		return err
 	}
 	p.NumParams = 0
 	return nil

@@ -30,20 +30,20 @@ type JoinResidual struct {
 	Label string // as written, e.g. "a.u < b.v"
 }
 
-// Join is the inner hash equi-join. Child() returns the probe side, so
-// the plan spine runs root -> ... -> Join -> probe scan -> StoredTable;
-// the build side hangs off the node as a second subtree that walks must
-// visit explicitly.
+// Join is the inner hash equi-join of two scans. Child() returns the probe
+// scan, so the plan spine runs root -> ... -> Join -> probe scan; the build
+// scan hangs off the node as a second leaf that walks must visit
+// explicitly. When the optimizer proves either side empty, EmptyResult
+// takes the join's own slot.
 type Join struct {
-	Input Node // probe side (the driving table's subtree)
-	Build Node // build side (the joined table's subtree)
+	Input *Scan // probe side (the driving table's scan)
+	Build *Scan // build side (the joined table's scan)
 
-	BuildTable *column.Table
-	ProbeKey   string // bare key column on the probe table
-	BuildKey   string // bare key column on the build table
-	KeyType    expr.Type
-	KeyLabel   string // as written, e.g. "a.k = b.k"
-	Residuals  []JoinResidual
+	ProbeKey  string // bare key column on the probe table
+	BuildKey  string // bare key column on the build table
+	KeyType   expr.Type
+	KeyLabel  string // as written, e.g. "a.k = b.k"
+	Residuals []JoinResidual
 
 	// Transfer marks the predicate-transfer rewrite: the executor builds a
 	// Bloom filter from the filtered build side's keys and injects it as a

@@ -51,9 +51,6 @@ func TestBuildJoinGroupByShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.BuildTable == nil || plan.BuildTable.Name() != "d" {
-		t.Fatalf("BuildTable = %v", plan.BuildTable)
-	}
 	g, ok := plan.Root.(*GroupBy)
 	if !ok {
 		t.Fatalf("root = %T", plan.Root)
@@ -64,15 +61,12 @@ func TestBuildJoinGroupByShape(t *testing.T) {
 	if len(g.Items) != 1 || g.Items[0].Kind != AggSum || g.Items[0].Col.Col != "y" || !g.Items[0].Col.Build {
 		t.Fatalf("items = %+v", g.Items)
 	}
-	// The WHERE predicate starts above the join (pushdown is the
-	// optimizer's job).
-	pred, ok := g.Input.(*Predicate)
-	if !ok || pred.Pred.Column != "x" || pred.OnBuild {
-		t.Fatalf("where predicate = %v", g.Input)
-	}
-	join, ok := pred.Input.(*Join)
+	// Build routes each conjunct to its side's scan: the WHERE predicate
+	// f.x >= 1 to the probe scan, the ON literal condition d.v > 2 to the
+	// build scan.
+	join, ok := g.Input.(*Join)
 	if !ok {
-		t.Fatalf("below where = %T", pred.Input)
+		t.Fatalf("below the aggregate = %T", g.Input)
 	}
 	if join.ProbeKey != "k" || join.BuildKey != "k" || join.KeyType != expr.Int32 {
 		t.Fatalf("join key = %+v", join)
@@ -80,13 +74,11 @@ func TestBuildJoinGroupByShape(t *testing.T) {
 	if len(join.Residuals) != 1 || join.Residuals[0].Probe != "u" || join.Residuals[0].Build != "v" || join.Residuals[0].Op != expr.Lt {
 		t.Fatalf("residuals = %+v", join.Residuals)
 	}
-	// The ON literal condition d.v > 2 sits on the build subtree already.
-	bp, ok := join.Build.(*Predicate)
-	if !ok || bp.Pred.Column != "v" {
-		t.Fatalf("build subtree = %v", join.Build)
+	if p := join.Input; p.Table.Name() != "f" || len(p.Preds) != 1 || p.Preds[0].Column != "x" {
+		t.Fatalf("probe scan = %v", p)
 	}
-	if _, ok := bp.Input.(*StoredTable); !ok {
-		t.Fatalf("build leaf = %T", bp.Input)
+	if b := join.Build; b.Table.Name() != "d" || len(b.Preds) != 1 || b.Preds[0].Column != "v" {
+		t.Fatalf("build scan = %v", b)
 	}
 }
 
@@ -96,10 +88,7 @@ func TestBuildJoinFlippedKeyAndResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	join := findJoin(plan)
-	if join == nil {
-		t.Fatal("no join")
-	}
+	join := joinOf(t, plan)
 	if join.ProbeKey != "k" || join.BuildKey != "k" {
 		t.Fatalf("flipped key not normalized: %+v", join)
 	}
@@ -135,6 +124,16 @@ func TestBuildJoinErrors(t *testing.T) {
 	}
 }
 
+// joinOf returns the Join at the bottom of the plan's spine.
+func joinOf(t *testing.T, p *Plan) *Join {
+	t.Helper()
+	j, ok := (*spineSlot(p)).(*Join)
+	if !ok {
+		t.Fatalf("no join at the bottom of the spine:\n%s", p.Format())
+	}
+	return j
+}
+
 func TestOptimizeJoinPushdownAndFuse(t *testing.T) {
 	cat := makeJoinCatalog(t)
 	plan, err := Build(parse(t,
@@ -145,38 +144,33 @@ func TestOptimizeJoinPushdownAndFuse(t *testing.T) {
 	NewOptimizer().Optimize(plan)
 
 	rules := strings.Join(plan.AppliedRules, ",")
-	for _, want := range []string{"PushPredicatesThroughJoin", "PredicateTransferBloom", "FuseConsecutiveScans"} {
-		if !strings.Contains(rules, want) {
-			t.Errorf("rules %q missing %s", rules, want)
-		}
+	if rules != "EstimateSelectivities,PredicateTransferBloom,EstimateSelectivities" {
+		t.Errorf("rules %q", rules)
 	}
-
-	join := findJoin(plan)
-	if join == nil {
-		t.Fatal("no join after optimize")
-	}
+	join := joinOf(t, plan)
 	if !join.Transfer {
 		t.Error("predicate transfer not marked")
 	}
-	// Probe side: f.x >= 1 fused onto the stored table.
-	fc, ok := join.Input.(*FusedChain)
-	if !ok {
-		t.Fatalf("probe side = %T, want FusedChain", join.Input)
+	// Probe side: f.x >= 1, estimated over f.
+	if p := join.Input; len(p.Preds) != 1 || p.Preds[0].Column != "x" || p.EstSel != 0.75 {
+		t.Fatalf("probe scan = %v, est %g", p, p.EstSel)
 	}
-	if len(fc.Preds) != 1 || fc.Preds[0].Column != "x" {
-		t.Fatalf("probe chain = %+v", fc.Preds)
+	// Build side: d.v <= 8, estimated over d.
+	if b := join.Build; len(b.Preds) != 1 || b.Preds[0].Column != "v" || b.EstSel <= 0.75 || b.EstSel >= 1 {
+		t.Fatalf("build scan = %v, est %g", b, b.EstSel)
 	}
-	// Build side: d.v <= 8 pushed down and fused.
-	bfc, ok := join.Build.(*FusedChain)
-	if !ok {
-		t.Fatalf("build side = %T, want FusedChain", join.Build)
-	}
-	if len(bfc.Preds) != 1 || bfc.Preds[0].Column != "v" {
-		t.Fatalf("build chain = %+v", bfc.Preds)
-	}
-	// Format renders the build subtree under the join.
+	// Format renders the build scan under the join, each fused scan over
+	// its table.
 	out := plan.Format()
-	if !strings.Contains(out, "Build:") || !strings.Contains(out, "HashJoin[f.k = d.k AND f.u < d.v]") {
+	want := `GroupBy[f.x | sum(d.y)]
+  HashJoin[f.k = d.k AND f.u < d.v] (bloom transfer)
+    Build:
+      FusedTableScan[v <= 8]
+        StoredTable(d)
+    FusedTableScan[x >= 1]
+      StoredTable(f)
+`
+	if out != want {
 		t.Errorf("format:\n%s", out)
 	}
 }
@@ -232,39 +226,16 @@ func TestCloneAndBindJoinPlan(t *testing.T) {
 	if plan.NumParams != 2 {
 		t.Error("Bind mutated the skeleton")
 	}
-	join := findJoin(clone)
-	if join == nil {
-		t.Fatal("no join in clone")
+	join := joinOf(t, clone)
+	// Each side's parameter bound against its own table's column type.
+	if pr := join.Build.Preds[0]; pr.Column != "v" || pr.Param != 0 || pr.Value.Bits != 3 {
+		t.Fatalf("build pred not bound: %+v", pr)
 	}
-	// The build-side parameter bound against d's column type.
-	var found bool
-	var check func(n Node)
-	check = func(n Node) {
-		for ; n != nil; n = n.Child() {
-			switch tn := n.(type) {
-			case *FusedChain:
-				for _, pr := range tn.Preds {
-					if pr.Column == "v" {
-						if pr.Param != 0 || pr.Value.Bits != 3 {
-							t.Fatalf("build pred not bound: %+v", pr)
-						}
-						found = true
-					}
-				}
-			case *Predicate:
-				if tn.Pred.Column == "v" {
-					if tn.Pred.Param != 0 || tn.Pred.Value.Bits != 3 {
-						t.Fatalf("build pred not bound: %+v", tn.Pred)
-					}
-					found = true
-				}
-			case *Join:
-				check(tn.Build)
-			}
-		}
+	if pr := join.Input.Preds[0]; pr.Column != "x" || pr.Param != 0 || pr.Value.Bits != 1 {
+		t.Fatalf("probe pred not bound: %+v", pr)
 	}
-	check(clone.Root)
-	if !found {
-		t.Fatal("build-side predicate not found in clone")
+	// The skeleton's scans keep their slots.
+	if pr := joinOf(t, plan).Build.Preds[0]; pr.Param != 1 {
+		t.Fatalf("skeleton build pred = %+v", pr)
 	}
 }

@@ -1,10 +1,11 @@
 // Package lqp implements logical query plans and the rule-based optimizer
 // of the paper's Figure 9: the SQL AST is translated into a tree of
 // relational operators without implementation choices; optimizer rules then
-// reorder predicates by estimated selectivity, prune unsatisfiable plans,
-// and — the paper's key step — detect chains of consecutive predicates
-// (σ...σ) and tag them for translation into a single Fused Table Scan
-// (Figure 8).
+// reorder predicates by estimated selectivity and prune unsatisfiable plans.
+// The paper's key step — finding chains of consecutive predicates (σ...σ)
+// and tagging each for translation into a single Fused Table Scan (Figure
+// 8) — holds by construction: a table and the whole conjunction over it are
+// one Scan node from Build on.
 package lqp
 
 import (
@@ -23,135 +24,83 @@ type Node interface {
 	String() string
 }
 
-// StoredTable is the leaf: a table in the catalog.
-type StoredTable struct {
-	Table *column.Table
-}
-
-// Child implements Node.
-func (*StoredTable) Child() Node { return nil }
-
-func (n *StoredTable) String() string {
-	return fmt.Sprintf("StoredTable(%s)", n.Table.Name())
-}
-
-// Predicate is one σ: a comparison of a column against a literal, with the
-// optimizer's selectivity estimate attached.
-type Predicate struct {
-	Input  Node
-	Pred   expr.Predicate
-	EstSel float64
-	// OnBuild marks a predicate over the join's build table that still
-	// sits on the main spine above the Join node; the
-	// PushPredicatesThroughJoin rule moves it into the build subtree and
-	// clears the flag. Always false in single-table plans.
-	OnBuild bool
-}
-
-// Child implements Node.
-func (n *Predicate) Child() Node { return n.Input }
-
-func (n *Predicate) String() string {
-	s := fmt.Sprintf("Predicate[%s] (est. sel. %.4g)", n.Pred, n.EstSel)
-	if n.OnBuild {
-		s += " (build side)"
-	}
-	return s
-}
-
-// FusedChain is the optimizer's tag for a run of consecutive predicates
-// that the LQP translator must hand to the JIT compiler as one Fused Table
-// Scan operator (the ꔖ node of Figure 8).
-type FusedChain struct {
-	Input Node
-	Preds []expr.Predicate
-	// StopAfter, when > 0, is the LIMIT pushdown hint: the scan may stop
-	// producing once this many matches have been found (set only when no
-	// order-changing operator sits between the scan and the limit).
-	StopAfter int
-	// EstSel is the optimizer's estimate of the fraction of rows surviving
-	// the whole conjunction (product of the per-predicate estimates, i.e.
-	// assuming independence). Physical scans use it to pre-size position
-	// lists; 0 means "no estimate".
-	EstSel float64
-}
-
-// Child implements Node.
-func (n *FusedChain) Child() Node { return n.Input }
-
-func (n *FusedChain) String() string {
-	parts := make([]string, len(n.Preds))
-	for i, p := range n.Preds {
-		parts[i] = p.String()
-	}
-	s := fmt.Sprintf("FusedTableScan[%s]", strings.Join(parts, " AND "))
-	if n.StopAfter > 0 {
-		s += fmt.Sprintf(" (stop after %d)", n.StopAfter)
-	}
-	return s
-}
-
-// IndexProbe is one index lookup inside an IndexScan: the bound comparison
-// it serves, the index that serves it, and the exact selectivity the cost
-// model measured via Index.CountRange.
-type IndexProbe struct {
-	Index *index.Index
-	Pred  expr.Predicate // bound PredCompare the probe answers
-	// EstSel is exact, not estimated: CountRange(op, value) / rows.
-	EstSel float64
-}
-
-// IndexScan is the secondary-index access path: a leaf node replacing
-// FusedChain-over-StoredTable when the cost model (or an INDEX hint)
-// chooses index probes over the fused scan. The executor probes each
-// index, intersects the sorted position lists with the galloping kernels,
-// and refines the surviving positions against the Residual predicates
-// with the fused/native chain, window by window.
+// Scan is the one scan leaf: a read of Table filtered by the conjunction
+// Preds, listed in evaluation order. Build appends each conjunct to the scan
+// of the table it filters; the optimizer's rules rewrite Preds in place —
+// estimating, dropping, rewriting and reordering conjuncts — or swap the
+// scan's slot for EmptyResult, and the translator hands a scan with
+// conjuncts to the JIT compiler as one Fused Table Scan (the ꔖ node of
+// Figure 8). A consecutive σ chain is thus one node by construction.
 //
-// The node carries live *index.Index pointers; that is safe because plans
-// holding an IndexScan are optimized per execution from a bound clone of
-// a cached skeleton — skeletons themselves are never optimized, so never
-// contain an IndexScan — and every index DDL bumps the catalog epoch,
-// which invalidates the plan cache.
-type IndexScan struct {
-	Table  *column.Table
-	Probes []IndexProbe // intersected, most selective first
-	// Residual is the predicate remainder in evaluation order (innermost
-	// first, like FusedChain.Preds).
-	Residual []expr.Predicate
-	// StopAfter is the LIMIT pushdown hint (see FusedChain.StopAfter).
-	StopAfter int
-	// EstSel is the estimated fraction of rows surviving probes + residual.
+// When the access-path rule chooses index probes over the fused scan,
+// Probes holds them and Preds is the residual: the executor probes each
+// index, intersects the sorted position lists with the galloping kernels,
+// and refines the surviving positions against the residual with the
+// fused/native chain, window by window. Such a scan carries live
+// *index.Index pointers; that is safe because the engine chooses access
+// paths per execution, on a bound clone of a cached skeleton, and every
+// index DDL bumps the catalog epoch, which invalidates the plan cache.
+type Scan struct {
+	Table *column.Table
+	Preds []expr.Predicate
+	// EstSel is the optimizer's estimate of the fraction of rows surviving
+	// the whole conjunction, probes included (the product of the
+	// per-predicate estimates, i.e. assuming independence). Physical scans
+	// use it to pre-size position lists; 0 means "no estimate".
 	EstSel float64
-	// CostIndex and CostScan are the cost model's two estimates, in
-	// scanned-byte units; CostIndex < CostScan unless Forced.
+	// Probes are the index path's lookups, intersected most selective
+	// first; nil on the scan path.
+	Probes []IndexProbe
+	// CostIndex and CostScan are the cost model's two estimates for the
+	// index path, in scanned-byte units; CostIndex < CostScan unless Forced.
 	CostIndex, CostScan float64
 	// Forced marks an /*+ INDEX(t col) */ hint overriding the cost choice.
 	Forced bool
 }
 
 // Child implements Node.
-func (*IndexScan) Child() Node { return nil }
+func (*Scan) Child() Node { return nil }
 
-func (n *IndexScan) String() string {
-	cols := make([]string, len(n.Probes))
-	parts := make([]string, 0, len(n.Probes)+len(n.Residual))
-	for i, pr := range n.Probes {
-		cols[i] = pr.Pred.Column
-		parts = append(parts, pr.Pred.String())
+// String renders the scan as the index path's IndexScan, as a fused scan
+// (Format puts the table it reads on the line below), or as the bare table.
+func (n *Scan) String() string {
+	switch {
+	case n.Probes != nil:
+		cols := make([]string, len(n.Probes))
+		parts := make([]string, 0, len(n.Probes)+len(n.Preds))
+		for i, pr := range n.Probes {
+			cols[i] = pr.Pred.Column
+			parts = append(parts, pr.Pred.String())
+		}
+		for _, pr := range n.Preds {
+			parts = append(parts, pr.String()+" (residual)")
+		}
+		s := fmt.Sprintf("IndexScan(%s)[%s] est=%.4g cost=%.4g vs scan=%.4g",
+			strings.Join(cols, ","), strings.Join(parts, " AND "), n.EstSel, n.CostIndex, n.CostScan)
+		if n.Forced {
+			s += " (hint forced)"
+		}
+		return s
+	case len(n.Preds) > 0:
+		parts := make([]string, len(n.Preds))
+		for i, p := range n.Preds {
+			parts[i] = p.String()
+		}
+		return fmt.Sprintf("FusedTableScan[%s]", strings.Join(parts, " AND "))
 	}
-	for _, pr := range n.Residual {
-		parts = append(parts, pr.String()+" (residual)")
-	}
-	s := fmt.Sprintf("IndexScan(%s)[%s] est=%.4g cost=%.4g vs scan=%.4g",
-		strings.Join(cols, ","), strings.Join(parts, " AND "), n.EstSel, n.CostIndex, n.CostScan)
-	if n.Forced {
-		s += " (hint forced)"
-	}
-	if n.StopAfter > 0 {
-		s += fmt.Sprintf(" (stop after %d)", n.StopAfter)
-	}
-	return s
+	return n.table()
+}
+
+func (n *Scan) table() string { return fmt.Sprintf("StoredTable(%s)", n.Table.Name()) }
+
+// IndexProbe is one index lookup of an index-path Scan: the bound
+// comparison it serves, the index that serves it, and the exact
+// selectivity the cost model measured via Index.CountRange.
+type IndexProbe struct {
+	Index *index.Index
+	Pred  expr.Predicate // bound PredCompare the probe answers
+	// EstSel is exact, not estimated: CountRange(op, value) / rows.
+	EstSel float64
 }
 
 // EmptyResult replaces a subtree proven to produce no rows (an
@@ -175,23 +124,16 @@ type Projection struct {
 	// Refs carries the side-resolved form of Columns (same order).
 	// Two-table plans need the side to locate each output column.
 	Refs []ColRef
-	// MaxRows, when > 0, is the LIMIT pushdown hint: at most this many
-	// rows will ever be delivered, so materialization may stop there.
-	MaxRows int
 }
 
 // Child implements Node.
 func (n *Projection) Child() Node { return n.Input }
 
 func (n *Projection) String() string {
-	s := "Projection[*]"
-	if !n.Star {
-		s = fmt.Sprintf("Projection[%s]", strings.Join(n.Columns, ", "))
+	if n.Star {
+		return "Projection[*]"
 	}
-	if n.MaxRows > 0 {
-		s += fmt.Sprintf(" (limit hint %d)", n.MaxRows)
-	}
-	return s
+	return fmt.Sprintf("Projection[%s]", strings.Join(n.Columns, ", "))
 }
 
 // AggKind selects the aggregate function.
@@ -304,11 +246,9 @@ func (n *Limit) String() string { return fmt.Sprintf("Limit[%d]", n.N) }
 
 // Plan is a logical plan plus the optimizer trace.
 type Plan struct {
-	Root  Node
-	Table *column.Table
-	// BuildTable is the join's build-side table; nil for single-table
-	// plans. Table is always the driving (probe) table.
-	BuildTable   *column.Table
+	Root Node
+	// Table is the driving table: the only one, or a join's probe side.
+	Table        *column.Table
 	AppliedRules []string
 	// Hint is the statement's access-path hint, nil when absent. It is part
 	// of the plan-cache key (Normalize renders it into the shape).
@@ -325,8 +265,8 @@ type Plan struct {
 }
 
 // Format renders the plan tree top-down, one operator per line. A Join's
-// build subtree is rendered under a "Build:" heading before the probe
-// side continues the spine.
+// build scan is rendered under a "Build:" heading before the probe side
+// continues the spine; a fused scan renders over the table it reads.
 func (p *Plan) Format() string {
 	var sb strings.Builder
 	writeTree(&sb, p.Root, 0)
@@ -334,17 +274,56 @@ func (p *Plan) Format() string {
 }
 
 func writeTree(sb *strings.Builder, n Node, depth int) {
-	for ; n != nil; n = n.Child() {
+	line := func(depth int, s string) {
 		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString(n.String())
+		sb.WriteString(s)
 		sb.WriteByte('\n')
-		if j, ok := n.(*Join); ok {
-			sb.WriteString(strings.Repeat("  ", depth+1))
-			sb.WriteString("Build:\n")
-			writeTree(sb, j.Build, depth+2)
+	}
+	for ; n != nil; n = n.Child() {
+		line(depth, n.String())
+		switch t := n.(type) {
+		case *Join:
+			line(depth+1, "Build:")
+			writeTree(sb, t.Build, depth+2)
+		case *Scan:
+			if t.Probes == nil && len(t.Preds) > 0 {
+				line(depth+1, t.table())
+			}
 		}
 		depth++
 	}
+}
+
+// spineSlot returns the field that holds the bottom of p's spine: the scan
+// leaf, a Join, or an EmptyResult that replaced either.
+func spineSlot(p *Plan) *Node {
+	slot := &p.Root
+	for {
+		switch t := (*slot).(type) {
+		case *Projection:
+			slot = &t.Input
+		case *Sort:
+			slot = &t.Input
+		case *Limit:
+			slot = &t.Input
+		case *GroupBy:
+			slot = &t.Input
+		default:
+			return slot
+		}
+	}
+}
+
+// scans returns the plan's scan leaves: the spine's, or a join's build and
+// probe scans.
+func (p *Plan) scans() []*Scan {
+	switch t := (*spineSlot(p)).(type) {
+	case *Scan:
+		return []*Scan{t}
+	case *Join:
+		return []*Scan{t.Build, t.Input}
+	}
+	return nil
 }
 
 // Catalog resolves table names.
@@ -352,47 +331,51 @@ type Catalog interface {
 	Table(name string) (*column.Table, error)
 }
 
-// buildPreds resolves one parsed comparison into its side-resolved
-// predicate list (BETWEEN desugars into two conjuncts). The returned
-// predicates carry bare column names; ref reports which table they
-// filter.
-func buildPreds(res *resolver, cmp sqlparse.Comparison) (ColRef, []expr.Predicate, error) {
+// addConjunct resolves one parsed comparison and appends it to the scan of
+// the table it filters — build when the column is on the join's build
+// side, else probe. BETWEEN desugars into two conjuncts.
+func addConjunct(res *resolver, cmp sqlparse.Comparison, probe, build *Scan) error {
 	ref, col, err := res.resolve(cmp.Column)
 	if err != nil {
-		return ColRef{}, nil, err
+		return err
+	}
+	s := probe
+	if ref.Build {
+		s = build
 	}
 	if cmp.NullTest != expr.PredCompare {
-		return ref, []expr.Predicate{{Column: ref.Col, Kind: cmp.NullTest}}, nil
+		s.Preds = append(s.Preds, expr.Predicate{Column: ref.Col, Kind: cmp.NullTest})
+		return nil
 	}
 	pred := expr.Predicate{Column: ref.Col, Op: cmp.Op, Param: cmp.Param}
 	if cmp.Param == 0 {
 		pred.Value, err = expr.ParseValue(col.Type(), cmp.Literal)
 		if err != nil {
-			return ColRef{}, nil, fmt.Errorf("predicate on %q: %v", cmp.Column, err)
+			return fmt.Errorf("predicate on %q: %v", cmp.Column, err)
 		}
 	}
-	preds := []expr.Predicate{pred}
+	s.Preds = append(s.Preds, pred)
 	if cmp.IsBetween {
 		// Desugar BETWEEN: the >= predicate above plus the <= upper bound.
 		hiPred := expr.Predicate{Column: ref.Col, Op: expr.Le, Param: cmp.HiParam}
 		if cmp.HiParam == 0 {
 			hiPred.Value, err = expr.ParseValue(col.Type(), cmp.BetweenHi)
 			if err != nil {
-				return ColRef{}, nil, fmt.Errorf("BETWEEN upper bound on %q: %v", cmp.Column, err)
+				return fmt.Errorf("BETWEEN upper bound on %q: %v", cmp.Column, err)
 			}
 		}
-		preds = append(preds, hiPred)
+		s.Preds = append(s.Preds, hiPred)
 	}
-	return ref, preds, nil
+	return nil
 }
 
 // Build translates a parsed SELECT into an unoptimized logical plan,
-// resolving column types and literal values against the catalog. For a
-// JOIN statement the ON clause is split at build time: the first
-// cross-table equality becomes the hash key, remaining cross-table
-// comparisons become residuals, and column-vs-literal conditions stack
-// directly on their owning side's scan. WHERE predicates initially sit
-// above the Join; the optimizer's pushdown rule moves them to their side.
+// resolving column types and literal values against the catalog. Every
+// column-vs-literal conjunct — of the ON clause, then of WHERE — joins the
+// scan of the table it filters, in source order. For a JOIN statement the
+// rest of the ON clause is split at build time: the first cross-table
+// equality becomes the hash key, remaining cross-table comparisons become
+// residuals.
 func Build(sel *sqlparse.Select, cat Catalog) (*Plan, error) {
 	tbl, err := cat.Table(sel.Table)
 	if err != nil {
@@ -401,9 +384,10 @@ func Build(sel *sqlparse.Select, cat Catalog) (*Plan, error) {
 	plan := &Plan{Table: tbl, NumParams: sel.NumParams, Hint: sel.Hint}
 	res := &resolver{probe: tbl, probeName: sel.Table}
 
-	var probeNode Node = &StoredTable{Table: tbl}
-	var node Node
+	probe := &Scan{Table: tbl}
+	var node Node = probe
 	var join *Join
+	var build *Scan
 	if sel.Join != nil {
 		if sel.Join.Table == sel.Table {
 			return nil, fmt.Errorf("lqp: self-join of %q is not supported", sel.Table)
@@ -412,24 +396,15 @@ func Build(sel *sqlparse.Select, cat Catalog) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan.BuildTable = buildTbl
 		res.build, res.buildName = buildTbl, sel.Join.Table
-		var buildNode Node = &StoredTable{Table: buildTbl}
-		join = &Join{BuildTable: buildTbl}
+		build = &Scan{Table: buildTbl}
+		join = &Join{Input: probe, Build: build}
 		for _, cmp := range sel.Join.On {
 			if cmp.Column2 == "" {
 				// Column-vs-literal ON condition: for an inner join this is
 				// a plain filter on its owning side's scan.
-				ref, preds, err := buildPreds(res, cmp)
-				if err != nil {
+				if err := addConjunct(res, cmp, probe, build); err != nil {
 					return nil, err
-				}
-				for _, pr := range preds {
-					if ref.Build {
-						buildNode = &Predicate{Input: buildNode, Pred: pr, EstSel: 1}
-					} else {
-						probeNode = &Predicate{Input: probeNode, Pred: pr, EstSel: 1}
-					}
 				}
 				continue
 			}
@@ -464,21 +439,12 @@ func Build(sel *sqlparse.Select, cat Catalog) (*Plan, error) {
 		if join.ProbeKey == "" {
 			return nil, fmt.Errorf("lqp: JOIN ... ON needs an equality between the two tables' columns")
 		}
-		join.Input, join.Build = probeNode, buildNode
 		node = join
-	} else {
-		node = probeNode
 	}
 
 	for _, cmp := range sel.Where {
-		ref, preds, err := buildPreds(res, cmp)
-		if err != nil {
+		if err := addConjunct(res, cmp, probe, build); err != nil {
 			return nil, err
-		}
-		// EstSel 1 is the neutral default; the optimizer's statistics rule
-		// estimates the real value.
-		for _, pr := range preds {
-			node = &Predicate{Input: node, Pred: pr, EstSel: 1, OnBuild: ref.Build}
 		}
 	}
 
@@ -542,7 +508,7 @@ func Build(sel *sqlparse.Select, cat Catalog) (*Plan, error) {
 		}
 		star(tbl, false)
 		if join != nil {
-			star(plan.BuildTable, true)
+			star(build.Table, true)
 		}
 		node = proj
 	default:

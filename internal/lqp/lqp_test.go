@@ -72,7 +72,8 @@ func TestBuildPlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Expect a zero-key GroupBy -> Predicate(b) -> Predicate(a) -> StoredTable.
+	// Expect a zero-key GroupBy over one scan holding the conjunction in
+	// source order.
 	agg, ok := plan.Root.(*GroupBy)
 	if !ok || len(agg.Keys) != 0 {
 		t.Fatalf("root = %s", plan.Root)
@@ -80,16 +81,12 @@ func TestBuildPlanShape(t *testing.T) {
 	if got := agg.String(); got != "Aggregate[count(*)]" {
 		t.Errorf("zero-key sink renders %q", got)
 	}
-	p1, ok := agg.Input.(*Predicate)
-	if !ok || p1.Pred.Column != "b" {
-		t.Fatalf("outer predicate = %v", agg.Input)
+	s, ok := agg.Input.(*Scan)
+	if !ok || s.Table != cat["t"] {
+		t.Fatalf("aggregate input = %v", agg.Input)
 	}
-	p2, ok := p1.Input.(*Predicate)
-	if !ok || p2.Pred.Column != "a" {
-		t.Fatalf("inner predicate = %v", p1.Input)
-	}
-	if _, ok := p2.Input.(*StoredTable); !ok {
-		t.Fatalf("leaf = %T", p2.Input)
+	if len(s.Preds) != 2 || s.Preds[0].Column != "a" || s.Preds[1].Column != "b" {
+		t.Fatalf("conjunction = %v", s.Preds)
 	}
 }
 
@@ -120,16 +117,7 @@ func TestOptimizerEstimatesAndReorders(t *testing.T) {
 	}
 	NewOptimizer().Optimize(plan)
 
-	var fc *FusedChain
-	for n := plan.Root; n != nil; n = n.Child() {
-		if f, ok := n.(*FusedChain); ok {
-			fc = f
-			break
-		}
-	}
-	if fc == nil {
-		t.Fatalf("no fused chain:\n%s", plan.Format())
-	}
+	fc := scanOf(t, plan)
 	if len(fc.Preds) != 3 {
 		t.Fatalf("chain = %v", fc.Preds)
 	}
@@ -137,30 +125,38 @@ func TestOptimizerEstimatesAndReorders(t *testing.T) {
 	if order[0] != "b" || order[1] != "c" || order[2] != "a" {
 		t.Errorf("chain order = %v, want [b c a]", order)
 	}
+	// The estimate is the product of the three: about 1% x 10% x 50%.
+	if fc.EstSel <= 0 || fc.EstSel > 0.002 {
+		t.Errorf("EstSel = %g", fc.EstSel)
+	}
 	wantRules := map[string]bool{}
 	for _, r := range plan.AppliedRules {
 		wantRules[r] = true
 	}
-	for _, r := range []string{"EstimateSelectivities", "ReorderPredicatesBySelectivity", "FuseConsecutiveScans"} {
+	for _, r := range []string{"EstimateSelectivities", "ReorderPredicatesBySelectivity"} {
 		if !wantRules[r] {
 			t.Errorf("rule %s not applied (got %v)", r, plan.AppliedRules)
 		}
 	}
 }
 
-// bareEmpty reports whether the plan's spine ends in EmptyResult with no
-// scan, predicate or join left on it: a pruned run takes its siblings and
-// the table under them with it.
-func bareEmpty(p *Plan) bool {
-	for n := p.Root; n != nil; n = n.Child() {
-		switch n.(type) {
-		case *EmptyResult:
-			return true
-		case *Predicate, *FusedChain, *IndexScan, *StoredTable, *Join:
-			return false
-		}
+// scanOf returns the scan leaf at the bottom of a single-table plan's
+// spine.
+func scanOf(t *testing.T, p *Plan) *Scan {
+	t.Helper()
+	s, ok := (*spineSlot(p)).(*Scan)
+	if !ok {
+		t.Fatalf("no scan at the bottom of the spine:\n%s", p.Format())
 	}
-	return false
+	return s
+}
+
+// bareEmpty reports whether the plan's spine ends in EmptyResult with no
+// scan or join left on it: a pruned conjunct takes its siblings and the
+// table they filter with it.
+func bareEmpty(p *Plan) bool {
+	_, ok := (*spineSlot(p)).(*EmptyResult)
+	return ok
 }
 
 func TestOptimizerPrunesUnsatisfiable(t *testing.T) {
@@ -233,7 +229,7 @@ func TestPlanFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := plan.Format()
-	for _, want := range []string{"Limit[3]", "Projection[a, b]", "Predicate[a = 5]", "StoredTable(t)"} {
+	for _, want := range []string{"Limit[3]", "Projection[a, b]", "FusedTableScan[a = 5]", "StoredTable(t)"} {
 		if !strings.Contains(f, want) {
 			t.Errorf("plan missing %q:\n%s", want, f)
 		}
@@ -278,94 +274,6 @@ func TestOptimizerPrunesContradictions(t *testing.T) {
 		if strings.Contains(plan.Format(), "EmptyResult") {
 			t.Errorf("%s: wrongly pruned:\n%s", sql, plan.Format())
 		}
-	}
-}
-
-func TestPushLimitHints(t *testing.T) {
-	cat := makeCatalog(t)
-	plan, err := Build(parse(t, "SELECT a FROM t WHERE a = 5 AND b = 2 LIMIT 3"), cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	NewOptimizer().Optimize(plan)
-
-	lim, ok := plan.Root.(*Limit)
-	if !ok {
-		t.Fatalf("root = %T", plan.Root)
-	}
-	proj, ok := lim.Input.(*Projection)
-	if !ok {
-		t.Fatalf("limit input = %T", lim.Input)
-	}
-	if proj.MaxRows != 3 {
-		t.Errorf("Projection.MaxRows = %d, want 3", proj.MaxRows)
-	}
-	fc, ok := proj.Input.(*FusedChain)
-	if !ok {
-		t.Fatalf("projection input = %T", proj.Input)
-	}
-	if fc.StopAfter != 3 {
-		t.Errorf("FusedChain.StopAfter = %d, want 3", fc.StopAfter)
-	}
-	found := false
-	for _, r := range plan.AppliedRules {
-		if r == "PushDownLimitHint" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("rules = %v, want PushDownLimitHint", plan.AppliedRules)
-	}
-	if !strings.Contains(plan.Format(), "(stop after 3)") {
-		t.Errorf("plan:\n%s", plan.Format())
-	}
-}
-
-func TestPushLimitHintsBlockedBySort(t *testing.T) {
-	// ORDER BY between the scan and the limit: the first 3 rows in sort
-	// order are not the first 3 in table order, so the scan must not stop
-	// early. The projection cap is still safe (it materializes in sorted
-	// order).
-	cat := makeCatalog(t)
-	plan, err := Build(parse(t, "SELECT a FROM t WHERE a = 5 ORDER BY c LIMIT 3"), cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	NewOptimizer().Optimize(plan)
-
-	lim := plan.Root.(*Limit)
-	proj := lim.Input.(*Projection)
-	if proj.MaxRows != 3 {
-		t.Errorf("Projection.MaxRows = %d, want 3", proj.MaxRows)
-	}
-	srt, ok := proj.Input.(*Sort)
-	if !ok {
-		t.Fatalf("projection input = %T", proj.Input)
-	}
-	fc, ok := srt.Input.(*FusedChain)
-	if !ok {
-		t.Fatalf("sort input = %T", srt.Input)
-	}
-	if fc.StopAfter != 0 {
-		t.Errorf("FusedChain.StopAfter = %d, want 0 (sort blocks the scan hint)", fc.StopAfter)
-	}
-}
-
-func TestAggregateNotLimitHinted(t *testing.T) {
-	cat := makeCatalog(t)
-	plan, err := Build(parse(t, "SELECT COUNT(*) FROM t WHERE a = 5 LIMIT 1"), cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	NewOptimizer().Optimize(plan)
-	lim := plan.Root.(*Limit)
-	agg := lim.Input.(*GroupBy)
-	fc, ok := agg.Input.(*FusedChain)
-	if !ok {
-		t.Fatalf("aggregate input = %T", agg.Input)
-	}
-	if fc.StopAfter != 0 {
-		t.Errorf("FusedChain.StopAfter = %d, want 0 (aggregates need every row)", fc.StopAfter)
 	}
 }
 

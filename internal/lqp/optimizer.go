@@ -2,7 +2,7 @@ package lqp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
@@ -22,94 +22,50 @@ type Optimizer struct {
 // NewOptimizer returns an optimizer with no index catalog.
 func NewOptimizer() *Optimizer { return &Optimizer{} }
 
-// Optimize rewrites the plan in place: join predicate pushdown, per-side
-// selectivity estimation, unsatisfiable-predicate pruning,
-// selectivity-based predicate reordering, fused-chain detection and
-// predicate transfer. The applied rules are recorded on the plan. Every
-// predicate of an optimized plan is inside a scan leaf (a FusedChain or an
-// IndexScan's residual), or its whole run was pruned to EmptyResult; the
-// translator accepts no other predicate.
+// Optimize rewrites the plan in place: per-scan selectivity estimation,
+// packed-predicate rewrites, unsatisfiable-predicate pruning and
+// selectivity-based predicate reordering, then predicate transfer over a
+// join or the access-path choice on a single table. The applied rules are
+// recorded on the plan. Every rule rewrites one scan's conjunction, or
+// swaps the scan's slot — or, when either side of a join is proven empty,
+// the join's — for EmptyResult.
 func (o *Optimizer) Optimize(p *Plan) {
-	o.pushJoinPredicates(p)
-	if join := findJoin(p); join != nil {
-		// The build side is its own predicate spine over BuildTable; run
-		// the single-table passes on it as a sub-plan.
-		sub := &Plan{Root: join.Build, Table: join.BuildTable}
-		o.optimizeSpine(sub)
-		join.Build = sub.Root
-		p.AppliedRules = append(p.AppliedRules, sub.AppliedRules...)
-		o.markPredicateTransfer(p, join)
-	}
-	o.optimizeSpine(p)
-	if join := findJoin(p); join != nil {
-		o.collapseEmptyJoin(p, join)
-	} else {
+	slot := spineSlot(p)
+	switch t := (*slot).(type) {
+	case *Scan:
+		if e := o.optimizeScan(p, t); e != nil {
+			*slot = e
+			return
+		}
 		o.ChooseAccessPath(p)
+	case *Join:
+		build := o.optimizeScan(p, t.Build)
+		o.markPredicateTransfer(p, t)
+		probe := o.optimizeScan(p, t.Input)
+		o.collapseEmptyJoin(p, slot, probe, build)
 	}
-	o.pushLimitHints(p)
 }
 
-// optimizeSpine runs the single-spine rewrite passes: after join
-// predicate pushdown, both the main plan (whose spine continues through
-// the Join into the probe side) and the build subtree are linear
-// predicate chains over one stored table.
-func (o *Optimizer) optimizeSpine(p *Plan) {
-	o.estimateSelectivities(p)
-	o.rewritePackedPredicates(p)
-	o.pruneContradictions(p)
-	o.pruneUnsatisfiable(p)
-	o.reorderPredicates(p)
-	o.fuseChains(p)
-}
-
-// findJoin returns the plan's Join node, or nil. Joins live on the spine
-// (their probe side continues it), so a linear walk finds them.
-func findJoin(p *Plan) *Join {
-	for n := p.Root; n != nil; n = n.Child() {
-		if j, ok := n.(*Join); ok {
-			return j
-		}
+// optimizeScan runs the single-scan rules over s's conjunction, in order —
+// estimate, packed rewrite, contradiction and unsatisfiability pruning,
+// reorder — and returns the EmptyResult that takes s's slot when a rule
+// proves that no row satisfies it, else nil.
+func (o *Optimizer) optimizeScan(p *Plan, s *Scan) *EmptyResult {
+	if len(s.Preds) == 0 {
+		return nil
 	}
-	return nil
-}
-
-// pushJoinPredicates moves WHERE predicates sitting above the Join down
-// to the side whose table they filter — the classic pushdown through an
-// inner join. Build-side predicates land in the build subtree (shrinking
-// the hash table and the transferred Bloom filter), probe-side
-// predicates join the probe scan chain (where fuseChains will merge them
-// into one fused scan).
-func (o *Optimizer) pushJoinPredicates(p *Plan) {
-	join := findJoin(p)
-	if join == nil {
-		return
+	sels := o.estimateSelectivities(p, s)
+	sels, e := o.rewritePackedPredicates(p, s, sels)
+	if e == nil {
+		e = o.pruneContradictions(p, s)
 	}
-	moved := false
-	var parent Node
-	n := p.Root
-	for n != nil && n != Node(join) {
-		pred, ok := n.(*Predicate)
-		if !ok {
-			parent = n
-			n = n.Child()
-			continue
-		}
-		next := pred.Input
-		setChild(p, parent, next)
-		if pred.OnBuild {
-			pred.OnBuild = false
-			pred.Input = join.Build
-			join.Build = pred
-		} else {
-			pred.Input = join.Input
-			join.Input = pred
-		}
-		moved = true
-		n = next
+	if e == nil {
+		e = o.pruneUnsatisfiable(p, s)
 	}
-	if moved {
-		p.AppliedRules = append(p.AppliedRules, "PushPredicatesThroughJoin")
+	if e == nil {
+		o.reorderPredicates(p, s, sels)
 	}
+	return e
 }
 
 // markPredicateTransfer tags the join for the Bloom-filter rewrite: the
@@ -123,57 +79,36 @@ func (o *Optimizer) markPredicateTransfer(p *Plan, join *Join) {
 	p.AppliedRules = append(p.AppliedRules, "PredicateTransferBloom")
 }
 
-// collapseEmptyJoin replaces the join with EmptyResult when either side
-// was proven empty (an inner join over an empty input produces nothing).
-func (o *Optimizer) collapseEmptyJoin(p *Plan, join *Join) {
-	if e, ok := join.Input.(*EmptyResult); ok {
-		replaceChild(p, join, &EmptyResult{Reason: "join probe side is empty: " + e.Reason})
-		p.AppliedRules = append(p.AppliedRules, "CollapseEmptyJoin")
+// collapseEmptyJoin replaces the join in slot with EmptyResult when either
+// side was proven empty (an inner join over an empty input produces
+// nothing).
+func (o *Optimizer) collapseEmptyJoin(p *Plan, slot *Node, probe, build *EmptyResult) {
+	switch {
+	case probe != nil:
+		*slot = &EmptyResult{Reason: "join probe side is empty: " + probe.Reason}
+	case build != nil:
+		*slot = &EmptyResult{Reason: "join build side is empty: " + build.Reason}
+	default:
 		return
 	}
-	if e, ok := join.Build.(*EmptyResult); ok {
-		replaceChild(p, join, &EmptyResult{Reason: "join build side is empty: " + e.Reason})
-		p.AppliedRules = append(p.AppliedRules, "CollapseEmptyJoin")
-	}
+	p.AppliedRules = append(p.AppliedRules, "CollapseEmptyJoin")
 }
 
-// pushLimitHints annotates the plan below a Limit with how many rows can
-// ever be delivered, so the batch-pipelined executor stops early: the
-// Projection learns its materialization cap, and — when the projection
-// reads the scan's output directly, i.e. no order-changing operator sits
-// between them — the FusedChain learns it may stop scanning after N
-// matches. Aggregates are never hinted (they need every qualifying row),
-// and a Sort below the projection blocks the scan hint (the first N rows
-// in sort order are not the first N in table order).
-func (o *Optimizer) pushLimitHints(p *Plan) {
-	lim, ok := p.Root.(*Limit)
-	if !ok || lim.N <= 0 {
-		return
-	}
-	proj, ok := lim.Input.(*Projection)
-	if !ok {
-		return
-	}
-	proj.MaxRows = lim.N
-	applied := "PushDownLimitHint"
-	switch t := proj.Input.(type) {
-	case *FusedChain:
-		t.StopAfter = lim.N
-	case *IndexScan:
-		t.StopAfter = lim.N
-	}
-	p.AppliedRules = append(p.AppliedRules, applied)
+// prune records rule and returns the EmptyResult that replaces a scan
+// whose conjunction no row satisfies: one such conjunct empties the whole
+// scan, so none of its siblings is left to evaluate.
+func prune(p *Plan, rule, reason string) *EmptyResult {
+	p.AppliedRules = append(p.AppliedRules, rule)
+	return &EmptyResult{Reason: reason}
 }
 
 // pruneContradictions detects conjunctions on one column that no value can
 // satisfy — "a = 5 AND a = 6", "a < 3 AND a > 7", "a IS NULL AND a = 5" —
-// and replaces the predicate run with EmptyResult. It works on the run
-// before reordering, interval-intersecting the comparison bounds per
-// column.
-func (o *Optimizer) pruneContradictions(p *Plan) {
-	run, _ := predicateRun(p)
-	if len(run) < 2 {
-		return
+// and prunes the scan. It works on the conjunction before reordering, last
+// conjunct first, interval-intersecting the comparison bounds per column.
+func (o *Optimizer) pruneContradictions(p *Plan, s *Scan) *EmptyResult {
+	if len(s.Preds) < 2 {
+		return nil
 	}
 	type bounds struct {
 		lo, hi         *expr.Value // nil = unbounded
@@ -185,13 +120,14 @@ func (o *Optimizer) pruneContradictions(p *Plan) {
 	byCol := make(map[string]*bounds)
 	contradiction := ""
 
-	for _, pr := range run {
-		b := byCol[pr.Pred.Column]
+	for i := len(s.Preds) - 1; i >= 0; i-- {
+		pr := s.Preds[i]
+		b := byCol[pr.Column]
 		if b == nil {
 			b = &bounds{}
-			byCol[pr.Pred.Column] = b
+			byCol[pr.Column] = b
 		}
-		switch pr.Pred.Kind {
+		switch pr.Kind {
 		case expr.PredIsNull:
 			b.isNull = true
 		case expr.PredIsNotNull:
@@ -199,28 +135,28 @@ func (o *Optimizer) pruneContradictions(p *Plan) {
 		default:
 			// A comparison also implies IS NOT NULL.
 			b.notNull = true
-			if pr.Pred.Param > 0 {
+			if pr.Param > 0 {
 				// An unbound parameter has no value to intersect; the NOT
 				// NULL implication above still holds for any binding.
 				continue
 			}
-			v := pr.Pred.Value
-			switch pr.Pred.Op {
+			v := pr.Value
+			switch pr.Op {
 			case expr.Eq:
 				if b.eq != nil && !b.eq.Compare(expr.Eq, v) {
-					contradiction = fmt.Sprintf("%s = %s AND %s = %s", pr.Pred.Column, b.eq, pr.Pred.Column, v)
+					contradiction = fmt.Sprintf("%s = %s AND %s = %s", pr.Column, b.eq, pr.Column, v)
 				}
 				b.eq = &v
 			case expr.Lt, expr.Le:
 				if b.hi == nil || v.Compare(expr.Lt, *b.hi) {
-					b.hi, b.hiOpen = &v, pr.Pred.Op == expr.Lt
-				} else if v.Compare(expr.Eq, *b.hi) && pr.Pred.Op == expr.Lt {
+					b.hi, b.hiOpen = &v, pr.Op == expr.Lt
+				} else if v.Compare(expr.Eq, *b.hi) && pr.Op == expr.Lt {
 					b.hiOpen = true
 				}
 			case expr.Gt, expr.Ge:
 				if b.lo == nil || v.Compare(expr.Gt, *b.lo) {
-					b.lo, b.loOpen = &v, pr.Pred.Op == expr.Gt
-				} else if v.Compare(expr.Eq, *b.lo) && pr.Pred.Op == expr.Gt {
+					b.lo, b.loOpen = &v, pr.Op == expr.Gt
+				} else if v.Compare(expr.Eq, *b.lo) && pr.Op == expr.Gt {
 					b.loOpen = true
 				}
 			}
@@ -244,9 +180,10 @@ func (o *Optimizer) pruneContradictions(p *Plan) {
 			}
 		}
 	}
-	if contradiction != "" {
-		pruneRun(p, "PruneContradictoryPredicates", "contradiction: "+contradiction)
+	if contradiction == "" {
+		return nil
 	}
+	return prune(p, "PruneContradictoryPredicates", "contradiction: "+contradiction)
 }
 
 // colStats returns the statistics of tbl's column name, or false when the
@@ -259,36 +196,22 @@ func (o *Optimizer) colStats(tbl *column.Table, name string) (*column.Stats, boo
 	return col.Stats(), true
 }
 
-// estimateSelectivities fills in EstSel on every predicate from sampled
-// column statistics.
-func (o *Optimizer) estimateSelectivities(p *Plan) {
+// estimateSelectivities estimates each conjunct of s from column
+// statistics. An unbound parameter has no value to estimate against: it
+// keeps the neutral 1, so parameterized conjuncts preserve their source
+// order under the (stable) selectivity reorder. (The engine optimizes only
+// bound plans.)
+func (o *Optimizer) estimateSelectivities(p *Plan, s *Scan) []float64 {
+	sels := make([]float64, len(s.Preds))
 	applied := false
-	for n := p.Root; n != nil; n = n.Child() {
-		pred, ok := n.(*Predicate)
-		if !ok {
-			continue
-		}
-		if st, ok := o.colStats(p.Table, pred.Pred.Column); ok {
-			switch {
-			case pred.Pred.Kind == expr.PredIsNull:
-				pred.EstSel = st.NullFraction
-			case pred.Pred.Kind == expr.PredIsNotNull:
-				pred.EstSel = 1 - st.NullFraction
-			case pred.Pred.Param > 0:
-				// Unbound parameter: no value to estimate against. Keep the
-				// neutral default so parameterized predicates preserve their
-				// source order under the (stable) selectivity reorder. (The
-				// engine optimizes only bound plans.)
-				continue
-			default:
-				pred.EstSel = st.EstimateSelectivity(pred.Pred.Op, pred.Pred.Value)
-			}
-			applied = true
-		}
+	for i, pr := range s.Preds {
+		sels[i] = o.predSel(s.Table, pr)
+		applied = applied || pr.Kind != expr.PredCompare || pr.Param == 0
 	}
 	if applied {
 		p.AppliedRules = append(p.AppliedRules, "EstimateSelectivities")
 	}
+	return sels
 }
 
 // rewritePackedPredicates rewrites compare predicates over bit-packed
@@ -296,26 +219,21 @@ func (o *Optimizer) estimateSelectivities(p *Plan) {
 // code-space rewrite): the literal is mapped through column.ValueKey and
 // tested against the packed representation's exact key bounds — chunk
 // metadata, no data touched. A literal provably outside every chunk's
-// range collapses the predicate run to EmptyResult; a predicate every
-// valid row satisfies is dropped entirely (or weakened to IS NOT NULL when
-// the column is nullable, because a comparison also filters NULLs). In-range
-// predicates stay as they are — the scan kernels complete the rewrite per
-// chunk in delta space (scan/packed.go), and the collapse outcome is
-// observable in the plan's applied-rules trace.
-func (o *Optimizer) rewritePackedPredicates(p *Plan) {
-	var parent Node
-	n := p.Root
-	for n != nil {
-		pred, ok := n.(*Predicate)
-		if !ok || pred.Pred.Kind != expr.PredCompare || pred.Pred.Param > 0 {
-			parent = n
-			n = n.Child()
+// range prunes the scan; a predicate every valid row satisfies is dropped
+// entirely (or weakened to IS NOT NULL when the column is nullable, because
+// a comparison also filters NULLs). In-range predicates stay as they are —
+// the scan kernels complete the rewrite per chunk in delta space
+// (scan/packed.go), and the collapse outcome is observable in the plan's
+// applied-rules trace. The rule looks at the last conjunct first and
+// returns sels, the conjuncts' estimates, rewritten alongside them.
+func (o *Optimizer) rewritePackedPredicates(p *Plan, s *Scan, sels []float64) ([]float64, *EmptyResult) {
+	for i := len(s.Preds) - 1; i >= 0; i-- {
+		pr := s.Preds[i]
+		if pr.Kind != expr.PredCompare || pr.Param > 0 {
 			continue
 		}
-		col, err := p.Table.Column(pred.Pred.Column)
-		if err != nil || !col.IsPacked() || pred.Pred.Value.Type != col.Type() {
-			parent = n
-			n = n.Child()
+		col, err := s.Table.Column(pr.Column)
+		if err != nil || !col.IsPacked() || pr.Value.Type != col.Type() {
 			continue
 		}
 		packed, _ := col.Packed()
@@ -323,36 +241,28 @@ func (o *Optimizer) rewritePackedPredicates(p *Plan) {
 		if !any {
 			// Every row is NULL (or the column is empty): no comparison
 			// can match.
-			pruneRun(p, "PackedRewriteAlwaysFalse",
-				fmt.Sprintf("packed rewrite: %s has no non-NULL rows", pred.Pred.Column))
-			return
+			return sels, prune(p, "PackedRewriteAlwaysFalse",
+				fmt.Sprintf("packed rewrite: %s has no non-NULL rows", pr.Column))
 		}
-		c := column.ValueKey(col.Type(), pred.Pred.Value)
-		alwaysFalse, alwaysTrue := packedCollapse(pred.Pred.Op, c, minKey, maxKey)
+		c := column.ValueKey(col.Type(), pr.Value)
+		alwaysFalse, alwaysTrue := packedCollapse(pr.Op, c, minKey, maxKey)
 		switch {
 		case alwaysFalse:
-			pruneRun(p, "PackedRewriteAlwaysFalse",
-				fmt.Sprintf("packed rewrite: %s is outside the stored key range", pred.Pred))
-			return
+			return sels, prune(p, "PackedRewriteAlwaysFalse",
+				fmt.Sprintf("packed rewrite: %s is outside the stored key range", pr))
 		case alwaysTrue && col.HasNulls():
 			// Keep only the comparison's implicit NULL filter.
-			pred.Pred = expr.Predicate{Column: pred.Pred.Column, Kind: expr.PredIsNotNull}
-			if st, ok := o.colStats(p.Table, pred.Pred.Column); ok {
-				pred.EstSel = 1 - st.NullFraction
-			}
+			s.Preds[i] = expr.Predicate{Column: pr.Column, Kind: expr.PredIsNotNull}
+			sels[i] = o.predSel(s.Table, s.Preds[i])
 			p.AppliedRules = append(p.AppliedRules, "PackedRewriteAlwaysTrue")
-			parent = n
-			n = n.Child()
 		case alwaysTrue:
-			// Unlink the predicate: every row satisfies it.
-			setChild(p, parent, pred.Input)
+			// Drop the predicate: every row satisfies it.
+			s.Preds = slices.Delete(s.Preds, i, i+1)
+			sels = slices.Delete(sels, i, i+1)
 			p.AppliedRules = append(p.AppliedRules, "PackedRewriteAlwaysTrue")
-			n = pred.Input
-		default:
-			parent = n
-			n = n.Child()
 		}
 	}
+	return sels, nil
 }
 
 // packedCollapse reports whether "key(x) op c" is provably false or
@@ -376,19 +286,19 @@ func packedCollapse(op expr.CmpOp, c, minKey, maxKey uint64) (alwaysFalse, alway
 	return false, false
 }
 
-// pruneUnsatisfiable replaces the predicate run with EmptyResult when one
-// of its predicates cannot match any row (literal outside the column's
-// [min, max]).
-func (o *Optimizer) pruneUnsatisfiable(p *Plan) {
-	run, _ := predicateRun(p)
-	for _, pred := range run {
-		if pred.Pred.Kind != expr.PredCompare {
+// pruneUnsatisfiable prunes the scan when one of its conjuncts cannot
+// match any row (literal outside the column's [min, max]), looking at the
+// last conjunct first.
+func (o *Optimizer) pruneUnsatisfiable(p *Plan, s *Scan) *EmptyResult {
+	for i := len(s.Preds) - 1; i >= 0; i-- {
+		pred := s.Preds[i]
+		if pred.Kind != expr.PredCompare {
 			continue // NULL tests are never pruned by min/max bounds
 		}
-		if pred.Pred.Param > 0 {
+		if pred.Param > 0 {
 			continue // an unbound parameter may bind to any value
 		}
-		st, ok := o.colStats(p.Table, pred.Pred.Column)
+		st, ok := o.colStats(s.Table, pred.Column)
 		if !ok || st.Rows == 0 {
 			continue
 		}
@@ -397,22 +307,21 @@ func (o *Optimizer) pruneUnsatisfiable(p *Plan) {
 			// comparison matches (the packed rewrite's no-valid-rows
 			// collapse, for plain columns), or NULL or NaN, which only <>
 			// matches.
-			reason := fmt.Sprintf("every row of %s is NULL", pred.Pred.Column)
+			reason := fmt.Sprintf("every row of %s is NULL", pred.Column)
 			if st.NullFraction < 1 {
-				if pred.Pred.Op == expr.Ne {
+				if pred.Op == expr.Ne {
 					continue
 				}
-				reason = fmt.Sprintf("every non-NULL row of %s is NaN", pred.Pred.Column)
+				reason = fmt.Sprintf("every non-NULL row of %s is NaN", pred.Column)
 			}
-			pruneRun(p, "PruneUnsatisfiablePredicate", reason)
-			return
+			return prune(p, "PruneUnsatisfiablePredicate", reason)
 		}
 		// Min and Max bound the non-NaN rows in the value order, which
 		// agrees with the predicate's comparison on them; a NaN row
 		// matches none of = < <= > >=, and a NaN literal is above Max.
-		v, lo, hi := pred.Pred.Value.OrderKey(), st.Min.OrderKey(), st.Max.OrderKey()
+		v, lo, hi := pred.Value.OrderKey(), st.Min.OrderKey(), st.Max.OrderKey()
 		unsat := false
-		switch pred.Pred.Op {
+		switch pred.Op {
 		case expr.Eq:
 			unsat = v < lo || v > hi
 		case expr.Lt:
@@ -425,136 +334,32 @@ func (o *Optimizer) pruneUnsatisfiable(p *Plan) {
 			unsat = hi < v
 		}
 		if unsat {
-			pruneRun(p, "PruneUnsatisfiablePredicate",
-				fmt.Sprintf("%s is outside [%s, %s]", pred.Pred, st.Min, st.Max))
-			return
+			return prune(p, "PruneUnsatisfiablePredicate",
+				fmt.Sprintf("%s is outside [%s, %s]", pred, st.Min, st.Max))
 		}
 	}
+	return nil
 }
 
-// reorderPredicates sorts each maximal run of stacked predicates by
-// ascending estimated selectivity, so the most selective predicate runs
-// first — the paper's "predicates are evaluated as early as possible and
-// in the most efficient order". The sort is stable, preserving source
-// order among equal estimates.
-func (o *Optimizer) reorderPredicates(p *Plan) {
-	run, parent := predicateRun(p)
-	if len(run) < 2 {
-		return
-	}
-	// run[0] is the outermost node, i.e. the predicate evaluated last; the
-	// most selective predicate must end up innermost (evaluated first), so
-	// sort descending in run order.
-	ordered := make([]*Predicate, len(run))
-	copy(ordered, run)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].EstSel > ordered[j].EstSel })
-
-	changed := false
-	for i := range run {
-		if run[i] != ordered[i] {
-			changed = true
-			break
+// reorderPredicates sorts the conjunction by ascending estimated
+// selectivity, so the most selective predicate runs first — the paper's
+// "predicates are evaluated as early as possible and in the most efficient
+// order" — and records the conjunction's estimate on the scan. The sort
+// is stable, preserving source order among equal estimates.
+func (o *Optimizer) reorderPredicates(p *Plan, s *Scan, sels []float64) {
+	moved := false
+	for i := 1; i < len(sels); i++ {
+		for j := i; j > 0 && sels[j-1] > sels[j]; j-- {
+			sels[j-1], sels[j] = sels[j], sels[j-1]
+			s.Preds[j-1], s.Preds[j] = s.Preds[j], s.Preds[j-1]
+			moved = true
 		}
 	}
-	if !changed {
-		return
+	if moved {
+		p.AppliedRules = append(p.AppliedRules, "ReorderPredicatesBySelectivity")
 	}
-	// Relink: parent -> ordered[0] -> ... -> ordered[k-1] -> base.
-	base := run[len(run)-1].Input
-	for i := 0; i < len(ordered)-1; i++ {
-		ordered[i].Input = ordered[i+1]
-	}
-	ordered[len(ordered)-1].Input = base
-	setChild(p, parent, ordered[0])
-	p.AppliedRules = append(p.AppliedRules, "ReorderPredicatesBySelectivity")
-}
-
-// fuseChains replaces each maximal run of stacked predicates with a single
-// FusedChain node — the tagging step that makes the LQP translator emit a
-// Fused Table Scan.
-func (o *Optimizer) fuseChains(p *Plan) {
-	run, parent := predicateRun(p)
-	if len(run) == 0 {
-		return
-	}
-	fc := &FusedChain{Input: run[len(run)-1].Input, EstSel: 1}
-	// The chain lists predicates in evaluation order: innermost (deepest σ,
-	// applied first) leads, so it drives the sequential block scan.
-	for i := len(run) - 1; i >= 0; i-- {
-		fc.Preds = append(fc.Preds, run[i].Pred)
-		fc.EstSel *= run[i].EstSel
-	}
-	setChild(p, parent, fc)
-	p.AppliedRules = append(p.AppliedRules, "FuseConsecutiveScans")
-}
-
-// predicateRun returns the topmost maximal run of stacked Predicate nodes
-// (outermost first) and the node whose child is the run's head (nil when
-// the run starts at the root).
-func predicateRun(p *Plan) ([]*Predicate, Node) {
-	var parent Node
-	for n := p.Root; n != nil; n = n.Child() {
-		if pred, ok := n.(*Predicate); ok {
-			run := []*Predicate{pred}
-			for {
-				next, ok := run[len(run)-1].Input.(*Predicate)
-				if !ok {
-					break
-				}
-				run = append(run, next)
-			}
-			return run, parent
-		}
-		parent = n
-	}
-	return nil, nil
-}
-
-// pruneRun replaces the predicate run, with the table under it, by
-// EmptyResult and records rule: one conjunct that no row satisfies empties
-// the whole run, so none of its siblings is left to evaluate.
-func pruneRun(p *Plan, rule, reason string) {
-	_, parent := predicateRun(p)
-	setChild(p, parent, &EmptyResult{Reason: reason})
-	p.AppliedRules = append(p.AppliedRules, rule)
-}
-
-// setChild replaces parent's child (or the plan root when parent is nil).
-func setChild(p *Plan, parent, child Node) {
-	if parent == nil {
-		p.Root = child
-		return
-	}
-	switch t := parent.(type) {
-	case *Predicate:
-		t.Input = child
-	case *Projection:
-		t.Input = child
-	case *Limit:
-		t.Input = child
-	case *Sort:
-		t.Input = child
-	case *FusedChain:
-		t.Input = child
-	case *Join:
-		t.Input = child
-	case *GroupBy:
-		t.Input = child
-	default:
-		panic(fmt.Sprintf("lqp: cannot set child of %T", parent))
-	}
-}
-
-// replaceChild swaps the subtree rooted at old with repl.
-func replaceChild(p *Plan, old, repl Node) {
-	if p.Root == old {
-		p.Root = repl
-		return
-	}
-	for n := p.Root; n != nil; n = n.Child() {
-		if n.Child() == old {
-			setChild(p, n, repl)
-			return
-		}
+	s.EstSel = 1
+	for _, sel := range sels {
+		s.EstSel *= sel
 	}
 }

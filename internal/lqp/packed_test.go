@@ -62,17 +62,12 @@ func TestPackedRewriteAlwaysFalse(t *testing.T) {
 	if !hasRule(plan, "PackedRewriteAlwaysFalse") {
 		t.Fatalf("rules = %v", plan.AppliedRules)
 	}
-	found := false
-	for n := plan.Root; n != nil; n = n.Child() {
-		if e, ok := n.(*EmptyResult); ok {
-			found = true
-			if !strings.Contains(e.Reason, "packed rewrite") {
-				t.Fatalf("reason = %q", e.Reason)
-			}
-		}
-	}
-	if !found {
+	e, ok := (*spineSlot(plan)).(*EmptyResult)
+	if !ok {
 		t.Fatalf("no EmptyResult in plan:\n%s", plan.Format())
+	}
+	if !strings.Contains(e.Reason, "packed rewrite") {
+		t.Fatalf("reason = %q", e.Reason)
 	}
 
 	// The other collapse direction: > max, < min, <= below min, >= above
@@ -104,15 +99,9 @@ func TestPackedRewriteAlwaysTrueDropsPredicate(t *testing.T) {
 	if !hasRule(plan, "PackedRewriteAlwaysTrue") {
 		t.Fatalf("rules = %v", plan.AppliedRules)
 	}
-	for n := plan.Root; n != nil; n = n.Child() {
-		if fc, ok := n.(*FusedChain); ok {
-			if len(fc.Preds) != 1 || fc.Preds[0].Column != "b" {
-				t.Fatalf("chain = %v", fc)
-			}
-			return
-		}
+	if fc := scanOf(t, plan); len(fc.Preds) != 1 || fc.Preds[0].Column != "b" {
+		t.Fatalf("chain = %v", fc)
 	}
-	t.Fatalf("no FusedChain in plan:\n%s", plan.Format())
 }
 
 func TestPackedRewriteAlwaysTrueKeepsNullFilter(t *testing.T) {
@@ -123,18 +112,16 @@ func TestPackedRewriteAlwaysTrueKeepsNullFilter(t *testing.T) {
 	if !hasRule(plan, "PackedRewriteAlwaysTrue") {
 		t.Fatalf("rules = %v", plan.AppliedRules)
 	}
-	for n := plan.Root; n != nil; n = n.Child() {
-		if fc, ok := n.(*FusedChain); ok {
-			if len(fc.Preds) != 1 {
-				t.Fatalf("chain preds = %v", fc.Preds)
-			}
-			if fc.Preds[0].String() != "a IS NOT NULL" {
-				t.Fatalf("pred = %s", fc.Preds[0])
-			}
-			return
-		}
+	fc := scanOf(t, plan)
+	if len(fc.Preds) != 1 {
+		t.Fatalf("chain preds = %v", fc.Preds)
 	}
-	t.Fatalf("no FusedChain in plan:\n%s", plan.Format())
+	if fc.Preds[0].String() != "a IS NOT NULL" {
+		t.Fatalf("pred = %s", fc.Preds[0])
+	}
+	if fc.EstSel != 0.8 {
+		t.Errorf("EstSel = %g, want the non-NULL fraction 0.8", fc.EstSel)
+	}
 }
 
 func TestPackedRewriteInRangePredicateKept(t *testing.T) {
@@ -143,15 +130,9 @@ func TestPackedRewriteInRangePredicateKept(t *testing.T) {
 	if hasRule(plan, "PackedRewriteAlwaysFalse") || hasRule(plan, "PackedRewriteAlwaysTrue") {
 		t.Fatalf("in-range predicate was collapsed: %v", plan.AppliedRules)
 	}
-	for n := plan.Root; n != nil; n = n.Child() {
-		if fc, ok := n.(*FusedChain); ok {
-			if len(fc.Preds) != 1 || fc.Preds[0].Column != "a" {
-				t.Fatalf("chain = %v", fc)
-			}
-			return
-		}
+	if fc := scanOf(t, plan); len(fc.Preds) != 1 || fc.Preds[0].Column != "a" {
+		t.Fatalf("chain = %v", fc)
 	}
-	t.Fatalf("no FusedChain in plan:\n%s", plan.Format())
 }
 
 // TestAllNullColumnCollapses: a comparison over a column whose every row

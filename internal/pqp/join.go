@@ -30,7 +30,6 @@ package pqp
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -320,7 +319,7 @@ func joinKeys(c *sideCol, t expr.Type, in *Batch, lo int, keys []uint64, dead []
 	}
 	if t.Float() {
 		for i, r := range keys {
-			if isNaNKey(t, r) {
+			if expr.IsNaNBits(t, r) {
 				if !anyDead {
 					clear(dead)
 					anyDead = true
@@ -331,17 +330,6 @@ func joinKeys(c *sideCol, t expr.Type, in *Batch, lo int, keys []uint64, dead []
 		}
 	}
 	return anyDead
-}
-
-// isNaNKey reports whether stored key bits of type t hold a NaN.
-func isNaNKey(t expr.Type, raw uint64) bool {
-	switch t {
-	case expr.Float32:
-		return math.IsNaN(float64(math.Float32frombits(uint32(raw))))
-	case expr.Float64:
-		return math.IsNaN(math.Float64frombits(raw))
-	}
-	return false
 }
 
 // transferBloom fills a Bloom filter from the table's key words and, when
@@ -381,7 +369,7 @@ func (op *joinOp) bloomFilters(bl *scan.Bloom) bool {
 			continue
 		}
 		raw := op.probeKey.Raw(p)
-		if isNaNKey(op.keyType, raw) {
+		if expr.IsNaNBits(op.keyType, raw) {
 			continue
 		}
 		tested++

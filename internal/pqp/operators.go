@@ -88,7 +88,7 @@ type positionStream interface {
 // holding a candidate row, and each window emits its candidates, refined by
 // the chain of residual predicates when there is one. Open lists the
 // windows the zone maps do not prune, once; both execution modes walk that
-// list. With Cores > 1, at least two surviving windows and no LIMIT hint,
+// list. With Cores > 1, at least two surviving windows and no LIMIT cap,
 // the windows become the morsels of a parallel stream (each core with its
 // own simulated CPU when the plan runs against one), merged back in window
 // order, so downstream operators consume an identical ordered stream and
@@ -112,9 +112,12 @@ type scanOp struct {
 	// (absolute row ids, ascending), and preds is the residual chain.
 	probes    []lqp.IndexProbe
 	batchRows int
-	// stopAfter, when > 0, is the optimizer's LIMIT pushdown hint: stop
-	// producing once this many matches have been emitted (rounded up to a
-	// batch boundary).
+	// capped is set when a LIMIT above caps the rows the scan feeds: it
+	// stays on one core, so no helper scans a window the consumer drops.
+	// stopAfter, when > 0, is the cap on the scan's own matches (a
+	// projection reading the scan directly): it stops producing once this
+	// many have been emitted (rounded up to a batch boundary).
+	capped    bool
 	stopAfter int
 	// cores/params configure parallel batch production.
 	cores     int
@@ -265,7 +268,7 @@ func (op *scanOp) Open(ctx context.Context, cpu *mach.CPU) error {
 	// first window pulled, once a sink above has had the chance to fuse
 	// the rest of the fragment.
 	work := len(op.chain) > 0 || !op.countOnly
-	if op.cores > 1 && len(op.windows) > 1 && op.stopAfter == 0 && work {
+	if op.cores > 1 && len(op.windows) > 1 && !op.capped && work {
 		op.ran = min(op.cores, len(op.windows))
 	}
 	op.one[0] = scanCore{charger: batchCharger{acct: acct}}
@@ -892,15 +895,24 @@ func (op *projectOp) child() Operator { return op.input }
 // header.
 func (op *projectOp) shape(qr *QueryResult) { qr.Columns = op.names }
 
-// capAt tightens the materialization cap (LIMIT pushdown). A scan that
-// feeds the projection directly takes it as its stop-after hint, so it
-// stays on one core and scans no further than the cap needs.
+// capAt tightens the materialization cap (LIMIT pushdown). The scan that
+// feeds the projection stays on one core: the consumer takes windows in
+// order and stops at the cap, so a helper could only scan windows it
+// drops. A scan read directly also takes the cap as its stop-after hint and
+// scans no further than it needs; under a join, probe matches are not
+// output rows, so the probe scan gets no such hint.
 func (op *projectOp) capAt(n int) {
 	if op.capRows == 0 || n < op.capRows {
 		op.capRows = n
 	}
-	if s, ok := op.input.(*scanOp); ok && (s.stopAfter == 0 || n < s.stopAfter) {
-		s.stopAfter = n
+	switch in := op.input.(type) {
+	case *scanOp:
+		in.capped = true
+		if in.stopAfter == 0 || n < in.stopAfter {
+			in.stopAfter = n
+		}
+	case *joinOp:
+		in.probe.capped = true
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package pqp implements physical query plans: the LQP translator of
 // Figure 9 turns an optimized logical plan into executable operators,
-// invoking the JIT compiler for every FusedChain tag (the paper's drop-in
-// replacement for consecutive scans), and the executor runs the operator
-// tree against the machine model — or, on the native path, against a nil
-// *mach.CPU that charges nothing.
+// invoking the JIT compiler for every scan with a conjunction (the
+// paper's drop-in replacement for consecutive scans), and the executor
+// runs the operator tree against the machine model — or, on the native
+// path, against a nil *mach.CPU that charges nothing.
 //
 // Execution is batch-pipelined (Volcano-with-vectors): operators implement
 // Open/Next/Close and exchange Batch values — bounded, chunk-relative
@@ -51,7 +51,7 @@ type Options struct {
 	// Cores > 1 lets a table scan — unfiltered, filtered or on the index
 	// path — run its zone-map-surviving chunk windows as morsels on that
 	// many cores (see internal/parallel) when at least two windows
-	// survive, the scan has no LIMIT hint and it has work per window
+	// survive, no LIMIT caps the rows it feeds and it has work per window
 	// (predicates, or positions to emit);
 	// each core simulates its own CPU, built from Params, when the plan
 	// runs against one. Downstream operators still consume one ordered
@@ -378,8 +378,8 @@ func Translate(lp *lqp.Plan, comp *jit.Compiler, opts Options) (*Plan, error) {
 
 func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
 	switch t := n.(type) {
-	case *lqp.StoredTable, *lqp.FusedChain, *lqp.IndexScan:
-		return translateScan(t, tbl, comp, opts, p)
+	case *lqp.Scan:
+		return translateScan(t, comp, opts, p)
 
 	case *lqp.EmptyResult:
 		return &emptyOp{reason: t.Reason}, nil
@@ -389,11 +389,6 @@ func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 
 	case *lqp.GroupBy:
 		return translateGroupBy(t, tbl, comp, opts, p)
-
-	case *lqp.Predicate:
-		// The optimizer fuses every predicate run into a scan leaf or prunes
-		// it whole; a bare predicate means the plan skipped it.
-		return nil, fmt.Errorf("pqp: predicate %s is not fused into a scan; optimize the plan before translating", t.Pred)
 
 	case *lqp.Projection:
 		return translateProjection(t, tbl, comp, opts, p)
@@ -422,8 +417,12 @@ func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 		lim := &limitOp{input: child, n: t.N}
 		switch c := child.(type) {
 		case *projectOp:
-			// The projection caps itself at the optimizer's MaxRows hint.
+			// LIMIT pushdown: the projection caps itself, and the scan
+			// that feeds it, at n rows (see capAt).
 			lim.overRows = true
+			if t.N > 0 {
+				c.capAt(t.N)
+			}
 		case *groupOp:
 			// Grouped output streams materialized rows; the zero-key form
 			// emits a single aggregate batch and needs no row counting.
@@ -453,34 +452,27 @@ func findJoin(n lqp.Node) *lqp.Join {
 	return nil
 }
 
-// translateScan lowers a stored table, alone, under a fused predicate
-// chain or on the index access path, to the chunked scan leaf: with
-// predicates on the kernel family Kernels picks, without any as the same
-// scan over an empty chain. A nil comp builds fused kernels directly: a
-// join's probe chain is mutated at Open (Bloom injection), and an index
-// scan's residual runs over per-window slices, so a cached program could
-// never be reused.
-func translateScan(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (*scanOp, error) {
-	op := &scanOp{tbl: tbl, batchRows: opts.batchRows(), cores: opts.Cores, params: opts.Params}
-	var preds []expr.Predicate
-	switch t := n.(type) {
-	case *lqp.StoredTable:
-		op.tbl = t.Table
+// translateScan lowers a scan leaf to the chunked scan operator: with
+// conjuncts on the kernel family Kernels picks, without any as the same
+// scan over an empty chain, and on the index path as the scan over the
+// candidates' windows with the residual as its chain. A nil comp builds
+// fused kernels directly: a join's probe chain is mutated at Open (Bloom
+// injection), and an index scan's residual runs over per-window slices,
+// so a cached program could never be reused.
+func translateScan(s *lqp.Scan, comp *jit.Compiler, opts Options, p *Plan) (*scanOp, error) {
+	op := &scanOp{tbl: s.Table, probes: s.Probes, estSel: s.EstSel,
+		batchRows: opts.batchRows(), cores: opts.Cores, params: opts.Params}
+	if s.Probes == nil && len(s.Preds) == 0 {
 		return op, nil
-	case *lqp.FusedChain:
-		if _, ok := t.Input.(*lqp.StoredTable); !ok {
-			return nil, fmt.Errorf("pqp: fused chain must sit directly on a stored table, found %T", t.Input)
-		}
-		preds, op.estSel, op.stopAfter = t.Preds, t.EstSel, t.StopAfter
-	case *lqp.IndexScan:
-		preds, op.estSel, op.stopAfter = t.Residual, t.EstSel, t.StopAfter
-		op.tbl, op.probes, comp = t.Table, t.Probes, nil
 	}
-	// An index scan's residual may be empty; a fused chain's may not.
+	if s.Probes != nil {
+		comp = nil
+	}
+	// An index scan's residual may be empty.
 	var ch scan.Chain
-	if op.probes == nil || len(preds) > 0 {
+	if len(s.Preds) > 0 {
 		var err error
-		if ch, err = buildChain(tbl, preds); err != nil {
+		if ch, err = buildChain(s.Table, s.Preds); err != nil {
 			return nil, err
 		}
 	}
@@ -498,23 +490,19 @@ func translateScan(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 // residual chains build fused kernels directly, and key/residual
 // references resolve per side.
 func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Options, p *Plan) (Operator, error) {
-	bsrc, err := positionalInput(t.Build, "join build side", t.BuildTable, comp, opts, p)
+	bsrc, err := translateScan(t.Build, comp, opts, p)
 	if err != nil {
 		return nil, err
 	}
-	probe, err := translateNode(t.Input, tbl, nil, opts, p)
+	probeScan, err := translateScan(t.Input, nil, opts, p)
 	if err != nil {
 		return nil, err
-	}
-	probeScan, ok := probe.(*scanOp)
-	if !ok {
-		return nil, fmt.Errorf("pqp: join probe side is %T, not a scan", probe)
 	}
 	probeKey, err := tbl.Column(t.ProbeKey)
 	if err != nil {
 		return nil, err
 	}
-	buildKey, err := t.BuildTable.Column(t.BuildKey)
+	buildKey, err := t.Build.Table.Column(t.BuildKey)
 	if err != nil {
 		return nil, err
 	}
@@ -524,7 +512,7 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 		if err != nil {
 			return nil, err
 		}
-		bc, err := t.BuildTable.Column(r.Build)
+		bc, err := t.Build.Table.Column(r.Build)
 		if err != nil {
 			return nil, err
 		}
@@ -580,7 +568,7 @@ func (s sides) col(ref lqp.ColRef) (sideCol, error) {
 		c, err := s.tbl.Column(ref.Col)
 		return sideCol{col: c}, err
 	case s.join != nil:
-		c, err := s.join.BuildTable.Column(ref.Col)
+		c, err := s.join.Build.Table.Column(ref.Col)
 		return sideCol{col: c, build: true}, err
 	case s.emptied:
 		return sideCol{build: true}, nil
@@ -650,9 +638,6 @@ func translateProjection(t *lqp.Projection, tbl *column.Table, comp *jit.Compile
 	}
 	s := sidesOf(t.Input, tbl)
 	op := &projectOp{input: src, names: t.Columns, unbounded: opts.UnboundedRows}
-	if t.MaxRows > 0 {
-		op.capAt(t.MaxRows)
-	}
 	if len(t.Refs) != len(t.Columns) {
 		return nil, fmt.Errorf("pqp: projection lacks side-resolved column refs")
 	}

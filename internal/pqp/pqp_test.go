@@ -115,24 +115,95 @@ func TestTranslateUnfusedOption(t *testing.T) {
 	}
 }
 
-func TestTranslateRejectsUnfusedPredicates(t *testing.T) {
-	// Only optimized plans reach the executor: the optimizer fuses every
-	// predicate run into a scan leaf or prunes it whole, so a bare
-	// predicate — a plan that skipped it — is a translate error, on a
-	// single table, on a join's probe side and above a join.
-	cat, _, _ := fixture(t, 4000)
+// dimFixture is fixture plus a dimension table d(k) for join plans.
+func dimFixture(t *testing.T, rows int) testCatalog {
+	cat, _, _ := fixture(t, rows)
 	space := mach.NewAddrSpace()
 	dim := column.NewTable(space, "d")
 	dim.MustAddColumn(column.FromInt32s(space, "k", []int32{1, 2, 5}))
 	cat["d"] = dim
+	return cat
+}
+
+func TestTranslateUnoptimizedPlan(t *testing.T) {
+	// Build already puts each side's conjunction in one scan, in source
+	// order: an unoptimized plan translates, on a single table and on
+	// either side of a join, and counts what the optimized plan counts.
+	cat := dimFixture(t, 4000)
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM t WHERE a = 5 AND b = 2",
 		"SELECT COUNT(*) FROM t JOIN d ON t.a = d.k AND t.b = 2",
 		"SELECT COUNT(*) FROM t JOIN d ON t.a = d.k WHERE d.k = 2",
 	} {
-		_, err := Translate(plan(t, cat, sql, false), jit.NewCompiler(), DefaultOptions())
-		if err == nil || !strings.Contains(err.Error(), "is not fused into a scan; optimize the plan before translating") {
-			t.Errorf("%s: err = %v, want the unfused-predicate error", sql, err)
+		var counts [2]int64
+		for i, optimize := range []bool{false, true} {
+			pp, err := Translate(plan(t, cat, sql, optimize), jit.NewCompiler(), DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s (optimize=%v): %v", sql, optimize, err)
+			}
+			res, err := pp.Run(context.Background(), mach.New(mach.Default()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts[i] = res.Count
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("%s: unoptimized count %d, optimized %d", sql, counts[0], counts[1])
+		}
+	}
+}
+
+func TestLimitCapsScan(t *testing.T) {
+	// The Limit lowering caps a projection directly below it at n rows,
+	// and keeps the scan that feeds the projection on one core. Read
+	// directly, the scan also stops after n matches; under a join, whose
+	// probe matches are not output rows, or under a sort (the first n rows
+	// in sort order are not the first n in table order), it does not.
+	// Aggregates need every qualifying row: nothing is capped.
+	cat := dimFixture(t, 4000)
+	opts := DefaultOptions()
+	opts.Cores = 2
+	for _, tc := range []struct {
+		sql                 string
+		capRows, stopAfter  int
+		capped, overProject bool
+	}{
+		{"SELECT a FROM t WHERE a = 5 AND b = 2 LIMIT 3", 3, 3, true, true},
+		{"SELECT a FROM t LIMIT 4", 4, 4, true, true},
+		{"SELECT a FROM t WHERE a = 5 ORDER BY b LIMIT 3", 3, 0, false, true},
+		{"SELECT t.a, d.k FROM t JOIN d ON t.a = d.k WHERE t.b = 2 LIMIT 3", 3, 0, true, true},
+		{"SELECT COUNT(*) FROM t WHERE a = 5 LIMIT 1", 0, 0, false, false},
+		{"SELECT a FROM t WHERE a = 5 LIMIT 0", 0, 0, false, true},
+	} {
+		pp, err := Translate(plan(t, cat, tc.sql, true), jit.NewCompiler(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var proj *projectOp
+		var sc *scanOp
+		for op := pp.Root; op != nil; {
+			switch o := op.(type) {
+			case *projectOp:
+				proj = o
+			case *scanOp:
+				sc = o
+			case *joinOp:
+				sc = o.probe
+			}
+			c, ok := op.(interface{ child() Operator })
+			if !ok {
+				break
+			}
+			op = c.child()
+		}
+		if sc == nil || (proj != nil) != tc.overProject {
+			t.Fatalf("%s: plan\n%s", tc.sql, pp.Format())
+		}
+		if proj != nil && proj.capRows != tc.capRows {
+			t.Errorf("%s: projection cap %d, want %d", tc.sql, proj.capRows, tc.capRows)
+		}
+		if sc.stopAfter != tc.stopAfter || sc.capped != tc.capped {
+			t.Errorf("%s: scan stopAfter %d capped %v, want %d %v", tc.sql, sc.stopAfter, sc.capped, tc.stopAfter, tc.capped)
 		}
 	}
 }
